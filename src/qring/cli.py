@@ -55,6 +55,9 @@ STATE_ERROR = 3
 
 CASE_NAMES = ["superposition", "sin-power", "von-mises", "cos-phi", "cos-2phi"]
 
+# most rows one scan-beta run may print
+MAX_SCAN_ROWS = 100_000
+
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
@@ -277,6 +280,24 @@ def run_report(args, cfg: Config) -> int:
     return 0 if all(rep.holds for rep in checks) else 1
 
 
+def _scan_betas(start: float, stop: float, step: float) -> list | None:
+    """Window starts start, start + step, ... up to stop, or None when a
+    bound is not finite, step is not positive, or the scan would exceed
+    MAX_SCAN_ROWS rows."""
+    if not (math.isfinite(start) and math.isfinite(stop)
+            and math.isfinite(step) and step > 0):
+        return None
+    if (stop - start) / step >= MAX_SCAN_ROWS:
+        return None
+    betas = [start]
+    while betas[-1] + step <= stop + 1e-12 * step:
+        # a step lost to rounding at large |beta| never reaches stop
+        if len(betas) == MAX_SCAN_ROWS:
+            return None
+        betas.append(betas[-1] + step)
+    return betas
+
+
 def run_scan_beta(args, cfg: Config) -> int:
     state, status = _load_state_file(args.state_file, cfg)
     if state is None:
@@ -285,16 +306,13 @@ def run_scan_beta(args, cfg: Config) -> int:
         print("error: scan-beta needs a strictly periodic state",
               file=sys.stderr)
         return STATE_ERROR
-    if args.step <= 0:
-        print("error: --step must be positive", file=sys.stderr)
+    betas = _scan_betas(args.start, args.stop, args.step)
+    if betas is None:
+        print("error: need finite --from, --to and --step > 0, with at "
+              f"most {MAX_SCAN_ROWS} rows", file=sys.stderr)
         return USAGE_ERROR
-    betas = [args.start]
-    while betas[-1] + args.step <= args.stop + 1e-12 * args.step:
-        betas.append(betas[-1] + args.step)
-    rows = []
-    for beta in betas:
-        mean, _, sigma = angle_moments_beta(state, beta, cfg)
-        rows.append((beta, mean, sigma))
+    means, _, sigmas = angle_moments_beta(state, np.array(betas), cfg)
+    rows = list(zip(betas, means.tolist(), sigmas.tolist()))
     if args.json:
         json.dump([{"beta": b, "mean_phi_beta": m, "sigma_phi_beta": s}
                    for b, m, s in rows], sys.stdout, indent=2)

@@ -1,11 +1,22 @@
 """Expectation values and standard deviations for states on the circle.
 
-Trigonometric moments <cos(n phi)>, <sin(n phi)> are lag-n autocorrelations
-of the Fourier coefficients and therefore exact for finite mode support;
-angular momentum moments are diagonal sums over the effective exponents.
-The window-dependent angle moments <phi>_beta, <phi^2>_beta are the one
-place where true quadrature is needed (the integrand phi rho is not
-periodic), done with composite Simpson on a 2^16-interval grid.
+Every moment here is an exact finite sum.  Angular momentum moments are
+diagonal sums over the effective exponents.  Trigonometric moments come
+from the density harmonics rho_k, computed once per state and cached on it
+(``CircleState.harmonics``): <exp(i k phi)> = conj(rho_k).
+
+The window-dependent angle moments integrate phi rho and phi^2 rho over
+[beta, beta + 2pi].  Integrating each harmonic by parts gives, with
+c = beta + pi and rho_0 = 1,
+
+    <phi>_beta   = c + u1,   u1 = 2 Re sum_{k>=1} rho_k e^{ik beta} / (ik)
+    <phi^2>_beta = c^2 + 2 c u1 + u2,
+                   u2 = pi^2/3 + 4 Re sum_{k>=1} rho_k e^{ik beta} / k^2
+
+which is the expansion beta^2 + 2pi beta + 4pi^2/3 + (1/pi) Re sum rho_k
+e^{ik beta} [(4pi beta + 4pi^2)/(ik) + 4pi/k^2] regrouped around the window
+centre c, so that sigma_phi^beta = sqrt(u2 - u1^2) has no cancellation
+between large terms when beta is far from the origin.
 """
 
 import math
@@ -32,27 +43,18 @@ __all__ = [
     "compute_report",
 ]
 
-BETA_GRID_INTERVALS = 2**16
-
-
-def _dense_amps(state: CircleState) -> np.ndarray:
-    """Amplitudes on the contiguous mode range [m_min, m_max]."""
-    span = state.mode_span
-    dense = np.zeros(span + 1, dtype=complex)
-    dense[state.modes - state.modes[0]] = state.amps
-    return dense
+# bound on the beta x harmonic phase matrix of one window-moment block
+_WINDOW_BLOCK = 2**20
 
 
 def autocorrelation(state: CircleState, lag: int) -> complex:
-    """sum_m conj(c_{m+lag}) c_m; equals <exp(i lag phi)>."""
-    if lag == 0:
-        return complex(np.sum(np.abs(state.amps) ** 2))
-    dense = _dense_amps(state)
+    """sum_m conj(c_{m+lag}) c_m; equals <exp(i lag phi)> = conj(rho_lag)."""
+    rho = state.harmonics
     k = abs(lag)
-    if k >= dense.size:
+    if k >= rho.size:
         return 0j
-    value = complex(np.vdot(dense[k:], dense[:-k]))
-    return value if lag > 0 else value.conjugate()
+    value = complex(rho[k])
+    return value.conjugate() if lag > 0 else value
 
 
 def density_spectrum(state: CircleState):
@@ -60,18 +62,16 @@ def density_spectrum(state: CircleState):
 
     rho(phi) = (1/2pi) sum_k rho_k exp(i k phi) with
     rho_k = sum_m c_{m+k} conj(c_m) and rho_{-k} = conj(rho_k).
-    Returns (lags, rho) with lags = arange(span + 1).
+    Returns (lags, rho) with lags = arange(span + 1); rho is the state's
+    cached, read-only ``harmonics`` array.
     """
-    dense = _dense_amps(state)
-    full = np.correlate(dense, dense, mode="full")
-    # np.correlate lags run from -(L-1) to L-1; rho_k sits at index L-1+k
-    rho = full[dense.size - 1 :]
+    rho = state.harmonics
     return np.arange(rho.size), rho
 
 
 def expect_xy(state: CircleState, n: int) -> tuple[float, float]:
-    """(<cos(n phi)>, <sin(n phi)>) as real and imaginary parts of the
-    lag-n coefficient autocorrelation."""
+    """(<cos(n phi)>, <sin(n phi)>) as real and imaginary parts of
+    <exp(i n phi)> = conj(rho_n)."""
     if n < 1:
         raise ValueError("harmonic index n must be >= 1")
     value = autocorrelation(state, n)
@@ -104,7 +104,7 @@ def sigma_xy(state: CircleState, n: int) -> tuple[float, float]:
 
 
 def mean_resultant(state: CircleState, n: int) -> float:
-    """R_n = |<exp(i n phi)>|, in [0, 1]."""
+    """R_n = |<exp(i n phi)>| = |rho_n|, in [0, 1]."""
     return abs(autocorrelation(state, n))
 
 
@@ -140,49 +140,43 @@ def sigma_total(state: CircleState, n: int,
     return math.sqrt(max(1.0 - r * r, 0.0)) / (n * r)
 
 
-def _density_on_window(state: CircleState, beta: float, intervals: int):
-    """Density at phi_j = beta + 2 pi j / intervals, j = 0..intervals."""
-    lags, rho = density_spectrum(state)
-    if 2 * lags[-1] + 1 >= intervals:
-        raise ValueError("window grid too coarse for this mode span")
-    spectrum = np.zeros(intervals, dtype=complex)
-    shifted = rho * np.exp(1j * lags * beta)
-    spectrum[lags] = shifted
-    spectrum[-lags[1:]] = np.conj(shifted[1:])
-    values = np.fft.ifft(spectrum).real * (intervals / TWO_PI)
-    return np.append(values, values[0])
-
-
-def _simpson(values: np.ndarray, h: float) -> float:
-    if values.size % 2 == 0:
-        raise ValueError("Simpson rule needs an odd node count")
-    acc = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() \
-        + 2.0 * values[2:-1:2].sum()
-    return float(acc * h / 3.0)
-
-
-def angle_moments_beta(state: CircleState, beta: float,
-                       config: Config = DEFAULT_CONFIG,
-                       intervals: int = BETA_GRID_INTERVALS):
+def angle_moments_beta(state: CircleState, beta,
+                       config: Config = DEFAULT_CONFIG):
     """Window moments (<phi>_beta, <phi^2>_beta, sigma_phi^beta).
 
-    Integrates phi rho and phi^2 rho over [beta, beta + 2pi] with
-    composite Simpson; the window start beta is exactly the integration
-    boundary whose influence these moments exhibit.  Only strictly
-    periodic states are supported.
+    The moments of phi over the window [beta, beta + 2pi], whose start is
+    exactly the integration boundary whose influence they exhibit, from
+    the closed-form harmonic sums in the module docstring.  ``beta`` may
+    be a scalar, giving three floats, or an array, giving three arrays of
+    its shape.  Only strictly periodic states are supported.
     """
-    if not math.isfinite(beta):
+    betas = np.asarray(beta, dtype=float)
+    if not np.all(np.isfinite(betas)):
         raise ValueError("beta must be finite")
     if not state.is_periodic:
         raise UnsupportedStateError(
             "window angle moments need a strictly periodic state")
-    h = TWO_PI / intervals
-    phi = beta + h * np.arange(intervals + 1)
-    dens = _density_on_window(state, beta, intervals)
-    m1 = _simpson(phi * dens, h)
-    m2 = _simpson(phi * phi * dens, h)
-    sigma = math.sqrt(max(m2 - m1 * m1, 0.0))
-    return m1, m2, sigma
+    lags, rho = density_spectrum(state)
+    k = lags[1:].astype(float)
+    flat = betas.ravel()
+    u1 = np.empty(flat.shape)
+    u2 = np.empty(flat.shape)
+    block = max(1, _WINDOW_BLOCK // max(k.size, 1))
+    for start in range(0, flat.size, block):
+        chunk = flat[start : start + block]
+        terms = np.exp(1j * np.outer(chunk, k)) * rho[1:]
+        # Re(t / (ik)) = Im(t) / k
+        u1[start : start + block] = 2.0 * (terms @ (1.0 / k)).imag
+        u2[start : start + block] = 4.0 * (terms @ (1.0 / (k * k))).real
+    u2 += math.pi**2 / 3.0
+    c = flat + math.pi
+    m1 = c + u1
+    m2 = c * c + 2.0 * c * u1 + u2
+    sigma = np.sqrt(np.maximum(u2 - u1 * u1, 0.0))
+    if betas.ndim == 0:
+        return float(m1[0]), float(m2[0]), float(sigma[0])
+    shape = betas.shape
+    return m1.reshape(shape), m2.reshape(shape), sigma.reshape(shape)
 
 
 def density_integral(state: CircleState, a: float, b: float) -> float:

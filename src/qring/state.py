@@ -11,6 +11,7 @@ values exact autocorrelations.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -51,8 +52,8 @@ class Config:
     max_mode: int = 512
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError("hbar must be positive and finite")
         if self.grid_size < 4 or self.grid_size & (self.grid_size - 1):
             raise ValueError("grid_size must be a power of two >= 4")
         if not 0 < self.trunc_tol < 1:
@@ -105,6 +106,27 @@ class CircleState:
     def mode_span(self) -> int:
         """Largest lag with a possibly nonzero coefficient autocorrelation."""
         return int(self.modes[-1] - self.modes[0])
+
+    @cached_property
+    def harmonics(self) -> np.ndarray:
+        """Density harmonics rho_k = sum_m c_{m+k} conj(c_m), k = 0 .. span.
+
+        rho(phi) = (1/2pi) sum_k rho_k exp(i k phi) with rho_{-k} =
+        conj(rho_k), the same for every boundary phase.  Computed once per
+        state; ``rotate`` and ``replace`` build a new state, which starts
+        without the cache.  Read-only.
+        """
+        offsets = self.modes - self.modes[0]
+        # modes on a stride-g lattice put every harmonic on multiples of g
+        stride = int(np.gcd.reduce(offsets)) or 1
+        dense = np.zeros(self.mode_span // stride + 1, dtype=complex)
+        dense[offsets // stride] = self.amps
+        full = np.correlate(dense, dense, mode="full")
+        rho = np.zeros(self.mode_span + 1, dtype=complex)
+        # np.correlate lags run from -(L-1) to L-1; lag j sits at index L-1+j
+        rho[::stride] = full[dense.size - 1 :]
+        rho.setflags(write=False)
+        return rho
 
     def coeffs(self) -> dict:
         return {int(m): complex(a) for m, a in zip(self.modes, self.amps)}

@@ -20,9 +20,7 @@ import numpy as np
 
 from .observables import (
     angle_moments_beta,
-    density_spectrum,
     expect_xy,
-    mean_resultant,
     sigma_lz,
     sigma_total,
     sigma_xy,
@@ -121,24 +119,25 @@ def check_fujikawa(state: CircleState,
     """
     _, _, s_phi = angle_moments_beta(state, -math.pi, config)
     lhs = s_phi * sigma_lz(state)
-    rhs = 0.5 * state.hbar * (1.0 - 2.0 * math.pi * state.density(math.pi))
+    # 2 pi rho(pi) = rho_0 + 2 Re sum_{k>=1} rho_k (-1)^k
+    rho = state.harmonics.real
+    two_pi_rho = rho[0] + 2.0 * float(rho[2::2].sum() - rho[1::2].sum())
+    rhs = 0.5 * state.hbar * (1.0 - two_pi_rho)
     return _report(URKind.FUJIKAWA, 1, lhs, rhs, config.cmp_tol)
 
 
 def _harmonic_magnitudes(state: CircleState) -> np.ndarray:
     """R_k for k = 1 .. mode span (magnitudes of density harmonics)."""
-    _, rho = density_spectrum(state)
-    return np.abs(rho[1:])
+    return np.abs(state.harmonics[1:])
 
 
 def detect_fold_symmetry(state: CircleState, tol: float = 1e-9,
                          config: Config = DEFAULT_CONFIG) -> int:
     """Largest n with every significant density harmonic on multiples of n.
 
-    Works on the autocorrelation spectrum of the coefficients: harmonic k
-    of the density is the lag-k autocorrelation, and an n-fold symmetric
-    density has weight only on the n-lattice.  Off-lattice harmonics of
-    total magnitude up to ``tol`` are treated as noise.  A density with no
+    Works on the density harmonics rho_k: an n-fold symmetric density has
+    weight only on the n-lattice.  Off-lattice harmonics of total
+    magnitude up to ``tol`` are treated as noise.  A density with no
     harmonics at all (uniform) is symmetric for every n; the configured
     mode cap is returned as the convention for that case.  Returns 1 when
     no symmetry is present.
@@ -149,10 +148,11 @@ def detect_fold_symmetry(state: CircleState, tol: float = 1e-9,
     if mags.size == 0 or float(mags.sum()) <= tol:
         return config.max_mode
     k = np.arange(1, mags.size + 1)
-    top = int(k[mags > tol][-1])
-    for n in range(top, 1, -1):
-        off = float(mags[(k % n) != 0].sum())
-        if off <= tol:
+    # a lag whose harmonic alone exceeds tol must sit on the lattice, so n
+    # divides the gcd of those lags (gcd 0, none of them: any n may do)
+    g = math.gcd(*k[mags > tol].tolist())
+    for n in range(g or mags.size, 1, -1):
+        if g % n == 0 and float(mags[(k % n) != 0].sum()) <= tol:
             return n
     return 1
 
@@ -169,7 +169,5 @@ def recommend_n(state: CircleState, r_threshold: float = 0.1,
     within the mode span stays below it."""
     if not 0 < r_threshold < 1:
         raise ValueError("r_threshold must lie in (0, 1)")
-    for n in range(1, state.mode_span + 1):
-        if mean_resultant(state, n) >= r_threshold:
-            return n
-    return None
+    hits = np.flatnonzero(_harmonic_magnitudes(state) >= r_threshold)
+    return int(hits[0]) + 1 if hits.size else None

@@ -8,8 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from qring.cli import main
-from qring.state import dump_state, load_state, sin_half_power_state, uniform_state
+from qring.cli import MAX_SCAN_ROWS, main
+from qring.observables import angle_moments_beta
+from qring.state import (
+    dump_state,
+    load_state,
+    random_state,
+    sin_half_power_state,
+    uniform_state,
+)
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +72,13 @@ class TestExamples:
                                "--alpha", "0")
         assert code == 2
         assert "alpha" in err
+
+    @pytest.mark.parametrize("hbar", ["inf", "nan", "-inf"])
+    def test_non_finite_hbar_exit_2(self, capsys, hbar):
+        code, out, err = run_cli(capsys, f"--hbar={hbar}", "examples")
+        assert code == 2
+        assert out == ""
+        assert "PASS" not in err
 
     def test_hbar_scaling(self, capsys):
         code, out, _ = run_cli(capsys, "--hbar", "2", "examples", "cos-phi")
@@ -223,6 +237,57 @@ class TestScanBeta:
                                "--to", "1", "--step", "0.5")
         assert code == 3
         assert "periodic" in err
+
+    def test_rows_match_single_beta_moments(self, capsys, tmp_path):
+        state = random_state(32, 6)
+        path = write_state(tmp_path, state)
+        code, out, _ = run_cli(capsys, "scan-beta", path, "--from", "-3.1",
+                               "--to", "3.1", "--step", "0.1")
+        assert code == 0
+        rows = [[float(t) for t in line.split(",")]
+                for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 63
+        for beta, mean, sigma in rows:
+            m1, _, sg = angle_moments_beta(load_state(dump_state(state)),
+                                           beta)
+            assert abs(mean - m1) <= 1e-13
+            assert abs(sigma - sg) <= 1e-13
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--from", "nan"), ("--from", "-inf"), ("--to", "nan"),
+        ("--to", "inf"), ("--step", "nan"), ("--step", "inf"),
+        ("--step", "0"), ("--step", "-0.5")])
+    def test_bad_range_exit_2(self, capsys, tmp_path, flag, value):
+        path = write_state(tmp_path, uniform_state())
+        argv = {"--from": "0", "--to": "1", "--step": "0.5", flag: value}
+        code, out, err = run_cli(capsys, "scan-beta", path,
+                                 *[f"{k}={v}" for k, v in argv.items()])
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_row_cap_exit_2(self, capsys, tmp_path):
+        path = write_state(tmp_path, uniform_state())
+        code, out, err = run_cli(capsys, "scan-beta", path, "--from", "0",
+                                 "--to", str(MAX_SCAN_ROWS), "--step", "1")
+        assert code == 2
+        assert out == ""
+        assert str(MAX_SCAN_ROWS) in err
+
+    def test_row_cap_allows_the_cap(self, capsys, tmp_path):
+        path = write_state(tmp_path, uniform_state())
+        code, out, _ = run_cli(capsys, "scan-beta", path, "--from", "0",
+                               "--to", str(MAX_SCAN_ROWS - 1), "--step", "1")
+        assert code == 0
+        assert len(out.splitlines()) == MAX_SCAN_ROWS + 1
+
+    def test_step_lost_to_rounding_exit_2(self, capsys, tmp_path):
+        # beta + step == beta at 1e20, so the scan would never advance
+        path = write_state(tmp_path, uniform_state())
+        code, out, _ = run_cli(capsys, "scan-beta", path, "--from", "1e20",
+                               "--to", "1e20", "--step", "1")
+        assert code == 2
+        assert out == ""
 
 
 class TestMwp:

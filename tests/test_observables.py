@@ -9,8 +9,10 @@ from scipy.integrate import quad
 from qring.errors import UnsupportedStateError
 from qring.observables import (
     angle_moments_beta,
+    autocorrelation,
     compute_report,
     density_integral,
+    density_spectrum,
     expect_lz,
     expect_xy,
     mean_angle,
@@ -223,6 +225,150 @@ class TestAngleMomentsBeta:
     def test_quasi_periodic_rejected(self):
         with pytest.raises(UnsupportedStateError):
             angle_moments_beta(sin_half_power_state(1), 0.0)
+
+
+def simpson_window_moments(state, beta, intervals=2**16):
+    """Oracle: (<phi>_beta, <phi^2>_beta) by composite Simpson on the
+    density synthesized from its harmonics by an inverse FFT."""
+    lags, rho = density_spectrum(state)
+    spectrum = np.zeros(intervals, dtype=complex)
+    shifted = rho * np.exp(1j * lags * beta)
+    spectrum[lags] = shifted
+    spectrum[-lags[1:]] = np.conj(shifted[1:])
+    dens = np.fft.ifft(spectrum).real * (intervals / TWO_PI)
+    dens = np.append(dens, dens[0])
+    h = TWO_PI / intervals
+    phi = beta + h * np.arange(intervals + 1)
+
+    def simpson(v):
+        return float((v[0] + v[-1] + 4.0 * v[1:-1:2].sum()
+                      + 2.0 * v[2:-1:2].sum()) * h / 3.0)
+
+    return simpson(phi * dens), simpson(phi * phi * dens)
+
+
+def quad_window_moments(state, beta, pieces):
+    """Oracle: (<phi>_beta, <phi^2>_beta) by adaptive quadrature of the
+    density evaluated from the amplitudes, over ``pieces`` subintervals."""
+    modes = state.modes.astype(float)
+
+    def rho(p):
+        return abs(np.dot(state.amps, np.exp(1j * modes * p))) ** 2 / TWO_PI
+
+    edges = beta + TWO_PI * np.arange(pieces + 1) / pieces
+    return tuple(
+        math.fsum(quad(lambda p: p**j * rho(p), a, b, epsabs=1e-12,
+                       epsrel=1e-12)[0]
+                  for a, b in zip(edges[:-1], edges[1:]))
+        for j in (1, 2))
+
+
+class TestWindowClosedForm:
+    @pytest.mark.parametrize("max_mode", [1, 4, 32, 128, 512])
+    @pytest.mark.parametrize("beta", [-math.pi, 0.9, 50.0])
+    def test_against_simpson(self, max_mode, beta):
+        s = random_state(max_mode, max_mode + 7)
+        m1, m2, _ = angle_moments_beta(s, beta)
+        s1, s2 = simpson_window_moments(s, beta)
+        assert m1 == pytest.approx(s1, abs=1e-10)
+        assert m2 == pytest.approx(s2, abs=1e-8)
+
+    @pytest.mark.parametrize("max_mode", [2, 16, 64])
+    @pytest.mark.parametrize("beta", [-math.pi, 50.0])
+    def test_against_quad(self, max_mode, beta):
+        s = random_state(max_mode, 3)
+        m1, m2, _ = angle_moments_beta(s, beta)
+        q1, q2 = quad_window_moments(s, beta, max_mode)
+        assert m1 == pytest.approx(q1, abs=1e-12)
+        assert m2 == pytest.approx(q2, abs=1e-13 * q2)
+
+    def test_span_1024_far_window(self):
+        # at the widest span and a far window the closed form sits closer
+        # to quad than the 2^16-interval Simpson rule does
+        s = random_state(512, 3)
+        beta = 50.0
+        m1, m2, _ = angle_moments_beta(s, beta)
+        q1, q2 = quad_window_moments(s, beta, 512)
+        s1, s2 = simpson_window_moments(s, beta)
+        assert m1 == pytest.approx(q1, abs=1e-11)
+        assert m2 == pytest.approx(q2, abs=1e-13 * q2)
+        assert abs(m1 - q1) <= abs(s1 - q1)
+        assert abs(m2 - q2) <= abs(s2 - q2)
+
+    @pytest.mark.parametrize("max_mode", [0, 3, 40])
+    def test_array_matches_scalar(self, max_mode):
+        s = random_state(max_mode, 5)
+        betas = np.linspace(-7.0, 60.0, 12).reshape(3, 4)
+        m1, m2, sigma = angle_moments_beta(s, betas)
+        assert m1.shape == m2.shape == sigma.shape == (3, 4)
+        for idx in np.ndindex(betas.shape):
+            one = angle_moments_beta(s, float(betas[idx]))
+            assert all(isinstance(v, float) for v in one)
+            np.testing.assert_allclose(
+                (m1[idx], m2[idx], sigma[idx]), one, rtol=1e-15, atol=1e-13)
+
+    def test_many_betas_span_blocks(self):
+        # more betas than one block of the phase matrix holds
+        s = random_state(512, 1)
+        betas = np.linspace(0.0, TWO_PI, 1200)
+        m1, _, sigma = angle_moments_beta(s, betas)
+        for j in (0, 1023, 1024, 1199):
+            one = angle_moments_beta(s, float(betas[j]))
+            assert m1[j] == pytest.approx(one[0], abs=1e-13)
+            assert sigma[j] == pytest.approx(one[2], abs=1e-13)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_in_array_rejected(self, bad):
+        with pytest.raises(ValueError):
+            angle_moments_beta(random_state(3, 0), np.array([0.0, bad]))
+
+    def test_quasi_periodic_rejected_even_with_periodic_density(self):
+        # the density of a quasi-periodic state is 2pi-periodic, but the
+        # window moments stay defined for strictly periodic states only
+        s = from_fourier({0: 1.0, 1: 0.5j, 3: -0.2}, theta=0.3)
+        np.testing.assert_allclose(s.density(0.4), s.density(0.4 + TWO_PI),
+                                   rtol=1e-12)
+        with pytest.raises(UnsupportedStateError):
+            angle_moments_beta(s, np.array([0.0, 1.0]))
+
+
+class TestSpectrumCache:
+    def test_computed_once_and_read_only(self):
+        s = random_state(6, 2)
+        first = density_spectrum(s)[1]
+        assert density_spectrum(s)[1] is first
+        assert not first.flags.writeable
+
+    @pytest.mark.parametrize("s", [
+        random_state(5, 8),
+        from_fourier({-6: 0.3, 3: 1.0, 12: 0.5j, 21: -0.2}),
+        from_fourier({4: 1.0, 12: 0.5 - 0.1j}),
+        from_fourier({7: 1.0}),
+    ])
+    def test_autocorrelation_against_dense_vdot(self, s):
+        # <exp(i k phi)> = sum_m conj(c_{m+k}) c_m = conj(rho_k)
+        dense = np.zeros(s.mode_span + 1, dtype=complex)
+        dense[s.modes - s.modes[0]] = s.amps
+        for k in range(1, s.mode_span + 1):
+            want = np.vdot(dense[k:], dense[:-k])
+            assert autocorrelation(s, k) == pytest.approx(want, abs=1e-15)
+            assert autocorrelation(s, -k) == pytest.approx(
+                np.conj(want), abs=1e-15)
+        assert autocorrelation(s, 0) == pytest.approx(1.0, abs=1e-15)
+        assert autocorrelation(s, s.mode_span + 1) == 0j
+
+    @pytest.mark.parametrize("delta", [0.4, -2.1])
+    def test_not_stale_after_rotate(self, delta):
+        s = random_state(6, 4)
+        before = s.harmonics.copy()
+        r = s.rotate(delta)
+        fresh = from_fourier(r.coeffs())
+        np.testing.assert_allclose(r.harmonics, fresh.harmonics, atol=1e-15)
+        k = np.arange(before.size)
+        np.testing.assert_allclose(r.harmonics,
+                                   before * np.exp(-1j * k * delta),
+                                   atol=1e-14)
+        assert expect_xy(r, 1) != pytest.approx(expect_xy(s, 1))
 
 
 class TestDensityIntegral:

@@ -251,3 +251,8 @@ class TestConfigValidation:
     def test_bad_hbar(self):
         with pytest.raises(ValueError):
             Config(hbar=0.0)
+
+    @pytest.mark.parametrize("hbar", [math.inf, math.nan, -math.inf])
+    def test_non_finite_hbar(self, hbar):
+        with pytest.raises(ValueError):
+            Config(hbar=hbar)

@@ -111,6 +111,14 @@ class TestFujikawa:
         with pytest.raises(UnsupportedStateError):
             check_fujikawa(sin_half_power_state(1))
 
+    @pytest.mark.parametrize("state", [
+        uniform_state(), sin_half_power_state(2), cos_harmonic_state(3),
+        random_state(6, 1), random_state(40, 2)])
+    def test_seam_density_from_harmonics(self, state):
+        # oracle: the density at the seam evaluated from the wavefunction
+        rhs = 0.5 * state.hbar * (1.0 - TWO_PI * state.density(math.pi))
+        assert check_fujikawa(state).rhs == pytest.approx(rhs, abs=1e-13)
+
 
 class TestRotationBehaviour:
     @pytest.mark.parametrize("delta", [0.7, 2.9, -1.2])
@@ -185,6 +193,34 @@ class TestFoldSymmetry:
         with pytest.raises(ValueError):
             detect_fold_symmetry(uniform_state(), tol=0.0)
 
+    def test_no_single_harmonic_above_tol(self):
+        # each harmonic is about 1e-10, their sum 3e-10 exceeds tol
+        s = from_fourier({0: 1, 1: 1e-10, 2: 1e-10, 3: 1e-10})
+        assert detect_fold_symmetry(s, tol=2e-10) == 1
+
+    def test_sub_tol_harmonics_on_a_lattice(self):
+        # rho_3 and rho_6 are each below tol; only rho_3 is off the 6-lattice
+        s = from_fourier({0: 1, 3: 1e-10, 6: 1e-10})
+        assert detect_fold_symmetry(s, tol=1.5e-10) == 6
+
+    @pytest.mark.parametrize("coeffs", [
+        {0: 1.0, 6: 0.6, 12: 0.3, 18: 0.1},
+        {0: 1.0, 4: 0.5, 10: 0.2},
+        {-8: 0.3, 0: 1.0, 16: 0.2j},
+        {0: 1.0, 5: 1e-6, 10: 0.4},
+    ])
+    def test_matches_scan_over_every_n(self, coeffs):
+        # oracle: try every n from the mode span down and keep the first
+        # whose off-lattice harmonics sum to at most tol
+        s = from_fourier(coeffs)
+        mags = np.array([mean_resultant(s, k)
+                         for k in range(1, s.mode_span + 1)])
+        k = np.arange(1, mags.size + 1)
+        for tol in (1e-9, 1e-5):
+            want = next((n for n in range(mags.size, 1, -1)
+                         if mags[k % n != 0].sum() <= tol), 1)
+            assert detect_fold_symmetry(s, tol) == want
+
 
 class TestRecommendN:
     def test_cos_phi(self):
@@ -195,6 +231,14 @@ class TestRecommendN:
 
     def test_uniform_absent(self):
         assert recommend_n(uniform_state(), 0.1) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.9])
+    def test_first_resultant_above_threshold(self, seed, threshold):
+        s = random_state(12, seed)
+        want = next((n for n in range(1, s.mode_span + 1)
+                     if mean_resultant(s, n) >= threshold), None)
+        assert recommend_n(s, threshold) == want
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
