@@ -1,7 +1,9 @@
-"""Modified Bessel functions of the first kind, orders 0 and 1.
+"""Modified Bessel functions of the first kind.
 
-Self-contained evaluation of I0, I1, their ratio I1/I0, and two derived
-spread functions used by the circular uncertainty checks:
+Self-contained evaluation of I0, I1, their ratio I1/I0, the scaled
+sequence I_k for all integer orders ``ik_scaled`` (the Fourier weights of a
+von Mises profile), and two derived spread functions used by the circular
+uncertainty checks:
 
 * ``f_alpha(x) = sqrt(x * (I0/I1 - I1/I0))`` -- the factor by which the
   total-uncertainty product of a von Mises profile exceeds its lower bound.
@@ -17,6 +19,8 @@ float64 near x = 713; ``i0``/``i1`` raise ``OverflowError`` beyond
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "BesselConfig",
     "DEFAULT_BESSEL_CONFIG",
@@ -25,6 +29,7 @@ __all__ = [
     "i1",
     "i0_scaled",
     "i1_scaled",
+    "ik_scaled",
     "ratio",
     "f_alpha",
     "h_alpha",
@@ -94,7 +99,8 @@ def _asymptotic_scaled(nu: int, x: float, tol: float) -> float:
         total += term
         if abs(term) < tol * abs(total):
             break
-    return total / math.sqrt(2.0 * math.pi * x)
+    # two square roots: 2 pi x overflows for x near the float64 maximum
+    return total / math.sqrt(2.0 * math.pi) / math.sqrt(x)
 
 
 def _eval(nu: int, x: float, config: BesselConfig, scaled: bool) -> float:
@@ -145,6 +151,47 @@ def i1_scaled(x: float, config: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
         raise ValueError("argument must be finite")
     value = _eval(1, x, config, scaled=True)
     return math.copysign(value, x) if x != 0 else 0.0
+
+
+def ik_scaled(x: float, trunc_tol: float = 1e-12) -> np.ndarray:
+    """exp(-|x|) I_k(x) for k = 0 .. K, as a float array.
+
+    Miller backward recurrence (A&S 9.12; Numerical Recipes 6.6), run on the
+    ratios r_k = I_k/I_{k-1} = x / (2k + x r_{k+1}) so nothing overflows,
+    and normalized by I_0 + 2 sum_{k>=1} I_k = exp(|x|).  Negative x uses
+    I_k(-x) = (-1)^k I_k(x); I_{-k} = I_k.  K is the first order whose
+    dropped tail sum_{|j|>K} I_j^2 weighs less than ``trunc_tol**2`` of the
+    total sum_j I_j^2 = I_0(2x).
+    """
+    if not math.isfinite(x):
+        raise ValueError("argument must be finite")
+    if not 0 < trunc_tol < 1:
+        raise ValueError("trunc_tol must lie in (0, 1)")
+    ax = abs(x)
+    if ax == 0.0:
+        return np.ones(1)
+    # Start where I_top/I_0 < exp(-log_floor).  The ratio bound
+    # r_k <= x / (k - 1/2 + sqrt((k - 1/2)^2 + x^2)) (Amos 1974) gives
+    # log(I_k/I_0) <= x - sqrt(x^2 + k^2).  The floor keeps the tail 25
+    # e-folds below order K, so the start error reaching K is ~exp(-50),
+    # and keeps the normalizing sum exact to float64 for any trunc_tol.
+    log_floor = 25.0 + max(-math.log(trunc_tol), 28.0)
+    top = math.ceil(math.sqrt(log_floor * (log_floor + 2.0 * ax)))
+    ratios = [0.0] * top
+    r = 0.0
+    for k in range(top, 0, -1):
+        r = ax / (2 * k + ax * r)
+        ratios[k - 1] = r
+    seq = np.cumprod([1.0] + ratios)
+    seq *= 1.0 / (2.0 * seq.sum() - 1.0)
+    weight = seq * seq
+    # tail[k] = 2 sum_{j>k} I_j^2 for k = 0 .. top-1, non-increasing
+    tail = 2.0 * np.cumsum(weight[:0:-1])[::-1]
+    heavy = tail >= trunc_tol**2 * (weight[0] + tail[0])
+    seq = seq[: int(np.count_nonzero(heavy)) + 1]
+    if x < 0:
+        seq[1::2] *= -1.0
+    return seq
 
 
 def ratio(x: float, config: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:

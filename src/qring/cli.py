@@ -55,7 +55,7 @@ STATE_ERROR = 3
 
 CASE_NAMES = ["superposition", "sin-power", "von-mises", "cos-phi", "cos-2phi"]
 
-# most rows one scan-beta run may print
+# most rows one scan-beta or curve run may print
 MAX_SCAN_ROWS = 100_000
 
 
@@ -191,24 +191,43 @@ def run_examples(args, cfg: Config) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def _curve_rows(args, cfg: Config):
+def _range_fits(start: float, stop: float, step: float) -> bool:
+    """Finite bounds and a finite step > 0 that leave fewer than
+    MAX_SCAN_ROWS steps between start and stop."""
+    return (math.isfinite(start) and math.isfinite(stop)
+            and math.isfinite(step) and step > 0
+            and (stop - start) / step < MAX_SCAN_ROWS)
+
+
+def _curve_xs(start: float, stop: float, step: float):
+    """np.arange(start, stop + step/2, step), or None when the bounds are
+    not finite, stop < start, step is not positive, the curve would exceed
+    MAX_SCAN_ROWS rows, or a step is lost to rounding."""
+    if stop < start or not _range_fits(start, stop, step):
+        return None
+    xs = np.arange(start, stop + 0.5 * step, step)
+    # an empty or non-increasing range means the step was lost to rounding
+    if not 0 < xs.size <= MAX_SCAN_ROWS or np.any(np.diff(xs) <= 0):
+        return None
+    return xs
+
+
+def _curve_rows(args, xs, cfg: Config):
     if args.name == "mwp_abs":
         _, state = mwp_x(args.n, args.m, args.alpha, cfg)
-        xs = np.arange(args.start, args.stop + 0.5 * args.step, args.step)
         return "phi,abs_psi", [(float(x), abs(state.evaluate(float(x))))
                                for x in xs]
     fn = {"ratio": bessel.ratio, "f": bessel.f_alpha, "h": bessel.h_alpha}
-    xs = np.arange(args.start, args.stop + 0.5 * args.step, args.step)
     return "x,value", [(float(x), fn[args.name](float(x))) for x in xs]
 
 
 def run_curve(args, cfg: Config) -> int:
-    if args.step <= 0 or not math.isfinite(args.start) \
-            or not math.isfinite(args.stop) or args.stop < args.start:
-        print("error: need finite --from <= --to and --step > 0",
-              file=sys.stderr)
+    xs = _curve_xs(args.start, args.stop, args.step)
+    if xs is None:
+        print("error: need finite --from <= --to and --step > 0, with at "
+              f"most {MAX_SCAN_ROWS} rows", file=sys.stderr)
         return USAGE_ERROR
-    header, rows = _curve_rows(args, cfg)
+    header, rows = _curve_rows(args, xs, cfg)
     if args.json:
         cols = header.split(",")
         json.dump([dict(zip(cols, row)) for row in rows], sys.stdout,
@@ -239,6 +258,9 @@ def _load_state_file(path: str, cfg: Config):
 
 
 def run_report(args, cfg: Config) -> int:
+    if args.nmax < 1:
+        print("error: --nmax must be >= 1", file=sys.stderr)
+        return USAGE_ERROR
     state, status = _load_state_file(args.state_file, cfg)
     if state is None:
         return status
@@ -284,10 +306,7 @@ def _scan_betas(start: float, stop: float, step: float) -> list | None:
     """Window starts start, start + step, ... up to stop, or None when a
     bound is not finite, step is not positive, or the scan would exceed
     MAX_SCAN_ROWS rows."""
-    if not (math.isfinite(start) and math.isfinite(stop)
-            and math.isfinite(step) and step > 0):
-        return None
-    if (stop - start) / step >= MAX_SCAN_ROWS:
+    if not _range_fits(start, stop, step):
         return None
     betas = [start]
     while betas[-1] + step <= stop + 1e-12 * step:
@@ -325,6 +344,9 @@ def run_scan_beta(args, cfg: Config) -> int:
 
 
 def run_mwp(args, cfg: Config) -> int:
+    if args.points < 1:
+        print("error: --points must be >= 1", file=sys.stderr)
+        return USAGE_ERROR
     builder = mwp_x if Axis(args.axis) is Axis.X else mwp_y
     packet, state = builder(args.n, args.m, args.kappa, cfg)
     if args.emit_state:
@@ -366,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="angular momentum unit (default 1)")
     parser.add_argument("--tol", type=float, default=1e-9,
                         help="comparison tolerance (default 1e-9)")
-    parser.add_argument("--grid", type=int, default=4096,
-                        help="sampling grid size (default 4096)")
     parser.add_argument("--json", action="store_true",
                         help="emit JSON instead of CSV where applicable")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -425,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = Config(hbar=args.hbar, cmp_tol=args.tol, grid_size=args.grid)
+        cfg = Config(hbar=args.hbar, cmp_tol=args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -6,9 +6,13 @@ exactly while leaving a strictly positive gap on the Y-axis bound for any
 finite nonzero concentration.  The Y-axis packet uses -cos in place of sin
 and is the X packet rotated by pi/(2n) up to a global phase.
 
-States are materialized by sampling the profile and transforming, with the
-grid doubled until the spectral tail is resolved; the packet carries the
-closed-form predictions so construction and measurement can be compared.
+States are built from their exact Fourier coefficients, the Jacobi-Anger
+expansions exp(z sin t) = sum_k I_k(z) (-i)^k e^{ikt} and
+exp(-z cos t) = sum_k (-1)^k I_k(z) e^{ikt} (A&S 9.6.34) with z = kappa/2
+and t = n phi: order k sits at mode n k + m.  Coefficients whose weight is
+at most trunc_tol^2 of the total are dropped, and the mode cap is the only
+limit on kappa.  The packet carries the closed-form predictions so
+construction and measurement can be compared.
 """
 
 import math
@@ -17,10 +21,10 @@ from enum import Enum
 
 import numpy as np
 
-from .bessel import i0, ratio
-from .errors import AliasingError, ResolutionError
+from .bessel import i0_scaled, i1_scaled, ik_scaled
+from .errors import ResolutionError
 from .observables import expect_lz, expect_xy, sigma_lz, sigma_xy
-from .state import DEFAULT_CONFIG, CircleState, Config, TWO_PI, from_samples
+from .state import DEFAULT_CONFIG, CircleState, Config, TWO_PI, _build
 
 __all__ = [
     "Axis",
@@ -29,10 +33,7 @@ __all__ = [
     "mwp_x",
     "mwp_y",
     "verify_packet",
-    "saturation_gap",
 ]
-
-_MAX_GRID = 2**20
 
 
 class Axis(Enum):
@@ -72,21 +73,17 @@ class PacketVerification:
     deltas: dict
 
 
-def _ratio_over_kappa(kappa: float) -> float:
-    """ratio(kappa)/kappa with its analytic limit 1/2 at kappa = 0."""
-    if kappa == 0.0:
-        return 0.5
-    return ratio(kappa) / kappa
-
-
 def _predictions(axis: Axis, n: int, kappa: float,
                  hbar: float) -> PacketPrediction:
-    r = ratio(kappa)
-    r_over = _ratio_over_kappa(kappa)
+    i0s = i0_scaled(kappa)
+    r = i1_scaled(kappa) / i0s        # I1/I0, as bessel.ratio computes it
+    # r/kappa with its analytic limit 1/2 at kappa = 0
+    r_over = 0.5 if kappa == 0.0 else r / kappa
     along2 = r_over                   # variance along the packet's own axis
     across2 = 1.0 - r_over - r * r    # variance on the conjugate axis
     lz2 = kappa * (0.5 * n * hbar) ** 2 * r
-    norm = 1.0 / math.sqrt(TWO_PI * i0(kappa))
+    # 1/sqrt(2 pi I0(kappa)) from the scaled I0: no overflow at any kappa
+    norm = math.exp(-0.5 * abs(kappa)) / math.sqrt(TWO_PI * i0s)
     if axis is Axis.X:
         return PacketPrediction(ex=0.0, ey=r, sigma_x2=along2,
                                 sigma_y2=across2, sigma_lz2=lz2,
@@ -96,25 +93,59 @@ def _predictions(axis: Axis, n: int, kappa: float,
                             sigma_y2=along2, sigma_lz2=lz2, norm_const=norm)
 
 
-def _materialize(axis: Axis, n: int, m: int, kappa: float,
-                 config: Config) -> CircleState:
-    if abs(kappa) / 2 > 700.0:
+# per-order phase of the Jacobi-Anger coefficient: (-i)^k for sin, (-1)^k
+# for -cos, indexed by k mod 4
+_ORDER_PHASE = {Axis.X: np.array([1.0, -1j, -1.0, 1j]),
+                Axis.Y: np.array([1.0, -1.0, 1.0, -1.0])}
+
+
+def _exceeds_cap(z: float, n: int, m: int, config: Config) -> bool:
+    """True when the packet provably needs a mode beyond the cap, checked
+    before any order is computed.
+
+    k = (max_mode - |m|)//n + 1 is the first order whose mode n k + |m|
+    passes the cap.  I_j/I_{j-1} >= |z| / (j + sqrt(j^2 + z^2)) gives
+    (I_k/I_0)^2 >= exp(-2 k^2/|z|), and the total weight is I_0(2z), so
+    order k is kept when that bound exceeds trunc_tol^2 I_0(2z)/I_0(z)^2.
+    Past about |z| = 1e47 every single weight is below trunc_tol^2 of the
+    total; there the 2k - 1 orders inside the cap, none heavier than I_0^2,
+    hold less than half of it.
+    """
+    k = (config.max_mode - abs(m)) // n + 1
+    if k < 1:
+        return False  # mode m alone breaks the cap; _build reports it
+    decay = 2.0 * k * k / abs(z)
+    log_tol2 = -2.0 * math.log(config.trunc_tol)
+    # 1 <= I_0(2z)/I_0(z)^2 <= exp(|z|)/I_0(z) <= sqrt(1 + 2 pi |z|): the
+    # common case settles both tests without a Bessel call
+    if decay >= log_tol2 and 1.0 + TWO_PI * abs(z) <= (4 * k - 2) ** 2:
+        return False
+    log_total = math.log(i0_scaled(2.0 * z)) - 2.0 * math.log(i0_scaled(z))
+    return (decay < log_tol2 - log_total
+            or log_total > math.log(4 * k - 2))
+
+
+def _packet(axis: Axis, n: int, m: int, kappa: float,
+            config: Config) -> tuple[VonMisesPacket, CircleState]:
+    if n < 1:
+        raise ValueError("harmonic index n must be >= 1")
+    if not math.isfinite(kappa):
+        raise ValueError("concentration must be finite")
+    z = 0.5 * kappa
+    if z != 0.0 and _exceeds_cap(z, n, m, config):
         raise ResolutionError(
-            f"concentration {kappa} overflows the sampled profile")
-    grid = config.grid_size
-    while True:
-        phi = TWO_PI * np.arange(grid) / grid
-        angle = n * phi
-        profile = np.sin(angle) if axis is Axis.X else -np.cos(angle)
-        samples = np.exp(0.5 * kappa * profile + 1j * m * phi)
-        try:
-            return from_samples(samples, 0.0, config)
-        except AliasingError:
-            grid *= 2
-            if grid > _MAX_GRID:
-                raise ResolutionError(
-                    f"concentration {kappa} not resolvable within the "
-                    f"grid limit {_MAX_GRID}") from None
+            f"concentration {kappa} needs modes beyond the cap "
+            f"{config.max_mode}")
+    ik = ik_scaled(z, config.trunc_tol)
+    order = np.arange(1 - ik.size, ik.size)
+    amps = ik[np.abs(order)] * _ORDER_PHASE[axis][order % 4]
+    weight = np.abs(amps) ** 2
+    keep = weight > config.trunc_tol**2 * weight.sum()
+    state = _build(n * order[keep] + m, amps[keep], 0.0, config)
+    packet = VonMisesPacket(axis=axis, n=n, m=m, kappa=kappa,
+                            predicted=_predictions(axis, n, kappa,
+                                                   config.hbar))
+    return packet, state
 
 
 def mwp_x(n: int, m: int, alpha: float,
@@ -123,17 +154,10 @@ def mwp_x(n: int, m: int, alpha: float,
 
     Returns the packet record (with closed-form predictions) and the
     normalized state.  alpha = 0 gives the uniform profile; negative alpha
-    is the positive packet rotated by pi/n.
+    is the positive packet rotated by pi/n.  Raises ``ResolutionError``
+    when the kept coefficients need a mode beyond ``config.max_mode``.
     """
-    if n < 1:
-        raise ValueError("harmonic index n must be >= 1")
-    if not math.isfinite(alpha):
-        raise ValueError("concentration must be finite")
-    state = _materialize(Axis.X, n, m, alpha, config)
-    packet = VonMisesPacket(axis=Axis.X, n=n, m=m, kappa=alpha,
-                            predicted=_predictions(Axis.X, n, alpha,
-                                                   config.hbar))
-    return packet, state
+    return _packet(Axis.X, n, m, alpha, config)
 
 
 def mwp_y(n: int, m: int, beta: float,
@@ -142,15 +166,7 @@ def mwp_y(n: int, m: int, beta: float,
 
     Equals ``mwp_x(n, m, beta)`` rotated by pi/(2n) up to a global phase.
     """
-    if n < 1:
-        raise ValueError("harmonic index n must be >= 1")
-    if not math.isfinite(beta):
-        raise ValueError("concentration must be finite")
-    state = _materialize(Axis.Y, n, m, beta, config)
-    packet = VonMisesPacket(axis=Axis.Y, n=n, m=m, kappa=beta,
-                            predicted=_predictions(Axis.Y, n, beta,
-                                                   config.hbar))
-    return packet, state
+    return _packet(Axis.Y, n, m, beta, config)
 
 
 def verify_packet(packet: VonMisesPacket, state: CircleState,
@@ -183,19 +199,3 @@ def verify_packet(packet: VonMisesPacket, state: CircleState,
     }
     ok = all(abs(v) <= tol for v in deltas.values())
     return PacketVerification(ok=ok, tol=tol, deltas=deltas)
-
-
-def saturation_gap(state: CircleState, n: int, axis,
-                   config: Config = DEFAULT_CONFIG) -> float:
-    """Slack of the chosen axis bound: sigma * sigma_Lz - (n hbar/2) |<conj>|.
-
-    Zero (to tolerance) on the matching minimum wave packet; on the
-    conjugate axis of an X packet it equals (n hbar / 2) sqrt(h(alpha)).
-    """
-    axis = Axis(axis)
-    sx, sy = sigma_xy(state, n)
-    ex, ey = expect_xy(state, n)
-    slz = sigma_lz(state)
-    if axis is Axis.X:
-        return sx * slz - 0.5 * n * state.hbar * abs(ey)
-    return sy * slz - 0.5 * n * state.hbar * abs(ex)

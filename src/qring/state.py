@@ -39,14 +39,14 @@ TWO_PI = 2.0 * math.pi
 class Config:
     """Numerical policy shared by constructors and observables.
 
-    hbar sets the angular momentum scale, grid_size the default sampling
-    grid (power of two, at least 4 * max mode + 4 when sampling),
-    trunc_tol the spectral-tail truncation level, cmp_tol the comparison
-    tolerance for verdicts, and max_mode the hard cap on mode indices.
+    hbar sets the angular momentum scale, trunc_tol the spectral-tail
+    truncation level (coefficients of weight at most trunc_tol^2 of the
+    total are dropped by ``from_samples`` and the packet constructors),
+    cmp_tol the comparison tolerance for verdicts, and max_mode the hard
+    cap on mode indices.
     """
 
     hbar: float = 1.0
-    grid_size: int = 4096
     trunc_tol: float = 1e-12
     cmp_tol: float = 1e-9
     max_mode: int = 512
@@ -54,8 +54,6 @@ class Config:
     def __post_init__(self):
         if not (math.isfinite(self.hbar) and self.hbar > 0):
             raise ValueError("hbar must be positive and finite")
-        if self.grid_size < 4 or self.grid_size & (self.grid_size - 1):
-            raise ValueError("grid_size must be a power of two >= 4")
         if not 0 < self.trunc_tol < 1:
             raise ValueError("trunc_tol must lie in (0, 1)")
         if not 0 < self.cmp_tol < 1:

@@ -15,6 +15,7 @@ from qring.bessel import (
     i0_scaled,
     i1,
     i1_scaled,
+    ik_scaled,
     ratio,
 )
 
@@ -60,7 +61,8 @@ class TestValues:
         assert i0(x) == pytest.approx(float(special.i0(x)), rel=1e-12)
         assert i1(x) == pytest.approx(float(special.i1(x)), rel=1e-12)
 
-    @pytest.mark.parametrize("x", [0.5, 15.0, 120.0, 800.0, 5000.0])
+    # 1.7e308: 2 pi x overflows, the prefactor must not
+    @pytest.mark.parametrize("x", [0.5, 15.0, 120.0, 800.0, 5000.0, 1.7e308])
     def test_scaled_agreement(self, x):
         assert i0_scaled(x) == pytest.approx(float(special.i0e(x)), rel=1e-12)
         assert i1_scaled(x) == pytest.approx(float(special.i1e(x)), rel=1e-12)
@@ -68,6 +70,58 @@ class TestValues:
     def test_i0_lower_bound(self):
         for x in np.linspace(-100, 100, 101):
             assert i0(float(x)) >= 1.0
+
+
+class TestScaledSequence:
+    """ik_scaled: exp(-|x|) I_k(x) for every order up to the truncation."""
+
+    XS = np.geomspace(1e-3, 1e4, 29)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_scipy(self, sign):
+        # scipy's ive drifts by up to 1.3e-13 above x ~ 3e3 (measured
+        # against 40-digit mpmath); test_matches_mpmath covers that range
+        for x in sign * self.XS[self.XS <= 1e3]:
+            seq = ik_scaled(float(x))
+            ref = special.ive(np.arange(seq.size), x)
+            assert np.max(np.abs(seq / ref - 1.0)) <= 1e-13, x
+
+    @pytest.mark.parametrize("x", [1e-3, 0.7, 30.0, 1e3, -3e3, 1e4])
+    def test_matches_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        seq = ik_scaled(x)
+        with mpmath.workdps(40):
+            ref = [float(mpmath.besseli(k, x) * mpmath.exp(-abs(x)))
+                   for k in range(seq.size)]
+        assert np.max(np.abs(seq / np.array(ref) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_first_orders_match_i0_i1(self, sign):
+        for x in sign * self.XS:
+            seq = ik_scaled(float(x))
+            assert seq[0] == pytest.approx(i0_scaled(float(x)), rel=1e-13)
+            assert seq[1] == pytest.approx(i1_scaled(float(x)), rel=1e-13)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 7.0, -40.0, 900.0])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_truncation_is_first_light_tail(self, x, tol):
+        # sum_k I_k(x)^2 = I_0(2x); the tail beyond K is below tol^2 of it,
+        # the tail beyond K - 1 is not
+        seq = ik_scaled(x, tol)
+        big_k = seq.size - 1
+        weights = special.ive(np.arange(big_k, big_k + 400), x) ** 2
+        total = special.ive(0, 2 * x)
+        assert 2 * weights[1:].sum() < tol**2 * total
+        assert 2 * weights.sum() >= tol**2 * total
+
+    def test_zero_argument(self):
+        assert ik_scaled(0.0).tolist() == [1.0]
+
+    @pytest.mark.parametrize("x,tol", [(math.nan, 1e-12), (math.inf, 1e-12),
+                                       (1.0, 0.0), (1.0, 1.0)])
+    def test_invalid_arguments(self, x, tol):
+        with pytest.raises(ValueError):
+            ik_scaled(x, tol)
 
 
 class TestParityAndIdentities:

@@ -67,6 +67,11 @@ class TestExamples:
             main(["examples", "nonsense"])
         assert exc.value.code == 2
 
+    def test_grid_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["--grid", "4096", "examples"])
+        assert exc.value.code == 2
+
     def test_zero_alpha_rejected(self, capsys):
         code, _, err = run_cli(capsys, "examples", "von-mises",
                                "--alpha", "0")
@@ -126,6 +131,33 @@ class TestCurve:
                                "--from", "3", "--to", "1", "--step", "0.1")
         assert code == 2
         assert "error" in err
+
+    def test_x_values_are_arange(self, capsys):
+        code, out, _ = run_cli(capsys, "curve", "ratio", "--from", "-0.3",
+                               "--to", "2.9", "--step", "0.1")
+        assert code == 0
+        xs = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
+        assert xs == np.arange(-0.3, 2.9 + 0.05, 0.1).tolist()
+
+    @pytest.mark.parametrize("start,stop,step", [
+        ("0", str(MAX_SCAN_ROWS), "1"),       # one row past the cap
+        ("0", str(MAX_SCAN_ROWS - 0.4), "1"),  # the half step adds a row
+        ("0", "1", "1e-300"),                 # far past the cap
+        ("1e20", "1e20", "1"),                # x + step == x
+        ("1e16", "1e16", "1"),                # step lost on the first add
+        ("nan", "1", "0.1"), ("0", "inf", "0.1"), ("0", "1", "0")])
+    def test_bad_range_exit_2(self, capsys, start, stop, step):
+        code, out, err = run_cli(capsys, "curve", "h", f"--from={start}",
+                                 f"--to={stop}", f"--step={step}")
+        assert code == 2
+        assert out == ""
+        assert str(MAX_SCAN_ROWS) in err
+
+    def test_row_cap_allows_the_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "curve", "ratio", "--from", "0",
+                               "--to", str(MAX_SCAN_ROWS - 1), "--step", "1")
+        assert code == 0
+        assert len(out.splitlines()) == MAX_SCAN_ROWS + 1
 
     def test_full_precision_output(self, capsys):
         _, out, _ = run_cli(capsys, "curve", "ratio",
@@ -199,6 +231,14 @@ class TestReport:
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "report", str(tmp_path / "nope.txt"))
         assert code == 2
+
+    @pytest.mark.parametrize("nmax", ["0", "-3"])
+    def test_nmax_below_one_exit_2(self, capsys, tmp_path, nmax):
+        path = write_state(tmp_path, uniform_state())
+        code, out, err = run_cli(capsys, "report", path, "--nmax", nmax)
+        assert code == 2
+        assert out == ""
+        assert "--nmax" in err
 
 
 class TestScanBeta:
@@ -316,6 +356,23 @@ class TestMwp:
         lines = out.strip().splitlines()
         assert lines[0] == "phi,abs_psi"
         assert len(lines) == 101
+
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_points_below_one_exit_2(self, capsys, points):
+        code, out, err = run_cli(capsys, "mwp", "--axis", "X", "--n", "1",
+                                 "--kappa", "2", "--emit-curve",
+                                 "--points", points)
+        assert code == 2
+        assert out == ""
+        assert "--points" in err
+
+    @pytest.mark.parametrize("axis", ["X", "Y"])
+    def test_mid_range_kappa_verifies(self, capsys, axis):
+        # exp(kappa/2) and the unscaled I0 overflow float64 here
+        code, out, _ = run_cli(capsys, "mwp", "--axis", axis, "--n", "1",
+                               "--kappa", "1000")
+        assert code == 0
+        assert json.loads(out)["verification"]["ok"]
 
     def test_resolution_error_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "mwp", "--axis", "X", "--n", "1",

@@ -8,7 +8,7 @@ from scipy import special
 
 from qring.bessel import f_alpha, h_alpha, ratio
 from qring.errors import ResolutionError
-from qring.mwp import Axis, mwp_x, mwp_y, saturation_gap, verify_packet
+from qring.mwp import Axis, mwp_x, mwp_y, verify_packet
 from qring.observables import (
     expect_lz,
     expect_xy,
@@ -17,7 +17,7 @@ from qring.observables import (
     sigma_total,
     sigma_xy,
 )
-from qring.state import from_fourier, from_samples, uniform_state
+from qring.state import Config, from_fourier, from_samples, uniform_state
 from qring.uncertainty import check_ur_x, check_ur_y, detect_fold_symmetry
 
 TWO_PI = 2.0 * math.pi
@@ -48,6 +48,25 @@ def jacobi_anger_packet(n, m, alpha, jmax=80):
     return from_fourier(coeffs)
 
 
+def jacobi_anger_coeffs(axis, n, m, kappa, trunc_tol=1e-12, kmax=800):
+    """Oracle: normalized {mode: amplitude} of either packet from scipy's ive.
+
+    exp(z sin t) = sum_k I_k(z) (-i)^k e^{ikt} (X) and exp(-z cos t) =
+    sum_k (-1)^k I_k(z) e^{ikt} (Y), z = kappa/2, order k at mode k n + m;
+    weights at most trunc_tol^2 of the total are dropped, as in the library.
+    """
+    k = np.arange(-kmax, kmax + 1)
+    if axis is Axis.X:
+        phase = np.exp(-0.5j * np.pi * (k % 4))
+    else:
+        phase = np.where(k % 2, -1.0, 1.0)
+    amps = special.ive(k, 0.5 * kappa) * phase
+    weight = np.abs(amps) ** 2
+    keep = weight > trunc_tol**2 * weight.sum()
+    amps = amps[keep] / math.sqrt(weight[keep].sum())
+    return dict(zip((k[keep] * n + m).tolist(), amps.tolist()))
+
+
 class TestConstruction:
     def test_zero_concentration_is_uniform(self):
         _, s = mwp_x(1, 0, 0.0)
@@ -73,6 +92,20 @@ class TestConstruction:
         _, s = mwp_x(n, m, alpha)
         ref = jacobi_anger_packet(n, m, alpha)
         assert max_phase_aligned_deviation(ref, s) < 1e-10
+
+    @pytest.mark.parametrize("axis", [Axis.X, Axis.Y])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_coefficients(self, axis, n):
+        # no global phase freedom: the coefficients themselves must match
+        cfg = Config(max_mode=4096)
+        build = mwp_x if axis is Axis.X else mwp_y
+        for m in range(-3, 4):
+            for kappa in (0.5, 3.0, 40.0, 1000.0, 5000.0):
+                for signed in (kappa, -kappa):
+                    got = build(n, m, signed, cfg)[1].coeffs()
+                    ref = jacobi_anger_coeffs(axis, n, m, signed)
+                    assert got.keys() == ref.keys()
+                    assert max(abs(got[k] - ref[k]) for k in ref) <= 1e-13
 
     def test_sampled_profile_matches_cross_module(self):
         phi = TWO_PI * np.arange(4096) / 4096
@@ -102,8 +135,31 @@ class TestConstruction:
         assert mean_angle(s) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_unresolvable_concentration(self):
+        # order 707 of the kappa = 2e4 packet keeps weight past the cap 512
         with pytest.raises(ResolutionError):
-            mwp_x(1, 0, 5000.0)
+            mwp_x(1, 0, 2e4)
+
+    @pytest.mark.parametrize("kappa", [1e7, -1e300, 1.7e308])
+    def test_far_beyond_cap_raises_early(self, kappa):
+        with pytest.raises(ResolutionError, match="cap"):
+            mwp_y(1, 0, kappa)
+
+    @pytest.mark.parametrize("n,m", [(1, 0), (1, 3), (2, -1), (5, 2)])
+    def test_cap_boundary_matches_oracle(self, n, m):
+        # bisect the largest kappa that fits the cap; the oracle's kept
+        # orders must fit there and break the cap just above it
+        cfg = Config(max_mode=128)
+        lo, hi = 1.0, 1e5
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            try:
+                mwp_x(n, m, mid, cfg)
+                lo = mid
+            except ResolutionError:
+                hi = mid
+        for kappa, fits in ((lo, True), (hi * 1.001, False)):
+            top = max(map(abs, jacobi_anger_coeffs(Axis.X, n, 0, kappa)))
+            assert (top + abs(m) <= cfg.max_mode) is fits
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -161,6 +217,16 @@ class TestVerifyPacket:
         assert sx * sx == pytest.approx(r / alpha, abs=1e-10)
         assert sy * sy == pytest.approx(1 - r / alpha - r * r, abs=1e-10)
 
+    @pytest.mark.parametrize("kappa", [1000.0, -1400.0])
+    def test_mid_range_concentration(self, kappa):
+        # past the float64 range of exp(kappa/2) and of the unscaled I0
+        pk, s = mwp_x(1, 0, kappa)
+        v = verify_packet(pk, s)
+        assert v.ok, v.deltas
+        assert pk.predicted.norm_const == pytest.approx(
+            1.0 / math.sqrt(TWO_PI * special.ive(0, kappa))
+            * math.exp(-0.5 * abs(kappa)), rel=1e-13)
+
     def test_high_concentration(self):
         # 50 is the top of the intended concentration range (~200 modes)
         pk, s = mwp_x(1, 0, 50.0)
@@ -191,7 +257,7 @@ class TestSaturation:
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 5.0, 10.0])
     def test_x_bound_saturated(self, kappa):
         _, s = mwp_x(1, 0, kappa)
-        assert abs(saturation_gap(s, 1, Axis.X)) < 1e-9
+        assert abs(check_ur_x(s, 1).slack) < 1e-9
         assert check_ur_x(s, 1).saturated
 
     @pytest.mark.parametrize("kappa", [0.5, 2.0, 5.0])
@@ -203,12 +269,12 @@ class TestSaturation:
 
     def test_y_gap_closed_form(self):
         _, s = mwp_x(1, 0, 3.0)
-        assert saturation_gap(s, 1, "X") == pytest.approx(0.0, abs=1e-9)
-        assert saturation_gap(s, 1, "Y") == pytest.approx(
+        assert check_ur_x(s, 1).slack == pytest.approx(0.0, abs=1e-9)
+        assert check_ur_y(s, 1).slack == pytest.approx(
             0.5 * math.sqrt(h_alpha(3.0)), abs=1e-8)
 
     def test_uniform_gap_zero(self):
-        assert saturation_gap(uniform_state(), 1, Axis.X) == 0.0
+        assert check_ur_x(uniform_state(), 1).slack == 0.0
 
     @pytest.mark.parametrize("kappa", [0.5, 2.0, 5.0])
     def test_y_packet_saturates_y_bound(self, kappa):

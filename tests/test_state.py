@@ -244,10 +244,6 @@ class TestSerialization:
 
 
 class TestConfigValidation:
-    def test_bad_grid(self):
-        with pytest.raises(ValueError):
-            Config(grid_size=1000)
-
     def test_bad_hbar(self):
         with pytest.raises(ValueError):
             Config(hbar=0.0)
