@@ -1,7 +1,9 @@
 """Quantum states on a circle: circular position observables, uncertainty
-relations, and von Mises minimum wave packets."""
+relations, and von Mises minimum wave packets.
 
-from .bessel import BesselConfig, f_alpha, h_alpha, i0, i1, ratio
+Names not exported here live in their submodules.
+"""
+
 from .errors import (
     AliasingError,
     DegenerateStateError,
@@ -9,91 +11,46 @@ from .errors import (
     ResolutionError,
     UnsupportedStateError,
 )
-from .mwp import Axis, VonMisesPacket, mwp_x, mwp_y, verify_packet
-from .observables import (
-    ObservableReport,
-    angle_moments_beta,
-    compute_report,
-    expect_lz,
-    expect_xy,
-    mean_angle,
-    mean_resultant,
-    sigma_lz,
-    sigma_total,
-    sigma_xy,
-)
+from .mwp import mwp_x, mwp_y, verify_packet
+from .observables import sigma_lz, sigma_total
 from .state import (
     CircleState,
     Config,
-    cos_harmonic_state,
     dump_state,
     from_fourier,
-    from_samples,
     load_state,
     random_state,
-    sin_half_power_state,
-    superposition_state,
-    uniform_state,
 )
 from .uncertainty import (
-    URKind,
-    URReport,
     check_fujikawa,
     check_total_ur,
     check_ur_x,
     check_ur_y,
     detect_fold_symmetry,
-    is_fully_symmetric,
-    recommend_n,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis",
     "AliasingError",
-    "BesselConfig",
     "CircleState",
     "Config",
     "DegenerateStateError",
-    "ObservableReport",
     "QringError",
     "ResolutionError",
-    "URKind",
-    "URReport",
     "UnsupportedStateError",
-    "VonMisesPacket",
-    "angle_moments_beta",
     "check_fujikawa",
     "check_total_ur",
     "check_ur_x",
     "check_ur_y",
-    "compute_report",
-    "cos_harmonic_state",
     "detect_fold_symmetry",
     "dump_state",
-    "expect_lz",
-    "expect_xy",
-    "f_alpha",
     "from_fourier",
-    "from_samples",
-    "h_alpha",
-    "i0",
-    "i1",
-    "is_fully_symmetric",
     "load_state",
-    "mean_angle",
-    "mean_resultant",
     "mwp_x",
     "mwp_y",
     "random_state",
-    "ratio",
-    "recommend_n",
     "sigma_lz",
     "sigma_total",
-    "sigma_xy",
-    "sin_half_power_state",
-    "superposition_state",
-    "uniform_state",
     "verify_packet",
 ]

@@ -10,20 +10,20 @@ uncertainty checks:
 * ``h_alpha(x) = x * r * (1 - r/x - r**2)`` with ``r = I1/I0`` -- the gap of
   the conjugate-axis bound on the same profile.
 
-Evaluation policy: ascending power series below ``series_cutoff``,
-exponentially scaled asymptotic series above it.  Unscaled values overflow a
-float64 near x = 713; ``i0``/``i1`` raise ``OverflowError`` beyond
-``OVERFLOW_THRESHOLD`` while the scaled variants stay finite for any float.
+Evaluation policy, fixed: the ascending power series for |x| <= 15 and the
+exponentially scaled asymptotic series above, both summed to a relative
+term tolerance of 1e-16.  Unscaled values overflow a float64 near x = 713;
+``i0``/``i1`` raise ``OverflowError`` beyond ``OVERFLOW_THRESHOLD`` while
+the scaled variants stay finite for any float.  ``ik_scaled`` raises
+``ValueError`` when |x| is so large (about 1e10) that its recurrence would
+need more than 2**20 orders.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BesselConfig",
-    "DEFAULT_BESSEL_CONFIG",
     "OVERFLOW_THRESHOLD",
     "i0",
     "i1",
@@ -38,36 +38,17 @@ __all__ = [
 # exp(x) overflows float64 at x ~ 709.78; keep a small safety margin
 OVERFLOW_THRESHOLD = 700.0
 
-
-@dataclass(frozen=True)
-class BesselConfig:
-    """Evaluation policy for the I0/I1 family.
-
-    Parameters
-    ----------
-    series_cutoff : float
-        Argument magnitude above which the scaled asymptotic expansion is
-        used instead of the ascending power series.
-    term_tolerance : float
-        Relative truncation tolerance for both series.
-    """
-
-    series_cutoff: float = 15.0
-    term_tolerance: float = 1e-16
-
-    def __post_init__(self):
-        if not self.series_cutoff > 0:
-            raise ValueError("series_cutoff must be positive")
-        if not 0 < self.term_tolerance <= 1e-6:
-            raise ValueError("term_tolerance must lie in (0, 1e-6]")
-
-
-DEFAULT_BESSEL_CONFIG = BesselConfig()
-
+# |x| above which the scaled asymptotic series replaces the power series
+_SERIES_CUTOFF = 15.0
+# relative truncation tolerance of both series
+_TERM_TOL = 1e-16
 _MAX_TERMS = 500
+# longest Miller recurrence ik_scaled runs; |x| near 1e10 reaches it at
+# the default trunc_tol
+_MAX_ORDER = 2**20
 
 
-def _series(nu: int, x: float, tol: float) -> float:
+def _series(nu: int, x: float) -> float:
     """Ascending series sum_k (x/2)^(2k+nu) / (k! (k+nu)!), nu in {0, 1}.
 
     All terms are positive, so no cancellation occurs; terms are built
@@ -79,14 +60,14 @@ def _series(nu: int, x: float, tol: float) -> float:
     for k in range(1, _MAX_TERMS):
         term *= q / (k * (k + nu))
         total += term
-        if term < tol * total:
+        if term < _TERM_TOL * total:
             break
     return total
 
 
 # Coefficient products (mu - 1)(mu - 9)... with mu = 4 nu^2 enter the
 # asymptotic expansion I_nu(x) ~ e^x / sqrt(2 pi x) * sum_k c_k(nu) / x^k.
-def _asymptotic_scaled(nu: int, x: float, tol: float) -> float:
+def _asymptotic_scaled(nu: int, x: float) -> float:
     """e^(-x) I_nu(x) for large positive x via the asymptotic expansion."""
     mu = 4 * nu * nu
     total = 1.0
@@ -97,18 +78,20 @@ def _asymptotic_scaled(nu: int, x: float, tol: float) -> float:
             break  # divergent tail reached; stop at the smallest term
         term *= factor
         total += term
-        if abs(term) < tol * abs(total):
+        if abs(term) < _TERM_TOL * abs(total):
             break
     # two square roots: 2 pi x overflows for x near the float64 maximum
     return total / math.sqrt(2.0 * math.pi) / math.sqrt(x)
 
 
-def _eval(nu: int, x: float, config: BesselConfig, scaled: bool) -> float:
+def _eval(nu: int, x: float, scaled: bool) -> float:
+    if not math.isfinite(x):
+        raise ValueError("argument must be finite")
     ax = abs(x)
-    if ax <= config.series_cutoff:
-        value = _series(nu, x, config.term_tolerance)
+    if ax <= _SERIES_CUTOFF:
+        value = _series(nu, x)
         return value * math.exp(-ax) if scaled else value
-    value = _asymptotic_scaled(nu, ax, config.term_tolerance)
+    value = _asymptotic_scaled(nu, ax)
     if not scaled:
         if ax > OVERFLOW_THRESHOLD:
             raise OverflowError(
@@ -119,37 +102,29 @@ def _eval(nu: int, x: float, config: BesselConfig, scaled: bool) -> float:
     return value
 
 
-def i0(x: float, config: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
+def i0(x: float) -> float:
     """Modified Bessel function I0(x).
 
     Even in x, with I0(0) = 1 and I0(x) >= 1 everywhere.  Raises
     ``OverflowError`` for |x| > OVERFLOW_THRESHOLD; use ``i0_scaled`` there.
     """
-    if not math.isfinite(x):
-        raise ValueError("argument must be finite")
-    return _eval(0, x, config, scaled=False)
+    return _eval(0, x, scaled=False)
 
 
-def i1(x: float, config: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
+def i1(x: float) -> float:
     """Modified Bessel function I1(x) = dI0/dx.  Odd in x."""
-    if not math.isfinite(x):
-        raise ValueError("argument must be finite")
-    value = _eval(1, x, config, scaled=False)
+    value = _eval(1, x, scaled=False)
     return math.copysign(value, x) if x != 0 else 0.0
 
 
-def i0_scaled(x: float, config: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
+def i0_scaled(x: float) -> float:
     """exp(-|x|) I0(x); finite for every finite x."""
-    if not math.isfinite(x):
-        raise ValueError("argument must be finite")
-    return _eval(0, x, config, scaled=True)
+    return _eval(0, x, scaled=True)
 
 
-def i1_scaled(x: float, config: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
+def i1_scaled(x: float) -> float:
     """exp(-|x|) I1(x); finite for every finite x."""
-    if not math.isfinite(x):
-        raise ValueError("argument must be finite")
-    value = _eval(1, x, config, scaled=True)
+    value = _eval(1, x, scaled=True)
     return math.copysign(value, x) if x != 0 else 0.0
 
 
@@ -176,7 +151,12 @@ def ik_scaled(x: float, trunc_tol: float = 1e-12) -> np.ndarray:
     # e-folds below order K, so the start error reaching K is ~exp(-50),
     # and keeps the normalizing sum exact to float64 for any trunc_tol.
     log_floor = 25.0 + max(-math.log(trunc_tol), 28.0)
-    top = math.ceil(math.sqrt(log_floor * (log_floor + 2.0 * ax)))
+    top = math.sqrt(log_floor * (log_floor + 2.0 * ax))
+    if top > _MAX_ORDER:
+        raise ValueError(
+            f"ik_scaled argument x = {x!r} is too large: the recurrence "
+            f"would start above order {_MAX_ORDER}")
+    top = math.ceil(top)
     ratios = [0.0] * top
     r = 0.0
     for k in range(top, 0, -1):
@@ -194,42 +174,36 @@ def ik_scaled(x: float, trunc_tol: float = 1e-12) -> np.ndarray:
     return seq
 
 
-def ratio(x: float, config: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
+def ratio(x: float) -> float:
     """I1(x)/I0(x), computed overflow-free for any finite x.
 
     Odd in x, strictly increasing, with |ratio(x)| < 1.  Large arguments use
     the scaled forms so the exponential factor cancels analytically.
     """
-    if not math.isfinite(x):
-        raise ValueError("argument must be finite")
     if x == 0.0:
         return 0.0
-    return i1_scaled(x, config) / i0_scaled(x, config)
+    return i1_scaled(x) / i0_scaled(x)
 
 
-def f_alpha(x: float, config: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
+def f_alpha(x: float) -> float:
     """Total-uncertainty factor sqrt(x (I0/I1 - I1/I0)).
 
     Even function decreasing from sqrt(2) at x = 0 toward 1 as |x| grows;
     the x = 0 value is the analytic limit of the 0/0 form.
     """
-    if not math.isfinite(x):
-        raise ValueError("argument must be finite")
     if x == 0.0:
         return math.sqrt(2.0)
-    r = ratio(x, config)
+    r = ratio(x)
     return math.sqrt(x * (1.0 - r * r) / r)
 
 
-def h_alpha(x: float, config: BesselConfig = DEFAULT_BESSEL_CONFIG) -> float:
+def h_alpha(x: float) -> float:
     """Conjugate-bound gap x * r * (1 - r/x - r^2) with r = I1(x)/I0(x).
 
     Even, zero only at x = 0 (by limit; h ~ x^2/4 near zero, ~ 1/(2x) for
     large x), and strictly positive elsewhere.
     """
-    if not math.isfinite(x):
-        raise ValueError("argument must be finite")
     if x == 0.0:
         return 0.0
-    r = ratio(x, config)
+    r = ratio(x)
     return x * r * (1.0 - r / x - r * r)

@@ -25,12 +25,10 @@ from .mwp import Axis, mwp_x, mwp_y, verify_packet
 from .observables import (
     angle_moments_beta,
     compute_report,
-    expect_lz,
     expect_xy,
     mean_resultant,
     sigma_lz,
     sigma_total,
-    sigma_xy,
 )
 from .state import (
     Config,
@@ -295,7 +293,7 @@ def run_report(args, cfg: Config) -> int:
             "n": detect_fold_symmetry(state, args.symmetry_tol, cfg),
             "fully_symmetric": is_fully_symmetric(state, args.symmetry_tol),
         },
-        "recommended_n": recommend_n(state, args.r_threshold, cfg),
+        "recommended_n": recommend_n(state, args.r_threshold),
     }
     json.dump(payload, sys.stdout, indent=2)
     print()
@@ -330,7 +328,7 @@ def run_scan_beta(args, cfg: Config) -> int:
         print("error: need finite --from, --to and --step > 0, with at "
               f"most {MAX_SCAN_ROWS} rows", file=sys.stderr)
         return USAGE_ERROR
-    means, _, sigmas = angle_moments_beta(state, np.array(betas), cfg)
+    means, _, sigmas = angle_moments_beta(state, np.array(betas))
     rows = list(zip(betas, means.tolist(), sigmas.tolist()))
     if args.json:
         json.dump([{"beta": b, "mean_phi_beta": m, "sigma_phi_beta": s}
@@ -359,18 +357,13 @@ def run_mwp(args, cfg: Config) -> int:
             print(f"{_fmt(phi)},{_fmt(abs(state.evaluate(phi)))}")
         return 0
     verification = verify_packet(packet, state, cfg.cmp_tol)
-    ex, ey = expect_xy(state, packet.n)
-    sx, sy = sigma_xy(state, packet.n)
-    slz = sigma_lz(state)
     payload = {
         "axis": packet.axis.value,
         "n": packet.n,
         "m": packet.m,
         "kappa": packet.kappa,
         "predicted": dataclasses.asdict(packet.predicted),
-        "measured": {"ex": ex, "ey": ey, "sigma_x2": sx * sx,
-                     "sigma_y2": sy * sy, "sigma_lz2": slz * slz,
-                     "lz": expect_lz(state)},
+        "measured": verification.measured,
         "verification": {"ok": verification.ok, "tol": verification.tol,
                          "deltas": verification.deltas},
     }

@@ -1,9 +1,11 @@
 """Expectation values and standard deviations for states on the circle.
 
 Every moment here is an exact finite sum.  Angular momentum moments are
-diagonal sums over the effective exponents.  Trigonometric moments come
-from the density harmonics rho_k, computed once per state and cached on it
-(``CircleState.harmonics``): <exp(i k phi)> = conj(rho_k).
+diagonal sums over the effective exponents.  Trigonometric moments read
+the density harmonics rho_k, computed once per state and cached on it
+(``CircleState.harmonics``): <exp(i k phi)> = conj(rho_k), so
+(<X_n>, <Y_n>) = (Re rho_n, -Im rho_n) and R_n = |rho_n|, all zero past
+the mode span.
 
 The window-dependent angle moments integrate phi rho and phi^2 rho over
 [beta, beta + 2pi].  Integrating each harmonic by parts gives, with
@@ -29,8 +31,6 @@ from .state import DEFAULT_CONFIG, CircleState, Config, TWO_PI
 
 __all__ = [
     "ObservableReport",
-    "autocorrelation",
-    "density_spectrum",
     "expect_xy",
     "expect_lz",
     "sigma_lz",
@@ -47,35 +47,16 @@ __all__ = [
 _WINDOW_BLOCK = 2**20
 
 
-def autocorrelation(state: CircleState, lag: int) -> complex:
-    """sum_m conj(c_{m+lag}) c_m; equals <exp(i lag phi)> = conj(rho_lag)."""
-    rho = state.harmonics
-    k = abs(lag)
-    if k >= rho.size:
-        return 0j
-    value = complex(rho[k])
-    return value.conjugate() if lag > 0 else value
-
-
-def density_spectrum(state: CircleState):
-    """Harmonics rho_k of the density for k = 0 .. mode span.
-
-    rho(phi) = (1/2pi) sum_k rho_k exp(i k phi) with
-    rho_k = sum_m c_{m+k} conj(c_m) and rho_{-k} = conj(rho_k).
-    Returns (lags, rho) with lags = arange(span + 1); rho is the state's
-    cached, read-only ``harmonics`` array.
-    """
-    rho = state.harmonics
-    return np.arange(rho.size), rho
-
-
 def expect_xy(state: CircleState, n: int) -> tuple[float, float]:
     """(<cos(n phi)>, <sin(n phi)>) as real and imaginary parts of
     <exp(i n phi)> = conj(rho_n)."""
     if n < 1:
         raise ValueError("harmonic index n must be >= 1")
-    value = autocorrelation(state, n)
-    return value.real, value.imag
+    rho = state.harmonics
+    if n >= rho.size:
+        return 0.0, 0.0
+    value = complex(rho[n])
+    return value.real, -value.imag
 
 
 def expect_lz(state: CircleState) -> float:
@@ -105,7 +86,9 @@ def sigma_xy(state: CircleState, n: int) -> tuple[float, float]:
 
 def mean_resultant(state: CircleState, n: int) -> float:
     """R_n = |<exp(i n phi)>| = |rho_n|, in [0, 1]."""
-    return abs(autocorrelation(state, n))
+    rho = state.harmonics
+    k = abs(n)
+    return abs(complex(rho[k])) if k < rho.size else 0.0
 
 
 def mean_angle(state: CircleState,
@@ -140,8 +123,7 @@ def sigma_total(state: CircleState, n: int,
     return math.sqrt(max(1.0 - r * r, 0.0)) / (n * r)
 
 
-def angle_moments_beta(state: CircleState, beta,
-                       config: Config = DEFAULT_CONFIG):
+def angle_moments_beta(state: CircleState, beta):
     """Window moments (<phi>_beta, <phi^2>_beta, sigma_phi^beta).
 
     The moments of phi over the window [beta, beta + 2pi], whose start is
@@ -156,8 +138,8 @@ def angle_moments_beta(state: CircleState, beta,
     if not state.is_periodic:
         raise UnsupportedStateError(
             "window angle moments need a strictly periodic state")
-    lags, rho = density_spectrum(state)
-    k = lags[1:].astype(float)
+    rho = state.harmonics
+    k = np.arange(1, rho.size, dtype=float)
     flat = betas.ravel()
     u1 = np.empty(flat.shape)
     u2 = np.empty(flat.shape)
@@ -181,9 +163,9 @@ def angle_moments_beta(state: CircleState, beta,
 
 def density_integral(state: CircleState, a: float, b: float) -> float:
     """int_a^b rho(phi) dphi from the exact harmonic antiderivative."""
-    lags, rho = density_spectrum(state)
+    rho = state.harmonics
     total = (b - a) / TWO_PI  # rho_0 = 1 contribution
-    k = lags[1:]
+    k = np.arange(1, rho.size)
     if k.size:
         terms = rho[1:] * (np.exp(1j * k * b) - np.exp(1j * k * a)) / (1j * k)
         total += 2.0 * terms.real.sum() / TWO_PI

@@ -164,6 +164,8 @@ class CircleState:
 
 
 def _reduce_theta(theta: float) -> float:
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     theta = math.fmod(theta, TWO_PI)
     if theta < 0.0:
         theta += TWO_PI
@@ -189,11 +191,19 @@ def _build(modes, amps, theta, config: Config) -> CircleState:
             f"mode index {int(np.max(np.abs(modes)))} exceeds the cap "
             f"{config.max_mode}"
         )
-    norm2 = float(np.sum(np.abs(amps) ** 2))
-    if not math.isfinite(norm2) or norm2 <= 0.0:
-        raise DegenerateStateError("state norm is zero or not finite")
-    if abs(norm2 - 1.0) > 1e-15:
-        amps = amps / math.sqrt(norm2)
+    parts = amps.view(np.float64)  # real and imaginary parts, interleaved
+    peak = float(np.max(np.abs(parts)))
+    if not math.isfinite(peak):
+        raise DegenerateStateError("state has a non-finite amplitude")
+    # divide by a power of two near the largest part before squaring, so
+    # |a|^2 neither overflows nor underflows; a power of two scales
+    # exactly, so where the unscaled sum would not overflow or underflow
+    # the result is the same to the bit
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    scaled = (parts / scale).view(complex)
+    norm2 = float(np.sum(np.abs(scaled) ** 2))
+    if abs(norm2 * scale * scale - 1.0) > 1e-15:
+        amps = scaled / math.sqrt(norm2)
     modes.setflags(write=False)
     amps.setflags(write=False)
     return CircleState(modes=modes, amps=amps, theta=_reduce_theta(theta),

@@ -117,18 +117,13 @@ def check_fujikawa(state: CircleState,
     negative right side makes the bound trivial.  Quasi-periodic states
     are rejected (the window moments are not defined for them).
     """
-    _, _, s_phi = angle_moments_beta(state, -math.pi, config)
+    _, _, s_phi = angle_moments_beta(state, -math.pi)
     lhs = s_phi * sigma_lz(state)
     # 2 pi rho(pi) = rho_0 + 2 Re sum_{k>=1} rho_k (-1)^k
     rho = state.harmonics.real
     two_pi_rho = rho[0] + 2.0 * float(rho[2::2].sum() - rho[1::2].sum())
     rhs = 0.5 * state.hbar * (1.0 - two_pi_rho)
     return _report(URKind.FUJIKAWA, 1, lhs, rhs, config.cmp_tol)
-
-
-def _harmonic_magnitudes(state: CircleState) -> np.ndarray:
-    """R_k for k = 1 .. mode span (magnitudes of density harmonics)."""
-    return np.abs(state.harmonics[1:])
 
 
 def detect_fold_symmetry(state: CircleState, tol: float = 1e-9,
@@ -144,7 +139,7 @@ def detect_fold_symmetry(state: CircleState, tol: float = 1e-9,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    mags = _harmonic_magnitudes(state)
+    mags = np.abs(state.harmonics[1:])
     if mags.size == 0 or float(mags.sum()) <= tol:
         return config.max_mode
     k = np.arange(1, mags.size + 1)
@@ -159,15 +154,14 @@ def detect_fold_symmetry(state: CircleState, tol: float = 1e-9,
 
 def is_fully_symmetric(state: CircleState, tol: float = 1e-9) -> bool:
     """True when the density has no harmonic above tol (uniform density)."""
-    mags = _harmonic_magnitudes(state)
+    mags = np.abs(state.harmonics[1:])
     return mags.size == 0 or float(mags.sum()) <= tol
 
 
-def recommend_n(state: CircleState, r_threshold: float = 0.1,
-                config: Config = DEFAULT_CONFIG) -> int | None:
+def recommend_n(state: CircleState, r_threshold: float = 0.1) -> int | None:
     """Smallest n with R_n >= r_threshold, or None when every resultant
     within the mode span stays below it."""
     if not 0 < r_threshold < 1:
         raise ValueError("r_threshold must lie in (0, 1)")
-    hits = np.flatnonzero(_harmonic_magnitudes(state) >= r_threshold)
+    hits = np.flatnonzero(np.abs(state.harmonics[1:]) >= r_threshold)
     return int(hits[0]) + 1 if hits.size else None

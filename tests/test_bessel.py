@@ -7,8 +7,8 @@ import pytest
 from scipy import special
 
 from qring.bessel import (
-    BesselConfig,
     OVERFLOW_THRESHOLD,
+    _series,
     f_alpha,
     h_alpha,
     i0,
@@ -123,6 +123,19 @@ class TestScaledSequence:
         with pytest.raises(ValueError):
             ik_scaled(x, tol)
 
+    @pytest.mark.parametrize("x", [1e300, 1e14, -1e14, 1.7e308])
+    def test_huge_argument_rejected_before_allocating(self, x):
+        # the recurrence would start beyond 2**20 orders; this must fail
+        # at once, not after building a list of ~sqrt(|x|) ratios
+        with pytest.raises(ValueError, match="ik_scaled argument"):
+            ik_scaled(x)
+
+    def test_below_limit_unchanged(self):
+        # x = 1e8 needs about 1e5 orders, well inside the limit
+        seq = ik_scaled(1e8)
+        assert seq[0] == pytest.approx(i0_scaled(1e8), rel=1e-13)
+        assert seq[1] == pytest.approx(i1_scaled(1e8), rel=1e-13)
+
 
 class TestParityAndIdentities:
     # fixed pseudo-random grid for parity checks
@@ -229,14 +242,9 @@ class TestErrorsAndConfig:
         with pytest.raises(ValueError):
             i0(x)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BesselConfig(series_cutoff=-1.0)
-        with pytest.raises(ValueError):
-            BesselConfig(term_tolerance=1e-3)
-
     def test_alternate_cutoff_consistent(self):
-        cfg = BesselConfig(series_cutoff=25.0)
-        for x in [10.0, 20.0, 24.9, 25.1, 60.0]:
-            assert i0(x, cfg) == pytest.approx(i0(x), rel=1e-12)
-            assert i1(x, cfg) == pytest.approx(i1(x), rel=1e-12)
+        # the power series summed past the fixed cutoff of 15 agrees with
+        # the asymptotic branch i0/i1 take there
+        for x in [20.0, 24.9, 25.1, 60.0]:
+            assert _series(0, x) == pytest.approx(i0(x), rel=1e-12)
+            assert _series(1, x) == pytest.approx(i1(x), rel=1e-12)

@@ -232,6 +232,24 @@ class TestReport:
         code, _, _ = run_cli(capsys, "report", str(tmp_path / "nope.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize("amp", ["1e300", "1e-200"])
+    def test_extreme_amplitudes_exit_0(self, capsys, tmp_path, amp):
+        path = tmp_path / "extreme.txt"
+        path.write_text(f"theta 0\n0 {amp} 0\n1 {amp} 0\n")
+        code, out, _ = run_cli(capsys, "report", str(path), "--nmax", "2")
+        assert code == 0
+        assert json.loads(out)["observables"][0]["ex"] == pytest.approx(
+            0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("theta", ["inf", "nan"])
+    def test_non_finite_theta_exit_2(self, capsys, tmp_path, theta):
+        path = tmp_path / "theta.txt"
+        path.write_text(f"theta {theta}\n0 1 0\n1 1 0\n")
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 2
+        assert out == ""
+        assert "theta must be finite" in err
+
     @pytest.mark.parametrize("nmax", ["0", "-3"])
     def test_nmax_below_one_exit_2(self, capsys, tmp_path, nmax):
         path = write_state(tmp_path, uniform_state())
@@ -371,6 +389,13 @@ class TestMwp:
         # exp(kappa/2) and the unscaled I0 overflow float64 here
         code, out, _ = run_cli(capsys, "mwp", "--axis", axis, "--n", "1",
                                "--kappa", "1000")
+        assert code == 0
+        assert json.loads(out)["verification"]["ok"]
+
+    def test_large_kappa_verifies(self, capsys):
+        # the measured concentration's rounding scales with kappa
+        code, out, _ = run_cli(capsys, "mwp", "--axis", "X", "--n", "1",
+                               "--kappa", "8000")
         assert code == 0
         assert json.loads(out)["verification"]["ok"]
 

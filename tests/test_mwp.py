@@ -1,5 +1,6 @@
 """Tests for qring.mwp: packet construction, closed forms, saturation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -226,6 +227,38 @@ class TestVerifyPacket:
         assert pk.predicted.norm_const == pytest.approx(
             1.0 / math.sqrt(TWO_PI * special.ive(0, kappa))
             * math.exp(-0.5 * abs(kappa)), rel=1e-13)
+
+    @pytest.mark.parametrize("kappa", [3000.0, 6000.0, 7000.0, 8000.0,
+                                       10000.0])
+    @pytest.mark.parametrize("build", [mwp_x, mwp_y])
+    def test_large_concentration_verifies(self, build, kappa):
+        # kappa_measured = ey / sigma_x^2 carries ~1e-13 relative error, so
+        # its delta is judged relative to |kappa|
+        pk, s = build(1, 0, kappa)
+        v = verify_packet(pk, s)
+        assert v.ok, v.deltas
+        assert abs(v.deltas["kappa"]) <= 1e-9 * kappa
+
+    @pytest.mark.parametrize("kappa", [2.0, -40.0, 8000.0])
+    def test_kappa_off_by_relative_1e6_fails(self, kappa):
+        pk, s = mwp_x(1, 0, kappa)
+        shifted = dataclasses.replace(pk, kappa=kappa * (1.0 + 1e-6))
+        v = verify_packet(shifted, s)
+        assert not v.ok
+        assert abs(v.deltas["kappa"]) == pytest.approx(1e-6 * abs(kappa),
+                                                       rel=1e-3)
+
+    def test_measured_moments_reported(self):
+        pk, s = mwp_y(2, 1, 5.0)
+        v = verify_packet(pk, s)
+        assert list(v.measured) == ["ex", "ey", "sigma_x2", "sigma_y2",
+                                    "sigma_lz2", "lz"]
+        ex, ey = expect_xy(s, 2)
+        sx, sy = sigma_xy(s, 2)
+        assert v.measured == {"ex": ex, "ey": ey, "sigma_x2": sx * sx,
+                              "sigma_y2": sy * sy,
+                              "sigma_lz2": sigma_lz(s) ** 2,
+                              "lz": expect_lz(s)}
 
     def test_high_concentration(self):
         # 50 is the top of the intended concentration range (~200 modes)

@@ -9,10 +9,8 @@ from scipy.integrate import quad
 from qring.errors import UnsupportedStateError
 from qring.observables import (
     angle_moments_beta,
-    autocorrelation,
     compute_report,
     density_integral,
-    density_spectrum,
     expect_lz,
     expect_xy,
     mean_angle,
@@ -230,7 +228,8 @@ class TestAngleMomentsBeta:
 def simpson_window_moments(state, beta, intervals=2**16):
     """Oracle: (<phi>_beta, <phi^2>_beta) by composite Simpson on the
     density synthesized from its harmonics by an inverse FFT."""
-    lags, rho = density_spectrum(state)
+    rho = state.harmonics
+    lags = np.arange(rho.size)
     spectrum = np.zeros(intervals, dtype=complex)
     shifted = rho * np.exp(1j * lags * beta)
     spectrum[lags] = shifted
@@ -335,8 +334,8 @@ class TestWindowClosedForm:
 class TestSpectrumCache:
     def test_computed_once_and_read_only(self):
         s = random_state(6, 2)
-        first = density_spectrum(s)[1]
-        assert density_spectrum(s)[1] is first
+        first = s.harmonics
+        assert s.harmonics is first
         assert not first.flags.writeable
 
     @pytest.mark.parametrize("s", [
@@ -351,11 +350,12 @@ class TestSpectrumCache:
         dense[s.modes - s.modes[0]] = s.amps
         for k in range(1, s.mode_span + 1):
             want = np.vdot(dense[k:], dense[:-k])
-            assert autocorrelation(s, k) == pytest.approx(want, abs=1e-15)
-            assert autocorrelation(s, -k) == pytest.approx(
-                np.conj(want), abs=1e-15)
-        assert autocorrelation(s, 0) == pytest.approx(1.0, abs=1e-15)
-        assert autocorrelation(s, s.mode_span + 1) == 0j
+            assert s.harmonics[k] == pytest.approx(np.conj(want), abs=1e-15)
+            ex, ey = expect_xy(s, k)
+            assert ex == pytest.approx(want.real, abs=1e-15)
+            assert ey == pytest.approx(want.imag, abs=1e-15)
+        assert s.harmonics[0] == pytest.approx(1.0, abs=1e-15)
+        assert expect_xy(s, s.mode_span + 1) == (0.0, 0.0)
 
     @pytest.mark.parametrize("delta", [0.4, -2.1])
     def test_not_stale_after_rotate(self, delta):

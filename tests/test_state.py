@@ -69,6 +69,24 @@ class TestFromFourier:
         assert s.theta == pytest.approx(1.0)
         assert from_fourier({0: 1.0}, theta=TWO_PI).theta == 0.0
 
+    @pytest.mark.parametrize("amp", [1e300, 1e-200, 1.7e308, 5e-324])
+    def test_extreme_amplitudes_normalize(self, amp):
+        # |a|^2 would overflow (1e300) or underflow (1e-200) unscaled
+        s = from_fourier({0: amp, 1: amp})
+        want = from_fourier({0: 1.0, 1: 1.0})
+        np.testing.assert_allclose(s.amps, want.amps, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("amp", [math.inf, math.nan,
+                                     complex(1.0, math.inf)])
+    def test_non_finite_amplitude_rejected(self, amp):
+        with pytest.raises(DegenerateStateError):
+            from_fourier({0: 1.0, 1: amp})
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            from_fourier({0: 1.0}, theta=theta)
+
     def test_non_integer_mode_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             from_fourier({0.5: 1.0})
@@ -237,6 +255,11 @@ class TestSerialization:
     def test_zero_norm_file(self):
         with pytest.raises(DegenerateStateError):
             load_state("theta 0\n0 0 0\n")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_theta_rejected(self, value):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            load_state(f"theta {value}\n0 1 0\n")
 
     def test_comments_and_blanks_ignored(self):
         r = load_state("# comment\n\ntheta 0\n0 1 0\n")
