@@ -13,6 +13,7 @@ where periodicity is required).
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -53,12 +54,29 @@ STATE_ERROR = 3
 
 CASE_NAMES = ["superposition", "sin-power", "von-mises", "cos-phi", "cos-2phi"]
 
-# most rows one scan-beta or curve run may print
+# most rows one scan-beta, curve or mwp --emit-curve run may print, and the
+# largest report --nmax
 MAX_SCAN_ROWS = 100_000
 
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
+
+
+def _fields(record) -> dict:
+    """The fields of a dataclass of scalars, in declaration order.
+
+    A shallow dict: ``dataclasses.asdict`` would deep-copy every value,
+    which scalars do not need.
+    """
+    return {f.name: getattr(record, f.name)
+            for f in dataclasses.fields(record)}
+
+
+def _write_json(obj) -> None:
+    """Write obj as indented JSON and a newline to stdout in one call
+    (``json.dump`` writes each token separately)."""
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _check(quantity: str, expected: float, measured: float, tol: float) -> dict:
@@ -184,8 +202,7 @@ def run_examples(args, cfg: Config) -> int:
         report["cases"].append({"id": name, "params": params,
                                 "checks": checks})
     report["all_pass"] = bool(report["all_pass"])
-    json.dump(report, sys.stdout, indent=2)
-    print()
+    _write_json(report)
     return 0 if report["all_pass"] else 1
 
 
@@ -228,9 +245,7 @@ def run_curve(args, cfg: Config) -> int:
     header, rows = _curve_rows(args, xs, cfg)
     if args.json:
         cols = header.split(",")
-        json.dump([dict(zip(cols, row)) for row in rows], sys.stdout,
-                  indent=2)
-        print()
+        _write_json([dict(zip(cols, row)) for row in rows])
     else:
         print(header)
         for row in rows:
@@ -256,8 +271,9 @@ def _load_state_file(path: str, cfg: Config):
 
 
 def run_report(args, cfg: Config) -> int:
-    if args.nmax < 1:
-        print("error: --nmax must be >= 1", file=sys.stderr)
+    if not 1 <= args.nmax <= MAX_SCAN_ROWS:
+        print(f"error: --nmax must lie in [1, {MAX_SCAN_ROWS}]",
+              file=sys.stderr)
         return USAGE_ERROR
     state, status = _load_state_file(args.state_file, cfg)
     if state is None:
@@ -265,7 +281,7 @@ def run_report(args, cfg: Config) -> int:
     observables = []
     checks = []
     for n in range(1, args.nmax + 1):
-        observables.append(dataclasses.asdict(compute_report(state, n, cfg)))
+        observables.append(_fields(compute_report(state, n, cfg)))
         checks.extend([check_ur_x(state, n, cfg), check_ur_y(state, n, cfg),
                        check_total_ur(state, n, cfg)])
     fujikawa = None
@@ -286,7 +302,7 @@ def run_report(args, cfg: Config) -> int:
         "theta": state.theta,
         "observables": observables,
         "uncertainty": [
-            {**dataclasses.asdict(rep), "kind": rep.kind.value}
+            {**_fields(rep), "kind": rep.kind.value}
             for rep in checks
         ],
         "fold_symmetry": {
@@ -295,8 +311,7 @@ def run_report(args, cfg: Config) -> int:
         },
         "recommended_n": recommend_n(state, args.r_threshold),
     }
-    json.dump(payload, sys.stdout, indent=2)
-    print()
+    _write_json(payload)
     return 0 if all(rep.holds for rep in checks) else 1
 
 
@@ -331,9 +346,8 @@ def run_scan_beta(args, cfg: Config) -> int:
     means, _, sigmas = angle_moments_beta(state, np.array(betas))
     rows = list(zip(betas, means.tolist(), sigmas.tolist()))
     if args.json:
-        json.dump([{"beta": b, "mean_phi_beta": m, "sigma_phi_beta": s}
-                   for b, m, s in rows], sys.stdout, indent=2)
-        print()
+        _write_json([{"beta": b, "mean_phi_beta": m, "sigma_phi_beta": s}
+                     for b, m, s in rows])
     else:
         print("beta,mean_phi_beta,sigma_phi_beta")
         for row in rows:
@@ -342,8 +356,9 @@ def run_scan_beta(args, cfg: Config) -> int:
 
 
 def run_mwp(args, cfg: Config) -> int:
-    if args.points < 1:
-        print("error: --points must be >= 1", file=sys.stderr)
+    if not 1 <= args.points <= MAX_SCAN_ROWS:
+        print(f"error: --points must lie in [1, {MAX_SCAN_ROWS}]",
+              file=sys.stderr)
         return USAGE_ERROR
     builder = mwp_x if Axis(args.axis) is Axis.X else mwp_y
     packet, state = builder(args.n, args.m, args.kappa, cfg)
@@ -362,17 +377,22 @@ def run_mwp(args, cfg: Config) -> int:
         "n": packet.n,
         "m": packet.m,
         "kappa": packet.kappa,
-        "predicted": dataclasses.asdict(packet.predicted),
+        "predicted": _fields(packet.predicted),
         "measured": verification.measured,
         "verification": {"ok": verification.ok, "tol": verification.tol,
                          "deltas": verification.deltas},
     }
-    json.dump(payload, sys.stdout, indent=2)
-    print()
+    _write_json(payload)
     return 0 if verification.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qring argument parser, built on the first call and shared after.
+
+    Parsing leaves the parser unchanged, so every in-process ``main`` call
+    reuses one; the import of this module builds none.
+    """
     parser = argparse.ArgumentParser(
         prog="qring",
         description="Circular quantum states: observables, uncertainty "

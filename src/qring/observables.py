@@ -1,7 +1,9 @@
 """Expectation values and standard deviations for states on the circle.
 
-Every moment here is an exact finite sum.  Angular momentum moments are
-diagonal sums over the effective exponents.  Trigonometric moments read
+Every moment here is an exact finite sum.  Angular momentum moments read
+the diagonal sums over the effective exponents, computed once per state
+and cached on it (``CircleState.lz_moments``), so the many bounds that
+share one sigma_Lz do not repeat them.  Trigonometric moments read
 the density harmonics rho_k, computed once per state and cached on it
 (``CircleState.harmonics``): <exp(i k phi)> = conj(rho_k), so
 (<X_n>, <Y_n>) = (Re rho_n, -Im rho_n) and R_n = |rho_n|, all zero past
@@ -61,16 +63,12 @@ def expect_xy(state: CircleState, n: int) -> tuple[float, float]:
 
 def expect_lz(state: CircleState) -> float:
     """<L_z> = hbar sum mu |c|^2; real by construction."""
-    w = np.abs(state.amps) ** 2
-    return state.hbar * float(np.sum(state.mu * w))
+    return state.hbar * state.lz_moments[0]
 
 
 def sigma_lz(state: CircleState) -> float:
     """Standard deviation of L_z from the exact diagonal moments."""
-    w = np.abs(state.amps) ** 2
-    mu = state.mu
-    m1 = float(np.sum(mu * w))
-    m2 = float(np.sum(mu * mu * w))
+    m1, m2 = state.lz_moments
     return state.hbar * math.sqrt(max(m2 - m1 * m1, 0.0))
 
 

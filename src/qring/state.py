@@ -6,7 +6,9 @@ quasi-periodic, psi(phi + 2pi) = exp(i theta) psi(phi); theta = 0 is the
 strictly periodic case and theta = pi the anti-periodic one (half-odd
 effective angular momenta).  The Fourier representation keeps angular
 momentum moments exact diagonal sums and all trigonometric expectation
-values exact autocorrelations.
+values exact autocorrelations.  Each state computes both once and caches
+them: ``CircleState.lz_moments`` holds the two diagonal sums and
+``CircleState.harmonics`` the density harmonics.
 """
 
 import math
@@ -125,6 +127,17 @@ class CircleState:
         rho[::stride] = full[dense.size - 1 :]
         rho.setflags(write=False)
         return rho
+
+    @cached_property
+    def lz_moments(self) -> tuple[float, float]:
+        """(sum mu |c|^2, sum mu^2 |c|^2) = (<L_z>/hbar, <L_z^2>/hbar^2).
+
+        Computed once per state, like ``harmonics``; ``rotate`` and
+        ``replace`` build a new state, which starts without the cache.
+        """
+        w = np.abs(self.amps) ** 2
+        mu = self.mu
+        return float(np.sum(mu * w)), float(np.sum(mu * mu * w))
 
     def coeffs(self) -> dict:
         return {int(m): complex(a) for m, a in zip(self.modes, self.amps)}

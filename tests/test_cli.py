@@ -1,21 +1,37 @@
 """Tests for the qring command-line interface."""
 
+import dataclasses
+import io
 import json
 import math
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from qring.cli import MAX_SCAN_ROWS, main
-from qring.observables import angle_moments_beta
+import qring.cli
+from qring.cli import MAX_SCAN_ROWS, build_parser, main
+from qring.mwp import mwp_x, mwp_y, verify_packet
+from qring.observables import angle_moments_beta, compute_report
 from qring.state import (
+    Config,
     dump_state,
+    from_fourier,
     load_state,
     random_state,
     sin_half_power_state,
     uniform_state,
+)
+from qring.uncertainty import (
+    check_fujikawa,
+    check_total_ur,
+    check_ur_x,
+    check_ur_y,
+    detect_fold_symmetry,
+    is_fully_symmetric,
+    recommend_n,
 )
 
 
@@ -258,6 +274,25 @@ class TestReport:
         assert out == ""
         assert "--nmax" in err
 
+    def test_nmax_above_cap_exit_2(self, capsys, tmp_path):
+        path = write_state(tmp_path, uniform_state())
+        code, out, err = run_cli(capsys, "report", path,
+                                 "--nmax", str(MAX_SCAN_ROWS + 1))
+        assert code == 2
+        assert out == ""
+        assert "--nmax" in err and str(MAX_SCAN_ROWS) in err
+
+    def test_nmax_cap_boundary(self, capsys, tmp_path, monkeypatch):
+        # a report at the real cap prints about 80 MB, so lower the cap
+        monkeypatch.setattr(qring.cli, "MAX_SCAN_ROWS", 5)
+        path = write_state(tmp_path, random_state(3, 1))
+        code, out, _ = run_cli(capsys, "report", path, "--nmax", "5")
+        assert code == 0
+        assert len(json.loads(out)["observables"]) == 5
+        code, out, _ = run_cli(capsys, "report", path, "--nmax", "6")
+        assert code == 2
+        assert out == ""
+
 
 class TestScanBeta:
     def test_uniform_mean_is_affine(self, capsys, tmp_path):
@@ -384,6 +419,26 @@ class TestMwp:
         assert out == ""
         assert "--points" in err
 
+    def test_points_above_cap_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "mwp", "--axis", "X", "--n", "1",
+                                 "--kappa", "2", "--emit-curve",
+                                 "--points", str(MAX_SCAN_ROWS + 1))
+        assert code == 2
+        assert out == ""
+        assert "--points" in err and str(MAX_SCAN_ROWS) in err
+
+    def test_points_cap_boundary(self, capsys, monkeypatch):
+        # a curve at the real cap takes seconds, so lower the cap
+        monkeypatch.setattr(qring.cli, "MAX_SCAN_ROWS", 40)
+        argv = ["mwp", "--axis", "Y", "--n", "2", "--kappa", "3",
+                "--emit-curve", "--points"]
+        code, out, _ = run_cli(capsys, *argv, "40")
+        assert code == 0
+        assert len(out.splitlines()) == 41
+        code, out, _ = run_cli(capsys, *argv, "41")
+        assert code == 2
+        assert out == ""
+
     @pytest.mark.parametrize("axis", ["X", "Y"])
     def test_mid_range_kappa_verifies(self, capsys, axis):
         # exp(kappa/2) and the unscaled I0 overflow float64 here
@@ -413,3 +468,148 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["all_pass"]
+
+
+def asdict_json(payload):
+    """Oracle: the payload as ``json.dump(..., indent=2)`` and a newline
+    write it, token by token."""
+    buf = io.StringIO()
+    json.dump(payload, buf, indent=2)
+    buf.write("\n")
+    return buf.getvalue()
+
+
+def asdict_report(state, nmax, cfg=Config()):
+    """Oracle: the report payload built with ``dataclasses.asdict`` from
+    the library calls ``report`` makes, at its default tolerances."""
+    observables, checks = [], []
+    for n in range(1, nmax + 1):
+        observables.append(dataclasses.asdict(compute_report(state, n, cfg)))
+        checks += [check_ur_x(state, n, cfg), check_ur_y(state, n, cfg),
+                   check_total_ur(state, n, cfg)]
+    if state.is_periodic:
+        checks.append(check_fujikawa(state, cfg))
+    return {
+        "hbar": cfg.hbar,
+        "theta": state.theta,
+        "observables": observables,
+        "uncertainty": [{**dataclasses.asdict(rep), "kind": rep.kind.value}
+                        for rep in checks],
+        "fold_symmetry": {"n": detect_fold_symmetry(state, 1e-9, cfg),
+                          "fully_symmetric": is_fully_symmetric(state, 1e-9)},
+        "recommended_n": recommend_n(state, 0.1),
+    }
+
+
+class TestSerialization:
+    OBSERVABLE_KEYS = ["n", "ex", "ey", "r_n", "mean_phi", "sigma_x",
+                       "sigma_y", "sigma_lz", "sigma_tilde", "sigma_n"]
+    UR_KEYS = ["kind", "n", "lhs", "rhs", "slack", "holds", "saturated"]
+
+    @pytest.mark.parametrize("state", [
+        random_state(6, 11),
+        from_fourier({-2: 0.4 - 0.3j, 0: 1.0, 1: 0.6j, 5: -0.2}, theta=2.2),
+        mwp_y(3, 1, 4.0)[1],
+    ], ids=["periodic", "quasi-periodic", "3-fold"])
+    def test_report_matches_asdict_oracle(self, capsys, tmp_path, state):
+        path = write_state(tmp_path, state)
+        code, out, _ = run_cli(capsys, "report", path, "--nmax", "8")
+        assert code == 0
+        assert out == asdict_json(asdict_report(load_state(dump_state(state)),
+                                                8))
+        data = json.loads(out)
+        assert list(data) == ["hbar", "theta", "observables", "uncertainty",
+                              "fold_symmetry", "recommended_n"]
+        assert all(list(row) == self.OBSERVABLE_KEYS
+                   for row in data["observables"])
+        assert all(list(row) == self.UR_KEYS for row in data["uncertainty"])
+
+    def test_infinite_spread_spelled_infinity(self, capsys, tmp_path):
+        # R_1 = 0 on a 3-fold density, so sigma_1 and the TOTAL lhs are inf
+        path = write_state(tmp_path, mwp_y(3, 1, 4.0)[1])
+        _, out, _ = run_cli(capsys, "report", path, "--nmax", "8")
+        assert '"sigma_n": Infinity\n' in out
+        assert '"lhs": Infinity,' in out
+
+    @pytest.mark.parametrize("axis,n,m,kappa", [
+        ("X", 2, 1, 5.0), ("Y", 3, -2, 17.5), ("X", 1, 0, -700.0)])
+    def test_mwp_matches_asdict_oracle(self, capsys, axis, n, m, kappa):
+        code, out, _ = run_cli(capsys, "mwp", "--axis", axis, "--n", str(n),
+                               "--m", str(m), "--kappa", repr(kappa))
+        assert code == 0
+        packet, state = (mwp_x if axis == "X" else mwp_y)(n, m, kappa)
+        verification = verify_packet(packet, state, 1e-9)
+        payload = {
+            "axis": axis, "n": n, "m": m, "kappa": kappa,
+            "predicted": dataclasses.asdict(packet.predicted),
+            "measured": verification.measured,
+            "verification": {"ok": verification.ok, "tol": 1e-9,
+                             "deltas": verification.deltas},
+        }
+        assert out == asdict_json(payload)
+        assert list(json.loads(out)["predicted"]) == [
+            "ex", "ey", "sigma_x2", "sigma_y2", "sigma_lz2", "norm_const"]
+
+
+class TestSharedParser:
+    def test_emit_state_then_report(self, capsys):
+        argv = ["mwp", "--axis", "X", "--n", "2", "--kappa", "3"]
+        code, out, _ = run_cli(capsys, *argv, "--emit-state")
+        assert code == 0 and out.startswith("theta ")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["verification"]["ok"]
+
+    def test_json_flag_not_carried_over(self, capsys, tmp_path):
+        path = write_state(tmp_path, random_state(4, 2))
+        argv = ["scan-beta", path, "--from", "0", "--to", "1", "--step", "0.5"]
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == 0 and len(json.loads(out)) == 3
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == "beta,mean_phi_beta,sigma_phi_beta"
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mwp", "--axis", "Z", "--n", "1", "--kappa", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "mwp", "--axis", "Y", "--n", "1",
+                               "--kappa", "2")
+        assert code == 0
+        assert json.loads(out)["axis"] == "Y"
+
+    def test_main_builds_parser_once(self, capsys):
+        for _ in range(3):
+            assert run_cli(capsys, "examples", "cos-phi")[0] == 0
+        assert build_parser.cache_info().misses == 1
+        assert build_parser() is build_parser()
+
+    def test_import_builds_no_parser(self):
+        # counts ArgumentParser constructions (the parser and each
+        # subparser) at import and over several main calls
+        code = textwrap.dedent("""
+            import argparse, contextlib, io
+            made = []
+            init = argparse.ArgumentParser.__init__
+            def counting(self, *args, **kwargs):
+                made.append(1)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting
+            import qring.cli
+            at_import = len(made)
+            with contextlib.redirect_stdout(io.StringIO()):
+                qring.cli.main(["examples", "cos-phi"])
+                first = len(made)
+                qring.cli.main(["--json", "examples", "cos-2phi"])
+                qring.cli.main(["mwp", "--axis", "X", "--n", "1",
+                                "--kappa", "2"])
+            print(at_import, first, len(made))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        at_import, first, total = map(int, proc.stdout.split())
+        assert at_import == 0
+        assert first > 0
+        assert total == first

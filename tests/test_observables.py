@@ -1,5 +1,6 @@
 """Tests for qring.observables against quadrature and closed-form oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from qring.observables import (
     sigma_xy,
 )
 from qring.state import (
+    Config,
     cos_harmonic_state,
     from_fourier,
     random_state,
@@ -369,6 +371,57 @@ class TestSpectrumCache:
                                    before * np.exp(-1j * k * delta),
                                    atol=1e-14)
         assert expect_xy(r, 1) != pytest.approx(expect_xy(s, 1))
+
+
+def lz_diagonal_sums(state):
+    """Oracle: (<L_z>, sigma_Lz) from the diagonal sums, recomputed on every
+    call; the cached moments use the same arithmetic, so they match bit for
+    bit."""
+    w = np.abs(state.amps) ** 2
+    mu = state.mu
+    m1 = float(np.sum(mu * w))
+    m2 = float(np.sum(mu * mu * w))
+    return state.hbar * m1, state.hbar * math.sqrt(max(m2 - m1 * m1, 0.0))
+
+
+class TestLzMomentsCache:
+    def test_cached_after_first_sigma_lz(self):
+        s = random_state(6, 3)
+        assert "lz_moments" not in s.__dict__
+        sigma_lz(s)
+        assert "lz_moments" in s.__dict__
+        assert s.lz_moments is s.__dict__["lz_moments"]
+
+    @pytest.mark.parametrize("s", [
+        *(random_state(mm, seed) for mm, seed in [(0, 1), (3, 2), (8, 3),
+                                                  (40, 4), (200, 5)]),
+        from_fourier({-4: 0.3 + 0.2j, 1: 1.0, 5: -0.7j}, theta=1.3),
+        from_fourier({0: 1.0, 1: 0.5, 2: 0.25j}, theta=math.pi),
+        sin_half_power_state(5),
+        random_state(12, 6, Config(hbar=0.37)),
+        from_fourier({-2: 1.0, 3: 0.4 - 0.9j}, theta=4.0,
+                     config=Config(hbar=2.5)),
+    ])
+    def test_bit_identical_to_diagonal_sums(self, s):
+        want = lz_diagonal_sums(s)
+        for _ in range(2):  # first call fills the cache, second reads it
+            assert (expect_lz(s), sigma_lz(s)) == want
+
+    @pytest.mark.parametrize("delta", [0.7, -2.9])
+    def test_rotated_state_starts_without_cache(self, delta):
+        s = from_fourier({-3: 0.5, 0: 1.0, 4: 0.2 + 0.6j}, theta=0.8)
+        before = sigma_lz(s)
+        r = s.rotate(delta)
+        assert "lz_moments" not in r.__dict__
+        assert sigma_lz(r) == lz_diagonal_sums(r)[1]
+        assert sigma_lz(r) == pytest.approx(before, rel=1e-14)
+
+    def test_replaced_state_starts_without_cache(self):
+        s = random_state(5, 7)
+        before = sigma_lz(s)
+        r = dataclasses.replace(s, hbar=2.0)
+        assert "lz_moments" not in r.__dict__
+        assert sigma_lz(r) == 2.0 * before
 
 
 class TestDensityIntegral:
