@@ -5,7 +5,6 @@ Names not exported here live in their submodules.
 """
 
 from .errors import (
-    AliasingError,
     DegenerateStateError,
     QringError,
     ResolutionError,
@@ -32,7 +31,6 @@ from .uncertainty import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasingError",
     "CircleState",
     "Config",
     "DegenerateStateError",

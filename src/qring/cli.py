@@ -7,8 +7,14 @@ dependence of the raw angle moments), and ``mwp`` (packet construction).
 
 Machine-readable output (JSON or CSV) goes to stdout, human diagnostics to
 stderr.  Exit codes: 0 all comparisons passed, 1 a comparison failed,
-2 usage/parse error, 3 unusable state (non-normalizable or quasi-periodic
-where periodicity is required).
+2 usage/parse error (an overflowing bound included), 3 unusable state
+(non-normalizable or quasi-periodic where periodicity is required).
+
+``report`` reads its n-series from ``uncertainty.series_columns``, one
+array pass over every n.  Every JSON document goes through
+``_write_json``, which writes exactly the bytes of ``json.dumps(obj,
+indent=2)`` but encodes each innermost container in one call of the
+standard library's C encoder.
 """
 
 import argparse
@@ -25,8 +31,8 @@ from .errors import DegenerateStateError, UnsupportedStateError
 from .mwp import Axis, mwp_x, mwp_y, verify_packet
 from .observables import (
     angle_moments_beta,
-    compute_report,
     expect_xy,
+    mean_angle,
     mean_resultant,
     sigma_lz,
     sigma_total,
@@ -40,13 +46,12 @@ from .state import (
     superposition_state,
 )
 from .uncertainty import (
+    URKind,
     check_fujikawa,
-    check_total_ur,
-    check_ur_x,
-    check_ur_y,
     detect_fold_symmetry,
     is_fully_symmetric,
     recommend_n,
+    series_columns,
 )
 
 USAGE_ERROR = 2
@@ -73,10 +78,65 @@ def _fields(record) -> dict:
             for f in dataclasses.fields(record)}
 
 
+_CONTAINERS = (dict, list, tuple)
+# exact types that are never containers, so a quick check by type suffices
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """Encoder of a container of scalars whose items sit ``depth`` indents
+    deep.  The item separator carries the newline and the indent; with no
+    ``indent`` set, CPython runs its C encoder."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "),
+                            check_circular=False)
+
+
+def _key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a str as itself, an int,
+    float, bool or None as its JSON spelling, quoted."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _encode(obj, depth: int, out: list) -> None:
+    """Append the ``json.dumps(obj, indent=2)`` text of obj, nested
+    ``depth`` indents deep, to out."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        out.append(json.dumps(obj))
+        return
+    is_dict = isinstance(obj, dict)
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    values = obj.values() if is_dict else obj
+    if (_SCALARS.issuperset(map(type, values))
+            or not any(isinstance(v, _CONTAINERS) for v in values)):
+        text = _flat_encoder(depth + 1).encode(obj)
+        out += (text[0], inner, text[1:-1], outer, text[-1])
+        return
+    out.append("{" if is_dict else "[")
+    sep = inner
+    for item in (obj.items() if is_dict else obj):
+        out.append(sep)
+        sep = "," + inner
+        if is_dict:
+            key, item = item
+            out.append(_key(key) + ": ")
+        _encode(item, depth + 1, out)
+    out += (outer, "}" if is_dict else "]")
+
+
 def _write_json(obj) -> None:
-    """Write obj as indented JSON and a newline to stdout in one call
-    (``json.dump`` writes each token separately)."""
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    """Write obj as ``json.dumps(obj, indent=2)`` and a newline would, in
+    one ``sys.stdout.write``."""
+    out = []
+    _encode(obj, 0, out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _check(quantity: str, expected: float, measured: float, tol: float) -> dict:
@@ -270,6 +330,17 @@ def _load_state_file(path: str, cfg: Config):
         return None, USAGE_ERROR
 
 
+def _bound_rows(kind: str, ns: list, bounds) -> list:
+    """The ``report`` rows of one bound family, in ``URReport`` field
+    order, from its columns."""
+    return [{"kind": kind, "n": n, "lhs": lhs, "rhs": rhs, "slack": slack,
+             "holds": holds, "saturated": saturated}
+            for n, lhs, rhs, slack, holds, saturated in zip(
+                ns, bounds.lhs.tolist(), bounds.rhs.tolist(),
+                bounds.slack.tolist(), bounds.holds.tolist(),
+                bounds.saturated.tolist())]
+
+
 def run_report(args, cfg: Config) -> int:
     if not 1 <= args.nmax <= MAX_SCAN_ROWS:
         print(f"error: --nmax must lie in [1, {MAX_SCAN_ROWS}]",
@@ -278,33 +349,40 @@ def run_report(args, cfg: Config) -> int:
     state, status = _load_state_file(args.state_file, cfg)
     if state is None:
         return status
-    observables = []
-    checks = []
-    for n in range(1, args.nmax + 1):
-        observables.append(_fields(compute_report(state, n, cfg)))
-        checks.extend([check_ur_x(state, n, cfg), check_ur_y(state, n, cfg),
-                       check_total_ur(state, n, cfg)])
-    fujikawa = None
+    cols = series_columns(state, args.nmax, cfg)
+    ns = cols.n.tolist()
+    mean_phi, slz = mean_angle(state, cfg), sigma_lz(state)
+    observables = [
+        {"n": n, "ex": ex, "ey": ey, "r_n": r, "mean_phi": mean_phi,
+         "sigma_x": sx, "sigma_y": sy, "sigma_lz": slz, "sigma_tilde": st,
+         "sigma_n": sn}
+        for n, ex, ey, r, sx, sy, st, sn in zip(
+            ns, cols.ex.tolist(), cols.ey.tolist(), cols.r_n.tolist(),
+            cols.sigma_x.tolist(), cols.sigma_y.tolist(),
+            cols.sigma_tilde.tolist(), cols.sigma_n.tolist())
+    ]
+    families = [_bound_rows(kind.value, ns, bounds) for kind, bounds in (
+        (URKind.X_AXIS, cols.x_axis), (URKind.Y_AXIS, cols.y_axis),
+        (URKind.TOTAL, cols.total))]
+    # per n: X, Y, TOTAL, as the scalar checks run
+    checks = [row for rows in zip(*families) for row in rows]
     if state.is_periodic:
         fujikawa = check_fujikawa(state, cfg)
-        checks.append(fujikawa)
+        checks.append({**_fields(fujikawa), "kind": fujikawa.kind.value})
     else:
         print("note: quasi-periodic state, window bound skipped",
               file=sys.stderr)
-    print(f"{'kind':10} {'n':>2} {'lhs':>12} {'rhs':>12} {'slack':>12} holds",
-          file=sys.stderr)
-    for rep in checks:
-        print(f"{rep.kind.value:10} {rep.n:>2} {rep.lhs:>12.6g} "
-              f"{rep.rhs:>12.6g} {rep.slack:>12.6g} {rep.holds}",
-              file=sys.stderr)
+    lines = [f"{'kind':10} {'n':>2} {'lhs':>12} {'rhs':>12} {'slack':>12} "
+             "holds\n"]
+    lines += [f"{c['kind']:10} {c['n']:>2} {c['lhs']:>12.6g} "
+              f"{c['rhs']:>12.6g} {c['slack']:>12.6g} {c['holds']}\n"
+              for c in checks]
+    sys.stderr.write("".join(lines))
     payload = {
         "hbar": cfg.hbar,
         "theta": state.theta,
         "observables": observables,
-        "uncertainty": [
-            {**_fields(rep), "kind": rep.kind.value}
-            for rep in checks
-        ],
+        "uncertainty": checks,
         "fold_symmetry": {
             "n": detect_fold_symmetry(state, args.symmetry_tol, cfg),
             "fully_symmetric": is_fully_symmetric(state, args.symmetry_tol),
@@ -312,7 +390,7 @@ def run_report(args, cfg: Config) -> int:
         "recommended_n": recommend_n(state, args.r_threshold),
     }
     _write_json(payload)
-    return 0 if all(rep.holds for rep in checks) else 1
+    return 0 if all(c["holds"] for c in checks) else 1
 
 
 def _scan_betas(start: float, stop: float, step: float) -> list | None:

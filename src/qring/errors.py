@@ -9,14 +9,6 @@ class DegenerateStateError(QringError, ValueError):
     """Raised when a state would have zero norm (all coefficients zero)."""
 
 
-class AliasingError(QringError, ValueError):
-    """Raised when a sampled function is not resolved by the given grid.
-
-    Triggered when the top decile of representable modes carries more than
-    the configured tolerance of the total spectral weight.
-    """
-
-
 class UnsupportedStateError(QringError, ValueError):
     """Raised when an operation requires a strictly periodic state
     (boundary phase zero) but received a quasi-periodic one."""

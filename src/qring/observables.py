@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedStateError
-from .state import DEFAULT_CONFIG, CircleState, Config, TWO_PI
+from .state import DEFAULT_CONFIG, CircleState, Config
 
 __all__ = [
     "ObservableReport",
@@ -41,7 +41,6 @@ __all__ = [
     "mean_angle",
     "sigma_total",
     "angle_moments_beta",
-    "density_integral",
     "compute_report",
 ]
 
@@ -157,17 +156,6 @@ def angle_moments_beta(state: CircleState, beta):
         return float(m1[0]), float(m2[0]), float(sigma[0])
     shape = betas.shape
     return m1.reshape(shape), m2.reshape(shape), sigma.reshape(shape)
-
-
-def density_integral(state: CircleState, a: float, b: float) -> float:
-    """int_a^b rho(phi) dphi from the exact harmonic antiderivative."""
-    rho = state.harmonics
-    total = (b - a) / TWO_PI  # rho_0 = 1 contribution
-    k = np.arange(1, rho.size)
-    if k.size:
-        terms = rho[1:] * (np.exp(1j * k * b) - np.exp(1j * k * a)) / (1j * k)
-        total += 2.0 * terms.real.sum() / TWO_PI
-    return float(total)
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AliasingError, DegenerateStateError, ResolutionError
+from .errors import DegenerateStateError, ResolutionError
 
 __all__ = [
     "Config",
     "DEFAULT_CONFIG",
     "CircleState",
     "from_fourier",
-    "from_samples",
     "random_state",
     "uniform_state",
     "superposition_state",
@@ -42,8 +41,8 @@ class Config:
     """Numerical policy shared by constructors and observables.
 
     hbar sets the angular momentum scale, trunc_tol the spectral-tail
-    truncation level (coefficients of weight at most trunc_tol^2 of the
-    total are dropped by ``from_samples`` and the packet constructors),
+    truncation level (the packet constructors drop coefficients of weight
+    at most trunc_tol^2 of the total),
     cmp_tol the comparison tolerance for verdicts, and max_mode the hard
     cap on mode indices.
     """
@@ -244,45 +243,6 @@ def from_fourier(coeffs, theta: float = 0.0,
     modes = [m for m, _ in items]
     amps = [a for _, a in items]
     return _build(modes, amps, theta, config)
-
-
-def from_samples(values, theta: float = 0.0,
-                 config: Config = DEFAULT_CONFIG) -> CircleState:
-    """Build a state from equispaced samples of its periodic part.
-
-    ``values[j]`` must hold u(phi_j) = psi(phi_j) exp(-i theta phi_j/2pi)
-    at phi_j = 2 pi j / N (the quasi-periodic factor removed, so u is
-    strictly 2pi-periodic).  Transform coefficients below ``trunc_tol``
-    of the norm are truncated and the rest normalized.
-
-    Raises
-    ------
-    AliasingError
-        If the top decile of representable modes carries more than
-        ``trunc_tol`` of the total weight: the function is not resolved
-        at this N.
-    """
-    u = np.asarray(values, dtype=complex)
-    if u.ndim != 1 or u.size < 4:
-        raise ValueError("need a 1-D array of at least 4 samples")
-    n = u.size
-    spectrum = np.fft.fft(u) * (math.sqrt(TWO_PI) / n)
-    # index k of the FFT bin maps to mode k for k < N/2, k - N otherwise
-    modes = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-    weight = np.abs(spectrum) ** 2
-    total = float(weight.sum())
-    if total <= 0.0:
-        raise DegenerateStateError("all samples are zero")
-    top_band = np.abs(modes) >= 0.45 * n
-    if float(weight[top_band].sum()) > config.trunc_tol * total:
-        raise AliasingError(
-            f"top modes carry {weight[top_band].sum() / total:.3e} of the "
-            f"weight at N={n}; increase the grid"
-        )
-    # drop coefficients below trunc_tol of the norm; the dropped amplitudes
-    # sum to well under the 1e-10 pointwise round-trip budget
-    keep = weight > (config.trunc_tol**2) * total
-    return _build(modes[keep], spectrum[keep], theta, config)
 
 
 def random_state(max_mode: int, seed: int,

@@ -9,12 +9,22 @@ their combination into the total bound sigma_n * sigma_Lz >= hbar/2, and
 the window-anchored bound sigma_phi * sigma_Lz >= (hbar/2)(1 - 2pi rho(pi))
 for strictly periodic states with the window start fixed at -pi.  All four
 are theorems, so ``holds`` is expected true for every valid state; the
-interesting output is the slack and the saturation flag.
+interesting output is the slack and the saturation flag.  A side that
+overflows float64 (a huge hbar) raises ``OverflowError`` rather than
+giving a verdict on infinities; the one infinite side allowed is the
+total bound's left side when sigma_n is infinite.
+
+The scalar checks evaluate one bound at one n.  ``series_columns``
+evaluates the observables and the three per-n bound families for every
+n = 1..nmax at once, as arrays over rho_1..rho_nmax and rho_2..rho_2nmax
+(zero past the mode span), with the same arithmetic as the scalar checks,
+so every value is bit-identical to theirs.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,10 +40,13 @@ from .state import DEFAULT_CONFIG, CircleState, Config
 __all__ = [
     "URKind",
     "URReport",
+    "BoundColumns",
+    "SeriesColumns",
     "check_ur_x",
     "check_ur_y",
     "check_total_ur",
     "check_fujikawa",
+    "series_columns",
     "detect_fold_symmetry",
     "is_fully_symmetric",
     "recommend_n",
@@ -60,8 +73,18 @@ class URReport:
     saturated: bool
 
 
-def _report(kind: URKind, n: int, lhs: float, rhs: float,
-            tol: float) -> URReport:
+def _overflow(kind: URKind, n: int, lhs: float, rhs: float) -> OverflowError:
+    return OverflowError(
+        f"{kind.value} bound at n={n} overflows float64 (lhs={lhs!r}, "
+        f"rhs={rhs!r}); use a smaller hbar")
+
+
+def _report(kind: URKind, n: int, lhs: float, rhs: float, tol: float,
+            infinite_lhs: bool = False) -> URReport:
+    """Verdict of lhs >= rhs.  ``infinite_lhs`` marks a left side that is
+    infinite by definition; any other non-finite side is an overflow."""
+    if not (math.isfinite(rhs) and (infinite_lhs or math.isfinite(lhs))):
+        raise _overflow(kind, n, lhs, rhs)
     slack = lhs - rhs
     return URReport(
         kind=kind,
@@ -103,9 +126,10 @@ def check_total_ur(state: CircleState, n: int,
     spread of an isotropic harmonic is infinite.
     """
     sn = sigma_total(state, n, config)
-    lhs = math.inf if math.isinf(sn) else sn * sigma_lz(state)
+    infinite = math.isinf(sn)
+    lhs = math.inf if infinite else sn * sigma_lz(state)
     rhs = 0.5 * state.hbar
-    return _report(URKind.TOTAL, n, lhs, rhs, config.cmp_tol)
+    return _report(URKind.TOTAL, n, lhs, rhs, config.cmp_tol, infinite)
 
 
 def check_fujikawa(state: CircleState,
@@ -124,6 +148,103 @@ def check_fujikawa(state: CircleState,
     two_pi_rho = rho[0] + 2.0 * float(rho[2::2].sum() - rho[1::2].sum())
     rhs = 0.5 * state.hbar * (1.0 - two_pi_rho)
     return _report(URKind.FUJIKAWA, 1, lhs, rhs, config.cmp_tol)
+
+
+class BoundColumns(NamedTuple):
+    """One bound family over n = 1..nmax: the ``URReport`` fields as
+    arrays."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    holds: np.ndarray
+    saturated: np.ndarray
+
+
+class SeriesColumns(NamedTuple):
+    """The n-dependent report fields for n = 1..nmax, one array each.
+
+    The observables match ``compute_report`` and the bounds ``check_ur_x``,
+    ``check_ur_y`` and ``check_total_ur``, bit for bit.
+    """
+
+    n: np.ndarray
+    ex: np.ndarray
+    ey: np.ndarray
+    r_n: np.ndarray
+    sigma_x: np.ndarray
+    sigma_y: np.ndarray
+    sigma_tilde: np.ndarray
+    sigma_n: np.ndarray
+    x_axis: BoundColumns
+    y_axis: BoundColumns
+    total: BoundColumns
+
+
+def _bound_columns(lhs: np.ndarray, rhs: np.ndarray,
+                   tol: float) -> BoundColumns:
+    slack = lhs - rhs
+    return BoundColumns(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -tol,
+                        saturated=np.isfinite(slack) & (np.abs(slack) <= tol))
+
+
+def series_columns(state: CircleState, nmax: int,
+                   config: Config = DEFAULT_CONFIG) -> SeriesColumns:
+    """Observables and the X_AXIS, Y_AXIS and TOTAL bounds for every
+    n = 1..nmax in one array pass over the cached harmonics.
+
+    Raises ``OverflowError`` for the first bound, in the order n, then
+    X, Y, TOTAL, whose scalar check would raise it.
+    """
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
+    rho = state.harmonics
+    n = np.arange(1, nmax + 1)
+    inside = min(nmax, rho.size - 1)  # n within the mode span
+    rho_n = np.zeros(nmax, dtype=complex)
+    rho_n[:inside] = rho[1 : inside + 1]
+    x2n = np.zeros(nmax)
+    half = min(nmax, (rho.size - 1) // 2)  # n with 2n within the span
+    x2n[:half] = rho[2 : 2 * half + 1 : 2].real
+    ex = rho_n.real
+    ey = -rho_n.imag
+    ey[inside:] = 0.0  # expect_xy gives +0.0 past the span, not -0.0
+    sx = np.sqrt(np.maximum(0.5 * (1.0 + x2n) - ex * ex, 0.0))
+    sy = np.sqrt(np.maximum(0.5 * (1.0 - x2n) - ey * ey, 0.0))
+    # np.abs of a complex array may differ from abs(complex) in the last
+    # bit; hypot does not
+    r = np.hypot(rho_n.real, rho_n.imag)
+    isotropic = r < config.cmp_tol
+    safe_r = np.where(isotropic, 1.0, r)
+    sn = np.sqrt(np.maximum(1.0 - safe_r * safe_r, 0.0)) / (n * safe_r)
+    sn[isotropic] = math.inf
+    slz = sigma_lz(state)
+    hbar = state.hbar
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_lhs = sx * slz
+        x_rhs = 0.5 * n * hbar * np.abs(ey)
+        y_lhs = sy * slz
+        y_rhs = 0.5 * n * hbar * np.abs(ex)
+        t_lhs = np.where(isotropic, math.inf, sn * slz)
+    t_rhs = np.full(nmax, 0.5 * hbar)
+    bad = np.column_stack([
+        ~(np.isfinite(x_lhs) & np.isfinite(x_rhs)),
+        ~(np.isfinite(y_lhs) & np.isfinite(y_rhs)),
+        ~((np.isfinite(t_lhs) | isotropic) & np.isfinite(t_rhs)),
+    ])
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), 3)
+        lhs, rhs = ((x_lhs, x_rhs), (y_lhs, y_rhs), (t_lhs, t_rhs))[j]
+        kind = (URKind.X_AXIS, URKind.Y_AXIS, URKind.TOTAL)[j]
+        raise _overflow(kind, i + 1, float(lhs[i]), float(rhs[i]))
+    tol = config.cmp_tol
+    return SeriesColumns(
+        n=n, ex=ex, ey=ey, r_n=r, sigma_x=sx, sigma_y=sy,
+        sigma_tilde=np.sqrt(sx * sx + sy * sy), sigma_n=sn,
+        x_axis=_bound_columns(x_lhs, x_rhs, tol),
+        y_axis=_bound_columns(y_lhs, y_rhs, tol),
+        total=_bound_columns(t_lhs, t_rhs, tol),
+    )
 
 
 def detect_fold_symmetry(state: CircleState, tol: float = 1e-9,

@@ -293,6 +293,25 @@ class TestReport:
         assert code == 2
         assert out == ""
 
+    def test_large_hbar_exit_0(self, capsys, tmp_path):
+        # every side of every bound is finite at this hbar
+        path = write_state(tmp_path, random_state(6, 11))
+        code, out, _ = run_cli(capsys, "--hbar", "1e306", "report", path,
+                               "--nmax", "8")
+        assert code == 0
+        assert all(c["holds"] for c in json.loads(out)["uncertainty"])
+
+    @pytest.mark.parametrize("hbar", ["1e307", "1e308", "1.7e308"])
+    def test_overflow_exit_2(self, capsys, tmp_path, hbar):
+        # at 1e307 the n = 1 total lhs, 19.5 * 3.5e307, passes 1.8e308;
+        # at 1e308 both sides of ten checks did, and read as NaN slack
+        path = write_state(tmp_path, random_state(6, 11))
+        code, out, err = run_cli(capsys, "--hbar", hbar, "report", path,
+                                 "--nmax", "8")
+        assert code == 2
+        assert out == ""
+        assert "overflows float64" in err
+
 
 class TestScanBeta:
     def test_uniform_mean_is_affine(self, capsys, tmp_path):
@@ -501,6 +520,37 @@ def asdict_report(state, nmax, cfg=Config()):
     }
 
 
+def report_state(span, kind, seed):
+    """A state of mode span ``span``: periodic, quasi-periodic, or on a
+    3-fold mode lattice."""
+    rng = np.random.default_rng(seed)
+    lo = int(rng.integers(-256, 257 - span))
+    step = 3 if kind == "3-fold" else 1
+    modes = range(lo, lo + span + 1, step)
+    coeffs = {m: complex(*rng.standard_normal(2)) for m in modes}
+    return from_fourier(coeffs, theta=2.2 if kind == "quasi-periodic" else 0.0)
+
+
+def stderr_table(state, nmax, cfg=Config()):
+    """Oracle: the report's stderr as the per-line ``print`` calls write it
+    from the scalar checks."""
+    buf = io.StringIO()
+    checks = []
+    for n in range(1, nmax + 1):
+        checks += [check_ur_x(state, n, cfg), check_ur_y(state, n, cfg),
+                   check_total_ur(state, n, cfg)]
+    if state.is_periodic:
+        checks.append(check_fujikawa(state, cfg))
+    else:
+        print("note: quasi-periodic state, window bound skipped", file=buf)
+    print(f"{'kind':10} {'n':>2} {'lhs':>12} {'rhs':>12} {'slack':>12} holds",
+          file=buf)
+    for rep in checks:
+        print(f"{rep.kind.value:10} {rep.n:>2} {rep.lhs:>12.6g} "
+              f"{rep.rhs:>12.6g} {rep.slack:>12.6g} {rep.holds}", file=buf)
+    return buf.getvalue()
+
+
 class TestSerialization:
     OBSERVABLE_KEYS = ["n", "ex", "ey", "r_n", "mean_phi", "sigma_x",
                        "sigma_y", "sigma_lz", "sigma_tilde", "sigma_n"]
@@ -523,6 +573,29 @@ class TestSerialization:
         assert all(list(row) == self.OBSERVABLE_KEYS
                    for row in data["observables"])
         assert all(list(row) == self.UR_KEYS for row in data["uncertainty"])
+
+    @pytest.mark.parametrize("kind", ["periodic", "quasi-periodic", "3-fold"])
+    @pytest.mark.parametrize("span", [16, 32, 64, 128, 256, 512])
+    def test_report_series_matches_oracles(self, capsys, tmp_path, span,
+                                           kind):
+        state = load_state(dump_state(report_state(span, kind, span)))
+        path = write_state(tmp_path, state)
+        for nmax in (1, 8, state.mode_span + 3):
+            code, out, err = run_cli(capsys, "report", path,
+                                     "--nmax", str(nmax))
+            assert code == 0
+            assert out == asdict_json(asdict_report(state, nmax))
+            assert err == stderr_table(state, nmax)
+
+    def test_hbar_scaled_report_matches_oracles(self, capsys, tmp_path):
+        cfg = Config(hbar=2.5)
+        path = write_state(tmp_path, random_state(6, 11))
+        state = load_state(dump_state(random_state(6, 11)), cfg)
+        code, out, err = run_cli(capsys, "--hbar", "2.5", "report", path,
+                                 "--nmax", "15")
+        assert code == 0
+        assert out == asdict_json(asdict_report(state, 15, cfg))
+        assert err == stderr_table(state, 15, cfg)
 
     def test_infinite_spread_spelled_infinity(self, capsys, tmp_path):
         # R_1 = 0 on a 3-fold density, so sigma_1 and the TOTAL lhs are inf
@@ -549,6 +622,76 @@ class TestSerialization:
         assert out == asdict_json(payload)
         assert list(json.loads(out)["predicted"]) == [
             "ex", "ey", "sigma_x2", "sigma_y2", "sigma_lz2", "norm_const"]
+
+
+def reference_write_json(obj):
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+
+
+class TestJsonWriter:
+    """``_write_json`` writes the bytes of ``json.dumps(obj, indent=2)``."""
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), [[]], [{}], {"a": []}, {"a": {}, "b": [[], {}]},
+        [[1, 2], [3, [4, []]], []],
+        ((1, 2.5), ("x",)),
+        {1: "int", 2.5: "float", None: "none", False: "false", -7: [1]},
+        {True: [1, {"x": None}], 1.5: {"y": [2]}, None: [[]]},
+        {math.nan: 1, math.inf: 2, -math.inf: [3], -0.0: 4},
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, 1e16],
+        {"x": [math.nan, {"y": -0.0}], "z": 5e-324},
+        [np.float64(0.1), np.float64(-0.0), np.float64(1e308)],
+        {"v": np.float64(1.5), "w": [np.float64(math.inf)]},
+        [",\n}{\"", {",\n}{\"": ",\n  ]"}, "\u03c6 \u210f \u2603 \U0001f600"],
+        {"\u00e9t\u00e9": ["caf\u00e9", {"\u03c1": "\\\t"}]},
+        "scalar", 3, 2.5, None, True, math.nan,
+        [True, False, None, 0, -1, 2**70],
+    ], ids=repr)
+    def test_equals_indented_dumps(self, capsys, obj):
+        qring.cli._write_json(obj)
+        assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [{(1, 2): 3}, {"a": [1], (1,): [2]},
+                                     [object()], {"a": {"b": object()}}])
+    def test_unserializable_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError):
+            qring.cli._write_json(obj)
+
+    def test_without_c_encoder(self, capsys, monkeypatch):
+        # the pure-Python encoder, as where the _json module is missing
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        obj = {"a": [1.5, {"b": -0.0, 1: "\u03c6"}], "c": [math.inf]}
+        qring.cli._write_json(obj)
+        assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["examples"], ["--json", "examples"],
+        *[["examples", case] for case in qring.cli.CASE_NAMES],
+        ["--hbar", "1.7", "examples", "superposition", "--k", "5"],
+        ["mwp", "--axis", "X", "--n", "2", "--m", "1", "--kappa", "5"],
+        ["mwp", "--axis", "Y", "--n", "3", "--m", "-2", "--kappa", "17.5"],
+        ["--json", "curve", "ratio", "--from", "0", "--to", "3",
+         "--step", "0.25"],
+        ["--json", "curve", "f", "--from", "0", "--to", "2", "--step", "0.5"],
+        ["--json", "curve", "h", "--from", "0", "--to", "2", "--step", "0.5"],
+        ["--json", "curve", "mwp_abs", "--from", "0", "--to", "6",
+         "--step", "0.5", "--n", "3"],
+        ["--json", "scan-beta", "STATE", "--from", "-3", "--to", "3",
+         "--step", "0.5"],
+        ["report", "STATE", "--nmax", "8"],
+        ["report", "QUASI", "--nmax", "20"],
+    ], ids=" ".join)
+    def test_every_document(self, capsys, tmp_path, monkeypatch, argv):
+        quasi = report_state(16, "quasi-periodic", 3)
+        paths = {"STATE": write_state(tmp_path, random_state(6, 11)),
+                 "QUASI": write_state(tmp_path, quasi, "quasi.txt")}
+        argv = [paths.get(a, a) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        monkeypatch.setattr(qring.cli, "_write_json", reference_write_json)
+        assert run_cli(capsys, *argv) == (code, out, err)
+        assert out.startswith(("{", "["))
 
 
 class TestSharedParser:

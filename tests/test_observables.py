@@ -11,7 +11,6 @@ from qring.errors import UnsupportedStateError
 from qring.observables import (
     angle_moments_beta,
     compute_report,
-    density_integral,
     expect_lz,
     expect_xy,
     mean_angle,
@@ -422,20 +421,6 @@ class TestLzMomentsCache:
         r = dataclasses.replace(s, hbar=2.0)
         assert "lz_moments" not in r.__dict__
         assert sigma_lz(r) == 2.0 * before
-
-
-class TestDensityIntegral:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_against_quad(self, seed):
-        s = random_state(6, seed)
-        val = density_integral(s, 0.2, 1.9)
-        ref = quad(s.density, 0.2, 1.9, limit=200)[0]
-        assert val == pytest.approx(ref, abs=1e-10)
-
-    def test_full_period_is_one(self):
-        s = random_state(7, 3)
-        assert density_integral(s, -1.0, -1.0 + TWO_PI) == pytest.approx(
-            1.0, abs=1e-13)
 
 
 class TestReport:

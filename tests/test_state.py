@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from qring.errors import AliasingError, DegenerateStateError, ResolutionError
+from qring.errors import DegenerateStateError, ResolutionError
 from qring.state import (
     Config,
     cos_harmonic_state,
     dump_state,
     from_fourier,
-    from_samples,
     load_state,
     random_state,
     sin_half_power_state,
@@ -97,57 +96,6 @@ class TestFromFourier:
             s.amps[0] = 0.0
         with pytest.raises(ValueError):
             s.rotate(0.3).amps[0] = 0.0
-
-
-class TestFromSamples:
-    def test_pure_eigenmode(self):
-        n = 64
-        phi = TWO_PI * np.arange(n) / n
-        s = from_samples(np.exp(3j * phi) / math.sqrt(TWO_PI))
-        assert list(s.modes) == [3]
-        assert abs(s.amps[0]) == pytest.approx(1.0, abs=1e-14)
-
-    def test_cos_2phi(self):
-        n = 64
-        phi = TWO_PI * np.arange(n) / n
-        s = from_samples(np.cos(2 * phi) / math.sqrt(math.pi) + 0j)
-        assert list(s.modes) == [-2, 2]
-        np.testing.assert_allclose(np.abs(s.amps), 1 / math.sqrt(2), atol=1e-14)
-
-    def test_round_trip_on_grid(self):
-        n = 256
-        phi = TWO_PI * np.arange(n) / n
-        rng = np.random.default_rng(7)
-        coeffs = {int(m): complex(*rng.standard_normal(2)) for m in range(-20, 21)}
-        ref = from_fourier(coeffs)
-        rebuilt = from_samples(ref.evaluate(phi))
-        np.testing.assert_allclose(rebuilt.evaluate(phi), ref.evaluate(phi),
-                                   atol=1e-10)
-
-    def test_quasi_periodic_round_trip(self):
-        # sample the periodic part of an anti-periodic state
-        n = 128
-        phi = TWO_PI * np.arange(n) / n
-        ref = sin_half_power_state(3)
-        u = ref.evaluate(phi) * np.exp(-1j * ref.theta * phi / TWO_PI)
-        rebuilt = from_samples(u, theta=ref.theta)
-        np.testing.assert_allclose(rebuilt.evaluate(phi), ref.evaluate(phi),
-                                   atol=1e-10)
-
-    def test_aliasing_detected(self):
-        # spectrum of exp((alpha/2) sin phi) at alpha=30 spills past N=32
-        n = 32
-        phi = TWO_PI * np.arange(n) / n
-        with pytest.raises(AliasingError):
-            from_samples(np.exp(15.0 * np.sin(phi)) + 0j)
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            from_samples(np.ones(2, dtype=complex))
-
-    def test_all_zero_samples(self):
-        with pytest.raises(DegenerateStateError):
-            from_samples(np.zeros(16, dtype=complex))
 
 
 class TestEvaluateAndDensity:

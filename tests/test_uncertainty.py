@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from qring.errors import UnsupportedStateError
-from qring.observables import mean_resultant, sigma_lz, sigma_total
+from qring.mwp import mwp_y
+from qring.observables import (
+    compute_report,
+    mean_resultant,
+    sigma_lz,
+    sigma_total,
+)
 from qring.state import (
     DEFAULT_CONFIG,
+    Config,
     cos_harmonic_state,
     from_fourier,
     random_state,
@@ -25,6 +32,7 @@ from qring.uncertainty import (
     detect_fold_symmetry,
     is_fully_symmetric,
     recommend_n,
+    series_columns,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -245,3 +253,101 @@ class TestRecommendN:
             recommend_n(uniform_state(), 0.0)
         with pytest.raises(ValueError):
             recommend_n(uniform_state(), 1.0)
+
+
+def same_float(a, b):
+    """a and b are the same float: equal, zero signs included."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _spread_states():
+    states = [random_state(mm, seed) for mm, seed in
+              [(0, 1), (1, 2), (2, 3), (5, 4), (17, 5), (60, 6), (200, 7)]]
+    states += [from_fourier({3: 1j}),
+               from_fourier(random_state(6, 8).coeffs(), theta=2.2),
+               from_fourier(random_state(40, 9).coeffs(), theta=math.pi),
+               # R_1 ~ 1e-11 and R_2 = 0 lie below cmp_tol: sigma_n = inf
+               from_fourier({0: 1.0, 1: 1e-11}),
+               mwp_y(3, 1, 4.0)[1],
+               cos_harmonic_state(2)]
+    return states
+
+
+class TestSeriesColumns:
+    OBSERVABLES = ["ex", "ey", "r_n", "sigma_x", "sigma_y", "sigma_tilde",
+                   "sigma_n"]
+    BOUND_FIELDS = ["lhs", "rhs", "slack", "holds", "saturated"]
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.37, 2.5])
+    @pytest.mark.parametrize("state", _spread_states(),
+                             ids=lambda s: f"span{s.mode_span}-"
+                                           f"theta{s.theta:.3g}")
+    def test_bit_identical_to_scalar_api(self, state, hbar):
+        cfg = Config(hbar=hbar)
+        state = from_fourier(state.coeffs(), state.theta, cfg)
+        nmax = 2 * state.mode_span + 3
+        cols = series_columns(state, nmax, cfg)
+        checks = [(check_ur_x, cols.x_axis), (check_ur_y, cols.y_axis),
+                  (check_total_ur, cols.total)]
+        assert cols.n.tolist() == list(range(1, nmax + 1))
+        for i, n in enumerate(range(1, nmax + 1)):
+            rep = compute_report(state, n, cfg)
+            for name in self.OBSERVABLES:
+                assert same_float(getattr(cols, name)[i].item(),
+                                  getattr(rep, name)), (n, name)
+            for check, bounds in checks:
+                ref = check(state, n, cfg)
+                for name in self.BOUND_FIELDS:
+                    got = getattr(bounds, name)[i].item()
+                    want = getattr(ref, name)
+                    assert type(got) is type(want), (n, name)
+                    assert same_float(got, want), (ref.kind, n, name)
+
+    def test_zero_past_the_span_is_positive(self):
+        # -Im of the zero pad would print as -0.0
+        cols = series_columns(random_state(2, 3), 10)
+        assert all(math.copysign(1.0, v) == 1.0 for v in cols.ey[5:])
+        assert all(math.isinf(v) for v in cols.sigma_n[4:])
+
+    def test_nmax_validation(self):
+        with pytest.raises(ValueError):
+            series_columns(random_state(2, 3), 0)
+
+
+class TestOverflow:
+    # random_state(6, 11) has sigma_Lz / hbar = 3.51 and sigma_1 = 19.5,
+    # so the n = 1 total lhs passes float64's 1.8e308 above hbar ~ 2.6e306
+    STATE = random_state(6, 11)
+
+    @pytest.mark.parametrize("hbar", [1e307, 1e308, 1.7e308])
+    def test_overflowing_side_raises(self, hbar):
+        cfg = Config(hbar=hbar)
+        state = from_fourier(self.STATE.coeffs(), 0.0, cfg)
+        with pytest.raises(OverflowError, match="overflows float64") as exc:
+            for n in range(1, 9):
+                for check in (check_ur_x, check_ur_y, check_total_ur):
+                    check(state, n, cfg)
+        with pytest.raises(OverflowError) as col_exc:
+            series_columns(state, 8, cfg)
+        assert str(col_exc.value) == str(exc.value)
+
+    def test_largest_finite_hbar_holds(self):
+        cfg = Config(hbar=1e306)
+        state = from_fourier(self.STATE.coeffs(), 0.0, cfg)
+        cols = series_columns(state, 8, cfg)
+        for bounds in (cols.x_axis, cols.y_axis, cols.total):
+            assert np.all(np.isfinite(bounds.lhs)) and bounds.holds.all()
+        assert check_fujikawa(state, cfg).holds
+
+    def test_fujikawa_overflow_raises(self):
+        cfg = Config(hbar=1e308)
+        state = from_fourier(self.STATE.coeffs(), 0.0, cfg)
+        with pytest.raises(OverflowError, match="FUJIKAWA"):
+            check_fujikawa(state, cfg)
+
+    def test_infinite_sigma_n_still_allowed(self):
+        # R_1 = 0 on a 3-fold density: the TOTAL lhs is infinite by definition
+        state = mwp_y(3, 1, 4.0)[1]
+        rep = check_total_ur(state, 1)
+        assert math.isinf(rep.lhs) and rep.holds and not rep.saturated
+        assert math.isinf(series_columns(state, 1).total.lhs[0])
