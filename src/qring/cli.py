@@ -14,7 +14,8 @@ stderr.  Exit codes: 0 all comparisons passed, 1 a comparison failed,
 array pass over every n.  Every JSON document goes through
 ``_write_json``, which writes exactly the bytes of ``json.dumps(obj,
 indent=2)`` but encodes each innermost container in one call of the
-standard library's C encoder.
+standard library's C encoder.  ``_write_table`` writes every row table, CSV
+or JSON; each packet curve is one array ``evaluate`` call.
 """
 
 import argparse
@@ -62,10 +63,6 @@ CASE_NAMES = ["superposition", "sin-power", "von-mises", "cos-phi", "cos-2phi"]
 # most rows one scan-beta, curve or mwp --emit-curve run may print, and the
 # largest report --nmax
 MAX_SCAN_ROWS = 100_000
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def _fields(record) -> dict:
@@ -139,11 +136,22 @@ def _write_json(obj) -> None:
     sys.stdout.write("".join(out))
 
 
+def _write_table(names, columns, as_json: bool) -> None:
+    """Write equal-length columns of floats as CSV under a header line, at
+    17 significant digits, or with ``as_json`` as a list of row objects."""
+    rows = zip(*columns)
+    if as_json:
+        return _write_json([dict(zip(names, row)) for row in rows])
+    sys.stdout.write(",".join(names) + "\n")
+    template = ",".join(["%.17g"] * len(names)) + "\n"
+    sys.stdout.writelines(template % row for row in rows)
+
+
 def _check(quantity: str, expected: float, measured: float, tol: float) -> dict:
     if math.isinf(expected) or math.isinf(measured):
         ok = math.isinf(expected) and math.isinf(measured)
     else:
-        ok = abs(measured - expected) <= tol
+        ok = abs(measured - expected) <= tol * max(1.0, abs(expected))
     return {"quantity": quantity, "expected": expected,
             "measured": measured, "pass": bool(ok)}
 
@@ -287,29 +295,20 @@ def _curve_xs(start: float, stop: float, step: float):
     return xs
 
 
-def _curve_rows(args, xs, cfg: Config):
-    if args.name == "mwp_abs":
-        _, state = mwp_x(args.n, args.m, args.alpha, cfg)
-        return "phi,abs_psi", [(float(x), abs(state.evaluate(float(x))))
-                               for x in xs]
-    fn = {"ratio": bessel.ratio, "f": bessel.f_alpha, "h": bessel.h_alpha}
-    return "x,value", [(float(x), fn[args.name](float(x))) for x in xs]
-
-
 def run_curve(args, cfg: Config) -> int:
     xs = _curve_xs(args.start, args.stop, args.step)
     if xs is None:
         print("error: need finite --from <= --to and --step > 0, with at "
               f"most {MAX_SCAN_ROWS} rows", file=sys.stderr)
         return USAGE_ERROR
-    header, rows = _curve_rows(args, xs, cfg)
-    if args.json:
-        cols = header.split(",")
-        _write_json([dict(zip(cols, row)) for row in rows])
+    if args.name == "mwp_abs":
+        _, state = mwp_x(args.n, args.m, args.alpha, cfg)
+        names, values = ("phi", "abs_psi"), np.abs(state.evaluate(xs)).tolist()
     else:
-        print(header)
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+        fn = {"ratio": bessel.ratio, "f": bessel.f_alpha,
+              "h": bessel.h_alpha}[args.name]
+        names, values = ("x", "value"), [fn(x) for x in xs.tolist()]
+    _write_table(names, (xs.tolist(), values), args.json)
     return 0
 
 
@@ -369,15 +368,7 @@ def run_report(args, cfg: Config) -> int:
     if state.is_periodic:
         fujikawa = check_fujikawa(state, cfg)
         checks.append({**_fields(fujikawa), "kind": fujikawa.kind.value})
-    else:
-        print("note: quasi-periodic state, window bound skipped",
-              file=sys.stderr)
-    lines = [f"{'kind':10} {'n':>2} {'lhs':>12} {'rhs':>12} {'slack':>12} "
-             "holds\n"]
-    lines += [f"{c['kind']:10} {c['n']:>2} {c['lhs']:>12.6g} "
-              f"{c['rhs']:>12.6g} {c['slack']:>12.6g} {c['holds']}\n"
-              for c in checks]
-    sys.stderr.write("".join(lines))
+    # built before any output, as it validates the two symmetry flags
     payload = {
         "hbar": cfg.hbar,
         "theta": state.theta,
@@ -389,6 +380,15 @@ def run_report(args, cfg: Config) -> int:
         },
         "recommended_n": recommend_n(state, args.r_threshold),
     }
+    if not state.is_periodic:
+        print("note: quasi-periodic state, window bound skipped",
+              file=sys.stderr)
+    lines = [f"{'kind':10} {'n':>2} {'lhs':>12} {'rhs':>12} {'slack':>12} "
+             "holds\n"]
+    lines += [f"{c['kind']:10} {c['n']:>2} {c['lhs']:>12.6g} "
+              f"{c['rhs']:>12.6g} {c['slack']:>12.6g} {c['holds']}\n"
+              for c in checks]
+    sys.stderr.write("".join(lines))
     _write_json(payload)
     return 0 if all(c["holds"] for c in checks) else 1
 
@@ -422,14 +422,8 @@ def run_scan_beta(args, cfg: Config) -> int:
               f"most {MAX_SCAN_ROWS} rows", file=sys.stderr)
         return USAGE_ERROR
     means, _, sigmas = angle_moments_beta(state, np.array(betas))
-    rows = list(zip(betas, means.tolist(), sigmas.tolist()))
-    if args.json:
-        _write_json([{"beta": b, "mean_phi_beta": m, "sigma_phi_beta": s}
-                     for b, m, s in rows])
-    else:
-        print("beta,mean_phi_beta,sigma_phi_beta")
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+    _write_table(("beta", "mean_phi_beta", "sigma_phi_beta"),
+                 (betas, means.tolist(), sigmas.tolist()), args.json)
     return 0
 
 
@@ -444,10 +438,10 @@ def run_mwp(args, cfg: Config) -> int:
         sys.stdout.write(dump_state(state))
         return 0
     if args.emit_curve:
-        print("phi,abs_psi")
-        for j in range(args.points):
-            phi = 2.0 * math.pi * j / args.points
-            print(f"{_fmt(phi)},{_fmt(abs(state.evaluate(phi)))}")
+        phi = 2.0 * math.pi * np.arange(args.points) / args.points
+        _write_table(("phi", "abs_psi"),
+                     (phi.tolist(), np.abs(state.evaluate(phi)).tolist()),
+                     args.json)
         return 0
     verification = verify_packet(packet, state, cfg.cmp_tol)
     payload = {

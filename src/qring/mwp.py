@@ -83,7 +83,13 @@ def _predictions(axis: Axis, n: int, kappa: float,
     r_over = 0.5 if kappa == 0.0 else r / kappa
     along2 = r_over                   # variance along the packet's own axis
     across2 = 1.0 - r_over - r * r    # variance on the conjugate axis
-    lz2 = kappa * (0.5 * n * hbar) ** 2 * r
+    try:
+        lz2 = kappa * (0.5 * n * hbar) ** 2 * r
+    except OverflowError:             # float ** raises where * gives inf
+        lz2 = math.inf
+    if not math.isfinite(lz2):
+        raise OverflowError(f"sigma_Lz^2 prediction at n={n} overflows "
+                            f"float64 (hbar={hbar!r}); use a smaller hbar")
     # 1/sqrt(2 pi I0(kappa)) from the scaled I0: no overflow at any kappa
     norm = math.exp(-0.5 * abs(kappa)) / math.sqrt(TWO_PI * i0s)
     if axis is Axis.X:

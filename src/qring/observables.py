@@ -20,7 +20,8 @@ c = beta + pi and rho_0 = 1,
 which is the expansion beta^2 + 2pi beta + 4pi^2/3 + (1/pi) Re sum rho_k
 e^{ik beta} [(4pi beta + 4pi^2)/(ik) + 4pi/k^2] regrouped around the window
 centre c, so that sigma_phi^beta = sqrt(u2 - u1^2) has no cancellation
-between large terms when beta is far from the origin.
+between large terms when beta is far from the origin.  The sums run in
+the phase blocks of ``state._phase_blocks``, as ``CircleState.evaluate``.
 """
 
 import math
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedStateError
-from .state import DEFAULT_CONFIG, CircleState, Config
+from .state import DEFAULT_CONFIG, CircleState, Config, _phase_blocks
 
 __all__ = [
     "ObservableReport",
@@ -43,9 +44,6 @@ __all__ = [
     "angle_moments_beta",
     "compute_report",
 ]
-
-# bound on the beta x harmonic phase matrix of one window-moment block
-_WINDOW_BLOCK = 2**20
 
 
 def expect_xy(state: CircleState, n: int) -> tuple[float, float]:
@@ -125,9 +123,9 @@ def angle_moments_beta(state: CircleState, beta):
 
     The moments of phi over the window [beta, beta + 2pi], whose start is
     exactly the integration boundary whose influence they exhibit, from
-    the closed-form harmonic sums in the module docstring.  ``beta`` may
-    be a scalar, giving three floats, or an array, giving three arrays of
-    its shape.  Only strictly periodic states are supported.
+    the closed-form harmonic sums in the module docstring, each of the
+    shape of ``beta`` (an np.float64 for a scalar).  Only strictly
+    periodic states are supported.
     """
     betas = np.asarray(beta, dtype=float)
     if not np.all(np.isfinite(betas)):
@@ -140,22 +138,17 @@ def angle_moments_beta(state: CircleState, beta):
     flat = betas.ravel()
     u1 = np.empty(flat.shape)
     u2 = np.empty(flat.shape)
-    block = max(1, _WINDOW_BLOCK // max(k.size, 1))
-    for start in range(0, flat.size, block):
-        chunk = flat[start : start + block]
-        terms = np.exp(1j * np.outer(chunk, k)) * rho[1:]
+    for part, phases in _phase_blocks(flat, k):
+        terms = phases * rho[1:]
         # Re(t / (ik)) = Im(t) / k
-        u1[start : start + block] = 2.0 * (terms @ (1.0 / k)).imag
-        u2[start : start + block] = 4.0 * (terms @ (1.0 / (k * k))).real
+        u1[part] = 2.0 * (terms @ (1.0 / k)).imag
+        u2[part] = 4.0 * (terms @ (1.0 / (k * k))).real
     u2 += math.pi**2 / 3.0
     c = flat + math.pi
     m1 = c + u1
     m2 = c * c + 2.0 * c * u1 + u2
     sigma = np.sqrt(np.maximum(u2 - u1 * u1, 0.0))
-    if betas.ndim == 0:
-        return float(m1[0]), float(m2[0]), float(sigma[0])
-    shape = betas.shape
-    return m1.reshape(shape), m2.reshape(shape), sigma.reshape(shape)
+    return tuple(a.reshape(betas.shape)[()] for a in (m1, m2, sigma))
 
 
 @dataclass(frozen=True)

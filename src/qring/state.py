@@ -8,7 +8,8 @@ effective angular momenta).  The Fourier representation keeps angular
 momentum moments exact diagonal sums and all trigonometric expectation
 values exact autocorrelations.  Each state computes both once and caches
 them: ``CircleState.lz_moments`` holds the two diagonal sums and
-``CircleState.harmonics`` the density harmonics.
+``CircleState.harmonics`` the density harmonics.  Point values are direct
+sums over the modes, taken in the phase blocks of ``_phase_blocks``.
 """
 
 import math
@@ -34,6 +35,23 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+_PHASE_BLOCK = 2**16  # entries of one phase matrix: 1 MiB of complex128
+
+
+def _phase_blocks(points: np.ndarray, freqs: np.ndarray):
+    """Yield (slice, exp(1j * outer(points[slice], freqs))) over the 1-d
+    points, in blocks of about ``_PHASE_BLOCK`` entries.
+
+    numpy sends a one-row product to BLAS dot and longer ones to gemv,
+    which round differently; so a block has two rows at least (a lone last
+    row joins the one before), and no value depends on the bound.
+    """
+    rows = max(2, _PHASE_BLOCK // max(freqs.size, 1))
+    stops = [*range(rows, points.size - 1, rows), points.size]
+    for start, stop in zip([0, *stops], stops):
+        yield slice(start, stop), np.exp(1j * np.outer(points[start:stop],
+                                                       freqs))
 
 
 @dataclass(frozen=True)
@@ -142,29 +160,17 @@ class CircleState:
         return {int(m): complex(a) for m, a in zip(self.modes, self.amps)}
 
     def evaluate(self, phi):
-        """psi(phi) for scalar or array phi."""
-        phi_arr = np.asarray(phi, dtype=float)
-        scalar = phi_arr.ndim == 0
-        flat = np.atleast_1d(phi_arr).ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        mu = self.mu
-        # blockwise to bound the phi x mode phase matrix
-        block = max(1, 2**22 // max(len(mu), 1))
-        for start in range(0, len(flat), block):
-            chunk = flat[start : start + block]
-            phases = np.exp(1j * np.outer(chunk, mu))
-            out[start : start + block] = phases @ self.amps
+        """psi(phi) in the shape of phi; a scalar gives an np.complex128."""
+        phi = np.asarray(phi, dtype=float)
+        out = np.empty(phi.size, dtype=complex)
+        for part, phases in _phase_blocks(phi.ravel(), self.mu):
+            out[part] = phases @ self.amps
         out /= math.sqrt(TWO_PI)
-        if scalar:
-            return complex(out[0])
-        return out.reshape(phi_arr.shape)
+        return out.reshape(phi.shape)[()]
 
     def density(self, phi):
         """|psi(phi)|^2; 2pi-periodic for every boundary phase."""
-        val = self.evaluate(phi)
-        if isinstance(val, complex):
-            return abs(val) ** 2
-        return np.abs(val) ** 2
+        return np.abs(self.evaluate(phi)) ** 2
 
     def rotate(self, delta: float) -> "CircleState":
         """State with psi'(phi) = psi(phi - delta); norm preserved."""

@@ -17,6 +17,7 @@ from qring.mwp import mwp_x, mwp_y, verify_packet
 from qring.observables import angle_moments_beta, compute_report
 from qring.state import (
     Config,
+    cos_harmonic_state,
     dump_state,
     from_fourier,
     load_state,
@@ -108,6 +109,21 @@ class TestExamples:
                   for c in json.loads(out)["cases"][0]["checks"]}
         assert checks["sigma_lz"]["expected"] == pytest.approx(2.0)
         assert checks["sigma_lz"]["measured"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("hbar", ["3e5", "1e100"])
+    def test_large_hbar_passes(self, capsys, hbar):
+        # quantities that scale with hbar carry a relative rounding error
+        code, out, err = run_cli(capsys, "--hbar", hbar, "examples")
+        assert code == 0
+        assert json.loads(out)["all_pass"]
+        assert "[FAIL]" not in err
+
+    def test_overflowing_prediction_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "--hbar", "1e307", "examples")
+        assert code == 2
+        assert out == ""
+        assert err.endswith("use a smaller hbar\n")
+        assert "sigma_Lz^2 prediction" in err
 
 
 class TestCurve:
@@ -293,6 +309,40 @@ class TestReport:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("flag,value,key,default,changed", [
+        ("--r-threshold", "0.6", "recommended_n", 4, None),
+        ("--symmetry-tol", "1e-3", "fold_symmetry", 1, 3),
+    ])
+    def test_symmetry_flags_reach_the_report(self, capsys, tmp_path, flag,
+                                             value, key, default, changed):
+        # cos(2 phi) has R_4 = 1/2 and no other harmonic; the second state
+        # is 3-fold up to an off-lattice harmonic of about 1e-6
+        states = {"recommended_n": cos_harmonic_state(2),
+                  "fold_symmetry": from_fourier({0: 1.0, 3: 0.5, 1: 1e-6})}
+        path = write_state(tmp_path, states[key])
+
+        def read(*extra):
+            code, out, _ = run_cli(capsys, "report", path, *extra)
+            assert code == 0
+            got = json.loads(out)[key]
+            return got["n"] if key == "fold_symmetry" else got
+
+        assert read() == default
+        assert read(flag, value) == changed
+
+    @pytest.mark.parametrize("quasi", [False, True])
+    @pytest.mark.parametrize("value", ["0", "nan", "-1"])
+    @pytest.mark.parametrize("flag", ["--r-threshold", "--symmetry-tol"])
+    def test_bad_symmetry_flag_prints_only_the_error(self, capsys, tmp_path,
+                                                     flag, value, quasi):
+        # a quasi-periodic state adds a note to stderr, after validation
+        state = sin_half_power_state(3) if quasi else random_state(6, 11)
+        path = write_state(tmp_path, state)
+        code, out, err = run_cli(capsys, "report", path, f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_large_hbar_exit_0(self, capsys, tmp_path):
         # every side of every bound is finite at this hbar
         path = write_state(tmp_path, random_state(6, 11))
@@ -429,6 +479,30 @@ class TestMwp:
         assert lines[0] == "phi,abs_psi"
         assert len(lines) == 101
 
+    def test_emit_curve_json(self, capsys):
+        argv = ["mwp", "--axis", "Y", "--n", "2", "--kappa", "3",
+                "--emit-curve", "--points", "9"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        csv_rows = [[float(v) for v in line.split(",")]
+                    for line in out.splitlines()[1:]]
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == 0
+        assert json.loads(out) == [{"phi": phi, "abs_psi": value}
+                                   for phi, value in csv_rows]
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("hbar,n,kappa", [("1e308", "2", "5"),
+                                              ("1e154", "1", "5000")])
+    def test_overflowing_prediction_exit_2(self, capsys, hbar, n, kappa):
+        # (n hbar/2)^2 overflows at 1e308; kappa r (n hbar/2)^2 at 1e154
+        code, out, err = run_cli(capsys, "--hbar", hbar, "mwp", "--axis", "X",
+                                 "--n", n, "--kappa", kappa)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sigma_Lz^2 prediction")
+        assert err.endswith("use a smaller hbar\n")
+
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_points_below_one_exit_2(self, capsys, points):
         code, out, err = run_cli(capsys, "mwp", "--axis", "X", "--n", "1",
@@ -478,6 +552,65 @@ class TestMwp:
                                "--kappa", "1e7")
         assert code == 2
         assert "error" in err
+
+
+def mp_abs_psi(state, phis):
+    """|psi(phi)| of the state's own coefficients by a direct sum in 40-digit
+    arithmetic, e^{i mu phi} stepped from mode to mode."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mu0 = int(state.modes[0]) + mpmath.mpf(state.theta) / (2 * mpmath.pi)
+        gaps = np.diff(state.modes).tolist()
+        amps = [mpmath.mpc(complex(a)) for a in state.amps]
+        scale = 1 / mpmath.sqrt(2 * mpmath.pi)
+        values = []
+        for phi in phis:
+            x = mpmath.mpf(phi)
+            step = mpmath.expj(x)
+            phase = mpmath.expj(mu0 * x)
+            total = amps[0] * phase
+            for a, gap in zip(amps[1:], gaps):
+                phase *= step**gap
+                total += a * phase
+            values.append(float(abs(total) * scale))
+    return np.array(values)
+
+
+def assert_curve_matches_oracle(out, state):
+    """Every abs_psi of the CSV curve within 1e-14 of max |psi| of the 40-digit
+    oracle at its phi.  For a packet max |psi| = sum |c_m| / sqrt(2 pi): at
+    the peak every Jacobi-Anger term has the same phase."""
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in out.splitlines()[1:]])
+    exact = mp_abs_psi(state, rows[:, 0].tolist())
+    peak = np.sum(np.abs(state.amps)) / math.sqrt(2.0 * math.pi)
+    assert np.max(exact) <= peak * (1 + 1e-14)
+    assert np.max(np.abs(rows[:, 1] - exact)) <= 1e-14 * peak
+
+
+class TestPacketCurves:
+    @pytest.mark.parametrize("axis,n,kappa", [
+        ("X", 1, 5000.0), ("Y", 1, 5000.0), ("X", 2, 5.0), ("Y", 2, -900.0),
+        ("X", 8, 40.0), ("Y", 8, 150.0)])
+    def test_emit_curve_against_mpmath(self, capsys, axis, n, kappa):
+        code, out, _ = run_cli(capsys, "mwp", "--axis", axis, "--n", str(n),
+                               "--kappa", str(kappa), "--emit-curve",
+                               "--points", "41")
+        assert code == 0
+        builder = mwp_x if axis == "X" else mwp_y
+        assert_curve_matches_oracle(out, builder(n, 0, kappa)[1])
+
+    @pytest.mark.parametrize("n,m,alpha,start,stop,step", [
+        (1, 0, 5000.0, -1.0, 8.0, 0.25), (2, 1, 5.0, -30.0, 30.0, 1.5),
+        (8, -3, 40.0, 0.0, 6.3, 0.15)])
+    def test_curve_mwp_abs_against_mpmath(self, capsys, n, m, alpha, start,
+                                          stop, step):
+        code, out, _ = run_cli(capsys, "curve", "mwp_abs", "--n", str(n),
+                               "--m", str(m), "--alpha", str(alpha),
+                               "--from", str(start), "--to", str(stop),
+                               "--step", str(step))
+        assert code == 0
+        assert_curve_matches_oracle(out, mwp_x(n, m, alpha)[1])
 
 
 class TestEntryPoint:

@@ -163,6 +163,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             mwp_y(1, 0, math.inf)
 
+    @pytest.mark.parametrize("build", [mwp_x, mwp_y])
+    @pytest.mark.parametrize("hbar,n,kappa", [
+        (1e308, 2, 5.0),      # (n hbar/2)^2 raises
+        (1e154, 1, 5000.0),   # kappa r (n hbar/2)^2 rounds to inf
+        (1e154, 1, -5000.0)])
+    def test_overflowing_lz_prediction_is_named(self, build, hbar, n, kappa):
+        with pytest.raises(OverflowError,
+                           match=r"sigma_Lz\^2 prediction.*smaller hbar"):
+            build(n, 0, kappa, Config(hbar=hbar))
+
+    def test_large_finite_lz_prediction(self):
+        packet, _ = mwp_x(1, 0, 5000.0, Config(hbar=1e150))
+        assert math.isfinite(packet.predicted.sigma_lz2)
+
 
 class TestVerifyPacket:
     @pytest.mark.parametrize("n,m,kappa", [(1, 0, 2.0), (1, 0, 0.0),

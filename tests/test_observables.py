@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import qring.state
 from qring.errors import UnsupportedStateError
 from qring.observables import (
     angle_moments_beta,
@@ -224,6 +225,19 @@ class TestAngleMomentsBeta:
     def test_quasi_periodic_rejected(self):
         with pytest.raises(UnsupportedStateError):
             angle_moments_beta(sin_half_power_state(1), 0.0)
+
+    @pytest.mark.parametrize("state", [random_state(1, 5),
+                                       random_state(20, 1)],
+                             ids=["span 2", "span 40"])
+    def test_block_size_invariance(self, state, monkeypatch):
+        # an odd count leaves a lone last row at the two-row bounds
+        betas = np.linspace(-30.0, 30.0, 5001)
+        results = []
+        for bound in (1, 7, 2**16):
+            monkeypatch.setattr(qring.state, "_PHASE_BLOCK", bound)
+            results.append(b"".join(
+                a.tobytes() for a in angle_moments_beta(state, betas)))
+        assert results[0] == results[1] == results[2]
 
 
 def simpson_window_moments(state, beta, intervals=2**16):

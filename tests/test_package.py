@@ -2,11 +2,13 @@
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import qring
+from qring.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["qring", "qring.bessel", "qring.state", "qring.observables",
@@ -37,3 +39,23 @@ def test_readme_sketch_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_cli_commands_exit_0(capsys, tmp_path, monkeypatch):
+    # each `qring ...` line of the README's shell blocks, in order, in
+    # process; `> file` redirects stdout to that file under tmp_path
+    monkeypatch.chdir(tmp_path)
+    text = (ROOT / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text,
+                                          flags=re.DOTALL)
+             for line in block.splitlines() if line.startswith("qring ")]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        target = None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[argv.index(">") + 1]
+        assert main(argv) == 0, line
+        out = capsys.readouterr().out
+        if target:
+            Path(target).write_text(out)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import qring.state
 from qring.errors import DegenerateStateError, ResolutionError
+from qring.mwp import mwp_x
 from qring.state import (
     Config,
     cos_harmonic_state,
@@ -125,6 +127,39 @@ class TestEvaluateAndDensity:
     def test_cos_phi_density_at_zero(self):
         s = cos_harmonic_state(1)
         assert s.density(0.0) == pytest.approx(1 / math.pi, rel=1e-13)
+
+    def test_shape_preserved(self):
+        s = random_state(3, 2)
+        assert s.evaluate(np.zeros((3, 4))).shape == (3, 4)
+        assert s.evaluate(np.zeros((2, 0))).shape == (2, 0)
+        assert s.density(np.zeros((5, 1))).shape == (5, 1)
+        assert isinstance(s.evaluate(np.float64(0.3)), complex)
+        assert isinstance(s.evaluate(np.array(0.3)), complex)
+        assert isinstance(s.density(0.3), float)
+
+    @pytest.mark.parametrize("state", [
+        random_state(8, 3), sin_half_power_state(3), mwp_x(1, 0, 5000.0)[1]],
+        ids=["random", "anti-periodic", "kappa-5000"])
+    def test_scalar_is_one_row_sum(self, state):
+        # a scalar phi gives a complex with the bits of the one-row sum
+        for phi in np.linspace(-20.0, 20.0, 301).tolist():
+            value = state.evaluate(phi)
+            row = np.exp(1j * np.outer([phi], state.mu)) @ state.amps
+            row /= math.sqrt(TWO_PI)
+            assert isinstance(value, complex)
+            assert value == complex(row[0])
+
+    @pytest.mark.parametrize("state", [random_state(1, 5),
+                                       mwp_x(2, 1, 5.0)[1]],
+                             ids=["3 modes", "packet"])
+    def test_block_size_invariance(self, state, monkeypatch):
+        # an odd count leaves a lone last row at the two-row bounds
+        phi = np.linspace(-40.0, 40.0, 100_001)
+        results = []
+        for bound in (1, 7, 2**16):
+            monkeypatch.setattr(qring.state, "_PHASE_BLOCK", bound)
+            results.append(state.evaluate(phi).tobytes())
+        assert results[0] == results[1] == results[2]
 
 
 class TestRotate:
