@@ -393,18 +393,22 @@ def run_report(args, cfg: Config) -> int:
     return 0 if all(c["holds"] for c in checks) else 1
 
 
-def _scan_betas(start: float, stop: float, step: float) -> list | None:
-    """Window starts start, start + step, ... up to stop, or None when a
-    bound is not finite, step is not positive, or the scan would exceed
-    MAX_SCAN_ROWS rows."""
+def _scan_betas(start: float, stop: float, step: float) -> np.ndarray | None:
+    """Window starts start + k*step, k = 0, 1, ..., up to stop (within
+    1e-12 step), or None when a bound is not finite, step is not
+    positive, the scan would exceed MAX_SCAN_ROWS rows, or a step is lost
+    to rounding."""
     if not _range_fits(start, stop, step):
         return None
-    betas = [start]
-    while betas[-1] + step <= stop + 1e-12 * step:
-        # a step lost to rounding at large |beta| never reaches stop
-        if len(betas) == MAX_SCAN_ROWS:
-            return None
-        betas.append(betas[-1] + step)
+    # one candidate past the last k, as (stop - start) / step may round
+    # either way
+    k = np.arange(max(math.floor((stop - start) / step), 0) + 2)
+    betas = start + k * step
+    rows = max(1, np.count_nonzero(betas <= stop + 1e-12 * step))
+    betas = betas[:rows]
+    # a step lost to rounding at large |beta| repeats a window start
+    if rows > MAX_SCAN_ROWS or np.any(np.diff(betas) <= 0):
+        return None
     return betas
 
 
@@ -421,9 +425,9 @@ def run_scan_beta(args, cfg: Config) -> int:
         print("error: need finite --from, --to and --step > 0, with at "
               f"most {MAX_SCAN_ROWS} rows", file=sys.stderr)
         return USAGE_ERROR
-    means, _, sigmas = angle_moments_beta(state, np.array(betas))
+    means, _, sigmas = angle_moments_beta(state, betas)
     _write_table(("beta", "mean_phi_beta", "sigma_phi_beta"),
-                 (betas, means.tolist(), sigmas.tolist()), args.json)
+                 (betas.tolist(), means.tolist(), sigmas.tolist()), args.json)
     return 0
 
 

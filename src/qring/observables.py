@@ -20,8 +20,10 @@ c = beta + pi and rho_0 = 1,
 which is the expansion beta^2 + 2pi beta + 4pi^2/3 + (1/pi) Re sum rho_k
 e^{ik beta} [(4pi beta + 4pi^2)/(ik) + 4pi/k^2] regrouped around the window
 centre c, so that sigma_phi^beta = sqrt(u2 - u1^2) has no cancellation
-between large terms when beta is far from the origin.  The sums run in
-the phase blocks of ``state._phase_blocks``, as ``CircleState.evaluate``.
+between large terms when beta is far from the origin.  The sums run
+through the phase tables of ``state._phase_sums``, as
+``CircleState.evaluate``: e^{ik beta} is e^{i beta} multiplied up k times,
+one exp per window start.
 """
 
 import math
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedStateError
-from .state import DEFAULT_CONFIG, CircleState, Config, _phase_blocks
+from .state import DEFAULT_CONFIG, CircleState, Config, _phase_sums
 
 __all__ = [
     "ObservableReport",
@@ -44,6 +46,8 @@ __all__ = [
     "angle_moments_beta",
     "compute_report",
 ]
+
+_HARMONIC_STEPS = np.array([1j])  # harmonics 1, 2, 3, ...: steps of 1
 
 
 def expect_xy(state: CircleState, n: int) -> tuple[float, float]:
@@ -134,15 +138,14 @@ def angle_moments_beta(state: CircleState, beta):
         raise UnsupportedStateError(
             "window angle moments need a strictly periodic state")
     rho = state.harmonics
-    k = np.arange(1, rho.size, dtype=float)
     flat = betas.ravel()
-    u1 = np.empty(flat.shape)
-    u2 = np.empty(flat.shape)
-    for part, phases in _phase_blocks(flat, k):
-        terms = phases * rho[1:]
-        # Re(t / (ik)) = Im(t) / k
-        u1[part] = 2.0 * (terms @ (1.0 / k)).imag
-        u2[part] = 4.0 * (terms @ (1.0 / (k * k))).real
+    k = np.arange(1, rho.size, dtype=float)
+    w1 = rho[1:] / k
+    s1, s2 = _phase_sums(flat, _HARMONIC_STEPS,
+                         np.zeros(k.size, dtype=np.intp), (w1, w1 / k))
+    # Re(s / i) = Im(s)
+    u1 = 2.0 * s1.imag
+    u2 = 4.0 * s2.real
     u2 += math.pi**2 / 3.0
     c = flat + math.pi
     m1 = c + u1

@@ -9,7 +9,11 @@ momentum moments exact diagonal sums and all trigonometric expectation
 values exact autocorrelations.  Each state computes both once and caches
 them: ``CircleState.lz_moments`` holds the two diagonal sums and
 ``CircleState.harmonics`` the density harmonics.  Point values are direct
-sums over the modes, taken in the phase blocks of ``_phase_blocks``.
+sums over the modes through the phase tables of ``_phase_sums``: each row
+of a table is a running product, exp(i mu_0 phi) times exp(i g phi) for
+each gap g between neighbouring modes, so a point costs one exp per
+distinct gap rather than one per mode, and a sparse mode set builds one
+column per mode, never the lattice between its modes.
 """
 
 import math
@@ -36,22 +40,46 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-_PHASE_BLOCK = 2**16  # entries of one phase matrix: 1 MiB of complex128
+_PHASE_BLOCK = 2**16  # entries of one phase table: 1 MiB of complex128
 
 
-def _phase_blocks(points: np.ndarray, freqs: np.ndarray):
-    """Yield (slice, exp(1j * outer(points[slice], freqs))) over the 1-d
-    points, in blocks of about ``_PHASE_BLOCK`` entries.
+def _phase_table(x: np.ndarray, ifreqs: np.ndarray,
+                 columns: np.ndarray) -> np.ndarray:
+    """The table exp(1j * outer(x, f)) of the points x (rows) and the
+    frequencies f (columns), as running products along each row.
+
+    ``ifreqs`` holds 1j times f_0 and each distinct step f_j - f_{j-1};
+    with e = exp(outer(x, ifreqs)), column j is the product
+    e[:, columns[0]] * ... * e[:, columns[j]].  That is one exp per point
+    and entry of ifreqs, not one per entry of the table.  A product of j
+    rounded factors is off by about j ulp; a direct exp of the rounded
+    argument f_j x is off by about |f_j x| ulp.
+    """
+    # take, not [:, columns], which would lay the table out in F order
+    table = np.exp(x[:, None] * ifreqs).take(columns, axis=1)
+    return np.multiply.accumulate(table, axis=1, out=table)
+
+
+def _phase_sums(points: np.ndarray, ifreqs: np.ndarray, columns: np.ndarray,
+                weights) -> list:
+    """The sums sum_j w[j] exp(1j * points * f_j), one array per weight
+    vector w, for the 1-d points and the frequencies f of
+    ``_phase_table``, in tables of about ``_PHASE_BLOCK`` entries.
 
     numpy sends a one-row product to BLAS dot and longer ones to gemv,
-    which round differently; so a block has two rows at least (a lone last
-    row joins the one before), and no value depends on the bound.
+    which round differently; so a table has two rows at least (a lone
+    last row joins the one before, a single point is summed twice), and
+    no value depends on the bound or on the other points.
     """
-    rows = max(2, _PHASE_BLOCK // max(freqs.size, 1))
-    stops = [*range(rows, points.size - 1, rows), points.size]
+    x = points.repeat(2) if points.size == 1 else points
+    out = [np.empty(x.size, dtype=complex) for _ in weights]
+    rows = max(2, _PHASE_BLOCK // max(columns.size, 1))
+    stops = [*range(rows, x.size - 1, rows), x.size]
     for start, stop in zip([0, *stops], stops):
-        yield slice(start, stop), np.exp(1j * np.outer(points[start:stop],
-                                                       freqs))
+        table = _phase_table(x[start:stop], ifreqs, columns)
+        for sums, w in zip(out, weights):
+            sums[start:stop] = table @ w
+    return [sums[:points.size] for sums in out]
 
 
 @dataclass(frozen=True)
@@ -156,15 +184,23 @@ class CircleState:
         mu = self.mu
         return float(np.sum(mu * w)), float(np.sum(mu * mu * w))
 
+    @cached_property
+    def _phase_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ifreqs, columns) of ``_phase_table`` for the exponents mu:
+        1j * (mu_0, then the distinct gaps between neighbouring modes),
+        and the index of mu_0 and of each gap in it.  Computed once per
+        state, so a point evaluation pays no sort."""
+        gaps, index = np.unique(np.diff(self.modes), return_inverse=True)
+        ifreqs = 1j * np.concatenate(([self.mu[0]], gaps))
+        return ifreqs, np.concatenate(([0], 1 + index))
+
     def coeffs(self) -> dict:
         return {int(m): complex(a) for m, a in zip(self.modes, self.amps)}
 
     def evaluate(self, phi):
         """psi(phi) in the shape of phi; a scalar gives an np.complex128."""
         phi = np.asarray(phi, dtype=float)
-        out = np.empty(phi.size, dtype=complex)
-        for part, phases in _phase_blocks(phi.ravel(), self.mu):
-            out[part] = phases @ self.amps
+        (out,) = _phase_sums(phi.ravel(), *self._phase_steps, (self.amps,))
         out /= math.sqrt(TWO_PI)
         return out.reshape(phi.shape)[()]
 
@@ -236,18 +272,19 @@ def from_fourier(coeffs, theta: float = 0.0,
     ----------
     coeffs : dict or iterable of (mode, amplitude)
         At least one amplitude must be nonzero; the result is normalized
-        to unit total weight.
+        to unit total weight.  A mode listed twice raises ValueError.
     theta : float
         Boundary phase, reduced mod 2pi.
     """
-    if isinstance(coeffs, dict):
-        items = sorted(coeffs.items())
-    else:
-        items = sorted(coeffs)
+    pairs = coeffs.items() if isinstance(coeffs, dict) else coeffs
+    items = sorted(pairs, key=lambda item: item[0])
     if not items:
         raise DegenerateStateError("empty coefficient map")
     modes = [m for m, _ in items]
     amps = [a for _, a in items]
+    for m, following in zip(modes, modes[1:]):
+        if m == following:
+            raise ValueError(f"duplicate mode {m}")
     return _build(modes, amps, theta, config)
 
 

@@ -443,6 +443,18 @@ class TestScanBeta:
         assert code == 0
         assert len(out.splitlines()) == MAX_SCAN_ROWS + 1
 
+    def test_window_starts_do_not_drift(self, capsys, tmp_path):
+        # start + k*step: no rounding builds up, so beta = 0 and the end
+        # point come out exactly
+        path = write_state(tmp_path, random_state(20, 1))
+        code, out, _ = run_cli(capsys, "scan-beta", path, "--from", "-27",
+                               "--to", "27", "--step", "0.1")
+        assert code == 0
+        betas = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert len(betas) == 541
+        assert betas[270] == 0.0
+        assert betas[-1] == 27.0
+
     def test_step_lost_to_rounding_exit_2(self, capsys, tmp_path):
         # beta + step == beta at 1e20, so the scan would never advance
         path = write_state(tmp_path, uniform_state())

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import qring.state
 from qring.errors import UnsupportedStateError
+from qring.mwp import mwp_x
 from qring.observables import (
     angle_moments_beta,
     compute_report,
@@ -31,6 +32,7 @@ from qring.state import (
 )
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
 
 
 def lz_moments_quadrature(state, nodes=8192):
@@ -238,6 +240,48 @@ class TestAngleMomentsBeta:
             results.append(b"".join(
                 a.tobytes() for a in angle_moments_beta(state, betas)))
         assert results[0] == results[1] == results[2]
+
+
+def mp_window_moments(state, betas):
+    """(<phi>_beta, sigma_phi^beta, u1) from the state's own harmonics by
+    the closed-form sums of the module docstring in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    means, sigmas, u1s = [], [], []
+    with mpmath.workdps(40):
+        rho = [mpmath.mpc(complex(r)) for r in state.harmonics]
+        for beta in betas:
+            b = mpmath.mpf(beta)
+            terms = [(rho[k] * mpmath.expj(k * b), k)
+                     for k in range(1, len(rho))]
+            u1 = 2 * mpmath.fsum(t / k for t, k in terms).imag
+            u2 = (mpmath.pi**2 / 3
+                  + 4 * mpmath.fsum(t / k**2 for t, k in terms).real)
+            means.append(float(b + mpmath.pi + u1))
+            sigmas.append(float(mpmath.sqrt(u2 - u1 * u1)))
+            u1s.append(float(u1))
+    return np.array(means), np.array(sigmas), np.array(u1s)
+
+
+class TestFarWindowStarts:
+    @pytest.mark.parametrize("state", [
+        random_state(512, 1), random_state(512, 2), mwp_x(1, 0, 5000.0)[1]],
+        ids=["random-1", "random-2", "kappa-5000"])
+    def test_against_mpmath(self, state):
+        betas = np.array([-1000.0, -987.654321, -333.3, -40.0, -1.0, 0.3,
+                          2.5, 77.7, 512.25, 999.9])
+        means, sigmas, u1 = mp_window_moments(state, betas)
+        m1, _, sigma = angle_moments_beta(state, betas)
+        # a running product of k rounded phase steps is off by about k
+        # ulp, so each harmonic sum stays within one ulp per harmonic of
+        # its sum of |terms|; the mean adds the rounding of beta + pi
+        rho = np.abs(state.harmonics[1:])
+        k = np.arange(1, rho.size + 1)
+        d1 = 2.0 * rho.size * EPS * np.sum(rho / k)
+        d2 = 4.0 * rho.size * EPS * np.sum(rho / (k * k))
+        assert np.all(np.abs(m1 - means) <= d1 + EPS * np.abs(means))
+        # sigma^2 = u2 - u1^2
+        tol = (d2 + 2.0 * np.abs(u1) * d1) / (2.0 * sigmas) + EPS * sigmas
+        assert np.all(np.abs(sigma - sigmas) <= tol)
 
 
 def simpson_window_moments(state, beta, intervals=2**16):

@@ -21,6 +21,11 @@ from qring.state import (
 )
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
+# phases far from the origin, where a direct exp of the rounded argument
+# mu phi is off by up to 5e5 ulp at |mu| = 512
+FAR_PHIS = [-1000.0, -987.654321, -333.3, -40.0, -1.0, 0.3, 2.5, 77.7,
+            512.25, 999.9]
 
 
 def norm2(state):
@@ -92,6 +97,13 @@ class TestFromFourier:
         with pytest.raises(ValueError, match="integer"):
             from_fourier({0.5: 1.0})
 
+    def test_repeated_mode_rejected(self):
+        # the pairs would otherwise build a state of weight 2/3 on mode 1
+        with pytest.raises(ValueError, match="duplicate mode 1"):
+            from_fourier([(1, 1), (1, 1), (2, 1)])
+        with pytest.raises(ValueError, match="duplicate mode -3"):
+            from_fourier([(-3, 1j), (0, 1.0), (-3, 2j)])
+
     def test_amplitudes_immutable(self):
         s = from_fourier({0: 1.0, 2: 1.0j})
         with pytest.raises(ValueError):
@@ -141,13 +153,12 @@ class TestEvaluateAndDensity:
         random_state(8, 3), sin_half_power_state(3), mwp_x(1, 0, 5000.0)[1]],
         ids=["random", "anti-periodic", "kappa-5000"])
     def test_scalar_is_one_row_sum(self, state):
-        # a scalar phi gives a complex with the bits of the one-row sum
+        # a scalar phi gives a complex with the bits of its own row in a
+        # two-point array call
         for phi in np.linspace(-20.0, 20.0, 301).tolist():
             value = state.evaluate(phi)
-            row = np.exp(1j * np.outer([phi], state.mu)) @ state.amps
-            row /= math.sqrt(TWO_PI)
             assert isinstance(value, complex)
-            assert value == complex(row[0])
+            assert value == state.evaluate(np.array([phi, 1.0]))[0]
 
     @pytest.mark.parametrize("state", [random_state(1, 5),
                                        mwp_x(2, 1, 5.0)[1]],
@@ -160,6 +171,56 @@ class TestEvaluateAndDensity:
             monkeypatch.setattr(qring.state, "_PHASE_BLOCK", bound)
             results.append(state.evaluate(phi).tobytes())
         assert results[0] == results[1] == results[2]
+
+    def test_sparse_modes_build_narrow_tables(self, monkeypatch):
+        # modes {-512, 0, 511}: one column per mode, not the 1024-wide
+        # lattice between them
+        widths = []
+        phase_table = qring.state._phase_table
+
+        def spy(*args):
+            table = phase_table(*args)
+            widths.append(table.shape[1])
+            return table
+
+        monkeypatch.setattr(qring.state, "_phase_table", spy)
+        state = from_fourier({-512: 1.0, 0: 2.0, 511: 1j})
+        phi = np.linspace(-3.0, 3.0, 101)
+        values = state.evaluate(phi)
+        assert widths == [3]
+        direct = np.exp(1j * np.outer(phi, state.mu)) @ state.amps
+        np.testing.assert_allclose(values, direct / math.sqrt(TWO_PI),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("state", [
+        random_state(512, 1), random_state(512, 2), mwp_x(1, 0, 5000.0)[1]],
+        ids=["random-1", "random-2", "kappa-5000"])
+    def test_far_phases_against_mpmath(self, state):
+        # a running product of j rounded phase steps is off by about j ulp,
+        # so the sum stays within one ulp per mode of sum |c| / sqrt(2 pi)
+        exact = mp_psi(state, FAR_PHIS)
+        tol = (state.modes.size * EPS * np.sum(np.abs(state.amps))
+               / math.sqrt(TWO_PI))
+        error = np.abs(state.evaluate(np.array(FAR_PHIS)) - exact)
+        assert np.max(error) <= tol
+
+
+def mp_psi(state, phis):
+    """psi(phi) of the state's own coefficients by a direct sum in 40-digit
+    arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        shift = mpmath.mpf(state.theta) / (2 * mpmath.pi)
+        mu = [int(m) + shift for m in state.modes]
+        amps = [mpmath.mpc(complex(a)) for a in state.amps]
+        scale = 1 / mpmath.sqrt(2 * mpmath.pi)
+        values = []
+        for phi in phis:
+            x = mpmath.mpf(phi)
+            total = mpmath.fsum(a * mpmath.expj(f * x)
+                                for a, f in zip(amps, mu))
+            values.append(complex(total * scale))
+    return np.array(values)
 
 
 class TestRotate:
