@@ -7,9 +7,13 @@ dependence of the raw angle moments), and ``mwp`` (packet construction).
 
 Machine-readable output (JSON or CSV) goes to stdout, human diagnostics to
 stderr.  Exit codes: 0 all comparisons passed, 1 a comparison failed,
-2 usage/parse error (an overflowing bound included), 3 unusable state
-(non-normalizable or quasi-periodic where periodicity is required).
+2 usage/parse error (an overflowing bound or sigma_Lz included),
+3 unusable state (non-normalizable or quasi-periodic where periodicity is
+required).
 
+``examples`` is one table: each case gives its (quantity, expected,
+measured) rows, and its product row measures the total bound's left side.
+``curve`` and ``scan-beta`` share one row range, from + k*step up to --to.
 ``report`` reads its n-series from ``uncertainty.series_columns``, one
 array pass over every n.  Every JSON document goes through
 ``_write_json``, which writes exactly the bytes of ``json.dumps(obj,
@@ -49,6 +53,7 @@ from .state import (
 from .uncertainty import (
     URKind,
     check_fujikawa,
+    check_total_ur,
     detect_fold_symmetry,
     is_fully_symmetric,
     recommend_n,
@@ -156,91 +161,63 @@ def _check(quantity: str, expected: float, measured: float, tol: float) -> dict:
             "measured": measured, "pass": bool(ok)}
 
 
-def _case_superposition(k: int, m: int, cfg: Config) -> tuple[dict, list]:
-    state = superposition_state(k, m, cfg)
-    d = abs(k - m)
+def _example(name: str, args, cfg: Config) -> tuple[dict, list]:
+    """The params of one worked example and its (quantity, expected,
+    measured) rows.
+
+    Each case checks the total bound at its harmonic index n: sigma_n
+    (``sigma_r`` at n = 1) against its closed form, and the product
+    against the bound's left side, ``check_total_ur(state, n).lhs``.  The
+    one documented infinity is a superposition with |k - m| != 1, whose
+    sigma_r and product are infinite; an infinite sigma_Lz is an overflow.
+    """
+    hb, s3 = cfg.hbar, math.sqrt(3)
+    if name == "superposition":
+        k, m, n = args.k, args.m, 1
+        state, params = superposition_state(k, m, cfg), {"k": k, "m": m}
+        d = abs(k - m)
+        expected = [("mean_x", 0.5 if d == 1 else 0.0), ("mean_y", 0.0),
+                    ("sigma_lz", 0.5 * hb * d),
+                    ("sigma_r", s3 if d == 1 else math.inf),
+                    ("total_product", 0.5 * s3 * hb if d == 1 else math.inf)]
+    elif name == "sin-power":
+        p, n = args.n, 1
+        state, params = sin_half_power_state(p, cfg), {"n": p}
+        expected = [("mean_x", -p / (p + 1)),
+                    ("sigma_r", math.sqrt(2 * p + 1) / p),
+                    ("sigma_lz", 0.5 * hb * p / math.sqrt(2 * p - 1)),
+                    ("total_product",
+                     0.5 * hb * math.sqrt((2 * p + 1) / (2 * p - 1)))]
+    elif name == "von-mises":
+        alpha, n = args.alpha, 1
+        state, params = mwp_x(1, 0, alpha, cfg)[1], {"alpha": alpha}
+        r = bessel.ratio(alpha)
+        expected = [("mean_x", 0.0), ("mean_y", r),
+                    ("sigma_lz", 0.5 * hb * math.sqrt(alpha * r)),
+                    ("total_product", 0.5 * hb * bessel.f_alpha(alpha))]
+    elif name == "cos-phi":
+        state, params, n = cos_harmonic_state(1, cfg), {}, 2
+        expected = [("r_1", 0.0), ("sigma_lz", hb), ("mean_x2", 0.5),
+                    ("sigma_2", 0.5 * s3),
+                    ("total_product_n2", 0.5 * s3 * hb)]
+    else:
+        state, params, n = cos_harmonic_state(2, cfg), {}, 4
+        expected = [("r_1", 0.0), ("r_4", 0.5), ("sigma_4", 0.25 * s3),
+                    ("sigma_lz", 2.0 * hb),
+                    ("total_product_n4", 0.5 * s3 * hb)]
+    total = check_total_ur(state, n, cfg).lhs
+    slz = sigma_lz(state)
+    if not math.isfinite(slz):
+        raise OverflowError(f"sigma_Lz of the {name} example overflows "
+                            f"float64 (hbar={hb!r}); use a smaller hbar")
     ex, ey = expect_xy(state, 1)
-    sr = sigma_total(state, 1, cfg)
-    slz = sigma_lz(state)
-    hb = cfg.hbar
-    checks = [
-        _check("mean_x", 0.5 if d == 1 else 0.0, ex, cfg.cmp_tol),
-        _check("mean_y", 0.0, ey, cfg.cmp_tol),
-        _check("sigma_lz", 0.5 * hb * d, slz, cfg.cmp_tol),
-        _check("sigma_r", math.sqrt(3) if d == 1 else math.inf, sr,
-               cfg.cmp_tol),
-        _check("total_product",
-               0.5 * math.sqrt(3) * hb if d == 1 else math.inf,
-               sr * slz if math.isfinite(sr) else math.inf, cfg.cmp_tol),
-    ]
-    return {"k": k, "m": m}, checks
-
-
-def _case_sin_power(n: int, cfg: Config) -> tuple[dict, list]:
-    state = sin_half_power_state(n, cfg)
-    ex, _ = expect_xy(state, 1)
-    sr = sigma_total(state, 1, cfg)
-    slz = sigma_lz(state)
-    hb = cfg.hbar
-    checks = [
-        _check("mean_x", -n / (n + 1), ex, cfg.cmp_tol),
-        _check("sigma_r", math.sqrt(2 * n + 1) / n, sr, cfg.cmp_tol),
-        _check("sigma_lz", 0.5 * hb * n / math.sqrt(2 * n - 1), slz,
-               cfg.cmp_tol),
-        _check("total_product",
-               0.5 * hb * math.sqrt((2 * n + 1) / (2 * n - 1)), sr * slz,
-               cfg.cmp_tol),
-    ]
-    return {"n": n}, checks
-
-
-def _case_von_mises(alpha: float, cfg: Config) -> tuple[dict, list]:
-    _, state = mwp_x(1, 0, alpha, cfg)
-    ex, ey = expect_xy(state, 1)
-    sr = sigma_total(state, 1, cfg)
-    slz = sigma_lz(state)
-    r = bessel.ratio(alpha)
-    hb = cfg.hbar
-    checks = [
-        _check("mean_x", 0.0, ex, cfg.cmp_tol),
-        _check("mean_y", r, ey, cfg.cmp_tol),
-        _check("sigma_lz", 0.5 * hb * math.sqrt(alpha * r), slz, cfg.cmp_tol),
-        _check("total_product", 0.5 * hb * bessel.f_alpha(alpha), sr * slz,
-               cfg.cmp_tol),
-    ]
-    return {"alpha": alpha}, checks
-
-
-def _case_cos_phi(cfg: Config) -> tuple[dict, list]:
-    state = cos_harmonic_state(1, cfg)
-    slz = sigma_lz(state)
-    s2 = sigma_total(state, 2, cfg)
-    hb = cfg.hbar
-    checks = [
-        _check("r_1", 0.0, mean_resultant(state, 1), cfg.cmp_tol),
-        _check("sigma_lz", hb, slz, cfg.cmp_tol),
-        _check("mean_x2", 0.5, expect_xy(state, 2)[0], cfg.cmp_tol),
-        _check("sigma_2", 0.5 * math.sqrt(3), s2, cfg.cmp_tol),
-        _check("total_product_n2", 0.5 * math.sqrt(3) * hb, s2 * slz,
-               cfg.cmp_tol),
-    ]
-    return {}, checks
-
-
-def _case_cos_2phi(cfg: Config) -> tuple[dict, list]:
-    state = cos_harmonic_state(2, cfg)
-    slz = sigma_lz(state)
-    s4 = sigma_total(state, 4, cfg)
-    hb = cfg.hbar
-    checks = [
-        _check("r_1", 0.0, mean_resultant(state, 1), cfg.cmp_tol),
-        _check("r_4", 0.5, mean_resultant(state, 4), cfg.cmp_tol),
-        _check("sigma_4", 0.25 * math.sqrt(3), s4, cfg.cmp_tol),
-        _check("sigma_lz", 2.0 * hb, slz, cfg.cmp_tol),
-        _check("total_product_n4", 0.5 * math.sqrt(3) * hb, s4 * slz,
-               cfg.cmp_tol),
-    ]
-    return {}, checks
+    measured = {"mean_x": ex, "mean_y": ey, "mean_x2": expect_xy(state, 2)[0],
+                "r_1": mean_resultant(state, 1),
+                "r_4": mean_resultant(state, 4), "sigma_lz": slz,
+                "sigma_r" if n == 1 else f"sigma_{n}":
+                    sigma_total(state, n, cfg),
+                "total_product" if n == 1 else f"total_product_n{n}": total}
+    return params, [(q, e, measured[q]) for q, e in expected]
 
 
 def run_examples(args, cfg: Config) -> int:
@@ -251,16 +228,8 @@ def run_examples(args, cfg: Config) -> int:
         return USAGE_ERROR
     report = {"cases": [], "all_pass": True}
     for name in selected:
-        if name == "superposition":
-            params, checks = _case_superposition(args.k, args.m, cfg)
-        elif name == "sin-power":
-            params, checks = _case_sin_power(args.n, cfg)
-        elif name == "von-mises":
-            params, checks = _case_von_mises(args.alpha, cfg)
-        elif name == "cos-phi":
-            params, checks = _case_cos_phi(cfg)
-        else:
-            params, checks = _case_cos_2phi(cfg)
+        params, rows = _example(name, args, cfg)
+        checks = [_check(*row, cfg.cmp_tol) for row in rows]
         for c in checks:
             verdict = "PASS" if c["pass"] else "FAIL"
             print(f"[{verdict}] {name} {c['quantity']}: "
@@ -274,33 +243,32 @@ def run_examples(args, cfg: Config) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def _range_fits(start: float, stop: float, step: float) -> bool:
-    """Finite bounds and a finite step > 0 that leave fewer than
-    MAX_SCAN_ROWS steps between start and stop."""
-    return (math.isfinite(start) and math.isfinite(stop)
-            and math.isfinite(step) and step > 0
-            and (stop - start) / step < MAX_SCAN_ROWS)
+def _row_range(start: float, stop: float, step: float) -> np.ndarray:
+    """The points start + k*step, k = 0, 1, ..., up to stop (within 1e-12
+    step), of a ``curve`` or ``scan-beta`` table.
 
-
-def _curve_xs(start: float, stop: float, step: float):
-    """np.arange(start, stop + step/2, step), or None when the bounds are
-    not finite, stop < start, step is not positive, the curve would exceed
-    MAX_SCAN_ROWS rows, or a step is lost to rounding."""
-    if stop < start or not _range_fits(start, stop, step):
-        return None
-    xs = np.arange(start, stop + 0.5 * step, step)
-    # an empty or non-increasing range means the step was lost to rounding
-    if not 0 < xs.size <= MAX_SCAN_ROWS or np.any(np.diff(xs) <= 0):
-        return None
+    Raises ValueError when a bound is not finite, stop < start, step is
+    not positive, the table would exceed MAX_SCAN_ROWS rows, or a step is
+    lost to rounding.
+    """
+    message = (f"need finite --from <= --to and --step > 0, with at most "
+               f"{MAX_SCAN_ROWS} rows")
+    if not (math.isfinite(start) and math.isfinite(stop)
+            and math.isfinite(step) and step > 0 and start <= stop
+            and (stop - start) / step < MAX_SCAN_ROWS):
+        raise ValueError(message)
+    # one candidate past the last k, as (stop - start) / step may round
+    # either way
+    xs = start + np.arange(math.floor((stop - start) / step) + 2) * step
+    xs = xs[:np.count_nonzero(xs <= stop + 1e-12 * step)]
+    # a step lost to rounding at large |x| repeats a point
+    if xs.size > MAX_SCAN_ROWS or np.any(np.diff(xs) <= 0):
+        raise ValueError(message)
     return xs
 
 
 def run_curve(args, cfg: Config) -> int:
-    xs = _curve_xs(args.start, args.stop, args.step)
-    if xs is None:
-        print("error: need finite --from <= --to and --step > 0, with at "
-              f"most {MAX_SCAN_ROWS} rows", file=sys.stderr)
-        return USAGE_ERROR
+    xs = _row_range(args.start, args.stop, args.step)
     if args.name == "mwp_abs":
         _, state = mwp_x(args.n, args.m, args.alpha, cfg)
         names, values = ("phi", "abs_psi"), np.abs(state.evaluate(xs)).tolist()
@@ -393,25 +361,6 @@ def run_report(args, cfg: Config) -> int:
     return 0 if all(c["holds"] for c in checks) else 1
 
 
-def _scan_betas(start: float, stop: float, step: float) -> np.ndarray | None:
-    """Window starts start + k*step, k = 0, 1, ..., up to stop (within
-    1e-12 step), or None when a bound is not finite, step is not
-    positive, the scan would exceed MAX_SCAN_ROWS rows, or a step is lost
-    to rounding."""
-    if not _range_fits(start, stop, step):
-        return None
-    # one candidate past the last k, as (stop - start) / step may round
-    # either way
-    k = np.arange(max(math.floor((stop - start) / step), 0) + 2)
-    betas = start + k * step
-    rows = max(1, np.count_nonzero(betas <= stop + 1e-12 * step))
-    betas = betas[:rows]
-    # a step lost to rounding at large |beta| repeats a window start
-    if rows > MAX_SCAN_ROWS or np.any(np.diff(betas) <= 0):
-        return None
-    return betas
-
-
 def run_scan_beta(args, cfg: Config) -> int:
     state, status = _load_state_file(args.state_file, cfg)
     if state is None:
@@ -420,11 +369,7 @@ def run_scan_beta(args, cfg: Config) -> int:
         print("error: scan-beta needs a strictly periodic state",
               file=sys.stderr)
         return STATE_ERROR
-    betas = _scan_betas(args.start, args.stop, args.step)
-    if betas is None:
-        print("error: need finite --from, --to and --step > 0, with at "
-              f"most {MAX_SCAN_ROWS} rows", file=sys.stderr)
-        return USAGE_ERROR
+    betas = _row_range(args.start, args.stop, args.step)
     means, _, sigmas = angle_moments_beta(state, betas)
     _write_table(("beta", "mean_phi_beta", "sigma_phi_beta"),
                  (betas.tolist(), means.tolist(), sigmas.tolist()), args.json)

@@ -10,9 +10,10 @@ States are built from their exact Fourier coefficients, the Jacobi-Anger
 expansions exp(z sin t) = sum_k I_k(z) (-i)^k e^{ikt} and
 exp(-z cos t) = sum_k (-1)^k I_k(z) e^{ikt} (A&S 9.6.34) with z = kappa/2
 and t = n phi: order k sits at mode n k + m.  Coefficients whose weight is
-at most trunc_tol^2 of the total are dropped, and the mode cap is the only
-limit on kappa.  The packet carries the closed-form predictions so
-construction and measurement can be compared.
+at most 1e-24 of the total (``_TRUNC_TOL`` squared, a fixed policy) are
+dropped, and the mode cap is the only limit on kappa.  The packet carries
+the closed-form predictions so construction and measurement can be
+compared.
 """
 
 import math
@@ -34,6 +35,10 @@ __all__ = [
     "mwp_y",
     "verify_packet",
 ]
+
+
+# the packets drop coefficients of weight at most _TRUNC_TOL^2 of the total
+_TRUNC_TOL = 1e-12
 
 
 class Axis(Enum):
@@ -114,8 +119,8 @@ def _exceeds_cap(z: float, n: int, m: int, config: Config) -> bool:
     k = (max_mode - |m|)//n + 1 is the first order whose mode n k + |m|
     passes the cap.  I_j/I_{j-1} >= |z| / (j + sqrt(j^2 + z^2)) gives
     (I_k/I_0)^2 >= exp(-2 k^2/|z|), and the total weight is I_0(2z), so
-    order k is kept when that bound exceeds trunc_tol^2 I_0(2z)/I_0(z)^2.
-    Past about |z| = 1e47 every single weight is below trunc_tol^2 of the
+    order k is kept when that bound exceeds _TRUNC_TOL^2 I_0(2z)/I_0(z)^2.
+    Past about |z| = 1e47 every single weight is below _TRUNC_TOL^2 of the
     total; there the 2k - 1 orders inside the cap, none heavier than I_0^2,
     hold less than half of it.
     """
@@ -123,7 +128,7 @@ def _exceeds_cap(z: float, n: int, m: int, config: Config) -> bool:
     if k < 1:
         return False  # mode m alone breaks the cap; _build reports it
     decay = 2.0 * k * k / abs(z)
-    log_tol2 = -2.0 * math.log(config.trunc_tol)
+    log_tol2 = -2.0 * math.log(_TRUNC_TOL)
     # 1 <= I_0(2z)/I_0(z)^2 <= exp(|z|)/I_0(z) <= sqrt(1 + 2 pi |z|): the
     # common case settles both tests without a Bessel call
     if decay >= log_tol2 and 1.0 + TWO_PI * abs(z) <= (4 * k - 2) ** 2:
@@ -144,11 +149,11 @@ def _packet(axis: Axis, n: int, m: int, kappa: float,
         raise ResolutionError(
             f"concentration {kappa} needs modes beyond the cap "
             f"{config.max_mode}")
-    ik = ik_scaled(z, config.trunc_tol)
+    ik = ik_scaled(z, _TRUNC_TOL)
     order = np.arange(1 - ik.size, ik.size)
     amps = ik[np.abs(order)] * _ORDER_PHASE[axis][order % 4]
     weight = np.abs(amps) ** 2
-    keep = weight > config.trunc_tol**2 * weight.sum()
+    keep = weight > _TRUNC_TOL**2 * weight.sum()
     state = _build(n * order[keep] + m, amps[keep], 0.0, config)
     packet = VonMisesPacket(axis=axis, n=n, m=m, kappa=kappa,
                             predicted=_predictions(axis, n, kappa,

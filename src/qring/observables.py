@@ -27,7 +27,6 @@ one exp per window start.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .errors import UnsupportedStateError
 from .state import DEFAULT_CONFIG, CircleState, Config, _phase_sums
 
 __all__ = [
-    "ObservableReport",
     "expect_xy",
     "expect_lz",
     "sigma_lz",
@@ -44,7 +42,6 @@ __all__ = [
     "mean_angle",
     "sigma_total",
     "angle_moments_beta",
-    "compute_report",
 ]
 
 _HARMONIC_STEPS = np.array([1j])  # harmonics 1, 2, 3, ...: steps of 1
@@ -152,38 +149,3 @@ def angle_moments_beta(state: CircleState, beta):
     m2 = c * c + 2.0 * c * u1 + u2
     sigma = np.sqrt(np.maximum(u2 - u1 * u1, 0.0))
     return tuple(a.reshape(betas.shape)[()] for a in (m1, m2, sigma))
-
-
-@dataclass(frozen=True)
-class ObservableReport:
-    """All scalar observables of one state at one harmonic index n."""
-
-    n: int
-    ex: float
-    ey: float
-    r_n: float
-    mean_phi: float | None
-    sigma_x: float
-    sigma_y: float
-    sigma_lz: float
-    sigma_tilde: float
-    sigma_n: float
-
-
-def compute_report(state: CircleState, n: int,
-                   config: Config = DEFAULT_CONFIG) -> ObservableReport:
-    """Evaluate every report field for harmonic index n."""
-    ex, ey = expect_xy(state, n)
-    sx, sy = sigma_xy(state, n)
-    return ObservableReport(
-        n=n,
-        ex=ex,
-        ey=ey,
-        r_n=mean_resultant(state, n),
-        mean_phi=mean_angle(state, config),
-        sigma_x=sx,
-        sigma_y=sy,
-        sigma_lz=sigma_lz(state),
-        sigma_tilde=math.sqrt(sx * sx + sy * sy),
-        sigma_n=sigma_total(state, n, config),
-    )

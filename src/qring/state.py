@@ -86,23 +86,17 @@ def _phase_sums(points: np.ndarray, ifreqs: np.ndarray, columns: np.ndarray,
 class Config:
     """Numerical policy shared by constructors and observables.
 
-    hbar sets the angular momentum scale, trunc_tol the spectral-tail
-    truncation level (the packet constructors drop coefficients of weight
-    at most trunc_tol^2 of the total),
-    cmp_tol the comparison tolerance for verdicts, and max_mode the hard
-    cap on mode indices.
+    hbar sets the angular momentum scale, cmp_tol the comparison
+    tolerance for verdicts, and max_mode the hard cap on mode indices.
     """
 
     hbar: float = 1.0
-    trunc_tol: float = 1e-12
     cmp_tol: float = 1e-9
     max_mode: int = 512
 
     def __post_init__(self):
         if not (math.isfinite(self.hbar) and self.hbar > 0):
             raise ValueError("hbar must be positive and finite")
-        if not 0 < self.trunc_tol < 1:
-            raise ValueError("trunc_tol must lie in (0, 1)")
         if not 0 < self.cmp_tol < 1:
             raise ValueError("cmp_tol must lie in (0, 1)")
         if self.max_mode < 0:

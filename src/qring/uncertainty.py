@@ -164,8 +164,9 @@ class BoundColumns(NamedTuple):
 class SeriesColumns(NamedTuple):
     """The n-dependent report fields for n = 1..nmax, one array each.
 
-    The observables match ``compute_report`` and the bounds ``check_ur_x``,
-    ``check_ur_y`` and ``check_total_ur``, bit for bit.
+    The observables match ``expect_xy``, ``mean_resultant``, ``sigma_xy``
+    and ``sigma_total``, and the bounds ``check_ur_x``, ``check_ur_y`` and
+    ``check_total_ur``, bit for bit.
     """
 
     n: np.ndarray

@@ -1,5 +1,6 @@
 """Tests for the qring command-line interface."""
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,15 @@ import pytest
 import qring.cli
 from qring.cli import MAX_SCAN_ROWS, build_parser, main
 from qring.mwp import mwp_x, mwp_y, verify_packet
-from qring.observables import angle_moments_beta, compute_report
+from qring.observables import (
+    angle_moments_beta,
+    expect_xy,
+    mean_angle,
+    mean_resultant,
+    sigma_lz,
+    sigma_total,
+    sigma_xy,
+)
 from qring.state import (
     Config,
     cos_harmonic_state,
@@ -46,6 +56,31 @@ def write_state(tmp_path, state, name="state.txt"):
     path = tmp_path / name
     path.write_text(dump_state(state))
     return str(path)
+
+
+# stdout, stderr and exit code of `qring examples` runs, recorded from the
+# hand-written cases that the one-table `cli._example` replaced; `python
+# tests/test_cli.py` rewrites the file from the current code
+EXAMPLES_GOLDEN = Path(__file__).with_name("golden") / "examples.json"
+EXAMPLES_ARGV = [
+    ["examples"],
+    *[["examples", case] for case in qring.cli.CASE_NAMES],
+    ["--hbar", "3", "examples"],
+    ["--hbar", "1e5", "--tol", "1e-12", "examples"],
+    ["--hbar", "1e307", "examples"],
+]
+
+
+def write_examples_golden():
+    golden = {}
+    for argv in EXAMPLES_ARGV:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        golden[" ".join(argv)] = {"code": code, "out": out.getvalue(),
+                                  "err": err.getvalue()}
+    EXAMPLES_GOLDEN.parent.mkdir(exist_ok=True)
+    EXAMPLES_GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
 
 
 class TestExamples:
@@ -125,6 +160,26 @@ class TestExamples:
         assert err.endswith("use a smaller hbar\n")
         assert "sigma_Lz^2 prediction" in err
 
+    @pytest.mark.parametrize("argv", EXAMPLES_ARGV, ids=" ".join)
+    def test_golden_bytes(self, capsys, argv):
+        golden = json.loads(EXAMPLES_GOLDEN.read_text())[" ".join(argv)]
+        assert run_cli(capsys, *argv) == (golden["code"], golden["out"],
+                                          golden["err"])
+
+    @pytest.mark.parametrize("argv,named", [
+        (["--hbar", "1.5e308", "examples", "superposition", "--k", "3",
+          "--m", "0"], "sigma_Lz of the superposition example"),
+        (["--hbar", "1e308", "examples", "cos-2phi"], "TOTAL bound at n=4"),
+    ], ids=["superposition", "cos-2phi"])
+    def test_overflowing_measurement_exit_2(self, capsys, argv, named):
+        # an infinite sigma_Lz never passes against an infinite expectation
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "PASS" not in err
+        assert named in err
+        assert err.endswith("use a smaller hbar\n")
+
 
 class TestCurve:
     def test_f_starts_at_sqrt2(self, capsys):
@@ -164,16 +219,35 @@ class TestCurve:
         assert code == 2
         assert "error" in err
 
-    def test_x_values_are_arange(self, capsys):
+    def test_x_values_are_start_plus_k_step(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "ratio", "--from", "-0.3",
                                "--to", "2.9", "--step", "0.1")
         assert code == 0
         xs = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
-        assert xs == np.arange(-0.3, 2.9 + 0.05, 0.1).tolist()
+        assert xs == (-0.3 + np.arange(33) * 0.1).tolist()
+
+    def test_points_do_not_drift(self, capsys):
+        # start + k*step: no rounding builds up, so x = 0 and the end point
+        # come out exactly
+        code, out, _ = run_cli(capsys, "curve", "ratio", "--from", "-27",
+                               "--to", "27", "--step", "0.1")
+        assert code == 0
+        xs = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert len(xs) == 541
+        assert xs[270] == 0.0
+        assert xs[-1] == 27.0
+
+    def test_no_point_past_stop(self, capsys):
+        code, out, _ = run_cli(capsys, "curve", "ratio", "--from", "0",
+                               "--to", "0.96", "--step", "0.1")
+        assert code == 0
+        xs = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert len(xs) == 10
+        assert xs[-1] == 0.9
 
     @pytest.mark.parametrize("start,stop,step", [
         ("0", str(MAX_SCAN_ROWS), "1"),       # one row past the cap
-        ("0", str(MAX_SCAN_ROWS - 0.4), "1"),  # the half step adds a row
+        ("0", str(MAX_SCAN_ROWS + 0.4), "1"),  # a fraction of a row past
         ("0", "1", "1e-300"),                 # far past the cap
         ("1e20", "1e20", "1"),                # x + step == x
         ("1e16", "1e16", "1"),                # step lost on the first add
@@ -188,6 +262,14 @@ class TestCurve:
     def test_row_cap_allows_the_cap(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "ratio", "--from", "0",
                                "--to", str(MAX_SCAN_ROWS - 1), "--step", "1")
+        assert code == 0
+        assert len(out.splitlines()) == MAX_SCAN_ROWS + 1
+
+    def test_fractional_stop_allows_the_cap(self, capsys):
+        # the last point, MAX_SCAN_ROWS - 1, lies 0.6 step below --to
+        code, out, _ = run_cli(capsys, "curve", "ratio", "--from", "0",
+                               "--to", str(MAX_SCAN_ROWS - 0.4),
+                               "--step", "1")
         assert code == 0
         assert len(out.splitlines()) == MAX_SCAN_ROWS + 1
 
@@ -392,6 +474,14 @@ class TestScanBeta:
                                "--to", "2", "--step", "5")
         assert code == 0
         assert len(out.strip().splitlines()) == 2
+
+    def test_reversed_range_exit_2(self, capsys, tmp_path):
+        path = write_state(tmp_path, uniform_state())
+        code, out, err = run_cli(capsys, "scan-beta", path, "--from", "3",
+                                 "--to", "1", "--step", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "--from <= --to" in err
 
     def test_quasi_periodic_exit_3(self, capsys, tmp_path):
         path = write_state(tmp_path, sin_half_power_state(1))
@@ -643,12 +733,23 @@ def asdict_json(payload):
     return buf.getvalue()
 
 
+def observable_row(state, n, cfg):
+    """Oracle: the ``report`` observables at n from the scalar functions."""
+    (ex, ey), (sx, sy) = expect_xy(state, n), sigma_xy(state, n)
+    return {"n": n, "ex": ex, "ey": ey, "r_n": mean_resultant(state, n),
+            "mean_phi": mean_angle(state, cfg), "sigma_x": sx, "sigma_y": sy,
+            "sigma_lz": sigma_lz(state),
+            "sigma_tilde": math.sqrt(sx * sx + sy * sy),
+            "sigma_n": sigma_total(state, n, cfg)}
+
+
 def asdict_report(state, nmax, cfg=Config()):
-    """Oracle: the report payload built with ``dataclasses.asdict`` from
-    the library calls ``report`` makes, at its default tolerances."""
+    """Oracle: the report payload built from the scalar library calls,
+    with ``dataclasses.asdict`` for the bound checks, at the default
+    tolerances of ``report``."""
     observables, checks = [], []
     for n in range(1, nmax + 1):
-        observables.append(dataclasses.asdict(compute_report(state, n, cfg)))
+        observables.append(observable_row(state, n, cfg))
         checks += [check_ur_x(state, n, cfg), check_ur_y(state, n, cfg),
                    check_total_ur(state, n, cfg)]
     if state.is_periodic:
@@ -901,3 +1002,7 @@ class TestSharedParser:
         assert at_import == 0
         assert first > 0
         assert total == first
+
+
+if __name__ == "__main__":
+    write_examples_golden()

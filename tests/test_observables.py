@@ -12,7 +12,6 @@ from qring.errors import UnsupportedStateError
 from qring.mwp import mwp_x
 from qring.observables import (
     angle_moments_beta,
-    compute_report,
     expect_lz,
     expect_xy,
     mean_angle,
@@ -482,19 +481,21 @@ class TestLzMomentsCache:
 
 
 class TestReport:
+    """The ``report`` observables at one n, from the scalar functions."""
+
     def test_fields_consistent(self):
         s = cos_harmonic_state(2)
-        rep = compute_report(s, 4)
-        assert rep.n == 4
-        assert rep.r_n == pytest.approx(0.5, abs=1e-14)
-        assert rep.mean_phi is None
-        assert rep.sigma_lz == pytest.approx(2.0, rel=1e-14)
-        assert rep.sigma_n == pytest.approx(math.sqrt(3) / 4, rel=1e-13)
-        assert rep.sigma_tilde**2 == pytest.approx(1 - rep.r_n**2, abs=1e-12)
+        sx, sy = sigma_xy(s, 4)
+        r = mean_resultant(s, 4)
+        assert r == pytest.approx(0.5, abs=1e-14)
+        assert mean_angle(s) is None
+        assert sigma_lz(s) == pytest.approx(2.0, rel=1e-14)
+        assert sigma_total(s, 4) == pytest.approx(math.sqrt(3) / 4, rel=1e-13)
+        assert sx * sx + sy * sy == pytest.approx(1 - r**2, abs=1e-12)
 
     def test_sigma_tilde_identity_n1(self):
         for seed in range(5):
             s = random_state(6, seed)
-            rep = compute_report(s, 1)
-            assert rep.sigma_tilde**2 == pytest.approx(1 - rep.r_n**2,
-                                                       abs=1e-12)
+            sx, sy = sigma_xy(s, 1)
+            assert sx * sx + sy * sy == pytest.approx(
+                1 - mean_resultant(s, 1)**2, abs=1e-12)

@@ -1,5 +1,6 @@
 """Tests for the package surface: export lists, version, README sketch."""
 
+import ast
 import importlib
 import re
 import shlex
@@ -24,6 +25,26 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported)
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "qring").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    # no linter runs on the package; deleting code tends to leave the
+    # imports it needed behind
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).partition(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    assert sorted(imported - used - exported) == []
 
 
 def test_version_matches_pyproject():

@@ -1,13 +1,20 @@
 """Property tests over generated states: the running-product phase tables
-against the direct exp of every (point, frequency) pair."""
+against the direct exp of every (point, frequency) pair, the state file
+round trip, and what a rotation keeps and swaps."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qring.observables import angle_moments_beta
-from qring.state import from_fourier
+from qring.observables import angle_moments_beta, sigma_lz, sigma_xy
+from qring.state import dump_state, from_fourier, load_state
+from qring.uncertainty import (
+    check_ur_x,
+    check_ur_y,
+    detect_fold_symmetry,
+    series_columns,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -81,3 +88,89 @@ def test_window_moments_match_direct_exp(state, betas):
     assert np.all(np.abs(sigma * sigma - var)
                   <= d2 + 2.0 * np.abs(u1) * d1 + d1 * d1
                   + 8.0 * EPS * (np.abs(u2) + u1 * u1))
+
+
+@hypothesis.given(states())
+def test_state_file_round_trip_keeps_bits(state):
+    back = load_state(dump_state(state))
+    assert back.modes.tobytes() == state.modes.tobytes()
+    assert back.amps.tobytes() == state.amps.tobytes()
+    assert math.copysign(1.0, back.theta) == math.copysign(1.0, state.theta)
+    assert back.theta == state.theta
+
+
+angles = st.floats(-4.0, 4.0)
+
+
+def harmonic_error(state, delta):
+    """Bound on the change of any harmonic rho_k under ``rotate(delta)``:
+    each amplitude's phase is off by about |mu delta| ulp, and the
+    correlation adds about one ulp per mode."""
+    reach = abs(delta) * np.max(np.abs(state.mu))
+    return 8.0 * EPS * (state.amps.size + reach + 2.0)
+
+
+def root_error(a, b, dvar):
+    """Bound on |a - b| for square roots a, b >= 0 of values that differ by
+    at most dvar: |a - b| = |a^2 - b^2| / (a + b) <= sqrt(|a^2 - b^2|)."""
+    return np.minimum(np.sqrt(dvar), dvar / np.maximum(a + b, 1e-300))
+
+
+def lz_error(state, turned):
+    """(sigma_Lz of both states, bound on their difference).
+
+    sigma_Lz^2 = <L_z^2> - <L_z>^2 is good to a few ulp of <L_z^2>, so near
+    an eigenstate the spread itself is good only to about
+    sqrt(eps <L_z^2>)."""
+    pair = np.array([sigma_lz(state), sigma_lz(turned)])
+    dvar = 64.0 * EPS * (1.0 + state.lz_moments[1])
+    return pair, root_error(pair[0], pair[1], dvar)
+
+
+@hypothesis.given(states(), angles)
+def test_rotation_keeps_resultants_spreads_and_total_slack(state, delta):
+    turned = state.rotate(delta)
+    dr = harmonic_error(state, delta)
+    nmax = max(state.mode_span, 1)
+    a, b = series_columns(state, nmax), series_columns(turned, nmax)
+    assert np.all(np.abs(a.r_n - b.r_n) <= dr)
+    assert detect_fold_symmetry(turned) == detect_fold_symmetry(state)
+    slz, dlz = lz_error(state, turned)
+    assert abs(slz[0] - slz[1]) <= dlz
+    # sigma_n is infinite below R_n = cmp_tol, which rounding may cross
+    r_lo = np.minimum(a.r_n, b.r_n)
+    same_inf = np.isinf(a.sigma_n) == np.isinf(b.sigma_n)
+    assert np.all(same_inf | (r_lo < 1e-9 + dr))
+    finite = np.isfinite(a.sigma_n) & np.isfinite(b.sigma_n)
+    n = a.n[finite]
+    r0, r1 = a.r_n[finite], b.r_n[finite]
+    s0, s1 = a.sigma_n[finite], b.sigma_n[finite]
+    # sigma_n = q / (n R) with q = sqrt(1 - R^2)
+    q0, q1 = (np.sqrt(np.maximum(1.0 - r * r, 0.0)) for r in (r0, r1))
+    r, sn = np.minimum(r0, r1), np.maximum(s0, s1)
+    dsn = root_error(q0, q1, 4.0 * dr) / (n * r) + sn * dr / r + 4.0 * EPS * sn
+    assert np.all(np.abs(s0 - s1) <= dsn)
+    # the TOTAL left side sigma_n sigma_Lz against the fixed hbar/2
+    dlhs = dsn * slz.max() + sn * dlz + 8.0 * EPS * sn * slz.max()
+    slack = np.abs(a.total.slack[finite] - b.total.slack[finite])
+    assert np.all(slack <= dlhs + EPS)
+
+
+@hypothesis.given(states(), st.integers(1, 16))
+def test_quarter_turn_swaps_axis_slacks(state, n):
+    # psi(phi - pi/(2n)) turns <X_n>, <Y_n> into -<Y_n>, <X_n>
+    delta = math.pi / (2 * n)
+    turned = state.rotate(delta)
+    dr = harmonic_error(state, delta)
+    slz, dlz = lz_error(state, turned)
+    pairs = [(check_ur_x(state, n), check_ur_y(turned, n)),
+             (check_ur_y(state, n), check_ur_x(turned, n))]
+    # the spreads of each pair: sigma_Xn then sigma_Yn', sigma_Yn then
+    # sigma_Xn'
+    spreads = zip(sigma_xy(state, n), reversed(sigma_xy(turned, n)))
+    for (before, after), (s0, s1) in zip(pairs, spreads):
+        # sigma_Xn^2 = (1 + <X_2n>)/2 - <X_n>^2 moves by less than 4 dR
+        dlhs = root_error(s0, s1, 4.0 * dr) * slz.max() + max(s0, s1) * dlz
+        drhs = 0.5 * n * dr + 4.0 * EPS * before.rhs
+        assert abs(before.slack - after.slack) <= (
+            dlhs + drhs + 8.0 * EPS * (before.lhs + before.rhs))

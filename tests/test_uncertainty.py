@@ -8,10 +8,11 @@ import pytest
 from qring.errors import UnsupportedStateError
 from qring.mwp import mwp_y
 from qring.observables import (
-    compute_report,
+    expect_xy,
     mean_resultant,
     sigma_lz,
     sigma_total,
+    sigma_xy,
 )
 from qring.state import (
     DEFAULT_CONFIG,
@@ -291,10 +292,14 @@ class TestSeriesColumns:
                   (check_total_ur, cols.total)]
         assert cols.n.tolist() == list(range(1, nmax + 1))
         for i, n in enumerate(range(1, nmax + 1)):
-            rep = compute_report(state, n, cfg)
+            (ex, ey), (sx, sy) = expect_xy(state, n), sigma_xy(state, n)
+            want = {"ex": ex, "ey": ey, "r_n": mean_resultant(state, n),
+                    "sigma_x": sx, "sigma_y": sy,
+                    "sigma_tilde": math.sqrt(sx * sx + sy * sy),
+                    "sigma_n": sigma_total(state, n, cfg)}
             for name in self.OBSERVABLES:
                 assert same_float(getattr(cols, name)[i].item(),
-                                  getattr(rep, name)), (n, name)
+                                  want[name]), (n, name)
             for check, bounds in checks:
                 ref = check(state, n, cfg)
                 for name in self.BOUND_FIELDS:
