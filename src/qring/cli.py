@@ -174,7 +174,7 @@ def _example(name: str, args, cfg: Config) -> tuple[dict, list]:
     hb, s3 = cfg.hbar, math.sqrt(3)
     if name == "superposition":
         k, m, n = args.k, args.m, 1
-        state, params = superposition_state(k, m, cfg), {"k": k, "m": m}
+        state, params = superposition_state(k, m), {"k": k, "m": m}
         d = abs(k - m)
         expected = [("mean_x", 0.5 if d == 1 else 0.0), ("mean_y", 0.0),
                     ("sigma_lz", 0.5 * hb * d),
@@ -182,7 +182,7 @@ def _example(name: str, args, cfg: Config) -> tuple[dict, list]:
                     ("total_product", 0.5 * s3 * hb if d == 1 else math.inf)]
     elif name == "sin-power":
         p, n = args.n, 1
-        state, params = sin_half_power_state(p, cfg), {"n": p}
+        state, params = sin_half_power_state(p), {"n": p}
         expected = [("mean_x", -p / (p + 1)),
                     ("sigma_r", math.sqrt(2 * p + 1) / p),
                     ("sigma_lz", 0.5 * hb * p / math.sqrt(2 * p - 1)),
@@ -196,17 +196,17 @@ def _example(name: str, args, cfg: Config) -> tuple[dict, list]:
                     ("sigma_lz", 0.5 * hb * math.sqrt(alpha * r)),
                     ("total_product", 0.5 * hb * bessel.f_alpha(alpha))]
     elif name == "cos-phi":
-        state, params, n = cos_harmonic_state(1, cfg), {}, 2
+        state, params, n = cos_harmonic_state(1), {}, 2
         expected = [("r_1", 0.0), ("sigma_lz", hb), ("mean_x2", 0.5),
                     ("sigma_2", 0.5 * s3),
                     ("total_product_n2", 0.5 * s3 * hb)]
     else:
-        state, params, n = cos_harmonic_state(2, cfg), {}, 4
+        state, params, n = cos_harmonic_state(2), {}, 4
         expected = [("r_1", 0.0), ("r_4", 0.5), ("sigma_4", 0.25 * s3),
                     ("sigma_lz", 2.0 * hb),
                     ("total_product_n4", 0.5 * s3 * hb)]
     total = check_total_ur(state, n, cfg).lhs
-    slz = sigma_lz(state)
+    slz = sigma_lz(state, cfg)
     if not math.isfinite(slz):
         raise OverflowError(f"sigma_Lz of the {name} example overflows "
                             f"float64 (hbar={hb!r}); use a smaller hbar")
@@ -280,7 +280,7 @@ def run_curve(args, cfg: Config) -> int:
     return 0
 
 
-def _load_state_file(path: str, cfg: Config):
+def _load_state_file(path: str):
     try:
         with open(path) as fh:
             text = fh.read()
@@ -288,7 +288,7 @@ def _load_state_file(path: str, cfg: Config):
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None, USAGE_ERROR
     try:
-        return load_state(text, cfg), 0
+        return load_state(text), 0
     except DegenerateStateError as exc:
         print(f"error: state is not normalizable: {exc}", file=sys.stderr)
         return None, STATE_ERROR
@@ -313,12 +313,12 @@ def run_report(args, cfg: Config) -> int:
         print(f"error: --nmax must lie in [1, {MAX_SCAN_ROWS}]",
               file=sys.stderr)
         return USAGE_ERROR
-    state, status = _load_state_file(args.state_file, cfg)
+    state, status = _load_state_file(args.state_file)
     if state is None:
         return status
     cols = series_columns(state, args.nmax, cfg)
     ns = cols.n.tolist()
-    mean_phi, slz = mean_angle(state, cfg), sigma_lz(state)
+    mean_phi, slz = mean_angle(state, cfg), sigma_lz(state, cfg)
     observables = [
         {"n": n, "ex": ex, "ey": ey, "r_n": r, "mean_phi": mean_phi,
          "sigma_x": sx, "sigma_y": sy, "sigma_lz": slz, "sigma_tilde": st,
@@ -343,7 +343,7 @@ def run_report(args, cfg: Config) -> int:
         "observables": observables,
         "uncertainty": checks,
         "fold_symmetry": {
-            "n": detect_fold_symmetry(state, args.symmetry_tol, cfg),
+            "n": detect_fold_symmetry(state, args.symmetry_tol),
             "fully_symmetric": is_fully_symmetric(state, args.symmetry_tol),
         },
         "recommended_n": recommend_n(state, args.r_threshold),
@@ -361,14 +361,10 @@ def run_report(args, cfg: Config) -> int:
     return 0 if all(c["holds"] for c in checks) else 1
 
 
-def run_scan_beta(args, cfg: Config) -> int:
-    state, status = _load_state_file(args.state_file, cfg)
+def run_scan_beta(args, _cfg: Config) -> int:
+    state, status = _load_state_file(args.state_file)
     if state is None:
         return status
-    if not state.is_periodic:
-        print("error: scan-beta needs a strictly periodic state",
-              file=sys.stderr)
-        return STATE_ERROR
     betas = _row_range(args.start, args.stop, args.step)
     means, _, sigmas = angle_moments_beta(state, betas)
     _write_table(("beta", "mean_phi_beta", "sigma_phi_beta"),
@@ -392,7 +388,7 @@ def run_mwp(args, cfg: Config) -> int:
                      (phi.tolist(), np.abs(state.evaluate(phi)).tolist()),
                      args.json)
         return 0
-    verification = verify_packet(packet, state, cfg.cmp_tol)
+    verification = verify_packet(packet, state, cfg)
     payload = {
         "axis": packet.axis.value,
         "n": packet.n,

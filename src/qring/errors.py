@@ -16,4 +16,4 @@ class UnsupportedStateError(QringError, ValueError):
 
 class ResolutionError(QringError, ValueError):
     """Raised when a construction would need more Fourier modes than the
-    configured mode cap allows."""
+    mode cap ``state.MAX_MODE`` allows."""

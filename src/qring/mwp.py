@@ -11,9 +11,9 @@ expansions exp(z sin t) = sum_k I_k(z) (-i)^k e^{ikt} and
 exp(-z cos t) = sum_k (-1)^k I_k(z) e^{ikt} (A&S 9.6.34) with z = kappa/2
 and t = n phi: order k sits at mode n k + m.  Coefficients whose weight is
 at most 1e-24 of the total (``_TRUNC_TOL`` squared, a fixed policy) are
-dropped, and the mode cap is the only limit on kappa.  The packet carries
-the closed-form predictions so construction and measurement can be
-compared.
+dropped, and the mode cap ``state.MAX_MODE`` is the only limit on kappa.
+The packet carries the closed-form predictions, in the hbar of its
+``Config``, so construction and measurement can be compared.
 """
 
 import math
@@ -25,7 +25,8 @@ import numpy as np
 from .bessel import i0_scaled, i1_scaled, ik_scaled
 from .errors import ResolutionError
 from .observables import expect_lz, expect_xy, sigma_lz, sigma_xy
-from .state import DEFAULT_CONFIG, CircleState, Config, TWO_PI, _build
+from .state import (DEFAULT_CONFIG, MAX_MODE, CircleState, Config, TWO_PI,
+                    _build)
 
 __all__ = [
     "Axis",
@@ -112,11 +113,11 @@ _ORDER_PHASE = {Axis.X: np.array([1.0, -1j, -1.0, 1j]),
                 Axis.Y: np.array([1.0, -1.0, 1.0, -1.0])}
 
 
-def _exceeds_cap(z: float, n: int, m: int, config: Config) -> bool:
+def _exceeds_cap(z: float, n: int, m: int) -> bool:
     """True when the packet provably needs a mode beyond the cap, checked
     before any order is computed.
 
-    k = (max_mode - |m|)//n + 1 is the first order whose mode n k + |m|
+    k = (MAX_MODE - |m|)//n + 1 is the first order whose mode n k + |m|
     passes the cap.  I_j/I_{j-1} >= |z| / (j + sqrt(j^2 + z^2)) gives
     (I_k/I_0)^2 >= exp(-2 k^2/|z|), and the total weight is I_0(2z), so
     order k is kept when that bound exceeds _TRUNC_TOL^2 I_0(2z)/I_0(z)^2.
@@ -124,7 +125,7 @@ def _exceeds_cap(z: float, n: int, m: int, config: Config) -> bool:
     total; there the 2k - 1 orders inside the cap, none heavier than I_0^2,
     hold less than half of it.
     """
-    k = (config.max_mode - abs(m)) // n + 1
+    k = (MAX_MODE - abs(m)) // n + 1
     if k < 1:
         return False  # mode m alone breaks the cap; _build reports it
     decay = 2.0 * k * k / abs(z)
@@ -145,16 +146,15 @@ def _packet(axis: Axis, n: int, m: int, kappa: float,
     if not math.isfinite(kappa):
         raise ValueError("concentration must be finite")
     z = 0.5 * kappa
-    if z != 0.0 and _exceeds_cap(z, n, m, config):
+    if z != 0.0 and _exceeds_cap(z, n, m):
         raise ResolutionError(
-            f"concentration {kappa} needs modes beyond the cap "
-            f"{config.max_mode}")
+            f"concentration {kappa} needs modes beyond the cap {MAX_MODE}")
     ik = ik_scaled(z, _TRUNC_TOL)
     order = np.arange(1 - ik.size, ik.size)
     amps = ik[np.abs(order)] * _ORDER_PHASE[axis][order % 4]
     weight = np.abs(amps) ** 2
     keep = weight > _TRUNC_TOL**2 * weight.sum()
-    state = _build(n * order[keep] + m, amps[keep], 0.0, config)
+    state = _build(n * order[keep] + m, amps[keep], 0.0)
     packet = VonMisesPacket(axis=axis, n=n, m=m, kappa=kappa,
                             predicted=_predictions(axis, n, kappa,
                                                    config.hbar))
@@ -168,7 +168,7 @@ def mwp_x(n: int, m: int, alpha: float,
     Returns the packet record (with closed-form predictions) and the
     normalized state.  alpha = 0 gives the uniform profile; negative alpha
     is the positive packet rotated by pi/n.  Raises ``ResolutionError``
-    when the kept coefficients need a mode beyond ``config.max_mode``.
+    when the kept coefficients need a mode beyond ``state.MAX_MODE``.
     """
     return _packet(Axis.X, n, m, alpha, config)
 
@@ -183,26 +183,27 @@ def mwp_y(n: int, m: int, beta: float,
 
 
 def verify_packet(packet: VonMisesPacket, state: CircleState,
-                  tol: float = 1e-9) -> PacketVerification:
+                  config: Config = DEFAULT_CONFIG) -> PacketVerification:
     """Compare measured moments of the state against the packet's predictions.
 
     Measures <Xn>, <Yn>, sigma_Xn^2, sigma_Yn^2, sigma_Lz^2 and <Lz> on the
     state, and checks the self-consistency of the concentration (the ratio
     of the transverse mean to the along-axis variance reproduces kappa).
     The measured kappa carries a relative rounding error, so its delta
-    passes within tol * max(1, |kappa|); every other delta within tol.
-    A mismatch is reported, not raised.
+    passes within tol * max(1, |kappa|); every other delta within tol =
+    ``config.cmp_tol``.  L_z is measured in ``config.hbar``, which should be
+    the packet's.  A mismatch is reported, not raised.
     """
-    n = packet.n
+    n, tol = packet.n, config.cmp_tol
     pred = packet.predicted
     ex, ey = expect_xy(state, n)
     sx, sy = sigma_xy(state, n)
-    slz = sigma_lz(state)
+    slz = sigma_lz(state, config)
     measured = {"ex": ex, "ey": ey, "sigma_x2": sx * sx, "sigma_y2": sy * sy,
-                "sigma_lz2": slz * slz, "lz": expect_lz(state)}
+                "sigma_lz2": slz * slz, "lz": expect_lz(state, config)}
     deltas = {key: measured[key] - getattr(pred, key) for key in measured
               if key != "lz"}
-    deltas["lz"] = measured["lz"] - packet.m * state.hbar
+    deltas["lz"] = measured["lz"] - packet.m * config.hbar
     if packet.axis is Axis.X:
         deltas["kappa"] = ey / measured["sigma_x2"] - packet.kappa
     else:

@@ -7,7 +7,8 @@ share one sigma_Lz do not repeat them.  Trigonometric moments read
 the density harmonics rho_k, computed once per state and cached on it
 (``CircleState.harmonics``): <exp(i k phi)> = conj(rho_k), so
 (<X_n>, <Y_n>) = (Re rho_n, -Im rho_n) and R_n = |rho_n|, all zero past
-the mode span.
+the mode span; every R_n is a C hypot.  hbar enters only through L_z,
+read from the ``Config`` given to ``expect_lz`` and ``sigma_lz``.
 
 The window-dependent angle moments integrate phi rho and phi^2 rho over
 [beta, beta + 2pi].  Integrating each harmonic by parts gives, with
@@ -59,15 +60,15 @@ def expect_xy(state: CircleState, n: int) -> tuple[float, float]:
     return value.real, -value.imag
 
 
-def expect_lz(state: CircleState) -> float:
+def expect_lz(state: CircleState, config: Config = DEFAULT_CONFIG) -> float:
     """<L_z> = hbar sum mu |c|^2; real by construction."""
-    return state.hbar * state.lz_moments[0]
+    return config.hbar * state.lz_moments[0]
 
 
-def sigma_lz(state: CircleState) -> float:
+def sigma_lz(state: CircleState, config: Config = DEFAULT_CONFIG) -> float:
     """Standard deviation of L_z from the exact diagonal moments."""
     m1, m2 = state.lz_moments
-    return state.hbar * math.sqrt(max(m2 - m1 * m1, 0.0))
+    return config.hbar * math.sqrt(max(m2 - m1 * m1, 0.0))
 
 
 def sigma_xy(state: CircleState, n: int) -> tuple[float, float]:
@@ -81,10 +82,17 @@ def sigma_xy(state: CircleState, n: int) -> tuple[float, float]:
 
 
 def mean_resultant(state: CircleState, n: int) -> float:
-    """R_n = |<exp(i n phi)>| = |rho_n|, in [0, 1]."""
+    """R_n = |<exp(i n phi)>| = |rho_n| in [0, 1], by C hypot."""
+    if n < 1:
+        raise ValueError("harmonic index n must be >= 1")
     rho = state.harmonics
-    k = abs(n)
-    return abs(complex(rho[k])) if k < rho.size else 0.0
+    return abs(complex(rho[n])) if n < rho.size else 0.0
+
+
+def _moduli(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise by C hypot, the bits of ``mean_resultant``; np.abs
+    of a complex array may differ from it in the last bit."""
+    return np.hypot(z.real, z.imag)
 
 
 def mean_angle(state: CircleState,
@@ -94,9 +102,9 @@ def mean_angle(state: CircleState,
     Defined through <X> = R cos<phi>, <Y> = R sin<phi>; with no first
     harmonic anisotropy there is no preferred direction.
     """
-    ex, ey = expect_xy(state, 1)
-    if math.hypot(ex, ey) < config.cmp_tol:
+    if mean_resultant(state, 1) < config.cmp_tol:
         return None
+    ex, ey = expect_xy(state, 1)
     phi = math.atan2(ey, ex)
     if phi <= -math.pi:
         phi = math.pi

@@ -4,10 +4,13 @@ A state is psi(phi) = sum_m c_m exp(i (m + theta/2pi) phi) / sqrt(2 pi)
 with sum |c_m|^2 = 1.  The boundary phase theta makes the state
 quasi-periodic, psi(phi + 2pi) = exp(i theta) psi(phi); theta = 0 is the
 strictly periodic case and theta = pi the anti-periodic one (half-odd
-effective angular momenta).  The Fourier representation keeps angular
-momentum moments exact diagonal sums and all trigonometric expectation
-values exact autocorrelations.  Each state computes both once and caches
-them: ``CircleState.lz_moments`` holds the two diagonal sums and
+effective angular momenta).  A state is only this wavefunction: its
+modes, amplitudes and theta, with every |m| at most ``MAX_MODE``.  Units
+and tolerances live in ``Config``, passed to the measurements that read
+them.  The Fourier representation keeps angular momentum moments exact
+diagonal sums and all trigonometric expectation values exact
+autocorrelations.  Each state computes both once and caches them:
+``CircleState.lz_moments`` holds the two diagonal sums and
 ``CircleState.harmonics`` the density harmonics.  Point values are direct
 sums over the modes through the phase tables of ``_phase_sums``: each row
 of a table is a running product, exp(i mu_0 phi) times exp(i g phi) for
@@ -25,6 +28,7 @@ import numpy as np
 from .errors import DegenerateStateError, ResolutionError
 
 __all__ = [
+    "MAX_MODE",
     "Config",
     "DEFAULT_CONFIG",
     "CircleState",
@@ -41,6 +45,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 _PHASE_BLOCK = 2**16  # entries of one phase table: 1 MiB of complex128
+
+MAX_MODE = 512  # the hard cap on |m| of every state
 
 
 def _phase_table(x: np.ndarray, ifreqs: np.ndarray,
@@ -84,23 +90,19 @@ def _phase_sums(points: np.ndarray, ifreqs: np.ndarray, columns: np.ndarray,
 
 @dataclass(frozen=True)
 class Config:
-    """Numerical policy shared by constructors and observables.
-
-    hbar sets the angular momentum scale, cmp_tol the comparison
-    tolerance for verdicts, and max_mode the hard cap on mode indices.
+    """Units and tolerances, their one home: hbar sets the angular momentum
+    scale and cmp_tol the comparison tolerance for verdicts.  Only the
+    functions that read one of them take a Config; a state carries none.
     """
 
     hbar: float = 1.0
     cmp_tol: float = 1e-9
-    max_mode: int = 512
 
     def __post_init__(self):
         if not (math.isfinite(self.hbar) and self.hbar > 0):
             raise ValueError("hbar must be positive and finite")
         if not 0 < self.cmp_tol < 1:
             raise ValueError("cmp_tol must lie in (0, 1)")
-        if self.max_mode < 0:
-            raise ValueError("max_mode must be non-negative")
 
 
 DEFAULT_CONFIG = Config()
@@ -119,14 +121,11 @@ class CircleState:
     theta : float
         Boundary phase in [0, 2pi); the effective mode exponent is
         mu = m + theta/2pi.
-    hbar : float
-        Angular momentum unit used by all observables of this state.
     """
 
     modes: np.ndarray
     amps: np.ndarray
     theta: float
-    hbar: float
 
     @property
     def mu(self) -> np.ndarray:
@@ -222,7 +221,7 @@ def _reduce_theta(theta: float) -> float:
     return theta
 
 
-def _build(modes, amps, theta, config: Config) -> CircleState:
+def _build(modes, amps, theta) -> CircleState:
     raw = np.asarray(modes)
     if raw.dtype.kind not in "iu" and not np.all(raw == np.round(raw)):
         raise ValueError("mode indices must be integers")
@@ -234,10 +233,10 @@ def _build(modes, amps, theta, config: Config) -> CircleState:
         raise DegenerateStateError("state has no nonzero coefficient")
     order = np.argsort(modes)
     modes, amps = modes[order], amps[order]
-    if np.max(np.abs(modes)) > config.max_mode:
+    if np.max(np.abs(modes)) > MAX_MODE:
         raise ResolutionError(
             f"mode index {int(np.max(np.abs(modes)))} exceeds the cap "
-            f"{config.max_mode}"
+            f"{MAX_MODE}"
         )
     parts = amps.view(np.float64)  # real and imaginary parts, interleaved
     peak = float(np.max(np.abs(parts)))
@@ -254,12 +253,10 @@ def _build(modes, amps, theta, config: Config) -> CircleState:
         amps = scaled / math.sqrt(norm2)
     modes.setflags(write=False)
     amps.setflags(write=False)
-    return CircleState(modes=modes, amps=amps, theta=_reduce_theta(theta),
-                       hbar=config.hbar)
+    return CircleState(modes=modes, amps=amps, theta=_reduce_theta(theta))
 
 
-def from_fourier(coeffs, theta: float = 0.0,
-                 config: Config = DEFAULT_CONFIG) -> CircleState:
+def from_fourier(coeffs, theta: float = 0.0) -> CircleState:
     """Build a state from a mode -> amplitude map.
 
     Parameters
@@ -279,11 +276,10 @@ def from_fourier(coeffs, theta: float = 0.0,
     for m, following in zip(modes, modes[1:]):
         if m == following:
             raise ValueError(f"duplicate mode {m}")
-    return _build(modes, amps, theta, config)
+    return _build(modes, amps, theta)
 
 
-def random_state(max_mode: int, seed: int,
-                 config: Config = DEFAULT_CONFIG) -> CircleState:
+def random_state(max_mode: int, seed: int) -> CircleState:
     """Reproducible random state on modes |m| <= max_mode, theta = 0."""
     if max_mode < 0:
         raise ValueError("max_mode must be >= 0")
@@ -291,23 +287,22 @@ def random_state(max_mode: int, seed: int,
     n = 2 * max_mode + 1
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     modes = np.arange(-max_mode, max_mode + 1)
-    return _build(modes, amps, 0.0, config)
+    return _build(modes, amps, 0.0)
 
 
-def uniform_state(config: Config = DEFAULT_CONFIG) -> CircleState:
+def uniform_state() -> CircleState:
     """The constant-amplitude state |psi| = 1/sqrt(2 pi)."""
-    return from_fourier({0: 1.0}, 0.0, config)
+    return from_fourier({0: 1.0}, 0.0)
 
 
-def superposition_state(k: int, m: int,
-                        config: Config = DEFAULT_CONFIG) -> CircleState:
+def superposition_state(k: int, m: int) -> CircleState:
     """Equal superposition of two angular momentum eigenmodes k != m."""
     if k == m:
         raise ValueError("the two mode indices must differ")
-    return from_fourier({k: 1.0, m: 1.0}, 0.0, config)
+    return from_fourier({k: 1.0, m: 1.0}, 0.0)
 
 
-def sin_half_power_state(n: int, config: Config = DEFAULT_CONFIG) -> CircleState:
+def sin_half_power_state(n: int) -> CircleState:
     """Normalized sin(phi/2)**n state, built from its exact binomial modes.
 
     Odd powers are anti-periodic and carry boundary phase pi
@@ -327,14 +322,14 @@ def sin_half_power_state(n: int, config: Config = DEFAULT_CONFIG) -> CircleState
     for j in range(n + 1):
         amp = scale * math.comb(n, j) * (-1) ** (n - j)
         coeffs[j - offset] = amp
-    return from_fourier(coeffs, theta, config)
+    return from_fourier(coeffs, theta)
 
 
-def cos_harmonic_state(j: int, config: Config = DEFAULT_CONFIG) -> CircleState:
+def cos_harmonic_state(j: int) -> CircleState:
     """Normalized cos(j phi)/sqrt(pi) state (equal weight on modes +-j)."""
     if j < 1:
         raise ValueError("harmonic index must be >= 1")
-    return from_fourier({j: 1.0, -j: 1.0}, 0.0, config)
+    return from_fourier({j: 1.0, -j: 1.0}, 0.0)
 
 
 def dump_state(state: CircleState) -> str:
@@ -349,7 +344,7 @@ def dump_state(state: CircleState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_state(text: str, config: Config = DEFAULT_CONFIG) -> CircleState:
+def load_state(text: str) -> CircleState:
     """Parse the text record produced by :func:`dump_state`.
 
     Raises ``ValueError`` naming the offending line on malformed input and
@@ -388,4 +383,4 @@ def load_state(text: str, config: Config = DEFAULT_CONFIG) -> CircleState:
         raise ValueError("line 1: missing 'theta' header")
     if not modes:
         raise DegenerateStateError("state file lists no coefficients")
-    return _build(modes, amps, theta, config)
+    return _build(modes, amps, theta)

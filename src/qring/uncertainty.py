@@ -9,7 +9,8 @@ their combination into the total bound sigma_n * sigma_Lz >= hbar/2, and
 the window-anchored bound sigma_phi * sigma_Lz >= (hbar/2)(1 - 2pi rho(pi))
 for strictly periodic states with the window start fixed at -pi.  All four
 are theorems, so ``holds`` is expected true for every valid state; the
-interesting output is the slack and the saturation flag.  A side that
+interesting output is the slack and the saturation flag.  hbar and the
+tolerance come from the ``Config`` each check is given.  A side that
 overflows float64 (a huge hbar) raises ``OverflowError`` rather than
 giving a verdict on infinities; the one infinite side allowed is the
 total bound's left side when sigma_n is infinite.
@@ -29,13 +30,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .observables import (
+    _moduli,
     angle_moments_beta,
     expect_xy,
     sigma_lz,
     sigma_total,
     sigma_xy,
 )
-from .state import DEFAULT_CONFIG, CircleState, Config
+from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config
 
 __all__ = [
     "URKind",
@@ -102,8 +104,8 @@ def check_ur_x(state: CircleState, n: int,
     """sigma_Xn * sigma_Lz against (n hbar / 2) |<Yn>|."""
     sx, _ = sigma_xy(state, n)
     _, ey = expect_xy(state, n)
-    lhs = sx * sigma_lz(state)
-    rhs = 0.5 * n * state.hbar * abs(ey)
+    lhs = sx * sigma_lz(state, config)
+    rhs = 0.5 * n * config.hbar * abs(ey)
     return _report(URKind.X_AXIS, n, lhs, rhs, config.cmp_tol)
 
 
@@ -112,8 +114,8 @@ def check_ur_y(state: CircleState, n: int,
     """sigma_Yn * sigma_Lz against (n hbar / 2) |<Xn>|."""
     _, sy = sigma_xy(state, n)
     ex, _ = expect_xy(state, n)
-    lhs = sy * sigma_lz(state)
-    rhs = 0.5 * n * state.hbar * abs(ex)
+    lhs = sy * sigma_lz(state, config)
+    rhs = 0.5 * n * config.hbar * abs(ex)
     return _report(URKind.Y_AXIS, n, lhs, rhs, config.cmp_tol)
 
 
@@ -127,8 +129,8 @@ def check_total_ur(state: CircleState, n: int,
     """
     sn = sigma_total(state, n, config)
     infinite = math.isinf(sn)
-    lhs = math.inf if infinite else sn * sigma_lz(state)
-    rhs = 0.5 * state.hbar
+    lhs = math.inf if infinite else sn * sigma_lz(state, config)
+    rhs = 0.5 * config.hbar
     return _report(URKind.TOTAL, n, lhs, rhs, config.cmp_tol, infinite)
 
 
@@ -142,11 +144,11 @@ def check_fujikawa(state: CircleState,
     are rejected (the window moments are not defined for them).
     """
     _, _, s_phi = angle_moments_beta(state, -math.pi)
-    lhs = s_phi * sigma_lz(state)
+    lhs = s_phi * sigma_lz(state, config)
     # 2 pi rho(pi) = rho_0 + 2 Re sum_{k>=1} rho_k (-1)^k
     rho = state.harmonics.real
     two_pi_rho = rho[0] + 2.0 * float(rho[2::2].sum() - rho[1::2].sum())
-    rhs = 0.5 * state.hbar * (1.0 - two_pi_rho)
+    rhs = 0.5 * config.hbar * (1.0 - two_pi_rho)
     return _report(URKind.FUJIKAWA, 1, lhs, rhs, config.cmp_tol)
 
 
@@ -212,15 +214,13 @@ def series_columns(state: CircleState, nmax: int,
     ey[inside:] = 0.0  # expect_xy gives +0.0 past the span, not -0.0
     sx = np.sqrt(np.maximum(0.5 * (1.0 + x2n) - ex * ex, 0.0))
     sy = np.sqrt(np.maximum(0.5 * (1.0 - x2n) - ey * ey, 0.0))
-    # np.abs of a complex array may differ from abs(complex) in the last
-    # bit; hypot does not
-    r = np.hypot(rho_n.real, rho_n.imag)
+    r = _moduli(rho_n)
     isotropic = r < config.cmp_tol
     safe_r = np.where(isotropic, 1.0, r)
     sn = np.sqrt(np.maximum(1.0 - safe_r * safe_r, 0.0)) / (n * safe_r)
     sn[isotropic] = math.inf
-    slz = sigma_lz(state)
-    hbar = state.hbar
+    slz = sigma_lz(state, config)
+    hbar = config.hbar
     with np.errstate(over="ignore", invalid="ignore"):
         x_lhs = sx * slz
         x_rhs = 0.5 * n * hbar * np.abs(ey)
@@ -248,22 +248,21 @@ def series_columns(state: CircleState, nmax: int,
     )
 
 
-def detect_fold_symmetry(state: CircleState, tol: float = 1e-9,
-                         config: Config = DEFAULT_CONFIG) -> int:
+def detect_fold_symmetry(state: CircleState, tol: float = 1e-9) -> int:
     """Largest n with every significant density harmonic on multiples of n.
 
     Works on the density harmonics rho_k: an n-fold symmetric density has
     weight only on the n-lattice.  Off-lattice harmonics of total
     magnitude up to ``tol`` are treated as noise.  A density with no
-    harmonics at all (uniform) is symmetric for every n; the configured
-    mode cap is returned as the convention for that case.  Returns 1 when
-    no symmetry is present.
+    harmonics at all (uniform) is symmetric for every n; the mode cap
+    ``MAX_MODE`` is returned as the convention for that case.  Returns 1
+    when no symmetry is present.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    mags = np.abs(state.harmonics[1:])
+    mags = _moduli(state.harmonics[1:])
     if mags.size == 0 or float(mags.sum()) <= tol:
-        return config.max_mode
+        return MAX_MODE
     k = np.arange(1, mags.size + 1)
     # a lag whose harmonic alone exceeds tol must sit on the lattice, so n
     # divides the gcd of those lags (gcd 0, none of them: any n may do)
@@ -276,7 +275,7 @@ def detect_fold_symmetry(state: CircleState, tol: float = 1e-9,
 
 def is_fully_symmetric(state: CircleState, tol: float = 1e-9) -> bool:
     """True when the density has no harmonic above tol (uniform density)."""
-    mags = np.abs(state.harmonics[1:])
+    mags = _moduli(state.harmonics[1:])
     return mags.size == 0 or float(mags.sum()) <= tol
 
 
@@ -285,5 +284,5 @@ def recommend_n(state: CircleState, r_threshold: float = 0.1) -> int | None:
     within the mode span stays below it."""
     if not 0 < r_threshold < 1:
         raise ValueError("r_threshold must lie in (0, 1)")
-    hits = np.flatnonzero(np.abs(state.harmonics[1:]) >= r_threshold)
+    hits = np.flatnonzero(_moduli(state.harmonics[1:]) >= r_threshold)
     return int(hits[0]) + 1 if hits.size else None

@@ -484,11 +484,24 @@ class TestScanBeta:
         assert "--from <= --to" in err
 
     def test_quasi_periodic_exit_3(self, capsys, tmp_path):
+        # one periodicity gate, angle_moments_beta's; the range comes first
         path = write_state(tmp_path, sin_half_power_state(1))
-        code, _, err = run_cli(capsys, "scan-beta", path, "--from", "0",
-                               "--to", "1", "--step", "0.5")
-        assert code == 3
-        assert "periodic" in err
+        code, out, err = run_cli(capsys, "scan-beta", path, "--from", "0",
+                                 "--to", "1", "--step", "0.5")
+        assert (code, out) == (3, "")
+        assert err == ("error: window angle moments need a strictly "
+                       "periodic state\n")
+        code, out, err = run_cli(capsys, "scan-beta", path, "--from", "1",
+                                 "--to", "0", "--step", "0.5")
+        assert (code, out) == (2, "")
+        assert "--from <= --to" in err
+
+    def test_missing_file_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "scan-beta",
+                                 str(tmp_path / "missing.txt"), "--from",
+                                 "0", "--to", "1", "--step", "0.5")
+        assert (code, out) == (2, "")
+        assert "cannot read" in err
 
     def test_rows_match_single_beta_moments(self, capsys, tmp_path):
         state = random_state(32, 6)
@@ -738,7 +751,7 @@ def observable_row(state, n, cfg):
     (ex, ey), (sx, sy) = expect_xy(state, n), sigma_xy(state, n)
     return {"n": n, "ex": ex, "ey": ey, "r_n": mean_resultant(state, n),
             "mean_phi": mean_angle(state, cfg), "sigma_x": sx, "sigma_y": sy,
-            "sigma_lz": sigma_lz(state),
+            "sigma_lz": sigma_lz(state, cfg),
             "sigma_tilde": math.sqrt(sx * sx + sy * sy),
             "sigma_n": sigma_total(state, n, cfg)}
 
@@ -760,7 +773,7 @@ def asdict_report(state, nmax, cfg=Config()):
         "observables": observables,
         "uncertainty": [{**dataclasses.asdict(rep), "kind": rep.kind.value}
                         for rep in checks],
-        "fold_symmetry": {"n": detect_fold_symmetry(state, 1e-9, cfg),
+        "fold_symmetry": {"n": detect_fold_symmetry(state, 1e-9),
                           "fully_symmetric": is_fully_symmetric(state, 1e-9)},
         "recommended_n": recommend_n(state, 0.1),
     }
@@ -836,7 +849,7 @@ class TestSerialization:
     def test_hbar_scaled_report_matches_oracles(self, capsys, tmp_path):
         cfg = Config(hbar=2.5)
         path = write_state(tmp_path, random_state(6, 11))
-        state = load_state(dump_state(random_state(6, 11)), cfg)
+        state = load_state(dump_state(random_state(6, 11)))
         code, out, err = run_cli(capsys, "--hbar", "2.5", "report", path,
                                  "--nmax", "15")
         assert code == 0
@@ -857,7 +870,7 @@ class TestSerialization:
                                "--m", str(m), "--kappa", repr(kappa))
         assert code == 0
         packet, state = (mwp_x if axis == "X" else mwp_y)(n, m, kappa)
-        verification = verify_packet(packet, state, 1e-9)
+        verification = verify_packet(packet, state)
         payload = {
             "axis": axis, "n": n, "m": m, "kappa": kappa,
             "predicted": dataclasses.asdict(packet.predicted),

@@ -18,7 +18,7 @@ from qring.observables import (
     sigma_total,
     sigma_xy,
 )
-from qring.state import Config, from_fourier, uniform_state
+from qring.state import MAX_MODE, Config, from_fourier, uniform_state
 from qring.uncertainty import check_ur_x, check_ur_y, detect_fold_symmetry
 
 TWO_PI = 2.0 * math.pi
@@ -98,14 +98,19 @@ class TestConstruction:
     @pytest.mark.parametrize("axis", [Axis.X, Axis.Y])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_exact_coefficients(self, axis, n):
-        # no global phase freedom: the coefficients themselves must match
-        cfg = Config(max_mode=4096)
+        # no global phase freedom: the coefficients themselves must match;
+        # a packet whose oracle modes pass the cap must raise instead
         build = mwp_x if axis is Axis.X else mwp_y
         for m in range(-3, 4):
             for kappa in (0.5, 3.0, 40.0, 1000.0, 5000.0):
                 for signed in (kappa, -kappa):
-                    got = build(n, m, signed, cfg)[1].coeffs()
                     ref = jacobi_anger_coeffs(axis, n, m, signed)
+                    if max(map(abs, ref)) > MAX_MODE:
+                        assert n > 1  # n = 1 fits every kappa here
+                        with pytest.raises(ResolutionError):
+                            build(n, m, signed)
+                        continue
+                    got = build(n, m, signed)[1].coeffs()
                     assert got.keys() == ref.keys()
                     assert max(abs(got[k] - ref[k]) for k in ref) <= 1e-13
 
@@ -140,22 +145,35 @@ class TestConstruction:
         with pytest.raises(ResolutionError, match="cap"):
             mwp_y(1, 0, kappa)
 
+    @pytest.mark.parametrize("m", [600, -513])
+    def test_mode_alone_breaks_cap(self, m):
+        with pytest.raises(ResolutionError, match="exceeds the cap 512"):
+            mwp_x(1, m, 1.0)
+
     @pytest.mark.parametrize("n,m", [(1, 0), (1, 3), (2, -1), (5, 2)])
     def test_cap_boundary_matches_oracle(self, n, m):
-        # bisect the largest kappa that fits the cap; the oracle's kept
-        # orders must fit there and break the cap just above it
-        cfg = Config(max_mode=128)
+        # bisect the largest kappa that fits the cap; in exact arithmetic
+        # the first order past the cap must be dropped there and kept at
+        # the next float.  scipy's ive is no oracle this close: at order 513
+        # it is 7e-14 off, and keeps the order at the (1, 0) boundary.
+        mpmath = pytest.importorskip("mpmath")
         lo, hi = 1.0, 1e5
         for _ in range(60):
             mid = math.sqrt(lo * hi)
             try:
-                mwp_x(n, m, mid, cfg)
+                mwp_x(n, m, mid)
                 lo = mid
             except ResolutionError:
                 hi = mid
-        for kappa, fits in ((lo, True), (hi * 1.001, False)):
-            top = max(map(abs, jacobi_anger_coeffs(Axis.X, n, 0, kappa)))
-            assert (top + abs(m) <= cfg.max_mode) is fits
+        assert hi == math.nextafter(lo, math.inf)
+        k = (MAX_MODE - abs(m)) // n + 1
+        for kappa, fits in ((lo, True), (hi, False)):
+            with mpmath.workdps(40):
+                z = mpmath.mpf(kappa) / 2
+                # the weights I_k(z)^2 of all orders sum to I_0(2z)
+                kept = (mpmath.besseli(k, z) ** 2
+                        > mpmath.mpf("1e-24") * mpmath.besseli(0, 2 * z))
+            assert kept is not fits
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -257,6 +275,19 @@ class TestVerifyPacket:
         assert abs(v.deltas["kappa"]) == pytest.approx(1e-6 * abs(kappa),
                                                        rel=1e-3)
 
+    @pytest.mark.parametrize("build", [mwp_x, mwp_y])
+    def test_hbar_and_tolerance_from_config(self, build):
+        cfg = Config(hbar=2.0, cmp_tol=1e-7)
+        pk, s = build(2, 1, 5.0, cfg)
+        v = verify_packet(pk, s, cfg)
+        assert v.ok and v.tol == 1e-7
+        assert v.measured["lz"] == 2.0 * expect_lz(s)
+        assert v.measured["sigma_lz2"] == (2.0 * sigma_lz(s)) ** 2
+        assert pk.predicted.sigma_lz2 == pytest.approx(
+            4.0 * build(2, 1, 5.0)[0].predicted.sigma_lz2, rel=1e-15)
+        # measured in other units than the packet's, L_z fails
+        assert not verify_packet(pk, s).ok
+
     def test_measured_moments_reported(self):
         pk, s = mwp_y(2, 1, 5.0)
         v = verify_packet(pk, s)
@@ -273,7 +304,7 @@ class TestVerifyPacket:
         # 50 is the top of the intended concentration range (~200 modes)
         pk, s = mwp_x(1, 0, 50.0)
         assert s.max_abs_mode < 512
-        v = verify_packet(pk, s, tol=1e-8)
+        v = verify_packet(pk, s, Config(cmp_tol=1e-8))
         assert v.ok, v.deltas
         assert check_ur_x(s, 1).saturated
 

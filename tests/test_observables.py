@@ -35,7 +35,7 @@ EPS = np.finfo(float).eps
 
 
 def lz_moments_quadrature(state, nodes=8192):
-    """Oracle: trapezoid quadrature of psi* (-i hbar d/dphi) psi.
+    """Oracle: trapezoid quadrature of psi* (-i d/dphi) psi, hbar = 1.
 
     The derivative is taken spectrally (term by term), the integral by the
     trapezoid rule on a periodic integrand, independent of the diagonal-sum
@@ -47,8 +47,8 @@ def lz_moments_quadrature(state, nodes=8192):
     psi = basis @ state.amps
     dpsi = basis @ (1j * mu * state.amps)
     h = TWO_PI / nodes
-    m1 = np.sum(np.conj(psi) * (-1j * state.hbar) * dpsi).real * h
-    m2 = np.sum(np.abs(dpsi) ** 2) * state.hbar**2 * h
+    m1 = np.sum(np.conj(psi) * -1j * dpsi).real * h
+    m2 = np.sum(np.abs(dpsi) ** 2) * h
     return m1, m2
 
 
@@ -156,6 +156,15 @@ class TestMeanAngle:
         val = mean_angle(sin_half_power_state(1))
         assert -math.pi < val <= math.pi
 
+    def test_threshold_at_r1_reads_the_resultant(self):
+        # R_1 against cmp_tol by the bits of mean_resultant: at cmp_tol =
+        # R_1 the state is anisotropic, as sigma_total says
+        s = random_state(3, 7)
+        cfg = Config(cmp_tol=mean_resultant(s, 1))
+        ex, ey = expect_xy(s, 1)
+        assert mean_angle(s, cfg) == math.atan2(ey, ex)
+        assert math.isfinite(sigma_total(s, 1, cfg))
+
     @pytest.mark.parametrize("delta", [0.4, 2.0, -1.3, 5.9])
     def test_equivariance(self, delta):
         s = sin_half_power_state(2)
@@ -177,6 +186,12 @@ class TestSigmaTotal:
     def test_infinite_marker(self):
         assert sigma_total(cos_harmonic_state(1), 1) == math.inf
         assert sigma_total(superposition_state(5, 2), 1) == math.inf
+
+    @pytest.mark.parametrize("fn", [sigma_total, mean_resultant])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_harmonic_index_below_one_rejected(self, fn, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            fn(random_state(3, 1), n)
 
 
 class TestAngleMomentsBeta:
@@ -429,7 +444,7 @@ class TestSpectrumCache:
         assert expect_xy(r, 1) != pytest.approx(expect_xy(s, 1))
 
 
-def lz_diagonal_sums(state):
+def lz_diagonal_sums(state, hbar=1.0):
     """Oracle: (<L_z>, sigma_Lz) from the diagonal sums, recomputed on every
     call; the cached moments use the same arithmetic, so they match bit for
     bit."""
@@ -437,7 +452,7 @@ def lz_diagonal_sums(state):
     mu = state.mu
     m1 = float(np.sum(mu * w))
     m2 = float(np.sum(mu * mu * w))
-    return state.hbar * m1, state.hbar * math.sqrt(max(m2 - m1 * m1, 0.0))
+    return hbar * m1, hbar * math.sqrt(max(m2 - m1 * m1, 0.0))
 
 
 class TestLzMomentsCache:
@@ -454,14 +469,16 @@ class TestLzMomentsCache:
         from_fourier({-4: 0.3 + 0.2j, 1: 1.0, 5: -0.7j}, theta=1.3),
         from_fourier({0: 1.0, 1: 0.5, 2: 0.25j}, theta=math.pi),
         sin_half_power_state(5),
-        random_state(12, 6, Config(hbar=0.37)),
-        from_fourier({-2: 1.0, 3: 0.4 - 0.9j}, theta=4.0,
-                     config=Config(hbar=2.5)),
+        random_state(12, 6),
+        from_fourier({-2: 1.0, 3: 0.4 - 0.9j}, theta=4.0),
     ])
     def test_bit_identical_to_diagonal_sums(self, s):
-        want = lz_diagonal_sums(s)
         for _ in range(2):  # first call fills the cache, second reads it
-            assert (expect_lz(s), sigma_lz(s)) == want
+            for hbar in (1.0, 0.37, 2.5):
+                cfg = Config(hbar=hbar)
+                assert ((expect_lz(s, cfg), sigma_lz(s, cfg))
+                        == lz_diagonal_sums(s, hbar))
+        assert (expect_lz(s), sigma_lz(s)) == lz_diagonal_sums(s)
 
     @pytest.mark.parametrize("delta", [0.7, -2.9])
     def test_rotated_state_starts_without_cache(self, delta):
@@ -474,10 +491,12 @@ class TestLzMomentsCache:
 
     def test_replaced_state_starts_without_cache(self):
         s = random_state(5, 7)
-        before = sigma_lz(s)
-        r = dataclasses.replace(s, hbar=2.0)
+        before = expect_lz(s)
+        r = dataclasses.replace(s, theta=1.0)
         assert "lz_moments" not in r.__dict__
-        assert sigma_lz(r) == 2.0 * before
+        assert (expect_lz(r), sigma_lz(r)) == lz_diagonal_sums(r)
+        assert expect_lz(r) == pytest.approx(before + 1.0 / TWO_PI,
+                                             rel=1e-14)
 
 
 class TestReport:

@@ -14,6 +14,7 @@ from qring.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["qring", "qring.bessel", "qring.state", "qring.observables",
            "qring.uncertainty", "qring.mwp"]
+SOURCES = sorted((ROOT / "src" / "qring").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -27,8 +28,7 @@ def test_all_names_resolve(name):
     assert not missing
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "qring").glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     # no linter runs on the package; deleting code tends to leave the
     # imports it needed behind
@@ -45,6 +45,27 @@ def test_no_unused_imports(path):
                 for target in node.targets):
             exported = set(ast.literal_eval(node.value))
     assert sorted(imported - used - exported) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_parameters(path):
+    # a parameter that its function never reads is a knob that does
+    # nothing, such as a config left behind when a function stops reading
+    # it; a leading underscore marks one that a shared signature requires
+    unused = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if arg is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unused += [f"{fn.name}({name})" for name in params
+                   if name not in read and not name.startswith("_")]
+    assert unused == []
 
 
 def test_version_matches_pyproject():

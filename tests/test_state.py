@@ -1,5 +1,6 @@
 """Tests for qring.state: construction, evaluation, rotation, serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import qring.state
 from qring.errors import DegenerateStateError, ResolutionError
 from qring.mwp import mwp_x
 from qring.state import (
+    MAX_MODE,
     Config,
     cos_harmonic_state,
     dump_state,
@@ -65,15 +67,37 @@ class TestFromFourier:
             from_fourier({})
 
     def test_mode_cap(self):
+        assert MAX_MODE == 512
         with pytest.raises(ResolutionError):
             from_fourier({600: 1.0})
-        cfg = Config(max_mode=1024)
-        assert from_fourier({600: 1.0}, config=cfg).max_abs_mode == 600
+        with pytest.raises(ResolutionError, match="exceeds the cap 512"):
+            from_fourier({0: 1.0, -MAX_MODE - 1: 1.0})
+        assert from_fourier({-MAX_MODE: 1.0}).max_abs_mode == MAX_MODE
+
+    def test_config_is_not_an_argument(self):
+        # a state is only its wavefunction; hbar is given to the measurement
+        with pytest.raises(TypeError):
+            random_state(8, 3, Config(hbar=2.0))
+        assert [f.name for f in dataclasses.fields(random_state(1, 0))] == [
+            "modes", "amps", "theta"]
+        assert [f.name for f in dataclasses.fields(Config)] == [
+            "hbar", "cmp_tol"]
+
+    @pytest.mark.parametrize("build, args", [
+        (random_state, (-1, 0)),
+        (superposition_state, (2, 2)),
+        (sin_half_power_state, (0,)),
+        (cos_harmonic_state, (0,)),
+    ])
+    def test_bad_constructor_arguments_rejected(self, build, args):
+        with pytest.raises(ValueError):
+            build(*args)
 
     def test_theta_reduced(self):
         s = from_fourier({0: 1.0}, theta=2 * TWO_PI + 1.0)
         assert s.theta == pytest.approx(1.0)
         assert from_fourier({0: 1.0}, theta=TWO_PI).theta == 0.0
+        assert from_fourier({0: 1.0}, theta=-1.0).theta == TWO_PI - 1.0
 
     @pytest.mark.parametrize("amp", [1e300, 1e-200, 1.7e308, 5e-324])
     def test_extreme_amplitudes_normalize(self, amp):
@@ -248,6 +272,11 @@ class TestRotate:
         s = random_state(9, 23)
         assert norm2(s.rotate(1.234)) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_angle_rejected(self, delta):
+        with pytest.raises(ValueError, match="finite"):
+            random_state(3, 1).rotate(delta)
+
 
 class TestRandomState:
     def test_deterministic(self):
@@ -309,6 +338,16 @@ class TestSerialization:
         r = load_state("# comment\n\ntheta 0\n0 1 0\n")
         assert list(r.modes) == [0]
 
+    @pytest.mark.parametrize("text, error, match", [
+        ("theta x\n0 1 0\n", ValueError, "line 1: bad theta value"),
+        ("theta 0\n0 1\n", ValueError, "line 2: expected 'm re im'"),
+        ("# only a comment\n", ValueError, "missing 'theta' header"),
+        ("theta 0\n", DegenerateStateError, "no coefficients"),
+    ])
+    def test_malformed_file_rejected(self, text, error, match):
+        with pytest.raises(error, match=match):
+            load_state(text)
+
 
 class TestConfigValidation:
     def test_bad_hbar(self):
@@ -319,3 +358,8 @@ class TestConfigValidation:
     def test_non_finite_hbar(self, hbar):
         with pytest.raises(ValueError):
             Config(hbar=hbar)
+
+    @pytest.mark.parametrize("cmp_tol", [0.0, 1.0])
+    def test_cmp_tol_outside_open_unit_interval(self, cmp_tol):
+        with pytest.raises(ValueError, match="cmp_tol"):
+            Config(cmp_tol=cmp_tol)

@@ -15,7 +15,7 @@ from qring.observables import (
     sigma_xy,
 )
 from qring.state import (
-    DEFAULT_CONFIG,
+    MAX_MODE,
     Config,
     cos_harmonic_state,
     from_fourier,
@@ -125,7 +125,7 @@ class TestFujikawa:
         random_state(6, 1), random_state(40, 2)])
     def test_seam_density_from_harmonics(self, state):
         # oracle: the density at the seam evaluated from the wavefunction
-        rhs = 0.5 * state.hbar * (1.0 - TWO_PI * state.density(math.pi))
+        rhs = 0.5 * (1.0 - TWO_PI * state.density(math.pi))
         assert check_fujikawa(state).rhs == pytest.approx(rhs, abs=1e-13)
 
 
@@ -162,7 +162,7 @@ class TestFoldSymmetry:
 
     def test_uniform_convention(self):
         s = uniform_state()
-        assert detect_fold_symmetry(s) == DEFAULT_CONFIG.max_mode
+        assert detect_fold_symmetry(s) == MAX_MODE
         assert is_fully_symmetric(s)
         assert not is_fully_symmetric(cos_harmonic_state(1))
 
@@ -249,6 +249,18 @@ class TestRecommendN:
                      if mean_resultant(s, n) >= threshold), None)
         assert recommend_n(s, threshold) == want
 
+    def test_threshold_equal_to_a_reported_resultant(self):
+        # the report's r_n = 0.3951983655112775 at n = 2 is a hit
+        assert recommend_n(random_state(4, 8), 0.3951983655112775) == 2
+        for seed in range(200):
+            s = random_state(4, seed)
+            r = series_columns(s, s.mode_span).r_n.tolist()
+            for threshold in r:
+                if 0 < threshold < 1:
+                    want = next(n for n, v in enumerate(r, 1)
+                                if v >= threshold)
+                    assert recommend_n(s, threshold) == want, (seed, r)
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             recommend_n(uniform_state(), 0.0)
@@ -285,7 +297,6 @@ class TestSeriesColumns:
                                            f"theta{s.theta:.3g}")
     def test_bit_identical_to_scalar_api(self, state, hbar):
         cfg = Config(hbar=hbar)
-        state = from_fourier(state.coeffs(), state.theta, cfg)
         nmax = 2 * state.mode_span + 3
         cols = series_columns(state, nmax, cfg)
         checks = [(check_ur_x, cols.x_axis), (check_ur_y, cols.y_axis),
@@ -308,6 +319,25 @@ class TestSeriesColumns:
                     assert type(got) is type(want), (n, name)
                     assert same_float(got, want), (ref.kind, n, name)
 
+    @pytest.mark.parametrize("state", [random_state(8, 3), random_state(3, 7),
+                                       mwp_y(2, 1, 3.0)[1]])
+    def test_right_sides_scale_with_config_hbar(self, state):
+        # hbar comes from the Config alone: doubling it doubles every right
+        # side, of the scalar checks and of the columns alike
+        one, two = Config(), Config(hbar=2.0)
+        for n in range(1, 6):
+            for check in (check_ur_x, check_ur_y, check_total_ur):
+                assert (check(state, n, two).rhs
+                        == 2.0 * check(state, n, one).rhs)
+        assert (check_fujikawa(state, two).rhs
+                == 2.0 * check_fujikawa(state, one).rhs)
+        cols_one = series_columns(state, 6, one)
+        cols_two = series_columns(state, 6, two)
+        for family in ("x_axis", "y_axis", "total"):
+            np.testing.assert_array_equal(
+                getattr(cols_two, family).rhs,
+                2.0 * getattr(cols_one, family).rhs)
+
     def test_zero_past_the_span_is_positive(self):
         # -Im of the zero pad would print as -0.0
         cols = series_columns(random_state(2, 3), 10)
@@ -326,8 +356,7 @@ class TestOverflow:
 
     @pytest.mark.parametrize("hbar", [1e307, 1e308, 1.7e308])
     def test_overflowing_side_raises(self, hbar):
-        cfg = Config(hbar=hbar)
-        state = from_fourier(self.STATE.coeffs(), 0.0, cfg)
+        cfg, state = Config(hbar=hbar), self.STATE
         with pytest.raises(OverflowError, match="overflows float64") as exc:
             for n in range(1, 9):
                 for check in (check_ur_x, check_ur_y, check_total_ur):
@@ -337,16 +366,14 @@ class TestOverflow:
         assert str(col_exc.value) == str(exc.value)
 
     def test_largest_finite_hbar_holds(self):
-        cfg = Config(hbar=1e306)
-        state = from_fourier(self.STATE.coeffs(), 0.0, cfg)
+        cfg, state = Config(hbar=1e306), self.STATE
         cols = series_columns(state, 8, cfg)
         for bounds in (cols.x_axis, cols.y_axis, cols.total):
             assert np.all(np.isfinite(bounds.lhs)) and bounds.holds.all()
         assert check_fujikawa(state, cfg).holds
 
     def test_fujikawa_overflow_raises(self):
-        cfg = Config(hbar=1e308)
-        state = from_fourier(self.STATE.coeffs(), 0.0, cfg)
+        cfg, state = Config(hbar=1e308), self.STATE
         with pytest.raises(OverflowError, match="FUJIKAWA"):
             check_fujikawa(state, cfg)
 
