@@ -190,7 +190,7 @@ def _example(name: str, args, cfg: Config) -> tuple[dict, list]:
                      0.5 * hb * math.sqrt((2 * p + 1) / (2 * p - 1)))]
     elif name == "von-mises":
         alpha, n = args.alpha, 1
-        state, params = mwp_x(1, 0, alpha, cfg)[1], {"alpha": alpha}
+        state, params = mwp_x(1, 0, alpha)[1], {"alpha": alpha}
         r = bessel.ratio(alpha)
         expected = [("mean_x", 0.0), ("mean_y", r),
                     ("sigma_lz", 0.5 * hb * math.sqrt(alpha * r)),
@@ -267,10 +267,10 @@ def _row_range(start: float, stop: float, step: float) -> np.ndarray:
     return xs
 
 
-def run_curve(args, cfg: Config) -> int:
+def run_curve(args, _cfg: Config) -> int:
     xs = _row_range(args.start, args.stop, args.step)
     if args.name == "mwp_abs":
-        _, state = mwp_x(args.n, args.m, args.alpha, cfg)
+        _, state = mwp_x(args.n, args.m, args.alpha)
         names, values = ("phi", "abs_psi"), np.abs(state.evaluate(xs)).tolist()
     else:
         fn = {"ratio": bessel.ratio, "f": bessel.f_alpha,
@@ -378,7 +378,7 @@ def run_mwp(args, cfg: Config) -> int:
               file=sys.stderr)
         return USAGE_ERROR
     builder = mwp_x if Axis(args.axis) is Axis.X else mwp_y
-    packet, state = builder(args.n, args.m, args.kappa, cfg)
+    packet, state = builder(args.n, args.m, args.kappa)
     if args.emit_state:
         sys.stdout.write(dump_state(state))
         return 0
@@ -394,7 +394,7 @@ def run_mwp(args, cfg: Config) -> int:
         "n": packet.n,
         "m": packet.m,
         "kappa": packet.kappa,
-        "predicted": _fields(packet.predicted),
+        "predicted": _fields(verification.predicted),
         "measured": verification.measured,
         "verification": {"ok": verification.ok, "tol": verification.tol,
                          "deltas": verification.deltas},

@@ -12,8 +12,9 @@ exp(-z cos t) = sum_k (-1)^k I_k(z) e^{ikt} (A&S 9.6.34) with z = kappa/2
 and t = n phi: order k sits at mode n k + m.  Coefficients whose weight is
 at most 1e-24 of the total (``_TRUNC_TOL`` squared, a fixed policy) are
 dropped, and the mode cap ``state.MAX_MODE`` is the only limit on kappa.
-The packet carries the closed-form predictions, in the hbar of its
-``Config``, so construction and measurement can be compared.
+A packet is only its parameters; ``verify_packet`` computes the
+closed-form predictions, in the hbar of its ``Config``, and compares them
+with the moments measured on the state.
 """
 
 import math
@@ -61,28 +62,28 @@ class PacketPrediction:
 
 @dataclass(frozen=True)
 class VonMisesPacket:
-    """Parameters and predicted statistics of a minimum wave packet."""
+    """Parameters of a minimum wave packet."""
 
     axis: Axis
     n: int
     m: int
     kappa: float
-    predicted: PacketPrediction
 
 
 @dataclass(frozen=True)
 class PacketVerification:
-    """Measured moments of a packet's state and their deltas from the
-    predictions."""
+    """Closed-form predictions of a packet, the moments measured on its
+    state, and their deltas."""
 
     ok: bool
     tol: float
+    predicted: PacketPrediction
     deltas: dict
     measured: dict
 
 
-def _predictions(axis: Axis, n: int, kappa: float,
-                 hbar: float) -> PacketPrediction:
+def _predictions(packet: VonMisesPacket, hbar: float) -> PacketPrediction:
+    n, kappa = packet.n, packet.kappa
     i0s = i0_scaled(kappa)
     r = i1_scaled(kappa) / i0s        # I1/I0, as bessel.ratio computes it
     # r/kappa with its analytic limit 1/2 at kappa = 0
@@ -98,7 +99,7 @@ def _predictions(axis: Axis, n: int, kappa: float,
                             f"float64 (hbar={hbar!r}); use a smaller hbar")
     # 1/sqrt(2 pi I0(kappa)) from the scaled I0: no overflow at any kappa
     norm = math.exp(-0.5 * abs(kappa)) / math.sqrt(TWO_PI * i0s)
-    if axis is Axis.X:
+    if packet.axis is Axis.X:
         return PacketPrediction(ex=0.0, ey=r, sigma_x2=along2,
                                 sigma_y2=across2, sigma_lz2=lz2,
                                 norm_const=norm)
@@ -139,8 +140,8 @@ def _exceeds_cap(z: float, n: int, m: int) -> bool:
             or log_total > math.log(4 * k - 2))
 
 
-def _packet(axis: Axis, n: int, m: int, kappa: float,
-            config: Config) -> tuple[VonMisesPacket, CircleState]:
+def _packet(axis: Axis, n: int, m: int,
+            kappa: float) -> tuple[VonMisesPacket, CircleState]:
     if n < 1:
         raise ValueError("harmonic index n must be >= 1")
     if not math.isfinite(kappa):
@@ -155,47 +156,44 @@ def _packet(axis: Axis, n: int, m: int, kappa: float,
     weight = np.abs(amps) ** 2
     keep = weight > _TRUNC_TOL**2 * weight.sum()
     state = _build(n * order[keep] + m, amps[keep], 0.0)
-    packet = VonMisesPacket(axis=axis, n=n, m=m, kappa=kappa,
-                            predicted=_predictions(axis, n, kappa,
-                                                   config.hbar))
-    return packet, state
+    return VonMisesPacket(axis=axis, n=n, m=m, kappa=kappa), state
 
 
-def mwp_x(n: int, m: int, alpha: float,
-          config: Config = DEFAULT_CONFIG) -> tuple[VonMisesPacket, CircleState]:
+def mwp_x(n: int, m: int, alpha: float) -> tuple[VonMisesPacket, CircleState]:
     """Minimum wave packet for the X_n bound: exp[(alpha/2) sin(n phi) + i m phi].
 
-    Returns the packet record (with closed-form predictions) and the
-    normalized state.  alpha = 0 gives the uniform profile; negative alpha
-    is the positive packet rotated by pi/n.  Raises ``ResolutionError``
-    when the kept coefficients need a mode beyond ``state.MAX_MODE``.
+    Returns the packet's parameters and the normalized state.  alpha = 0
+    gives the uniform profile; negative alpha is the positive packet
+    rotated by pi/n.  Raises ``ResolutionError`` when the kept
+    coefficients need a mode beyond ``state.MAX_MODE``.
     """
-    return _packet(Axis.X, n, m, alpha, config)
+    return _packet(Axis.X, n, m, alpha)
 
 
-def mwp_y(n: int, m: int, beta: float,
-          config: Config = DEFAULT_CONFIG) -> tuple[VonMisesPacket, CircleState]:
+def mwp_y(n: int, m: int, beta: float) -> tuple[VonMisesPacket, CircleState]:
     """Minimum wave packet for the Y_n bound: exp[-(beta/2) cos(n phi) + i m phi].
 
     Equals ``mwp_x(n, m, beta)`` rotated by pi/(2n) up to a global phase.
     """
-    return _packet(Axis.Y, n, m, beta, config)
+    return _packet(Axis.Y, n, m, beta)
 
 
 def verify_packet(packet: VonMisesPacket, state: CircleState,
                   config: Config = DEFAULT_CONFIG) -> PacketVerification:
-    """Compare measured moments of the state against the packet's predictions.
+    """Compare measured moments of the state against the packet's
+    closed-form predictions, both in ``config.hbar``.
 
-    Measures <Xn>, <Yn>, sigma_Xn^2, sigma_Yn^2, sigma_Lz^2 and <Lz> on the
-    state, and checks the self-consistency of the concentration (the ratio
-    of the transverse mean to the along-axis variance reproduces kappa).
+    Raises ``OverflowError`` naming the sigma_Lz^2 prediction when it
+    overflows float64 (a huge hbar).  Measures <Xn>, <Yn>, sigma_Xn^2,
+    sigma_Yn^2, sigma_Lz^2 and <Lz> on the state, and checks the
+    self-consistency of the concentration (the ratio of the transverse
+    mean to the along-axis variance reproduces kappa).
     The measured kappa carries a relative rounding error, so its delta
     passes within tol * max(1, |kappa|); every other delta within tol =
-    ``config.cmp_tol``.  L_z is measured in ``config.hbar``, which should be
-    the packet's.  A mismatch is reported, not raised.
+    ``config.cmp_tol``.  A mismatch is reported, not raised.
     """
     n, tol = packet.n, config.cmp_tol
-    pred = packet.predicted
+    pred = _predictions(packet, config.hbar)
     ex, ey = expect_xy(state, n)
     sx, sy = sigma_xy(state, n)
     slz = sigma_lz(state, config)
@@ -210,5 +208,5 @@ def verify_packet(packet: VonMisesPacket, state: CircleState,
         deltas["kappa"] = -ex / measured["sigma_y2"] - packet.kappa
     ok = (all(abs(deltas[key]) <= tol for key in measured)
           and abs(deltas["kappa"]) <= tol * max(1.0, abs(packet.kappa)))
-    return PacketVerification(ok=ok, tol=tol, deltas=deltas,
+    return PacketVerification(ok=ok, tol=tol, predicted=pred, deltas=deltas,
                               measured=measured)

@@ -22,6 +22,7 @@ column per mode, never the lattice between its modes.
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -336,12 +337,51 @@ def dump_state(state: CircleState) -> str:
     """Serialize to the text record: `theta <v>` then `m re im` lines.
 
     All values use 17 significant digits, enough for exact float64
-    round-trips.
+    round-trips.  The rows are formatted from the columns as Python
+    scalars, one format call per row.
     """
-    lines = [f"theta {state.theta:.17g}"]
-    for m, a in zip(state.modes, state.amps):
-        lines.append(f"{int(m)} {a.real:.17g} {a.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    rows = zip(state.modes.tolist(), state.amps.real.tolist(),
+               state.amps.imag.tolist())
+    return (f"theta {state.theta:.17g}\n"
+            + "".join(["%d %.17g %.17g\n" % row for row in rows]))
+
+
+def _parse_columns(fields) -> tuple | None:
+    """(modes, amps) of the split data lines, converted as columns by
+    ``int`` and ``float``: the modes into a list, the (re, im) pairs into
+    one float64 array read as complex128.  None when any line is
+    malformed or repeats a mode."""
+    if set(map(len, fields)) != {3}:
+        return None
+    flat = list(chain.from_iterable(fields))  # m, re, im, m, re, im, ...
+    try:
+        modes = list(map(int, flat[::3]))
+        del flat[::3]
+        parts = np.fromiter(map(float, flat), float, len(flat))
+    except ValueError:
+        return None
+    if len(set(modes)) < len(modes):
+        return None
+    return modes, parts.view(complex)
+
+
+def _first_fault(rows) -> ValueError:
+    """The error naming the first malformed line among the (line number,
+    fields) data lines, walked in file order.  It repeats each check of
+    ``_parse_columns`` per line, so it finds a fault wherever that returns
+    None."""
+    seen = set()
+    for lineno, fields in rows:
+        if len(fields) != 3:
+            return ValueError(f"line {lineno}: expected 'm re im'")
+        try:
+            m = int(fields[0])
+            float(fields[1]), float(fields[2])
+        except ValueError:
+            return ValueError(f"line {lineno}: bad numeric field")
+        if m in seen:
+            return ValueError(f"line {lineno}: duplicate mode {m}")
+        seen.add(m)
 
 
 def load_state(text: str) -> CircleState:
@@ -349,38 +389,26 @@ def load_state(text: str) -> CircleState:
 
     Raises ``ValueError`` naming the offending line on malformed input and
     ``DegenerateStateError`` when the parsed state cannot be normalized.
+    Blank lines and lines starting with ``#`` are skipped.  The data lines
+    are converted as columns; only a file that fails a check is walked
+    line by line, to name its first bad line.
     """
-    theta = None
-    modes, amps = [], []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if theta is None:
-            if parts[0] != "theta" or len(parts) != 2:
-                raise ValueError(
-                    f"line {lineno}: expected header 'theta <value>'")
-            try:
-                theta = float(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad theta value") from None
-            continue
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'm re im'")
-        try:
-            m = int(parts[0])
-            re, im = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad numeric field") from None
-        if m in seen:
-            raise ValueError(f"line {lineno}: duplicate mode {m}")
-        seen.add(m)
-        modes.append(m)
-        amps.append(complex(re, im))
-    if theta is None:
+    rows = [(lineno, fields) for lineno, fields in
+            enumerate(map(str.split, text.splitlines()), start=1)
+            if fields and fields[0][0] != "#"]
+    if not rows:
         raise ValueError("line 1: missing 'theta' header")
-    if not modes:
+    (lineno, header), data = rows[0], rows[1:]
+    if header[0] != "theta" or len(header) != 2:
+        raise ValueError(f"line {lineno}: expected header 'theta <value>'")
+    try:
+        theta = float(header[1])
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad theta value") from None
+    if not data:
         raise DegenerateStateError("state file lists no coefficients")
+    columns = _parse_columns([fields for _, fields in data])
+    if columns is None:
+        raise _first_fault(data)
+    modes, amps = columns
     return _build(modes, amps, theta)

@@ -153,12 +153,14 @@ class TestExamples:
         assert json.loads(out)["all_pass"]
         assert "[FAIL]" not in err
 
-    def test_overflowing_prediction_exit_2(self, capsys):
+    def test_unread_packet_prediction_does_not_fail(self, capsys):
+        # the von Mises packet's sigma_Lz^2 prediction would overflow at
+        # 1e307, but the example reads only the packet's state
         code, out, err = run_cli(capsys, "--hbar", "1e307", "examples")
-        assert code == 2
-        assert out == ""
-        assert err.endswith("use a smaller hbar\n")
-        assert "sigma_Lz^2 prediction" in err
+        assert code == 0
+        assert json.loads(out)["all_pass"]
+        assert "[FAIL]" not in err and "error" not in err
+        assert "[PASS] von-mises total_product" in err
 
     @pytest.mark.parametrize("argv", EXAMPLES_ARGV, ids=" ".join)
     def test_golden_bytes(self, capsys, argv):
@@ -618,6 +620,20 @@ class TestMwp:
         assert err.startswith("error: sigma_Lz^2 prediction")
         assert err.endswith("use a smaller hbar\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["mwp", "--axis", "X", "--n", "2", "--kappa", "5", "--emit-state"],
+        ["mwp", "--axis", "Y", "--n", "2", "--kappa", "5", "--emit-curve",
+         "--points", "16"],
+        ["curve", "mwp_abs", "--from", "0", "--to", "1", "--step", "0.5",
+         "--n", "2", "--alpha", "5"],
+    ], ids=["emit-state", "emit-curve", "curve"])
+    def test_huge_hbar_output_matches_unit_hbar(self, capsys, argv):
+        # the state file and |psi| do not depend on hbar, and nothing here
+        # reads the sigma_Lz^2 prediction that overflows at 1e308
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out
+        assert run_cli(capsys, "--hbar", "1e308", *argv) == (0, out, err)
+
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_points_below_one_exit_2(self, capsys, points):
         code, out, err = run_cli(capsys, "mwp", "--axis", "X", "--n", "1",
@@ -873,7 +889,7 @@ class TestSerialization:
         verification = verify_packet(packet, state)
         payload = {
             "axis": axis, "n": n, "m": m, "kappa": kappa,
-            "predicted": dataclasses.asdict(packet.predicted),
+            "predicted": dataclasses.asdict(verification.predicted),
             "measured": verification.measured,
             "verification": {"ok": verification.ok, "tol": 1e-9,
                              "deltas": verification.deltas},

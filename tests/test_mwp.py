@@ -129,7 +129,7 @@ class TestConstruction:
         # |psi(pi/2)| = exp(alpha/2) * norm_const for the n=1 X packet
         pk, s = mwp_x(1, 0, 2.0)
         assert abs(s.evaluate(math.pi / 2)) == pytest.approx(
-            math.e * pk.predicted.norm_const, rel=1e-12)
+            math.e * verify_packet(pk, s).predicted.norm_const, rel=1e-12)
 
     def test_mean_angle_points_up(self):
         _, s = mwp_x(1, 0, 2.0)
@@ -187,13 +187,23 @@ class TestConstruction:
         (1e154, 1, 5000.0),   # kappa r (n hbar/2)^2 rounds to inf
         (1e154, 1, -5000.0)])
     def test_overflowing_lz_prediction_is_named(self, build, hbar, n, kappa):
+        # building the packet reads no hbar; its verification does
+        pk, s = build(n, 0, kappa)
         with pytest.raises(OverflowError,
                            match=r"sigma_Lz\^2 prediction.*smaller hbar"):
-            build(n, 0, kappa, Config(hbar=hbar))
+            verify_packet(pk, s, Config(hbar=hbar))
 
     def test_large_finite_lz_prediction(self):
-        packet, _ = mwp_x(1, 0, 5000.0, Config(hbar=1e150))
-        assert math.isfinite(packet.predicted.sigma_lz2)
+        pk, s = mwp_x(1, 0, 5000.0)
+        v = verify_packet(pk, s, Config(hbar=1e150))
+        assert math.isfinite(v.predicted.sigma_lz2)
+
+    def test_packet_is_only_its_parameters(self):
+        # no builder takes a Config; the predictions come from verify_packet
+        pk, _ = mwp_y(2, 1, 5.0)
+        assert dataclasses.astuple(pk) == (Axis.Y, 2, 1, 5.0)
+        with pytest.raises(TypeError):
+            mwp_x(1, 0, 2.0, Config(hbar=2.0))
 
 
 class TestVerifyPacket:
@@ -218,8 +228,8 @@ class TestVerifyPacket:
 
     def test_zero_concentration_variance(self):
         pk, s = mwp_x(1, 0, 0.0)
-        assert pk.predicted.sigma_x2 == 0.5
         v = verify_packet(pk, s)
+        assert v.predicted.sigma_x2 == 0.5
         assert v.ok
 
     def test_mismatch_reported_not_raised(self):
@@ -251,7 +261,7 @@ class TestVerifyPacket:
         pk, s = mwp_x(1, 0, kappa)
         v = verify_packet(pk, s)
         assert v.ok, v.deltas
-        assert pk.predicted.norm_const == pytest.approx(
+        assert v.predicted.norm_const == pytest.approx(
             1.0 / math.sqrt(TWO_PI * special.ive(0, kappa))
             * math.exp(-0.5 * abs(kappa)), rel=1e-13)
 
@@ -278,15 +288,17 @@ class TestVerifyPacket:
     @pytest.mark.parametrize("build", [mwp_x, mwp_y])
     def test_hbar_and_tolerance_from_config(self, build):
         cfg = Config(hbar=2.0, cmp_tol=1e-7)
-        pk, s = build(2, 1, 5.0, cfg)
+        pk, s = build(2, 1, 5.0)
         v = verify_packet(pk, s, cfg)
         assert v.ok and v.tol == 1e-7
         assert v.measured["lz"] == 2.0 * expect_lz(s)
         assert v.measured["sigma_lz2"] == (2.0 * sigma_lz(s)) ** 2
-        assert pk.predicted.sigma_lz2 == pytest.approx(
-            4.0 * build(2, 1, 5.0)[0].predicted.sigma_lz2, rel=1e-15)
-        # measured in other units than the packet's, L_z fails
-        assert not verify_packet(pk, s).ok
+        # the predictions scale with config.hbar
+        unit = verify_packet(pk, s).predicted
+        assert v.predicted.sigma_lz2 == pytest.approx(4.0 * unit.sigma_lz2,
+                                                      rel=1e-15)
+        assert dataclasses.replace(v.predicted, sigma_lz2=0.0) == (
+            dataclasses.replace(unit, sigma_lz2=0.0))
 
     def test_measured_moments_reported(self):
         pk, s = mwp_y(2, 1, 5.0)

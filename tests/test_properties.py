@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qring.observables import angle_moments_beta, sigma_lz, sigma_xy
-from qring.state import dump_state, from_fourier, load_state
+from qring.state import dump_state, load_state
 from qring.uncertainty import (
     check_ur_x,
     check_ur_y,
@@ -19,32 +19,11 @@ from qring.uncertainty import (
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+# the strategy exists only once hypothesis has imported
+from conftest import states  # noqa: E402
+
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps
-
-
-@st.composite
-def states(draw, periodic=False):
-    """States on supports within +-512, either a random set of modes or an
-    evenly spaced run of up to 1025, with amplitudes over 12 decades."""
-    sparse = st.lists(st.integers(-512, 512), min_size=1, max_size=24,
-                      unique=True)
-    lo = draw(st.integers(-512, 512))
-    stride = draw(st.integers(1, 64))
-    run = st.integers(1, (512 - lo) // stride + 1).map(
-        lambda count: list(range(lo, lo + stride * count, stride)))
-    modes = draw(st.one_of(sparse, run))
-    size = len(modes)
-    decades = draw(st.lists(st.floats(-6.0, 6.0), min_size=size,
-                            max_size=size))
-    angles = draw(st.lists(st.floats(0.0, TWO_PI), min_size=size,
-                           max_size=size))
-    theta = 0.0 if periodic else draw(
-        st.floats(0.0, TWO_PI, exclude_max=True))
-    amps = [10.0**d * complex(math.cos(a), math.sin(a))
-            for d, a in zip(decades, angles)]
-    return from_fourier(dict(zip(modes, amps)), theta)
-
 
 points = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8).map(np.array)
 

@@ -343,10 +343,131 @@ class TestSerialization:
         ("theta 0\n0 1\n", ValueError, "line 2: expected 'm re im'"),
         ("# only a comment\n", ValueError, "missing 'theta' header"),
         ("theta 0\n", DegenerateStateError, "no coefficients"),
+        # the first bad line is named, whatever its fault and the faults
+        # of the lines after it
+        ("theta 0\n1.5 1 0\n0 1 0 0\n", ValueError,
+         "line 2: bad numeric field"),
+        ("theta 0\n0 1 0\n0 0 1\n1 x 0\n", ValueError,
+         "line 3: duplicate mode 0"),
     ])
     def test_malformed_file_rejected(self, text, error, match):
         with pytest.raises(error, match=match):
             load_state(text)
+
+
+def reference_dump_state(state):
+    """Oracle: the writer that formatted each mode with an f-string."""
+    lines = [f"theta {state.theta:.17g}"]
+    for m, a in zip(state.modes, state.amps):
+        lines.append(f"{int(m)} {a.real:.17g} {a.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_load_state(text):
+    """Oracle: the parser that split, converted and checked one line at a
+    time, building a complex per mode."""
+    theta = None
+    modes, amps = [], []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if theta is None:
+            if parts[0] != "theta" or len(parts) != 2:
+                raise ValueError(
+                    f"line {lineno}: expected header 'theta <value>'")
+            try:
+                theta = float(parts[1])
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad theta value") from None
+            continue
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 'm re im'")
+        try:
+            m = int(parts[0])
+            re, im = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad numeric field") from None
+        if m in seen:
+            raise ValueError(f"line {lineno}: duplicate mode {m}")
+        seen.add(m)
+        modes.append(m)
+        amps.append(complex(re, im))
+    if theta is None:
+        raise ValueError("line 1: missing 'theta' header")
+    if not modes:
+        raise DegenerateStateError("state file lists no coefficients")
+    return qring.state._build(modes, amps, theta)
+
+
+def load_outcome(load, text):
+    """(modes bytes, amps bytes, theta) of the parsed file, or the type and
+    message of what the parse raised."""
+    try:
+        state = load(text)
+    except Exception as exc:  # a mode past int64 raises TypeError in both
+        return type(exc), str(exc)
+    return state.modes.tobytes(), state.amps.tobytes(), state.theta
+
+
+# files that the parsers must reject, or accept, alike: each fault on
+# its own, several faults in different orders, and spellings that Python's
+# int and float accept or refuse
+CORPUS = [
+    "", "\n\n", "# only a comment\n", "theta\n", "thet 0\n0 1 0\n",
+    "theta 0 1\n0 1 0\n", "theta x\n0 1 0\n", "theta 0\n",
+    "theta inf\n0 1 0\n", "0 1 0\ntheta 0\n", "theta 0\n0 1\n",
+    "theta 0\n0 1 0 0\n", "theta 0\n0 1 0\ntheta 0\n",
+    "theta 0\n0 x 0\n", "theta 0\n0 1 y\n", "theta 0\nz 1 0\n",
+    "theta 0\n0.0 1 0\n", "theta 0\n0 1 0\n0 1 0\n",
+    "theta 0\n1.5 1 0\n0 1 0 0\n", "theta 0\n0 1 0 0\n1.5 1 0\n",
+    "theta 0\n0 1 0\n0 0 1\n1 x 0\n", "theta 0\n0 x 0\n1 1 0\n1 1 0\n",
+    "theta 0\n1 1 0\n2 1 0 #note\n", "theta 0\r\n0 1 0\r\n1 x 0\r\n",
+    "theta 0\n# c\n\t\n0\t1\n", "theta 0\n0 1\x00 0\n",
+    "theta 0\n" + "9" * 5000 + " 1 0\n", "theta 0\n0 0 0\n",
+    "theta 0\n0 0 0\n1 -0.0 0.0\n", "theta 0\n600 1 0\n",
+    "theta 0\n99999999999999999999 1 0\n", "theta 0\n0 nan 0\n",
+    "theta 0\n0 1e400 0\n1 1 0\n", "theta 1_0.5\n1_0 1_0.5 -0\n",
+    "theta 0\n\uff11 \uff12.5 -inFinity\n",
+    "theta 0\n-3 Infinity 0\n", "theta 0\n+2 -0.0 5e-324\n1 1 0\n",
+    "theta 0\n0\u20031\u20030\n", "theta 0\n0x1 1 0\n", "theta 0\n0 0x1p3 0\n",
+    "theta 0\n0 1_ 0\n", "theta 0\n0 1 0\x1c1 1 0\n",
+    "#note\ntheta 0\n#0 1 0\n1 1 0\n",
+]
+
+
+class TestColumnIO:
+    """The column writer and parser against the per-line ones they
+    replaced: the same bytes, states and errors."""
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_corpus_matches_reference(self, text):
+        assert (load_outcome(load_state, text)
+                == load_outcome(reference_load_state, text))
+
+    def test_generated_files_match_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from conftest import states
+        st = hypothesis.strategies
+        noise = st.sampled_from(["", "   ", "#note", "\t#1 2 3", "# 4", "#"])
+        inserts = st.lists(st.tuples(st.integers(0, 2048), noise),
+                           max_size=4)
+
+        @hypothesis.given(states(), inserts, st.sampled_from([" ", "\t"]),
+                          st.sampled_from(["\n", "\r\n"]))
+        def check(state, insert, sep, end):
+            text = reference_dump_state(state)
+            assert dump_state(state) == text
+            lines = [sep.join(line.split(" ")) for line in text.splitlines()]
+            for at, line in insert:
+                lines.insert(at % (len(lines) + 1), line)
+            file = end.join(lines) + end
+            assert (load_outcome(load_state, file)
+                    == load_outcome(reference_load_state, file))
+
+        check()
 
 
 class TestConfigValidation:
