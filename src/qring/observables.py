@@ -50,13 +50,14 @@ _HARMONIC_STEPS = np.array([1j])  # harmonics 1, 2, 3, ...: steps of 1
 
 def expect_xy(state: CircleState, n: int) -> tuple[float, float]:
     """(<cos(n phi)>, <sin(n phi)>) as real and imaginary parts of
-    <exp(i n phi)> = conj(rho_n)."""
+    <exp(i n phi)> = conj(rho_n), read as one Python complex; (0.0, 0.0)
+    past the mode span."""
     if n < 1:
         raise ValueError("harmonic index n must be >= 1")
     rho = state.harmonics
     if n >= rho.size:
         return 0.0, 0.0
-    value = complex(rho[n])
+    value = rho.item(n)
     return value.real, -value.imag
 
 
@@ -73,7 +74,8 @@ def sigma_lz(state: CircleState, config: Config = DEFAULT_CONFIG) -> float:
 
 def sigma_xy(state: CircleState, n: int) -> tuple[float, float]:
     """(sigma_Xn, sigma_Yn) via the exact double-angle reduction
-    <Xn^2> = (1 + <X_{2n}>)/2, <Yn^2> = (1 - <X_{2n}>)/2."""
+    <Xn^2> = (1 + <X_{2n}>)/2, <Yn^2> = (1 - <X_{2n}>)/2, from the Python
+    floats of ``expect_xy`` at n and 2n."""
     ex, ey = expect_xy(state, n)
     x2n, _ = expect_xy(state, 2 * n)
     var_x = 0.5 * (1.0 + x2n) - ex * ex
@@ -86,7 +88,7 @@ def mean_resultant(state: CircleState, n: int) -> float:
     if n < 1:
         raise ValueError("harmonic index n must be >= 1")
     rho = state.harmonics
-    return abs(complex(rho[n])) if n < rho.size else 0.0
+    return abs(rho.item(n)) if n < rho.size else 0.0
 
 
 def _moduli(z: np.ndarray) -> np.ndarray:
@@ -137,7 +139,7 @@ def angle_moments_beta(state: CircleState, beta):
     periodic states are supported.
     """
     betas = np.asarray(beta, dtype=float)
-    if not np.all(np.isfinite(betas)):
+    if not np.isfinite(betas).all():
         raise ValueError("beta must be finite")
     if not state.is_periodic:
         raise UnsupportedStateError(
@@ -156,4 +158,6 @@ def angle_moments_beta(state: CircleState, beta):
     m1 = c + u1
     m2 = c * c + 2.0 * c * u1 + u2
     sigma = np.sqrt(np.maximum(u2 - u1 * u1, 0.0))
-    return tuple(a.reshape(betas.shape)[()] for a in (m1, m2, sigma))
+    shape = betas.shape
+    return (m1.reshape(shape)[()], m2.reshape(shape)[()],
+            sigma.reshape(shape)[()])

@@ -138,10 +138,6 @@ class CircleState:
         return self.theta == 0.0
 
     @property
-    def max_abs_mode(self) -> int:
-        return int(np.max(np.abs(self.modes)))
-
-    @property
     def mode_span(self) -> int:
         """Largest lag with a possibly nonzero coefficient autocorrelation."""
         return int(self.modes[-1] - self.modes[0])
@@ -176,7 +172,7 @@ class CircleState:
         """
         w = np.abs(self.amps) ** 2
         mu = self.mu
-        return float(np.sum(mu * w)), float(np.sum(mu * mu * w))
+        return float((mu * w).sum()), float((mu * mu * w).sum())
 
     @cached_property
     def _phase_steps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -224,23 +220,28 @@ def _reduce_theta(theta: float) -> float:
 
 def _build(modes, amps, theta) -> CircleState:
     raw = np.asarray(modes)
-    if raw.dtype.kind not in "iu" and not np.all(raw == np.round(raw)):
-        raise ValueError("mode indices must be integers")
-    modes = np.array(raw, dtype=np.int64)
+    if raw.dtype.kind not in "iu":
+        # floats, or Python ints past int64 in an object array, which
+        # np.round refuses; an infinite mode leaves a nan remainder
+        with np.errstate(invalid="ignore"):
+            integral = (raw % 1 == 0).all()
+        if not integral:
+            raise ValueError("mode indices must be integers")
     amps = np.array(amps, dtype=complex)
     keep = amps != 0
-    modes, amps = modes[keep], amps[keep]
-    if modes.size == 0:
+    raw, amps = raw[keep], amps[keep]
+    if raw.size == 0:
         raise DegenerateStateError("state has no nonzero coefficient")
-    order = np.argsort(modes)
-    modes, amps = modes[order], amps[order]
-    if np.max(np.abs(modes)) > MAX_MODE:
-        raise ResolutionError(
-            f"mode index {int(np.max(np.abs(modes)))} exceeds the cap "
-            f"{MAX_MODE}"
-        )
+    order = raw.argsort()
+    raw, amps = raw[order], amps[order]
+    # the cap is checked on the input values, which int64 could wrap
+    low, high = raw[0], raw[-1]
+    if low < -MAX_MODE or high > MAX_MODE:
+        raise ResolutionError(f"mode index {max(-int(low), int(high))} "
+                              f"exceeds the cap {MAX_MODE}")
+    modes = raw.astype(np.int64, copy=False)
     parts = amps.view(np.float64)  # real and imaginary parts, interleaved
-    peak = float(np.max(np.abs(parts)))
+    peak = float(np.abs(parts).max())
     if not math.isfinite(peak):
         raise DegenerateStateError("state has a non-finite amplitude")
     # divide by a power of two near the largest part before squaring, so
@@ -249,7 +250,7 @@ def _build(modes, amps, theta) -> CircleState:
     # the result is the same to the bit
     scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
     scaled = (parts / scale).view(complex)
-    norm2 = float(np.sum(np.abs(scaled) ** 2))
+    norm2 = float((np.abs(scaled) ** 2).sum())
     if abs(norm2 * scale * scale - 1.0) > 1e-15:
         amps = scaled / math.sqrt(norm2)
     modes.setflags(write=False)

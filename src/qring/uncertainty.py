@@ -15,11 +15,14 @@ overflows float64 (a huge hbar) raises ``OverflowError`` rather than
 giving a verdict on infinities; the one infinite side allowed is the
 total bound's left side when sigma_n is infinite.
 
-The scalar checks evaluate one bound at one n.  ``series_columns``
-evaluates the observables and the three per-n bound families for every
-n = 1..nmax at once, as arrays over rho_1..rho_nmax and rho_2..rho_2nmax
-(zero past the mode span), with the same arithmetic as the scalar checks,
-so every value is bit-identical to theirs.
+The scalar checks evaluate one bound at one n in Python floats.  The X
+and Y checks share one helper, which reads rho_n, rho_2n and sigma_Lz
+once each as Python scalars; a check costs a few float operations and
+the frozen ``URReport`` it returns.  ``series_columns`` evaluates the
+observables and the three per-n bound families for every n = 1..nmax at
+once, as arrays over rho_1..rho_nmax and rho_2..rho_2nmax (zero past the
+mode span), with the same arithmetic as the scalar checks, so every value
+is bit-identical to theirs.
 """
 
 import math
@@ -35,7 +38,6 @@ from .observables import (
     expect_xy,
     sigma_lz,
     sigma_total,
-    sigma_xy,
 )
 from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config
 
@@ -88,35 +90,36 @@ def _report(kind: URKind, n: int, lhs: float, rhs: float, tol: float,
     if not (math.isfinite(rhs) and (infinite_lhs or math.isfinite(lhs))):
         raise _overflow(kind, n, lhs, rhs)
     slack = lhs - rhs
-    return URReport(
-        kind=kind,
-        n=n,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        holds=bool(slack >= -tol),
-        saturated=bool(math.isfinite(slack) and abs(slack) <= tol),
-    )
+    return URReport(kind, n, lhs, rhs, slack, bool(slack >= -tol),
+                    bool(math.isfinite(slack) and abs(slack) <= tol))
+
+
+def _axis_check(kind: URKind, state: CircleState, n: int,
+                config: Config) -> URReport:
+    """The X_AXIS or Y_AXIS bound at n: the spread of one axis against
+    the mean of the other, from rho_n and rho_2n read once each, with the
+    arithmetic of ``sigma_xy``."""
+    ex, ey = expect_xy(state, n)
+    x2n, _ = expect_xy(state, 2 * n)
+    if kind is URKind.X_AXIS:
+        var, other = 0.5 * (1.0 + x2n) - ex * ex, ey
+    else:
+        var, other = 0.5 * (1.0 - x2n) - ey * ey, ex
+    lhs = math.sqrt(max(var, 0.0)) * sigma_lz(state, config)
+    rhs = 0.5 * n * config.hbar * abs(other)
+    return _report(kind, n, lhs, rhs, config.cmp_tol)
 
 
 def check_ur_x(state: CircleState, n: int,
                config: Config = DEFAULT_CONFIG) -> URReport:
     """sigma_Xn * sigma_Lz against (n hbar / 2) |<Yn>|."""
-    sx, _ = sigma_xy(state, n)
-    _, ey = expect_xy(state, n)
-    lhs = sx * sigma_lz(state, config)
-    rhs = 0.5 * n * config.hbar * abs(ey)
-    return _report(URKind.X_AXIS, n, lhs, rhs, config.cmp_tol)
+    return _axis_check(URKind.X_AXIS, state, n, config)
 
 
 def check_ur_y(state: CircleState, n: int,
                config: Config = DEFAULT_CONFIG) -> URReport:
     """sigma_Yn * sigma_Lz against (n hbar / 2) |<Xn>|."""
-    _, sy = sigma_xy(state, n)
-    ex, _ = expect_xy(state, n)
-    lhs = sy * sigma_lz(state, config)
-    rhs = 0.5 * n * config.hbar * abs(ex)
-    return _report(URKind.Y_AXIS, n, lhs, rhs, config.cmp_tol)
+    return _axis_check(URKind.Y_AXIS, state, n, config)
 
 
 def check_total_ur(state: CircleState, n: int,
@@ -144,10 +147,10 @@ def check_fujikawa(state: CircleState,
     are rejected (the window moments are not defined for them).
     """
     _, _, s_phi = angle_moments_beta(state, -math.pi)
-    lhs = s_phi * sigma_lz(state, config)
+    lhs = float(s_phi) * sigma_lz(state, config)
     # 2 pi rho(pi) = rho_0 + 2 Re sum_{k>=1} rho_k (-1)^k
     rho = state.harmonics.real
-    two_pi_rho = rho[0] + 2.0 * float(rho[2::2].sum() - rho[1::2].sum())
+    two_pi_rho = rho.item(0) + 2.0 * float(rho[2::2].sum() - rho[1::2].sum())
     rhs = 0.5 * config.hbar * (1.0 - two_pi_rho)
     return _report(URKind.FUJIKAWA, 1, lhs, rhs, config.cmp_tol)
 

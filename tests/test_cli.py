@@ -446,6 +446,35 @@ class TestReport:
         assert out == ""
         assert "overflows float64" in err
 
+    def test_window_overflow_prints_python_floats(self, capsys, tmp_path):
+        # R_n = 0 below n = 100 leaves every TOTAL lhs infinite by
+        # definition and both axis spreads at 0.71, so at this hbar only
+        # the window bound's lhs, 1.8 sigma_Lz, overflows; its error line
+        # reads like the others, with no numpy warning before it
+        path = tmp_path / "wide.txt"
+        path.write_text("theta 0\n0 1 0\n100 1 0\n")
+        code, out, err = run_cli(capsys, "--hbar", "3e306", "report",
+                                 str(path))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: FUJIKAWA bound at n=1 overflows float64 "
+                       "(lhs=inf, rhs=-1.4999999999999995e+306); use a "
+                       "smaller hbar\n")
+
+    @pytest.mark.parametrize("mode", ["9223372036854775808",
+                                      "-9223372036854775808",
+                                      "99999999999999999999", "513"])
+    def test_mode_past_the_cap_exit_2(self, capsys, tmp_path, mode):
+        # int64 used to wrap 2^63 to -2^63, which passed the cap, and a
+        # mode past 2^64 raised an uncaught TypeError
+        path = tmp_path / "far.txt"
+        path.write_text(f"theta 0\n0 1 0\n{mode} 1 0\n")
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: cannot parse {path}: mode index "
+                       f"{mode.lstrip('-')} exceeds the cap 512\n")
+
 
 class TestScanBeta:
     def test_uniform_mean_is_affine(self, capsys, tmp_path):

@@ -68,6 +68,36 @@ def test_no_unused_parameters(path):
     assert unused == []
 
 
+def test_no_unused_private_names():
+    # a private helper that nothing reads is dead code that a refactor
+    # left behind; a reference is a read of the name, or of an attribute of
+    # that name, anywhere in the package
+    defined, read = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [target.id for target in targets
+                         if isinstance(target, ast.Name)]
+            else:
+                names = []
+            defined += [f"{path.name}:{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    assert [name for name in defined
+            if name.partition(":")[2] not in read] == []
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from qring.observables import angle_moments_beta, sigma_lz, sigma_xy
-from qring.state import dump_state, load_state
+from qring.state import Config, dump_state, load_state
 from qring.uncertainty import (
+    check_total_ur,
     check_ur_x,
     check_ur_y,
     detect_fold_symmetry,
@@ -76,6 +77,24 @@ def test_state_file_round_trip_keeps_bits(state):
     assert back.amps.tobytes() == state.amps.tobytes()
     assert math.copysign(1.0, back.theta) == math.copysign(1.0, state.theta)
     assert back.theta == state.theta
+
+
+@hypothesis.given(states())
+def test_scalar_checks_match_columns_bit_for_bit(state):
+    # repr tells apart any two floats, zero signs included, and a bool from
+    # a numpy bool
+    nmax = state.mode_span + 2
+    for hbar in (1.0, 0.37):
+        cfg = Config(hbar=hbar)
+        cols = series_columns(state, nmax, cfg)
+        for check, bounds in ((check_ur_x, cols.x_axis),
+                              (check_ur_y, cols.y_axis),
+                              (check_total_ur, cols.total)):
+            scalar = [(r.lhs, r.rhs, r.slack, r.holds, r.saturated)
+                      for r in (check(state, n, cfg)
+                                for n in range(1, nmax + 1))]
+            columns = list(zip(*(field.tolist() for field in bounds)))
+            assert repr(scalar) == repr(columns)
 
 
 angles = st.floats(-4.0, 4.0)

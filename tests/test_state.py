@@ -72,7 +72,25 @@ class TestFromFourier:
             from_fourier({600: 1.0})
         with pytest.raises(ResolutionError, match="exceeds the cap 512"):
             from_fourier({0: 1.0, -MAX_MODE - 1: 1.0})
-        assert from_fourier({-MAX_MODE: 1.0}).max_abs_mode == MAX_MODE
+        assert from_fourier({-MAX_MODE: 1.0}).modes.tolist() == [-MAX_MODE]
+
+    @pytest.mark.parametrize("mode,shown", [
+        (2**63, 2**63), (-2**63, 2**63), (2**64, 2**64),
+        (-2**64 - 1, 2**64 + 1), (1e30, int(1e30)), (-600.0, 600)])
+    def test_mode_cap_on_the_input_values(self, mode, shown):
+        # the cap is checked before int64 could wrap a mode or a float
+        # could be cast out of range, which only warned
+        with pytest.raises(ResolutionError) as exc:
+            from_fourier({0: 1.0, mode: 1.0})
+        assert str(exc.value) == f"mode index {shown} exceeds the cap 512"
+
+    @pytest.mark.parametrize("mode", [math.inf, -math.inf, math.nan, 0.5])
+    def test_mode_that_is_no_integer(self, mode):
+        with pytest.raises(ValueError, match="must be integers"):
+            from_fourier({mode: 1.0})
+
+    def test_zero_amplitude_past_the_cap_is_dropped(self):
+        assert from_fourier({2**63: 0.0, 3: 1.0}).modes.tolist() == [3]
 
     def test_config_is_not_an_argument(self):
         # a state is only its wavefunction; hbar is given to the measurement
@@ -407,7 +425,7 @@ def load_outcome(load, text):
     message of what the parse raised."""
     try:
         state = load(text)
-    except Exception as exc:  # a mode past int64 raises TypeError in both
+    except Exception as exc:
         return type(exc), str(exc)
     return state.modes.tobytes(), state.amps.tobytes(), state.theta
 

@@ -1,5 +1,6 @@
 """Tests for qring.uncertainty: verdicts, symmetry detection, sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from qring.state import (
 )
 from qring.uncertainty import (
     URKind,
+    URReport,
     check_fujikawa,
     check_total_ur,
     check_ur_x,
@@ -37,6 +39,24 @@ from qring.uncertainty import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+class TestReportFields:
+    TYPES = [URKind, int, float, float, float, bool, bool]
+
+    @pytest.mark.parametrize("state", [random_state(8, 3), uniform_state(),
+                                       mwp_y(3, 1, 4.0)[1]])
+    def test_exact_types_of_every_kind(self, state):
+        # numpy scalars would print alike but are not the documented types;
+        # n = 1 of the 3-fold packet has an infinite TOTAL lhs, and
+        # n = 1025 lies past every mode span
+        reports = [check(state, n) for n in (1, 2, 1025)
+                   for check in (check_ur_x, check_ur_y, check_total_ur)]
+        reports.append(check_fujikawa(state))
+        assert {r.kind for r in reports} == set(URKind)
+        names = [field.name for field in dataclasses.fields(URReport)]
+        for rep in reports:
+            assert [type(getattr(rep, name)) for name in names] == self.TYPES
 
 
 class TestAxisChecks:
