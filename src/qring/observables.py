@@ -1,10 +1,11 @@
 """Expectation values and standard deviations for states on the circle.
 
 Every moment here is an exact finite sum.  Angular momentum moments read
-the diagonal sums over the effective exponents, computed once per state
-and cached on it (``CircleState.lz_moments``), so the many bounds that
-share one sigma_Lz do not repeat them.  Trigonometric moments read
-the density harmonics rho_k, computed once per state and cached on it
+the diagonal sums over the effective exponents, the variance as the
+centred sum, computed once per state and cached on it
+(``CircleState.lz_moments``), so the many bounds that share one sigma_Lz
+do not repeat them.  Trigonometric moments read the density harmonics
+rho_k, computed once per state and cached on it
 (``CircleState.harmonics``): <exp(i k phi)> = conj(rho_k), so
 (<X_n>, <Y_n>) = (Re rho_n, -Im rho_n) and R_n = |rho_n|, all zero past
 the mode span; every R_n is a C hypot.  hbar enters only through L_z,
@@ -24,7 +25,10 @@ centre c, so that sigma_phi^beta = sqrt(u2 - u1^2) has no cancellation
 between large terms when beta is far from the origin.  The sums run
 through the phase tables of ``state._phase_sums``, as
 ``CircleState.evaluate``: e^{ik beta} is e^{i beta} multiplied up k times,
-one exp per window start.
+one exp per window start.  At the seam beta = -pi, the window start of the
+window bound, e^{ik beta} = (-1)^k exactly, and ``_seam_spread`` takes the
+two sums as dot products with fixed alternating weights instead; both
+paths share ``_spread`` for sigma_phi^beta.
 """
 
 import math
@@ -32,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import UnsupportedStateError
-from .state import DEFAULT_CONFIG, CircleState, Config, _phase_sums
+from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config, _phase_sums
 
 __all__ = [
     "expect_xy",
@@ -46,6 +50,12 @@ __all__ = [
 ]
 
 _HARMONIC_STEPS = np.array([1j])  # harmonics 1, 2, 3, ...: steps of 1
+
+# the weights e^{ik beta}/k and e^{ik beta}/k^2 at the seam beta = -pi,
+# where e^{ik beta} = (-1)^k, for k = 1 .. the widest span
+_SEAM_K = np.arange(1.0, 2 * MAX_MODE + 1)
+_SEAM_1 = (-1.0) ** _SEAM_K / _SEAM_K
+_SEAM_2 = (-1.0) ** _SEAM_K / (_SEAM_K * _SEAM_K)
 
 
 def expect_xy(state: CircleState, n: int) -> tuple[float, float]:
@@ -67,9 +77,8 @@ def expect_lz(state: CircleState, config: Config = DEFAULT_CONFIG) -> float:
 
 
 def sigma_lz(state: CircleState, config: Config = DEFAULT_CONFIG) -> float:
-    """Standard deviation of L_z from the exact diagonal moments."""
-    m1, m2 = state.lz_moments
-    return config.hbar * math.sqrt(max(m2 - m1 * m1, 0.0))
+    """Standard deviation of L_z from the exact centred diagonal sum."""
+    return config.hbar * math.sqrt(state.lz_moments[1])
 
 
 def sigma_xy(state: CircleState, n: int) -> tuple[float, float]:
@@ -89,12 +98,6 @@ def mean_resultant(state: CircleState, n: int) -> float:
         raise ValueError("harmonic index n must be >= 1")
     rho = state.harmonics
     return abs(rho.item(n)) if n < rho.size else 0.0
-
-
-def _moduli(z: np.ndarray) -> np.ndarray:
-    """|z| elementwise by C hypot, the bits of ``mean_resultant``; np.abs
-    of a complex array may differ from it in the last bit."""
-    return np.hypot(z.real, z.imag)
 
 
 def mean_angle(state: CircleState,
@@ -129,6 +132,35 @@ def sigma_total(state: CircleState, n: int,
     return math.sqrt(max(1.0 - r * r, 0.0)) / (n * r)
 
 
+def _window_harmonics(state: CircleState) -> np.ndarray:
+    """The harmonics the window moments read: only strictly periodic
+    states are supported."""
+    if not state.is_periodic:
+        raise UnsupportedStateError(
+            "window angle moments need a strictly periodic state")
+    return state.harmonics
+
+
+def _spread(u1, u2):
+    """sigma_phi^beta = sqrt(u2 - u1^2) of the window sums u1 and u2 (see
+    the module docstring), clipped at zero against rounding."""
+    return np.sqrt(np.maximum(u2 - u1 * u1, 0.0))
+
+
+def _seam_spread(state: CircleState) -> float:
+    """sigma_phi^beta at the seam beta = -pi, the window (-pi, pi].
+
+    There e^{ik beta} = (-1)^k exactly, so u1 and u2 are two dot products
+    of the harmonics with fixed weights and need no phase table.  Only
+    strictly periodic states are supported.
+    """
+    rho = _window_harmonics(state)
+    span = rho.size - 1
+    u1 = 2.0 * float(rho.imag[1:] @ _SEAM_1[:span])
+    u2 = 4.0 * float(rho.real[1:] @ _SEAM_2[:span]) + math.pi**2 / 3.0
+    return float(_spread(u1, u2))
+
+
 def angle_moments_beta(state: CircleState, beta):
     """Window moments (<phi>_beta, <phi^2>_beta, sigma_phi^beta).
 
@@ -141,10 +173,7 @@ def angle_moments_beta(state: CircleState, beta):
     betas = np.asarray(beta, dtype=float)
     if not np.isfinite(betas).all():
         raise ValueError("beta must be finite")
-    if not state.is_periodic:
-        raise UnsupportedStateError(
-            "window angle moments need a strictly periodic state")
-    rho = state.harmonics
+    rho = _window_harmonics(state)
     flat = betas.ravel()
     k = np.arange(1, rho.size, dtype=float)
     w1 = rho[1:] / k
@@ -157,7 +186,7 @@ def angle_moments_beta(state: CircleState, beta):
     c = flat + math.pi
     m1 = c + u1
     m2 = c * c + 2.0 * c * u1 + u2
-    sigma = np.sqrt(np.maximum(u2 - u1 * u1, 0.0))
+    sigma = _spread(u1, u2)
     shape = betas.shape
     return (m1.reshape(shape)[()], m2.reshape(shape)[()],
             sigma.reshape(shape)[()])

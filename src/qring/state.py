@@ -9,9 +9,10 @@ modes, amplitudes and theta, with every |m| at most ``MAX_MODE``.  Units
 and tolerances live in ``Config``, passed to the measurements that read
 them.  The Fourier representation keeps angular momentum moments exact
 diagonal sums and all trigonometric expectation values exact
-autocorrelations.  Each state computes both once and caches them:
-``CircleState.lz_moments`` holds the two diagonal sums and
-``CircleState.harmonics`` the density harmonics.  Point values are direct
+autocorrelations.  Each state computes them once and caches them:
+``CircleState.lz_moments`` holds the mean and the centred variance of
+the exponents, ``CircleState.harmonics`` the density harmonics and
+``CircleState.resultants`` their moduli R_k.  Point values are direct
 sums over the modes through the phase tables of ``_phase_sums``: each row
 of a table is a running product, exp(i mu_0 phi) times exp(i g phi) for
 each gap g between neighbouring modes, so a point costs one exp per
@@ -164,15 +165,33 @@ class CircleState:
         return rho
 
     @cached_property
-    def lz_moments(self) -> tuple[float, float]:
-        """(sum mu |c|^2, sum mu^2 |c|^2) = (<L_z>/hbar, <L_z^2>/hbar^2).
+    def resultants(self) -> np.ndarray:
+        """R_k = |rho_k|, k = 0 .. span, by C hypot: the bits of
+        ``observables.mean_resultant`` (np.abs of a complex array may
+        differ from it in the last bit).  Computed once per state, like
+        ``harmonics``.  Read-only.
+        """
+        rho = self.harmonics
+        r = np.hypot(rho.real, rho.imag)
+        r.setflags(write=False)
+        return r
 
-        Computed once per state, like ``harmonics``; ``rotate`` and
-        ``replace`` build a new state, which starts without the cache.
+    @cached_property
+    def lz_moments(self) -> tuple[float, float]:
+        """(<L_z>/hbar, sigma_Lz^2/hbar^2) = (m1, sum w (mu - m1)^2 / sum w)
+        with w = |c|^2 and m1 = sum mu w.
+
+        The centred sum keeps the variance of a state far from the origin
+        free of the cancellation in sum mu^2 w - m1^2: a rotated eigenstate
+        has zero spread to rounding.  Computed once per state, like
+        ``harmonics``; ``rotate`` and ``replace`` build a new state, which
+        starts without the cache.
         """
         w = np.abs(self.amps) ** 2
         mu = self.mu
-        return float((mu * w).sum()), float((mu * mu * w).sum())
+        m1 = float((mu * w).sum())
+        d = mu - m1
+        return m1, float((d * d * w).sum() / w.sum())
 
     @cached_property
     def _phase_steps(self) -> tuple[np.ndarray, np.ndarray]:

@@ -18,11 +18,17 @@ total bound's left side when sigma_n is infinite.
 The scalar checks evaluate one bound at one n in Python floats.  The X
 and Y checks share one helper, which reads rho_n, rho_2n and sigma_Lz
 once each as Python scalars; a check costs a few float operations and
-the frozen ``URReport`` it returns.  ``series_columns`` evaluates the
-observables and the three per-n bound families for every n = 1..nmax at
-once, as arrays over rho_1..rho_nmax and rho_2..rho_2nmax (zero past the
-mode span), with the same arithmetic as the scalar checks, so every value
-is bit-identical to theirs.
+the frozen ``URReport`` it returns, whose fields are set in one dict
+update.  The window bound (Franke-Arnold et al., New J. Phys. 6, 103
+(2004)) is two alternating sums over the harmonics, since
+e^{-ik pi} = (-1)^k: two dot products give the angle spread and the even
+and odd sums the density at the seam, with no phase table.
+``series_columns`` evaluates the observables and the three per-n bound
+families for every n = 1..nmax at once, as arrays over rho_1..rho_nmax
+and rho_2..rho_2nmax (zero past the mode span), with the same arithmetic
+as the scalar checks, so every value is bit-identical to theirs.  The
+columns, the symmetry detection and ``recommend_n`` read the moduli R_k
+from the per-state cache ``CircleState.resultants``.
 """
 
 import math
@@ -33,8 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .observables import (
-    _moduli,
-    angle_moments_beta,
+    _seam_spread,
     expect_xy,
     sigma_lz,
     sigma_total,
@@ -64,9 +69,15 @@ class URKind(Enum):
     FUJIKAWA = "FUJIKAWA"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class URReport:
-    """Left side, right side and verdict of one uncertainty inequality."""
+    """Left side, right side and verdict of one uncertainty inequality.
+
+    A frozen dataclass whose ``__init__`` fills the instance dict in one
+    update, where the generated one would call ``object.__setattr__`` once
+    per field; fields, ``asdict``, ``replace``, eq, hash, repr and the
+    ``FrozenInstanceError`` on assignment are those of the dataclass.
+    """
 
     kind: URKind
     n: int
@@ -75,6 +86,11 @@ class URReport:
     slack: float
     holds: bool
     saturated: bool
+
+    def __init__(self, kind: URKind, n: int, lhs: float, rhs: float,
+                 slack: float, holds: bool, saturated: bool):
+        self.__dict__.update(kind=kind, n=n, lhs=lhs, rhs=rhs, slack=slack,
+                             holds=holds, saturated=saturated)
 
 
 def _overflow(kind: URKind, n: int, lhs: float, rhs: float) -> OverflowError:
@@ -141,13 +157,17 @@ def check_fujikawa(state: CircleState,
                    config: Config = DEFAULT_CONFIG) -> URReport:
     """Window bound sigma_phi * sigma_Lz >= (hbar/2)(1 - 2 pi rho(pi)).
 
+    The window bound of Franke-Arnold et al., New J. Phys. 6, 103 (2004).
     The window start is fixed at beta = -pi, so the angle spread is taken
-    over (-pi, pi] and the right side probes the density at the seam.  A
-    negative right side makes the bound trivial.  Quasi-periodic states
-    are rejected (the window moments are not defined for them).
+    over (-pi, pi] and the right side probes the density at the seam.
+    There e^{ik beta} = (-1)^k exactly, so both sides are alternating sums
+    over the harmonics: the spread from the two dot products of
+    ``observables._seam_spread``, the density from the even and odd sums.
+    A negative right side makes the bound trivial.  Quasi-periodic states
+    are rejected (the window moments are not defined for them), with the
+    error of ``angle_moments_beta``.
     """
-    _, _, s_phi = angle_moments_beta(state, -math.pi)
-    lhs = float(s_phi) * sigma_lz(state, config)
+    lhs = _seam_spread(state) * sigma_lz(state, config)
     # 2 pi rho(pi) = rho_0 + 2 Re sum_{k>=1} rho_k (-1)^k
     rho = state.harmonics.real
     two_pi_rho = rho.item(0) + 2.0 * float(rho[2::2].sum() - rho[1::2].sum())
@@ -217,7 +237,8 @@ def series_columns(state: CircleState, nmax: int,
     ey[inside:] = 0.0  # expect_xy gives +0.0 past the span, not -0.0
     sx = np.sqrt(np.maximum(0.5 * (1.0 + x2n) - ex * ex, 0.0))
     sy = np.sqrt(np.maximum(0.5 * (1.0 - x2n) - ey * ey, 0.0))
-    r = _moduli(rho_n)
+    r = np.zeros(nmax)
+    r[:inside] = state.resultants[1 : inside + 1]
     isotropic = r < config.cmp_tol
     safe_r = np.where(isotropic, 1.0, r)
     sn = np.sqrt(np.maximum(1.0 - safe_r * safe_r, 0.0)) / (n * safe_r)
@@ -263,7 +284,7 @@ def detect_fold_symmetry(state: CircleState, tol: float = 1e-9) -> int:
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    mags = _moduli(state.harmonics[1:])
+    mags = state.resultants[1:]
     if mags.size == 0 or float(mags.sum()) <= tol:
         return MAX_MODE
     k = np.arange(1, mags.size + 1)
@@ -278,7 +299,7 @@ def detect_fold_symmetry(state: CircleState, tol: float = 1e-9) -> int:
 
 def is_fully_symmetric(state: CircleState, tol: float = 1e-9) -> bool:
     """True when the density has no harmonic above tol (uniform density)."""
-    mags = _moduli(state.harmonics[1:])
+    mags = state.resultants[1:]
     return mags.size == 0 or float(mags.sum()) <= tol
 
 
@@ -287,5 +308,5 @@ def recommend_n(state: CircleState, r_threshold: float = 0.1) -> int | None:
     within the mode span stays below it."""
     if not 0 < r_threshold < 1:
         raise ValueError("r_threshold must lie in (0, 1)")
-    hits = np.flatnonzero(_moduli(state.harmonics[1:]) >= r_threshold)
+    hits = np.flatnonzero(state.resultants[1:] >= r_threshold)
     return int(hits[0]) + 1 if hits.size else None

@@ -92,6 +92,16 @@ class TestAngularMomentum:
     def test_cos_2phi_spread(self):
         assert sigma_lz(cos_harmonic_state(2)) == pytest.approx(2.0, rel=1e-14)
 
+    def test_rotated_far_eigenmode_has_no_spread(self):
+        # sum mu^2 w - (sum mu w)^2 cancels 2.5e5 down to its rounding and
+        # gave 7.6e-6 here; the centred sum leaves an ulp of mu
+        s = from_fourier({500: 1.0}).rotate(2.5)
+        assert sigma_lz(s) <= 8.0 * EPS * 500.0
+
+    def test_superposition_spread_is_exact(self):
+        # weights 1/2 on modes 2 and 3: the centred sum is exact
+        assert sigma_lz(superposition_state(3, 2)) == 0.5
+
     @pytest.mark.parametrize("seed", range(6))
     def test_against_quadrature(self, seed):
         s = random_state(8, seed)
@@ -430,6 +440,18 @@ class TestSpectrumCache:
         assert s.harmonics[0] == pytest.approx(1.0, abs=1e-15)
         assert expect_xy(s, s.mode_span + 1) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("s", [
+        random_state(5, 8), random_state(512, 3), mwp_x(3, 0, 4.0)[1],
+        from_fourier({4: 1.0, 12: 0.5 - 0.1j})])
+    def test_resultants_cached_with_mean_resultant_bits(self, s):
+        assert "resultants" not in s.__dict__
+        r = s.resultants
+        assert s.resultants is r
+        assert not r.flags.writeable
+        assert r.size == s.mode_span + 1
+        bits = [mean_resultant(s, n) for n in range(1, s.mode_span + 1)]
+        assert repr(r[1:].tolist()) == repr(bits)
+
     @pytest.mark.parametrize("delta", [0.4, -2.1])
     def test_not_stale_after_rotate(self, delta):
         s = random_state(6, 4)
@@ -445,14 +467,14 @@ class TestSpectrumCache:
 
 
 def lz_diagonal_sums(state, hbar=1.0):
-    """Oracle: (<L_z>, sigma_Lz) from the diagonal sums, recomputed on every
-    call; the cached moments use the same arithmetic, so they match bit for
-    bit."""
+    """Oracle: (<L_z>, sigma_Lz) from the diagonal sums, the variance as the
+    centred sum, recomputed on every call; the cached moments use the same
+    arithmetic, so they match bit for bit."""
     w = np.abs(state.amps) ** 2
     mu = state.mu
     m1 = float(np.sum(mu * w))
-    m2 = float(np.sum(mu * mu * w))
-    return hbar * m1, hbar * math.sqrt(max(m2 - m1 * m1, 0.0))
+    var = float(np.sum((mu - m1) ** 2 * w) / np.sum(w))
+    return hbar * m1, hbar * math.sqrt(var)
 
 
 class TestLzMomentsCache:

@@ -1,6 +1,7 @@
 """Property tests over generated states: the running-product phase tables
-against the direct exp of every (point, frequency) pair, the state file
-round trip, and what a rotation keeps and swaps."""
+against the direct exp of every (point, frequency) pair, the seam sums of
+the window bound against the phase tables, the state file round trip, and
+what a rotation keeps and swaps."""
 
 import math
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from qring.observables import angle_moments_beta, sigma_lz, sigma_xy
-from qring.state import Config, dump_state, load_state
+from qring.state import MAX_MODE, Config, dump_state, from_fourier, load_state
 from qring.uncertainty import (
+    check_fujikawa,
     check_total_ur,
     check_ur_x,
     check_ur_y,
@@ -70,6 +72,29 @@ def test_window_moments_match_direct_exp(state, betas):
                   + 8.0 * EPS * (np.abs(u2) + u1 * u1))
 
 
+@hypothesis.given(states(periodic=True))
+def test_window_bound_seam_sums_match_phase_tables(state):
+    # the seam sums take e^{-ik pi} = (-1)^k exactly, the phase tables as k
+    # rounded steps; both round u2 to a few ulp, which sigma^2 = u2 - u1^2
+    # magnifies by u2 / sigma^2 = 1 + (u1 / sigma)^2, and u1 = <phi> at
+    # this window start; the density at the seam comes from the wavefunction
+    rep = check_fujikawa(state)
+    mean, _, sigma = angle_moments_beta(state, -math.pi)
+    lhs = float(sigma) * sigma_lz(state)
+    assert abs(rep.lhs - lhs) <= 1e-14 * lhs * (1.0 + (mean / sigma) ** 2)
+    rhs = 0.5 * (1.0 - TWO_PI * float(state.density(math.pi)))
+    assert abs(rep.rhs - rhs) <= 1e-13
+
+
+@hypothesis.given(st.integers(-MAX_MODE, MAX_MODE),
+                  st.floats(0.0, TWO_PI, exclude_max=True),
+                  st.floats(-6.0, 6.0), st.floats(-1e3, 1e3))
+def test_rotated_eigenstate_has_no_lz_spread(m, theta, decade, delta):
+    # the centred sum leaves the rounding of the mean: an ulp or two of mu
+    state = from_fourier({m: 10.0**decade}, theta).rotate(delta)
+    assert sigma_lz(state) <= 8.0 * EPS * abs(state.mu[0])
+
+
 @hypothesis.given(states())
 def test_state_file_round_trip_keeps_bits(state):
     back = load_state(dump_state(state))
@@ -117,11 +142,13 @@ def root_error(a, b, dvar):
 def lz_error(state, turned):
     """(sigma_Lz of both states, bound on their difference).
 
-    sigma_Lz^2 = <L_z^2> - <L_z>^2 is good to a few ulp of <L_z^2>, so near
-    an eigenstate the spread itself is good only to about
-    sqrt(eps <L_z^2>)."""
+    sigma_Lz^2, the centred sum of w (mu - <mu>)^2, is good to a few ulp of
+    itself plus the square of the rounding of the mean <mu>, a few ulp of
+    max |mu|; so even near an eigenstate the spread is good to a few ulp of
+    max |mu|."""
     pair = np.array([sigma_lz(state), sigma_lz(turned)])
-    dvar = 64.0 * EPS * (1.0 + state.lz_moments[1])
+    reach = np.max(np.abs(state.mu))
+    dvar = 64.0 * EPS * state.lz_moments[1] + (16.0 * EPS * reach) ** 2
     return pair, root_error(pair[0], pair[1], dvar)
 
 

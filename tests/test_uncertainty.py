@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from qring.errors import UnsupportedStateError
-from qring.mwp import mwp_y
+from qring.mwp import mwp_x, mwp_y
 from qring.observables import (
     expect_xy,
     mean_resultant,
@@ -39,6 +40,7 @@ from qring.uncertainty import (
 )
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
 
 
 class TestReportFields:
@@ -57,6 +59,63 @@ class TestReportFields:
         names = [field.name for field in dataclasses.fields(URReport)]
         for rep in reports:
             assert [type(getattr(rep, name)) for name in names] == self.TYPES
+
+
+class TestReportDataclass:
+    """``URReport`` fills its fields in one dict update; everything else is
+    the frozen dataclass."""
+
+    NAMES = ["kind", "n", "lhs", "rhs", "slack", "holds", "saturated"]
+    REP = URReport(URKind.TOTAL, 3, 0.75, 0.5, 0.25, True, False)
+
+    def test_field_order(self):
+        assert [f.name for f in dataclasses.fields(URReport)] == self.NAMES
+        assert dataclasses.is_dataclass(self.REP)
+
+    def test_keywords_and_positions_agree(self):
+        values = [URKind.TOTAL, 3, 0.75, 0.5, 0.25, True, False]
+        assert URReport(**dict(zip(self.NAMES, values))) == self.REP
+        assert list(vars(self.REP)) == self.NAMES
+
+    def test_asdict(self):
+        assert dataclasses.asdict(self.REP) == {
+            "kind": URKind.TOTAL, "n": 3, "lhs": 0.75, "rhs": 0.5,
+            "slack": 0.25, "holds": True, "saturated": False}
+        assert list(dataclasses.asdict(self.REP)) == self.NAMES
+
+    def test_replace(self):
+        other = dataclasses.replace(self.REP, lhs=2.0, slack=1.5)
+        assert type(other) is URReport
+        assert (other.lhs, other.slack) == (2.0, 1.5)
+        assert (other.kind, other.n, other.rhs) == (URKind.TOTAL, 3, 0.5)
+        assert self.REP.lhs == 0.75
+
+    def test_eq_and_hash(self):
+        same = URReport(URKind.TOTAL, 3, 0.75, 0.5, 0.25, True, False)
+        assert same == self.REP and hash(same) == hash(self.REP)
+        assert dataclasses.replace(self.REP, n=4) != self.REP
+        assert self.REP != (URKind.TOTAL, 3, 0.75, 0.5, 0.25, True, False)
+        assert len({same, self.REP}) == 1
+
+    def test_repr(self):
+        assert repr(self.REP) == (
+            "URReport(kind=<URKind.TOTAL: 'TOTAL'>, n=3, lhs=0.75, rhs=0.5, "
+            "slack=0.25, holds=True, saturated=False)")
+
+    def test_pickle_round_trip(self):
+        rep = check_fujikawa(random_state(4, 2))
+        back = pickle.loads(pickle.dumps(rep))
+        assert back == rep and type(back) is URReport
+        assert back.kind is URKind.FUJIKAWA
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_frozen(self, name):
+        rep = URReport(URKind.X_AXIS, 1, 0.0, 0.0, 0.0, True, True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(rep, name)
+        assert rep == URReport(URKind.X_AXIS, 1, 0.0, 0.0, 0.0, True, True)
 
 
 class TestAxisChecks:
@@ -132,13 +191,60 @@ class TestFujikawa:
         assert check_fujikawa(random_state(6, seed)).holds
 
     def test_holds_for_concentrated_packet(self):
-        from qring.mwp import mwp_x
         rep = check_fujikawa(mwp_x(1, 0, 1.0)[1])
         assert rep.holds and rep.slack > 0
 
     def test_quasi_periodic_rejected(self):
         with pytest.raises(UnsupportedStateError):
             check_fujikawa(sin_half_power_state(1))
+
+    def test_quasi_periodic_error_is_the_window_moments_error(self):
+        state = sin_half_power_state(3)
+        with pytest.raises(UnsupportedStateError) as exc:
+            check_fujikawa(state)
+        assert str(exc.value) == (
+            "window angle moments need a strictly periodic state")
+
+    @staticmethod
+    def mp_window_bound(state):
+        """(lhs, rhs, u2 / sigma_phi^2) of the window bound from the state's
+        own harmonics and amplitudes in 40-digit arithmetic."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            alt = [(-1) ** k * mpmath.mpc(complex(r))
+                   for k, r in enumerate(state.harmonics)]
+            u1 = 2 * mpmath.fsum(a.imag / k for k, a in enumerate(alt) if k)
+            u2 = mpmath.pi**2 / 3 + 4 * mpmath.fsum(
+                a.real / k**2 for k, a in enumerate(alt) if k)
+            w = [abs(mpmath.mpc(complex(a))) ** 2 for a in state.amps]
+            total = mpmath.fsum(w)
+            m1 = mpmath.fsum(int(m) * x
+                             for m, x in zip(state.modes, w)) / total
+            var = mpmath.fsum(x * (int(m) - m1) ** 2
+                              for m, x in zip(state.modes, w)) / total
+            lhs = mpmath.sqrt(u2 - u1 * u1) * mpmath.sqrt(var)
+            two_pi_rho = alt[0].real + 2 * mpmath.fsum(a.real for a in alt[1:])
+            rhs = (1 - two_pi_rho) / 2
+            return float(lhs), float(rhs), float(u2 / (u2 - u1 * u1))
+
+    @pytest.mark.parametrize("span", [16, 64, 256, 1024])
+    def test_seam_sums_match_mpmath(self, span):
+        # spread-out random states: the float sums stay within an ulp or two
+        state = random_state(span // 2, span)
+        rep = check_fujikawa(state)
+        lhs, rhs, _ = self.mp_window_bound(state)
+        assert abs(rep.lhs - lhs) <= 4.0 * EPS * lhs
+        assert abs(rep.rhs - rhs) <= 8.0 * EPS
+
+    @pytest.mark.parametrize("kappa", [50.0, 500.0, 5000.0])
+    def test_concentrated_packet_matches_mpmath(self, kappa):
+        # a packet at phi = pi/2 has sigma_phi^2 = u2 - u1^2 far below u2,
+        # which magnifies the few ulp of u2 in the float sums by u2 / sigma^2
+        state = mwp_x(1, 0, kappa)[1]
+        rep = check_fujikawa(state)
+        lhs, rhs, condition = self.mp_window_bound(state)
+        assert abs(rep.lhs - lhs) <= 8.0 * EPS * condition * lhs
+        assert abs(rep.rhs - rhs) <= 8.0 * EPS
 
     @pytest.mark.parametrize("state", [
         uniform_state(), sin_half_power_state(2), cos_harmonic_state(3),
