@@ -4,12 +4,7 @@ relations, and von Mises minimum wave packets.
 Names not exported here live in their submodules.
 """
 
-from .errors import (
-    DegenerateStateError,
-    QringError,
-    ResolutionError,
-    UnsupportedStateError,
-)
+from .errors import DegenerateStateError, QringError, ResolutionError
 from .mwp import mwp_x, mwp_y, verify_packet
 from .observables import sigma_lz, sigma_total
 from .state import (
@@ -36,7 +31,6 @@ __all__ = [
     "DegenerateStateError",
     "QringError",
     "ResolutionError",
-    "UnsupportedStateError",
     "check_fujikawa",
     "check_total_ur",
     "check_ur_x",

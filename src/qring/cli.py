@@ -8,8 +8,7 @@ dependence of the raw angle moments), and ``mwp`` (packet construction).
 Machine-readable output (JSON or CSV) goes to stdout, human diagnostics to
 stderr.  Exit codes: 0 all comparisons passed, 1 a comparison failed,
 2 usage/parse error (an overflowing bound or sigma_Lz included),
-3 unusable state (non-normalizable or quasi-periodic where periodicity is
-required).
+3 unusable state (non-normalizable).
 
 ``examples`` is one table: each case gives its (quantity, expected,
 measured) rows, and its product row measures the total bound's left side.
@@ -32,7 +31,7 @@ import sys
 import numpy as np
 
 from . import bessel
-from .errors import DegenerateStateError, UnsupportedStateError
+from .errors import DegenerateStateError
 from .mwp import Axis, mwp_x, mwp_y, verify_packet
 from .observables import (
     angle_moments_beta,
@@ -488,9 +487,6 @@ def main(argv=None) -> int:
     }
     try:
         return dispatch[args.command](args, cfg)
-    except UnsupportedStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return STATE_ERROR
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -35,7 +35,6 @@ import math
 
 import numpy as np
 
-from .errors import UnsupportedStateError
 from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config, _phase_sums
 
 __all__ = [
@@ -132,15 +131,6 @@ def sigma_total(state: CircleState, n: int,
     return math.sqrt(max(1.0 - r * r, 0.0)) / (n * r)
 
 
-def _window_harmonics(state: CircleState) -> np.ndarray:
-    """The harmonics the window moments read: only strictly periodic
-    states are supported."""
-    if not state.is_periodic:
-        raise UnsupportedStateError(
-            "window angle moments need a strictly periodic state")
-    return state.harmonics
-
-
 def _spread(u1, u2):
     """sigma_phi^beta = sqrt(u2 - u1^2) of the window sums u1 and u2 (see
     the module docstring), clipped at zero against rounding."""
@@ -151,10 +141,10 @@ def _seam_spread(state: CircleState) -> float:
     """sigma_phi^beta at the seam beta = -pi, the window (-pi, pi].
 
     There e^{ik beta} = (-1)^k exactly, so u1 and u2 are two dot products
-    of the harmonics with fixed weights and need no phase table.  Only
-    strictly periodic states are supported.
+    of the harmonics with fixed weights and need no phase table.  Any
+    boundary phase theta is supported, as for ``angle_moments_beta``.
     """
-    rho = _window_harmonics(state)
+    rho = state.harmonics
     span = rho.size - 1
     u1 = 2.0 * float(rho.imag[1:] @ _SEAM_1[:span])
     u2 = 4.0 * float(rho.real[1:] @ _SEAM_2[:span]) + math.pi**2 / 3.0
@@ -167,13 +157,15 @@ def angle_moments_beta(state: CircleState, beta):
     The moments of phi over the window [beta, beta + 2pi], whose start is
     exactly the integration boundary whose influence they exhibit, from
     the closed-form harmonic sums in the module docstring, each of the
-    shape of ``beta`` (an np.float64 for a scalar).  Only strictly
-    periodic states are supported.
+    shape of ``beta`` (an np.float64 for a scalar).  They hold for every
+    boundary phase theta: |psi|^2, and with it every harmonic rho_k, does
+    not depend on theta, so a quasi-periodic state has the window moments
+    of its periodic twin (the same coefficients at theta = 0).
     """
     betas = np.asarray(beta, dtype=float)
     if not np.isfinite(betas).all():
         raise ValueError("beta must be finite")
-    rho = _window_harmonics(state)
+    rho = state.harmonics
     flat = betas.ravel()
     k = np.arange(1, rho.size, dtype=float)
     w1 = rho[1:] / k

@@ -7,7 +7,7 @@ Three families of bounds are checked for any state: the two axis bounds
 
 their combination into the total bound sigma_n * sigma_Lz >= hbar/2, and
 the window-anchored bound sigma_phi * sigma_Lz >= (hbar/2)(1 - 2pi rho(pi))
-for strictly periodic states with the window start fixed at -pi.  All four
+with the window start fixed at -pi, for every boundary phase.  All four
 are theorems, so ``holds`` is expected true for every valid state; the
 interesting output is the slack and the saturation flag.  hbar and the
 tolerance come from the ``Config`` each check is given.  A side that
@@ -163,9 +163,9 @@ def check_fujikawa(state: CircleState,
     There e^{ik beta} = (-1)^k exactly, so both sides are alternating sums
     over the harmonics: the spread from the two dot products of
     ``observables._seam_spread``, the density from the even and odd sums.
-    A negative right side makes the bound trivial.  Quasi-periodic states
-    are rejected (the window moments are not defined for them), with the
-    error of ``angle_moments_beta``.
+    A negative right side makes the bound trivial.  Every boundary phase
+    theta is supported: the density does not depend on theta, and the
+    bound's boundary term is (hbar/2)(1 - 2 pi rho(pi)) for every theta.
     """
     lhs = _seam_spread(state) * sigma_lz(state, config)
     # 2 pi rho(pi) = rho_0 + 2 Re sum_{k>=1} rho_k (-1)^k

@@ -24,10 +24,10 @@ else:
     settings.load_profile("qring")
 
     @st.composite
-    def states(draw, periodic=False):
+    def states(draw):
         """States on supports within +-512, either a random set of modes
         or an evenly spaced run of up to 1025, with amplitudes over 12
-        decades."""
+        decades, at any boundary phase theta."""
         sparse = st.lists(st.integers(-512, 512), min_size=1, max_size=24,
                           unique=True)
         lo = draw(st.integers(-512, 512))
@@ -40,8 +40,7 @@ else:
                                 max_size=size))
         angles = draw(st.lists(st.floats(0.0, TWO_PI), min_size=size,
                                max_size=size))
-        theta = 0.0 if periodic else draw(
-            st.floats(0.0, TWO_PI, exclude_max=True))
+        theta = draw(st.floats(0.0, TWO_PI, exclude_max=True))
         amps = [10.0**d * complex(math.cos(a), math.sin(a))
                 for d, a in zip(decades, angles)]
         return from_fourier(dict(zip(modes, amps)), theta)

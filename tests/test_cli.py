@@ -514,18 +514,18 @@ class TestScanBeta:
         assert out == ""
         assert "--from <= --to" in err
 
-    def test_quasi_periodic_exit_3(self, capsys, tmp_path):
-        # one periodicity gate, angle_moments_beta's; the range comes first
-        path = write_state(tmp_path, sin_half_power_state(1))
-        code, out, err = run_cli(capsys, "scan-beta", path, "--from", "0",
-                                 "--to", "1", "--step", "0.5")
-        assert (code, out) == (3, "")
-        assert err == ("error: window angle moments need a strictly "
-                       "periodic state\n")
-        code, out, err = run_cli(capsys, "scan-beta", path, "--from", "1",
-                                 "--to", "0", "--step", "0.5")
-        assert (code, out) == (2, "")
-        assert "--from <= --to" in err
+    def test_quasi_periodic_matches_periodic_twin(self, capsys, tmp_path):
+        # the window moments read only the density, the same at theta = 0
+        state = sin_half_power_state(3)
+        paths = [write_state(tmp_path, s, name) for s, name in (
+            (state, "quasi.txt"),
+            (dataclasses.replace(state, theta=0.0), "twin.txt"))]
+        runs = [run_cli(capsys, "scan-beta", path, "--from", "-10",
+                        "--to", "10", "--step", "0.25") for path in paths]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 82
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "scan-beta",

@@ -8,7 +8,6 @@ import pytest
 from scipy.integrate import quad
 
 import qring.state
-from qring.errors import UnsupportedStateError
 from qring.mwp import mwp_x
 from qring.observables import (
     angle_moments_beta,
@@ -248,9 +247,18 @@ class TestAngleMomentsBeta:
         assert beta < m1 < beta + TWO_PI
         assert 0 < sigma < TWO_PI
 
-    def test_quasi_periodic_rejected(self):
-        with pytest.raises(UnsupportedStateError):
-            angle_moments_beta(sin_half_power_state(1), 0.0)
+    @pytest.mark.parametrize("state", [
+        sin_half_power_state(1),
+        dataclasses.replace(random_state(6, 4), theta=2.2),
+    ], ids=["anti-periodic", "theta 2.2"])
+    def test_quasi_periodic_matches_periodic_twin(self, state):
+        # |psi|^2 does not depend on theta: the same coefficients at
+        # theta = 0 give the same harmonics, and so the same bits
+        twin = dataclasses.replace(state, theta=0.0)
+        betas = np.linspace(-10.0, 10.0, 41)
+        moments = angle_moments_beta(state, betas)
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(moments, angle_moments_beta(twin, betas)))
 
     @pytest.mark.parametrize("state", [random_state(1, 5),
                                        random_state(20, 1)],
@@ -404,14 +412,19 @@ class TestWindowClosedForm:
         with pytest.raises(ValueError):
             angle_moments_beta(random_state(3, 0), np.array([0.0, bad]))
 
-    def test_quasi_periodic_rejected_even_with_periodic_density(self):
-        # the density of a quasi-periodic state is 2pi-periodic, but the
-        # window moments stay defined for strictly periodic states only
+    @pytest.mark.parametrize("beta", [-10.0, -math.pi, 1.0, 7.5])
+    def test_quasi_periodic_against_quad(self, beta):
+        # the density of a quasi-periodic state is 2pi-periodic, so the
+        # closed form holds for it: quad of its own density agrees
         s = from_fourier({0: 1.0, 1: 0.5j, 3: -0.2}, theta=0.3)
         np.testing.assert_allclose(s.density(0.4), s.density(0.4 + TWO_PI),
                                    rtol=1e-12)
-        with pytest.raises(UnsupportedStateError):
-            angle_moments_beta(s, np.array([0.0, 1.0]))
+        m1, m2, _ = angle_moments_beta(s, beta)
+        q1, q2 = (quad(lambda p: p**j * s.density(p), beta, beta + TWO_PI,
+                       epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                  for j in (1, 2))
+        assert m1 == pytest.approx(q1, abs=1e-12)
+        assert m2 == pytest.approx(q2, abs=1e-13 * q2)
 
 
 class TestSpectrumCache:

@@ -98,6 +98,24 @@ def test_no_unused_private_names():
             if name.partition(":")[2] not in read] == []
 
 
+def test_no_unused_error_types():
+    # an error type that nothing raises is a failure the package promises
+    # and cannot produce; a base class is live through a raised subclass
+    tree = ast.parse((ROOT / "src" / "qring" / "errors.py").read_text())
+    bases = {node.name: {base.id for base in node.bases
+                         if isinstance(base, ast.Name)}
+             for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    live = raised.union(*(bases[name] for name in raised & bases.keys()))
+    assert bases
+    assert sorted(bases.keys() - live) == []
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

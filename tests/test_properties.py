@@ -1,7 +1,8 @@
 """Property tests over generated states: the running-product phase tables
 against the direct exp of every (point, frequency) pair, the seam sums of
-the window bound against the phase tables, the state file round trip, and
-what a rotation keeps and swaps."""
+the window bound against the phase tables, the state file round trip,
+every bound over the whole n-series, and what a rotation keeps and
+swaps."""
 
 import math
 
@@ -51,7 +52,7 @@ def test_evaluate_matches_direct_exp(state, x):
     assert np.max(np.abs(state.evaluate(x) - oracle)) <= tol
 
 
-@hypothesis.given(states(periodic=True), points)
+@hypothesis.given(states(), points)
 def test_window_moments_match_direct_exp(state, betas):
     rho = state.harmonics[1:]
     k = np.arange(1, rho.size + 1, dtype=float)
@@ -72,7 +73,7 @@ def test_window_moments_match_direct_exp(state, betas):
                   + 8.0 * EPS * (np.abs(u2) + u1 * u1))
 
 
-@hypothesis.given(states(periodic=True))
+@hypothesis.given(states())
 def test_window_bound_seam_sums_match_phase_tables(state):
     # the seam sums take e^{-ik pi} = (-1)^k exactly, the phase tables as k
     # rounded steps; both round u2 to a few ulp, which sigma^2 = u2 - u1^2
@@ -120,6 +121,26 @@ def test_scalar_checks_match_columns_bit_for_bit(state):
                                 for n in range(1, nmax + 1))]
             columns = list(zip(*(field.tolist() for field in bounds)))
             assert repr(scalar) == repr(columns)
+
+
+@hypothesis.given(states())
+def test_every_bound_holds_over_the_series(state):
+    # theorems at every n up to the span and at every boundary phase, on
+    # finite sides; the one infinite side is the TOTAL left side of an
+    # isotropic harmonic, R_n below cmp_tol
+    cols = series_columns(state, max(state.mode_span, 1))
+    for bounds in (cols.x_axis, cols.y_axis, cols.total):
+        assert bounds.holds.all()
+        assert not np.isnan(bounds.lhs).any()
+        assert not np.isnan(bounds.slack).any()
+        assert np.isfinite(bounds.rhs).all()
+    assert np.isfinite(cols.x_axis.lhs).all()
+    assert np.isfinite(cols.y_axis.lhs).all()
+    isotropic = cols.r_n < Config().cmp_tol
+    assert np.all(np.isfinite(cols.total.lhs) | isotropic)
+    rep = check_fujikawa(state)
+    assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+    assert rep.holds
 
 
 angles = st.floats(-4.0, 4.0)

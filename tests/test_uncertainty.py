@@ -7,7 +7,6 @@ import pickle
 import numpy as np
 import pytest
 
-from qring.errors import UnsupportedStateError
 from qring.mwp import mwp_x, mwp_y
 from qring.observables import (
     expect_xy,
@@ -194,16 +193,28 @@ class TestFujikawa:
         rep = check_fujikawa(mwp_x(1, 0, 1.0)[1])
         assert rep.holds and rep.slack > 0
 
-    def test_quasi_periodic_rejected(self):
-        with pytest.raises(UnsupportedStateError):
-            check_fujikawa(sin_half_power_state(1))
+    @pytest.mark.parametrize("theta", [math.pi, 2.2])
+    def test_quasi_periodic_matches_periodic_twin(self, theta):
+        # both sides read the density, the same at every theta; sigma_Lz
+        # of the shifted exponents mu = m + theta/2pi may round differently
+        twin = random_state(6, 4)
+        rep = check_fujikawa(dataclasses.replace(twin, theta=theta))
+        ref = check_fujikawa(twin)
+        assert rep.rhs == ref.rhs
+        assert rep.lhs == pytest.approx(ref.lhs, rel=1e-14)
+        assert rep.holds and ref.holds
 
-    def test_quasi_periodic_error_is_the_window_moments_error(self):
-        state = sin_half_power_state(3)
-        with pytest.raises(UnsupportedStateError) as exc:
-            check_fujikawa(state)
-        assert str(exc.value) == (
-            "window angle moments need a strictly periodic state")
+    @pytest.mark.parametrize("p", [1, 3, 5, 7])
+    def test_sin_half_power_holds(self, p):
+        # the paper's sin^p(phi/2), anti-periodic for odd p, peaks at the
+        # seam, so the right side is negative and the bound trivial
+        state = sin_half_power_state(p)
+        rep = check_fujikawa(state)
+        assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+        rhs = 0.5 * (1.0 - TWO_PI * float(state.density(math.pi)))
+        assert rep.rhs == pytest.approx(rhs, abs=1e-13)
+        assert rep.rhs < 0.0 < rep.lhs
+        assert rep.holds and not rep.saturated
 
     @staticmethod
     def mp_window_bound(state):
