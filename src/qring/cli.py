@@ -17,8 +17,14 @@ measured) rows, and its product row measures the total bound's left side.
 array pass over every n.  Every JSON document goes through
 ``_write_json``, which writes exactly the bytes of ``json.dumps(obj,
 indent=2)`` but encodes each innermost container in one call of the
-standard library's C encoder.  ``_write_table`` writes every row table, CSV
-or JSON; each packet curve is one array ``evaluate`` call.
+standard library's C encoder.  A row table (a list of flat dicts, such as
+the report's ``observables`` and ``uncertainty`` lists) is one encoder
+call too: the encoder escapes every newline inside a string, so the text
+``"}" + separator + "{"`` only ever joins two rows, and one replace indents
+it.  ``_write_table`` writes every ``curve``, ``scan-beta`` and
+``mwp --emit-curve`` table, its CSV in one format call; the report's stderr
+check table is one format call as well.  Each packet curve is one array
+``evaluate`` call.
 """
 
 import argparse
@@ -27,6 +33,9 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -97,11 +106,19 @@ def _key(key) -> str:
     """A dict key as ``json.dumps`` writes it: a str as itself, an int,
     float, bool or None as its JSON spelling, quoted."""
     if isinstance(key, str):
-        return json.dumps(key)
+        return encode_basestring_ascii(key)
     if key is None or isinstance(key, (int, float)):
-        return json.dumps(json.dumps(key))
+        return encode_basestring_ascii(json.dumps(key))
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {type(key).__name__}")
+
+
+def _is_table(obj) -> bool:
+    """Whether obj is a list or tuple of non-empty dicts whose values all
+    have exact scalar types; each test runs over the items in C."""
+    return (set(map(type, obj)) == {dict} and all(obj)
+            and _SCALARS.issuperset(
+                map(type, chain.from_iterable(map(dict.values, obj)))))
 
 
 def _encode(obj, depth: int, out: list) -> None:
@@ -113,6 +130,15 @@ def _encode(obj, depth: int, out: list) -> None:
     is_dict = isinstance(obj, dict)
     inner = "\n" + "  " * (depth + 1)
     outer = "\n" + "  " * depth
+    if not is_dict and _is_table(obj):
+        # the encoder escapes every newline in a string, so a literal one
+        # is a separator, and "}" separator "{" only ever joins two rows
+        field = "\n" + "  " * (depth + 2)
+        text = _flat_encoder(depth + 2).encode(obj)
+        rows = text[2:-2].replace("}," + field + "{",
+                                  inner + "}," + inner + "{" + field)
+        out += ("[", inner, "{", field, rows, inner, "}", outer, "]")
+        return
     values = obj.values() if is_dict else obj
     if (_SCALARS.issuperset(map(type, values))
             or not any(isinstance(v, _CONTAINERS) for v in values)):
@@ -142,13 +168,14 @@ def _write_json(obj) -> None:
 
 def _write_table(names, columns, as_json: bool) -> None:
     """Write equal-length columns of floats as CSV under a header line, at
-    17 significant digits, or with ``as_json`` as a list of row objects."""
-    rows = zip(*columns)
+    17 significant digits, or with ``as_json`` as a list of row objects.
+    Either form is one call over the whole table."""
     if as_json:
-        return _write_json([dict(zip(names, row)) for row in rows])
-    sys.stdout.write(",".join(names) + "\n")
-    template = ",".join(["%.17g"] * len(names)) + "\n"
-    sys.stdout.writelines(template % row for row in rows)
+        return _write_json([dict(zip(names, row)) for row in zip(*columns)])
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    values = tuple(chain.from_iterable(zip(*columns)))
+    sys.stdout.write(",".join(names) + "\n"
+                     + row * len(columns[0]) % values)
 
 
 def _check(quantity: str, expected: float, measured: float, tol: float) -> dict:
@@ -281,10 +308,13 @@ def run_curve(args, _cfg: Config) -> int:
 
 def _load_state_file(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return None, USAGE_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
         return None, USAGE_ERROR
     try:
         return load_state(text), 0
@@ -294,6 +324,11 @@ def _load_state_file(path: str):
     except ValueError as exc:
         print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
         return None, USAGE_ERROR
+
+
+# one line of the report's stderr table, and the check fields it reads
+_CHECK_ROW = "%-10s %2d %12.6g %12.6g %12.6g %s\n"
+_CHECK_FIELDS = itemgetter("kind", "n", "lhs", "rhs", "slack", "holds")
 
 
 def _bound_rows(kind: str, ns: list, bounds) -> list:
@@ -350,12 +385,10 @@ def run_report(args, cfg: Config) -> int:
     if not state.is_periodic:
         print("note: quasi-periodic state, window bound skipped",
               file=sys.stderr)
-    lines = [f"{'kind':10} {'n':>2} {'lhs':>12} {'rhs':>12} {'slack':>12} "
-             "holds\n"]
-    lines += [f"{c['kind']:10} {c['n']:>2} {c['lhs']:>12.6g} "
-              f"{c['rhs']:>12.6g} {c['slack']:>12.6g} {c['holds']}\n"
-              for c in checks]
-    sys.stderr.write("".join(lines))
+    rows = chain.from_iterable(map(_CHECK_FIELDS, checks))
+    sys.stderr.write(f"{'kind':10} {'n':>2} {'lhs':>12} {'rhs':>12} "
+                     f"{'slack':>12} holds\n"
+                     + _CHECK_ROW * len(checks) % tuple(rows))
     _write_json(payload)
     return 0 if all(c["holds"] for c in checks) else 1
 

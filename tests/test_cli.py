@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -347,6 +348,26 @@ class TestReport:
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "report", str(tmp_path / "nope.txt"))
         assert code == 2
+
+    def test_utf8_comment_under_ascii_locale(self, tmp_path):
+        path = tmp_path / "phi.txt"
+        path.write_text("# \u03c6 packet\n" + dump_state(random_state(4, 2)),
+                        encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONUTF8": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qring.cli", "report", str(path)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["hbar"] == 1.0
+
+    def test_undecodable_byte_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff" + dump_state(random_state(4, 2)).encode())
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot parse {path}: ")
 
     @pytest.mark.parametrize("amp", ["1e300", "1e-200"])
     def test_extreme_amplitudes_exit_0(self, capsys, tmp_path, amp):
@@ -903,10 +924,14 @@ class TestSerialization:
 
     def test_infinite_spread_spelled_infinity(self, capsys, tmp_path):
         # R_1 = 0 on a 3-fold density, so sigma_1 and the TOTAL lhs are inf
-        path = write_state(tmp_path, mwp_y(3, 1, 4.0)[1])
-        _, out, _ = run_cli(capsys, "report", path, "--nmax", "8")
+        state = load_state(dump_state(mwp_y(3, 1, 4.0)[1]))
+        path = write_state(tmp_path, state)
+        _, out, err = run_cli(capsys, "report", path, "--nmax", "8")
         assert '"sigma_n": Infinity\n' in out
         assert '"lhs": Infinity,' in out
+        # the TOTAL row's lhs and slack print as inf in the stderr table
+        assert err == stderr_table(state, 8)
+        assert "TOTAL       1          inf" in err
 
     @pytest.mark.parametrize("axis,n,m,kappa", [
         ("X", 2, 1, 5.0), ("Y", 3, -2, 17.5), ("X", 1, 0, -700.0)])
@@ -950,10 +975,35 @@ class TestJsonWriter:
         {"\u00e9t\u00e9": ["caf\u00e9", {"\u03c1": "\\\t"}]},
         "scalar", 3, 2.5, None, True, math.nan,
         [True, False, None, 0, -1, 2**70],
+        # row tables, where "}" sep "{" may only join two rows
+        [{"}": "{", "{": "}"}, {"a}": "{b", '",\n  {"': '"},\n    {"'}],
+        [{"k": '"'}, {'"': "}\n{"}, {"k": "},\n    {"}],
+        [{"a": 1, "b": 2.5}, {"c": None}, {"a": True, "d": "x"}],
+        [{"a": 1}, {}],
+        [{"a": 1}, {"b": [2, 3]}],
+        [{"a": np.float64(0.5)}, {"a": np.float64(-0.0)}],
+        ({"a": 1, "b": "x"}, {"a": 2, "b": "y"}),
+        {"t": [{"x": 1.5}, {"x": -2.5}], "u": [[{"y": 0}], [{"y": 1}]]},
+        [[[{"p": 1, "q": 2}, {"p": 3, "q": 4}]], [[{"r": 5}]]],
+        [{"v": math.nan, math.inf: -math.inf}, {"v": -0.0, None: 5e-324}],
+        [{1: 2.5, 2.5: 1, True: False, None: None}],
     ], ids=repr)
     def test_equals_indented_dumps(self, capsys, obj):
         qring.cli._write_json(obj)
         assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj,table", [
+        ([{"a": 1}, {"b": "x", "c": None}], True),
+        (({"a": 1.5},), True),
+        ([{"a": 1}, {}], False),
+        ([{"a": 1}, {"b": [2]}], False),
+        ([{"a": np.float64(0.5)}], False),
+        ([{"a": 1}, [1]], False),
+        ([], False),
+    ], ids=repr)
+    def test_table_branch(self, obj, table):
+        # tables take the one-call branch, anything else the nested one
+        assert qring.cli._is_table(obj) is table
 
     @pytest.mark.parametrize("obj", [{(1, 2): 3}, {"a": [1], (1,): [2]},
                                      [object()], {"a": {"b": object()}}])
@@ -996,6 +1046,34 @@ class TestJsonWriter:
         monkeypatch.setattr(qring.cli, "_write_json", reference_write_json)
         assert run_cli(capsys, *argv) == (code, out, err)
         assert out.startswith(("{", "["))
+
+
+def reference_table(names, columns):
+    """Oracle: the CSV of ``_write_table``, one ``%`` per row."""
+    template = ",".join(["%.17g"] * len(names)) + "\n"
+    return ",".join(names) + "\n" + "".join(template % row
+                                             for row in zip(*columns))
+
+
+class TestWriteTable:
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, 3]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, len(SPECIAL)])
+    def test_csv_equals_per_row_template(self, capsys, width, count):
+        names = ["a", "b", "c"][:width]
+        columns = [(self.SPECIAL[k:] + self.SPECIAL[:k])[:count]
+                   for k in range(width)]
+        qring.cli._write_table(names, columns, False)
+        assert capsys.readouterr().out == reference_table(names, columns)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_json_equals_row_dicts(self, capsys, width):
+        names = ["a", "b", "c"][:width]
+        columns = [self.SPECIAL[k:] + self.SPECIAL[:k] for k in range(width)]
+        qring.cli._write_table(names, columns, True)
+        rows = [dict(zip(names, row)) for row in zip(*columns)]
+        assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
 
 
 class TestSharedParser:

@@ -1,14 +1,18 @@
 """Property tests over generated states: the running-product phase tables
 against the direct exp of every (point, frequency) pair, the seam sums of
 the window bound against the phase tables, the state file round trip,
-every bound over the whole n-series, and what a rotation keeps and
-swaps."""
+every bound over the whole n-series, what a rotation keeps and swaps, and
+the CLI's JSON row tables against ``json.dumps(indent=2)``."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+import qring.cli
 from qring.observables import angle_moments_beta, sigma_lz, sigma_xy
 from qring.state import MAX_MODE, Config, dump_state, from_fourier, load_state
 from qring.uncertainty import (
@@ -220,3 +224,18 @@ def test_quarter_turn_swaps_axis_slacks(state, n):
         drhs = 0.5 * n * dr + 4.0 * EPS * before.rhs
         assert abs(before.slack - after.slack) <= (
             dlhs + drhs + 8.0 * EPS * (before.lhs + before.rhs))
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.text(max_size=6))
+keys = st.one_of(st.text(max_size=6), st.integers(-9, 9), st.booleans())
+
+
+@hypothesis.given(st.lists(st.dictionaries(keys, scalars, max_size=5),
+                           max_size=5))
+def test_row_table_equals_indented_dumps(rows):
+    # lists of flat dicts, empty ones included, as json.dumps(indent=2)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        qring.cli._write_json(rows)
+    assert buf.getvalue() == json.dumps(rows, indent=2) + "\n"
