@@ -1,45 +1,36 @@
-"""Modified Bessel functions of the first kind.
+"""Modified Bessel functions of the first kind, exponentially scaled.
 
-Self-contained evaluation of I0, I1, their ratio I1/I0, the scaled
-sequence I_k for all integer orders ``ik_scaled`` (the Fourier weights of a
-von Mises profile), and two derived spread functions used by the circular
-uncertainty checks:
+Self-contained evaluation of exp(-|x|) I0(x) and exp(-|x|) I1(x), their
+ratio I1/I0, the scaled sequence I_k for all integer orders ``ik_scaled``
+(the Fourier weights of a von Mises profile), and two derived spread
+functions used by the circular uncertainty checks:
 
 * ``f_alpha(x) = sqrt(x * (I0/I1 - I1/I0))`` -- the factor by which the
   total-uncertainty product of a von Mises profile exceeds its lower bound.
 * ``h_alpha(x) = x * r * (1 - r/x - r**2)`` with ``r = I1/I0`` -- the gap of
   the conjugate-axis bound on the same profile.
 
-Evaluation policy, fixed: the ascending power series for |x| <= 15 and the
-exponentially scaled asymptotic series above, both summed to a relative
-term tolerance of 1e-16.  Unscaled values overflow a float64 near x = 713;
-``i0``/``i1`` raise ``OverflowError`` beyond ``OVERFLOW_THRESHOLD`` while
-the scaled variants stay finite for any float.  ``ik_scaled`` raises
-``ValueError`` when |x| is so large (about 1e10) that its recurrence would
-need more than 2**20 orders.
+Everything the package reads is a scaled value or a ratio of I0 and I1,
+so there is one policy and no unscaled API: the ascending power series
+for |x| <= 20 and the scaled asymptotic series above, both summed to a
+relative term tolerance of 1e-16.  Above 20 the asymptotic terms reach
+that tolerance by term 22, long before they turn near term 2|x| >= 40;
+at a cutoff of 15 the smallest term, about e^(-2x), cost up to 140 ulp.
+From 20 on, ``f_alpha`` and ``h_alpha`` come from sums of the asymptotic
+terms that do not cancel (``_spread``), up to the float64 maximum.
+``ik_scaled`` raises ``ValueError`` when |x| is so large (about 1e10)
+that its recurrence would need more than 2**20 orders.
 """
 
 import math
 
 import numpy as np
 
-__all__ = [
-    "OVERFLOW_THRESHOLD",
-    "i0",
-    "i1",
-    "i0_scaled",
-    "i1_scaled",
-    "ik_scaled",
-    "ratio",
-    "f_alpha",
-    "h_alpha",
-]
-
-# exp(x) overflows float64 at x ~ 709.78; keep a small safety margin
-OVERFLOW_THRESHOLD = 700.0
+__all__ = ["i0_scaled", "i1_scaled", "ik_scaled", "ratio", "f_alpha",
+           "h_alpha"]
 
 # |x| above which the scaled asymptotic series replaces the power series
-_SERIES_CUTOFF = 15.0
+_SERIES_CUTOFF = 20.0
 # relative truncation tolerance of both series
 _TERM_TOL = 1e-16
 _MAX_TERMS = 500
@@ -66,17 +57,20 @@ def _series(nu: int, x: float) -> float:
 
 
 # Coefficient products (mu - 1)(mu - 9)... with mu = 4 nu^2 enter the
-# asymptotic expansion I_nu(x) ~ e^x / sqrt(2 pi x) * sum_k c_k(nu) / x^k.
+# asymptotic expansion I_nu(x) ~ e^x / sqrt(2 pi x) * sum_k t_k(nu), where
+# t_k = t_{k-1} * (-(mu - (2k - 1)^2) / (8 k x)) and t_0 = 1.
 def _asymptotic_scaled(nu: int, x: float) -> float:
-    """e^(-x) I_nu(x) for large positive x via the asymptotic expansion."""
+    """e^(-x) I_nu(x) for x > _SERIES_CUTOFF via the asymptotic expansion.
+
+    The terms shrink while 8 k x > (2k - 1)^2 - mu, up to k near 2x > 40,
+    and reach the tolerance by k = 22, so no divergence guard is needed
+    (they reach it before they turn only above x near 17.4).
+    """
     mu = 4 * nu * nu
     total = 1.0
     term = 1.0
     for k in range(1, _MAX_TERMS):
-        factor = -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(factor) >= 1.0:
-            break  # divergent tail reached; stop at the smallest term
-        term *= factor
+        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
         total += term
         if abs(term) < _TERM_TOL * abs(total):
             break
@@ -84,47 +78,23 @@ def _asymptotic_scaled(nu: int, x: float) -> float:
     return total / math.sqrt(2.0 * math.pi) / math.sqrt(x)
 
 
-def _eval(nu: int, x: float, scaled: bool) -> float:
+def _eval(nu: int, x: float) -> float:
     if not math.isfinite(x):
         raise ValueError("argument must be finite")
     ax = abs(x)
     if ax <= _SERIES_CUTOFF:
-        value = _series(nu, x)
-        return value * math.exp(-ax) if scaled else value
-    value = _asymptotic_scaled(nu, ax)
-    if not scaled:
-        if ax > OVERFLOW_THRESHOLD:
-            raise OverflowError(
-                f"I{nu}({x!r}) overflows float64; use the scaled variant "
-                f"for |x| > {OVERFLOW_THRESHOLD}"
-            )
-        value *= math.exp(ax)
-    return value
-
-
-def i0(x: float) -> float:
-    """Modified Bessel function I0(x).
-
-    Even in x, with I0(0) = 1 and I0(x) >= 1 everywhere.  Raises
-    ``OverflowError`` for |x| > OVERFLOW_THRESHOLD; use ``i0_scaled`` there.
-    """
-    return _eval(0, x, scaled=False)
-
-
-def i1(x: float) -> float:
-    """Modified Bessel function I1(x) = dI0/dx.  Odd in x."""
-    value = _eval(1, x, scaled=False)
-    return math.copysign(value, x) if x != 0 else 0.0
+        return _series(nu, x) * math.exp(-ax)
+    return _asymptotic_scaled(nu, ax)
 
 
 def i0_scaled(x: float) -> float:
-    """exp(-|x|) I0(x); finite for every finite x."""
-    return _eval(0, x, scaled=True)
+    """exp(-|x|) I0(x); even, 1 at x = 0, finite for every finite x."""
+    return _eval(0, x)
 
 
 def i1_scaled(x: float) -> float:
-    """exp(-|x|) I1(x); finite for every finite x."""
-    value = _eval(1, x, scaled=True)
+    """exp(-|x|) I1(x); odd, and finite for every finite x."""
+    value = _eval(1, x)
     return math.copysign(value, x) if x != 0 else 0.0
 
 
@@ -177,12 +147,45 @@ def ik_scaled(x: float, trunc_tol: float = 1e-12) -> np.ndarray:
 def ratio(x: float) -> float:
     """I1(x)/I0(x), computed overflow-free for any finite x.
 
-    Odd in x, strictly increasing, with |ratio(x)| < 1.  Large arguments use
-    the scaled forms so the exponential factor cancels analytically.
+    Odd in x, strictly increasing, with |ratio(x)| < 1.  The scaled forms
+    share the factor exp(-|x|), so it cancels analytically.
     """
     if x == 0.0:
         return 0.0
     return i1_scaled(x) / i0_scaled(x)
+
+
+def _spread(x: float) -> tuple[float, float]:
+    """(f_alpha(x), h_alpha(x)) for x != 0; below the cutoff from
+    r = ratio(x).  From the cutoff on, with A_nu = sum_k t_k(nu) the sums
+    of ``_asymptotic_scaled``, r = A1/A0 (the prefactor is shared), so
+    x (1 - r) = x (A0 - A1)/A0; and h = x r r' (r' = 1 - r/x - r^2 is the
+    Riccati equation of I1/I0) is r (A1 P0 - A0 P1)/A0^2, by
+    dA_nu/dx = -P_nu/x with P_nu = sum_k k t_k(nu).  Every t_k(0) is
+    positive and every t_k(1), k >= 1, negative, so x (A0 - A1), A1 P0 and
+    -A0 P1 sum positive terms and never cancel.  The loop runs on
+    u_k = x t_k, which stays normal up to the float64 maximum.
+    """
+    ax = abs(x)
+    if not _SERIES_CUTOFF <= ax < math.inf:  # ratio rejects nan and inf
+        r = ratio(x)
+        return math.sqrt(x * (1.0 - r * r) / r), x * r * (1.0 - r / x - r * r)
+    u0, u1 = 0.125, -0.375            # u_1 of orders 0 and 1
+    s0, s1 = u0, u1                   # x (A_nu - 1)
+    p0, p1 = u0, u1                   # x P_nu
+    # k t_k shrinks up to k near 2x; stop there if the tolerance is not met
+    for k in range(2, int(min(2.0 * ax, _MAX_TERMS))):
+        u0 *= (2 * k - 1) ** 2 / (8.0 * k * ax)
+        u1 *= ((2 * k - 1) ** 2 - 4) / (8.0 * k * ax)
+        s0 += u0
+        s1 += u1
+        p0 += k * u0
+        p1 += k * u1
+        if k * (u0 - u1) < _TERM_TOL * (p0 - p1):
+            break
+    a0, a1 = 1.0 + s0 / ax, 1.0 + s1 / ax
+    return (math.sqrt((s0 - s1) * (a0 + a1) / (a0 * a1)),
+            a1 * (a1 * p0 - a0 * p1) / (a0 * a0 * a0) / ax)
 
 
 def f_alpha(x: float) -> float:
@@ -191,10 +194,7 @@ def f_alpha(x: float) -> float:
     Even function decreasing from sqrt(2) at x = 0 toward 1 as |x| grows;
     the x = 0 value is the analytic limit of the 0/0 form.
     """
-    if x == 0.0:
-        return math.sqrt(2.0)
-    r = ratio(x)
-    return math.sqrt(x * (1.0 - r * r) / r)
+    return math.sqrt(2.0) if x == 0.0 else _spread(x)[0]
 
 
 def h_alpha(x: float) -> float:
@@ -203,7 +203,4 @@ def h_alpha(x: float) -> float:
     Even, zero only at x = 0 (by limit; h ~ x^2/4 near zero, ~ 1/(2x) for
     large x), and strictly positive elsewhere.
     """
-    if x == 0.0:
-        return 0.0
-    r = ratio(x)
-    return x * r * (1.0 - r / x - r * r)
+    return 0.0 if x == 0.0 else _spread(x)[1]

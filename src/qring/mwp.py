@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bessel import i0_scaled, i1_scaled, ik_scaled
+from .bessel import i0_scaled, ik_scaled, ratio
 from .errors import ResolutionError
 from .observables import expect_lz, expect_xy, sigma_lz, sigma_xy
 from .state import (DEFAULT_CONFIG, MAX_MODE, CircleState, Config, TWO_PI,
@@ -84,8 +84,7 @@ class PacketVerification:
 
 def _predictions(packet: VonMisesPacket, hbar: float) -> PacketPrediction:
     n, kappa = packet.n, packet.kappa
-    i0s = i0_scaled(kappa)
-    r = i1_scaled(kappa) / i0s        # I1/I0, as bessel.ratio computes it
+    r = ratio(kappa)
     # r/kappa with its analytic limit 1/2 at kappa = 0
     r_over = 0.5 if kappa == 0.0 else r / kappa
     along2 = r_over                   # variance along the packet's own axis
@@ -98,7 +97,8 @@ def _predictions(packet: VonMisesPacket, hbar: float) -> PacketPrediction:
         raise OverflowError(f"sigma_Lz^2 prediction at n={n} overflows "
                             f"float64 (hbar={hbar!r}); use a smaller hbar")
     # 1/sqrt(2 pi I0(kappa)) from the scaled I0: no overflow at any kappa
-    norm = math.exp(-0.5 * abs(kappa)) / math.sqrt(TWO_PI * i0s)
+    norm = (math.exp(-0.5 * abs(kappa))
+            / math.sqrt(TWO_PI * i0_scaled(kappa)))
     if packet.axis is Axis.X:
         return PacketPrediction(ex=0.0, ey=r, sigma_x2=along2,
                                 sigma_y2=across2, sigma_lz2=lz2,

@@ -122,7 +122,9 @@ class CircleState:
         Amplitudes c_m aligned with ``modes``; sum |c_m|^2 = 1.
     theta : float
         Boundary phase in [0, 2pi); the effective mode exponent is
-        mu = m + theta/2pi.
+        mu = m + theta/2pi, read only by ``evaluate`` (so ``density``),
+        ``rotate`` and ``observables.expect_lz``; every other measurement
+        equals the periodic twin's (theta = 0) bit for bit.
     """
 
     modes: np.ndarray
@@ -178,20 +180,20 @@ class CircleState:
 
     @cached_property
     def lz_moments(self) -> tuple[float, float]:
-        """(<L_z>/hbar, sigma_Lz^2/hbar^2) = (m1, sum w (mu - m1)^2 / sum w)
-        with w = |c|^2 and m1 = sum mu w.
+        """(<L_z>/hbar, sigma_Lz^2/hbar^2) = (m1 + theta/2pi,
+        sum w (m - m1)^2 / sum w) with w = |c|^2 and m1 = sum m w.
 
-        The centred sum keeps the variance of a state far from the origin
-        free of the cancellation in sum mu^2 w - m1^2: a rotated eigenstate
-        has zero spread to rounding.  Computed once per state, like
+        The centred sum over the integer modes is free of the cancellation
+        in sum m^2 w - m1^2 (a rotated eigenstate has zero spread to
+        rounding) and of theta (a quasi-periodic state has its periodic
+        twin's variance bit for bit).  Computed once per state, like
         ``harmonics``; ``rotate`` and ``replace`` build a new state, which
         starts without the cache.
         """
         w = np.abs(self.amps) ** 2
-        mu = self.mu
-        m1 = float((mu * w).sum())
-        d = mu - m1
-        return m1, float((d * d * w).sum() / w.sum())
+        m1 = float((self.modes * w).sum())
+        d = self.modes - m1
+        return m1 + self.theta / TWO_PI, float((d * d * w).sum() / w.sum())
 
     @cached_property
     def _phase_steps(self) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from qring.bessel import f_alpha, h_alpha, i0, i1, ratio
+from qring.bessel import f_alpha, h_alpha, i0_scaled, i1_scaled, ratio
 from qring.cli import main
 from qring.mwp import mwp_x, mwp_y
 from qring.observables import (
@@ -255,15 +255,19 @@ def test_criterion_09_symmetry_lemma():
 
 
 def test_criterion_10_bessel_suite():
-    """Derivative/recurrence identities, expansions, quadrature agreement."""
+    """Derivative/recurrence identities, expansions, quadrature agreement,
+    on the scaled forms g_nu = exp(-x) I_nu for x > 0, where I1 = dI0/dx
+    reads g0' = g1 - g0 and x I1' + I1 = x I0 reads
+    x (g1' + g1) + g1 = x g0."""
     failures = []
     h = 1e-5
     for x in [0.5, 1.0, 2.0, 5.0, 10.0]:
-        fd = (i0(x + h) - i0(x - h)) / (2 * h)
-        if abs(i1(x) - fd) > 1e-6 * abs(fd):
+        g0, g1 = i0_scaled(x), i1_scaled(x)
+        fd = (i0_scaled(x + h) - i0_scaled(x - h)) / (2 * h)
+        if abs(g1 - g0 - fd) > 1e-6 * abs(fd):
             failures.append(("derivative", x))
-        i1p = (i1(x + h) - i1(x - h)) / (2 * h)
-        if abs(x * i1p + i1(x) - x * i0(x)) > 1e-6 * abs(x * i0(x)):
+        g1p = (i1_scaled(x + h) - i1_scaled(x - h)) / (2 * h)
+        if abs(x * (g1p + g1) + g1 - x * g0) > 1e-6 * abs(x * g0):
             failures.append(("recurrence", x))
     if abs(ratio(0.01) - 0.005) > 1e-5:
         failures.append(("small-x ratio", ratio(0.01)))
@@ -271,11 +275,12 @@ def test_criterion_10_bessel_suite():
         failures.append(("large-x ratio", ratio(50.0)))
     t = TWO_PI * np.arange(1024) / 1024
     for x in np.linspace(0.0, 20.0, 21):
-        q0 = float(np.mean(np.exp(x * np.sin(t))))
-        q1 = float(np.mean(np.sin(t) * np.exp(x * np.sin(t))))
-        if abs(i0(float(x)) - q0) > 1e-10 * q0:
+        scale = math.exp(-x)
+        q0 = float(np.mean(np.exp(x * np.sin(t)))) * scale
+        q1 = float(np.mean(np.sin(t) * np.exp(x * np.sin(t)))) * scale
+        if abs(i0_scaled(float(x)) - q0) > 1e-10 * q0:
             failures.append(("i0 quadrature", x))
-        if abs(i1(float(x)) - q1) > 1e-10 * max(q1, 1.0):
+        if abs(i1_scaled(float(x)) - q1) > 1e-10 * max(q1, scale):
             failures.append(("i1 quadrature", x))
     verdict(10, not failures, f"bessel suite {failures}")
 

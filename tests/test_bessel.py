@@ -1,4 +1,5 @@
-"""Tests for qring.bessel against quadrature and finite-difference oracles."""
+"""Tests for qring.bessel against quadrature, finite-difference, scipy and
+mpmath oracles."""
 
 import math
 
@@ -7,17 +8,39 @@ import pytest
 from scipy import special
 
 from qring.bessel import (
-    OVERFLOW_THRESHOLD,
+    _asymptotic_scaled,
     _series,
     f_alpha,
     h_alpha,
-    i0,
     i0_scaled,
-    i1,
     i1_scaled,
     ik_scaled,
     ratio,
 )
+
+EPS = np.finfo(float).eps
+# points on both sides of the series cutoff at |x| = 20 and of the old one
+# at 15, where the asymptotic series left up to 140 ulp
+CUTOFF_POINTS = [14.9, 15.05, 16.3, 19.99, 20.0, 20.01, 25.0]
+
+
+def mp_scaled(x):
+    """Oracle: (i0_scaled, i1_scaled, ratio) of x in 40-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        i0e = mpmath.besseli(0, x) * mpmath.exp(-abs(x))
+        i1e = mpmath.besseli(1, x) * mpmath.exp(-abs(x))
+        return float(i0e), float(i1e), float(i1e / i0e)
+
+
+def mp_spread(x):
+    """Oracle: (f_alpha, h_alpha) of x in 60-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        r = mpmath.besseli(1, x) / mpmath.besseli(0, x)
+        return (float(mpmath.sqrt(x * (1 / r - r))),
+                float(x * r * (1 - r / x - r * r)))
 
 
 def i0_quadrature(x, nodes=1024):
@@ -39,27 +62,39 @@ def i1_quadrature(x, nodes=1024):
 
 class TestValues:
     def test_i0_at_zero(self):
-        assert i0(0.0) == 1.0
+        assert i0_scaled(0.0) == 1.0
 
     def test_i1_at_zero(self):
-        assert i1(0.0) == 0.0
+        assert i1_scaled(0.0) == 0.0
 
     def test_i0_at_one_frozen(self):
-        # frozen from the 1024-node quadrature oracle
-        assert i0(1.0) == pytest.approx(1.2660658777520082, rel=1e-12)
+        # I0(1) frozen from the 1024-node quadrature oracle
+        assert i0_scaled(1.0) == pytest.approx(
+            1.2660658777520082 * math.exp(-1.0), rel=1e-12)
 
     def test_i1_at_one_frozen(self):
-        assert i1(1.0) == pytest.approx(0.5651591039924851, rel=1e-12)
+        assert i1_scaled(1.0) == pytest.approx(
+            0.5651591039924851 * math.exp(-1.0), rel=1e-12)
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0, 5.0, 8.0, 12.0, 20.0])
     def test_quadrature_agreement(self, x):
-        assert i0(x) == pytest.approx(i0_quadrature(x), rel=1e-10)
-        assert i1(x) == pytest.approx(i1_quadrature(x), rel=1e-10)
+        scale = math.exp(-x)
+        assert i0_scaled(x) == pytest.approx(i0_quadrature(x) * scale,
+                                             rel=1e-10)
+        assert i1_scaled(x) == pytest.approx(i1_quadrature(x) * scale,
+                                             rel=1e-10)
 
     @pytest.mark.parametrize("x", [0.3, 1.0, 7.0, 14.9, 15.1, 40.0, 100.0, 650.0])
     def test_scipy_agreement(self, x):
-        assert i0(x) == pytest.approx(float(special.i0(x)), rel=1e-12)
-        assert i1(x) == pytest.approx(float(special.i1(x)), rel=1e-12)
+        assert i0_scaled(x) == pytest.approx(float(special.i0e(x)), rel=1e-12)
+        assert i1_scaled(x) == pytest.approx(float(special.i1e(x)), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [*CUTOFF_POINTS,
+                                   *(-x for x in CUTOFF_POINTS)])
+    def test_mpmath_across_cutoff(self, x):
+        got = (i0_scaled(x), i1_scaled(x), ratio(x))
+        for value, ref in zip(got, mp_scaled(x)):
+            assert abs(value / ref - 1.0) <= 8 * EPS, (x, value, ref)
 
     # 1.7e308: 2 pi x overflows, the prefactor must not
     @pytest.mark.parametrize("x", [0.5, 15.0, 120.0, 800.0, 5000.0, 1.7e308])
@@ -68,8 +103,11 @@ class TestValues:
         assert i1_scaled(x) == pytest.approx(float(special.i1e(x)), rel=1e-12)
 
     def test_i0_lower_bound(self):
+        # I0 >= 1 and |I1| < I0, scaled by exp(-|x|)
         for x in np.linspace(-100, 100, 101):
-            assert i0(float(x)) >= 1.0
+            x = float(x)
+            assert math.exp(-abs(x)) <= i0_scaled(x) <= 1.0
+            assert abs(i1_scaled(x)) < i0_scaled(x)
 
 
 class TestScaledSequence:
@@ -143,31 +181,35 @@ class TestParityAndIdentities:
 
     @pytest.mark.parametrize("x", GRID)
     def test_parity(self, x):
+        # exact: each function evaluates |x| and sets the sign
         x = float(x)
-        assert i0(-x) == pytest.approx(i0(x), rel=1e-14)
-        assert i1(-x) == pytest.approx(-i1(x), rel=1e-14)
-        assert ratio(-x) == pytest.approx(-ratio(x), rel=1e-14)
-        assert f_alpha(-x) == pytest.approx(f_alpha(x), rel=1e-14)
-        assert h_alpha(-x) == pytest.approx(h_alpha(x), rel=1e-14)
+        assert i0_scaled(-x) == i0_scaled(x)
+        assert i1_scaled(-x) == -i1_scaled(x)
+        assert ratio(-x) == -ratio(x)
+        assert f_alpha(-x) == f_alpha(x)
+        assert h_alpha(-x) == h_alpha(x)
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0, 10.0])
     def test_derivative_identity(self, x):
-        # I1 = dI0/dx, central finite difference with step 1e-5
+        # I1 = dI0/dx, scaled: d/dx i0_scaled = i1_scaled - i0_scaled for
+        # x > 0; central finite difference with step 1e-5
         h = 1e-5
-        fd = (i0(x + h) - i0(x - h)) / (2 * h)
-        assert i1(x) == pytest.approx(fd, rel=1e-6)
+        fd = (i0_scaled(x + h) - i0_scaled(x - h)) / (2 * h)
+        assert i1_scaled(x) - i0_scaled(x) == pytest.approx(fd, rel=1e-6)
 
     def test_i1_at_two_matches_finite_difference(self):
         h = 1e-5
-        fd = (i0(2.0 + h) - i0(2.0 - h)) / (2 * h)
-        assert abs(i1(2.0) - fd) < 1e-6
+        fd = (i0_scaled(2.0 + h) - i0_scaled(2.0 - h)) / (2 * h)
+        assert abs(i1_scaled(2.0) - (fd + i0_scaled(2.0))) < 1e-6
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0, 10.0])
     def test_recurrence(self, x):
-        # x I1'(x) + I1(x) = x I0(x), with I1' by central difference
+        # x I1'(x) + I1(x) = x I0(x); scaled, exp(-x) I1' = g1' + g1 with
+        # g1 = i1_scaled, and g1' by central difference
         h = 1e-5
-        i1p = (i1(x + h) - i1(x - h)) / (2 * h)
-        assert x * i1p + i1(x) == pytest.approx(x * i0(x), rel=1e-6)
+        g1p = (i1_scaled(x + h) - i1_scaled(x - h)) / (2 * h)
+        lhs = x * (g1p + i1_scaled(x)) + i1_scaled(x)
+        assert lhs == pytest.approx(x * i0_scaled(x), rel=1e-6)
 
 
 class TestRatio:
@@ -190,7 +232,7 @@ class TestRatio:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_no_overflow_for_huge_argument(self):
-        # both factors overflow individually; the ratio path must not
+        # I0 and I1 both overflow float64 here; their scaled forms do not
         assert ratio(5000.0) == pytest.approx(1.0, abs=1e-3)
 
 
@@ -217,6 +259,22 @@ class TestDerivedFunctions:
         # h ~ 1/(2x) for large x
         assert h_alpha(20.0) == pytest.approx(1.0 / 40.0, abs=1e-3)
 
+    @pytest.mark.parametrize("x", [20.0, 20.5, 1e3, 1e4, 1e6, 1e8, 1e12])
+    def test_asymptotic_spread_against_mpmath(self, x):
+        # 1 - r^2 and 1 - r/x - r^2 cancel as r -> 1; the asymptotic sums
+        # do not, so both keep their digits where r rounds to 1
+        for value, ref in zip((f_alpha(x), h_alpha(x)), mp_spread(x)):
+            assert abs(value / ref - 1.0) <= 8 * EPS, (x, value, ref)
+
+    @pytest.mark.parametrize("x", [1e17, 1e300, 1.7e308])
+    def test_spread_bounds_at_huge_argument(self, x):
+        # h ~ 1/(2x) is subnormal at 1.7e308, but still positive
+        for sx in (x, -x):
+            assert f_alpha(sx) >= 1.0
+            assert h_alpha(sx) > 0.0
+        assert f_alpha(x) == pytest.approx(1.0 + 1.0 / (4.0 * x), rel=1e-15)
+        assert h_alpha(x) == pytest.approx(0.5 / x, rel=1e-6)
+
     def test_f_and_h_sign_on_grid(self):
         for x in np.linspace(-50.0, 50.0, 201):
             x = float(x)
@@ -227,24 +285,30 @@ class TestDerivedFunctions:
 
 
 class TestErrorsAndConfig:
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            i0(OVERFLOW_THRESHOLD + 10.0)
-        with pytest.raises(OverflowError):
-            i1(-(OVERFLOW_THRESHOLD + 10.0))
-
     def test_scaled_variants_survive_overflow_range(self):
-        assert math.isfinite(i0_scaled(OVERFLOW_THRESHOLD + 10.0))
-        assert math.isfinite(i1_scaled(OVERFLOW_THRESHOLD + 10.0))
+        # I0 and I1 overflow float64 near x = 713
+        for x in (720.0, -720.0, 1e300):
+            assert math.isfinite(i0_scaled(x))
+            assert math.isfinite(i1_scaled(x))
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, x):
-        with pytest.raises(ValueError):
-            i0(x)
+        for fn in (i0_scaled, i1_scaled, ratio, f_alpha, h_alpha):
+            for sx in (x, -x):
+                with pytest.raises(ValueError):
+                    fn(sx)
 
     def test_alternate_cutoff_consistent(self):
-        # the power series summed past the fixed cutoff of 15 agrees with
-        # the asymptotic branch i0/i1 take there
-        for x in [20.0, 24.9, 25.1, 60.0]:
-            assert _series(0, x) == pytest.approx(i0(x), rel=1e-12)
-            assert _series(1, x) == pytest.approx(i1(x), rel=1e-12)
+        # above the cutoff at 20 both series lie within 8 eps of the true
+        # value, so within 16 eps of each other, and the switch is seamless;
+        # at the old cutoff of 15 the asymptotic series, which has no
+        # divergence guard, turns before it reaches its tolerance (it does
+        # only above about 17.4), so the cutoff cannot sit that low
+        def gap(nu, x):
+            series = _series(nu, x) * math.exp(-x)
+            return abs(_asymptotic_scaled(nu, x) / series - 1.0)
+
+        for nu in (0, 1):
+            for x in np.linspace(20.01, 25.0, 12):
+                assert gap(nu, float(x)) <= 16 * EPS, (nu, x)
+            assert not gap(nu, 15.05) <= 1e-14

@@ -80,6 +80,15 @@ class TestConstruction:
         _, ey = expect_xy(s, 1)
         assert ey == pytest.approx(ratio(2.0), abs=1e-9)
 
+    def test_predicted_mean_above_old_cutoff(self):
+        # kappa = 16.3 lies between the old series cutoff of 15 and the new
+        # one of 20, where the asymptotic series left up to 140 ulp
+        mpmath = pytest.importorskip("mpmath")
+        ey = verify_packet(*mwp_x(1, 0, 16.3)).predicted.ey
+        with mpmath.workdps(40):
+            ref = float(mpmath.besseli(1, 16.3) / mpmath.besseli(0, 16.3))
+        assert abs(ey / ref - 1.0) <= 8 * np.finfo(float).eps
+
     def test_mean_y_against_quadrature(self):
         _, s = mwp_x(1, 0, 2.0)
         phi = TWO_PI * np.arange(16384) / 16384

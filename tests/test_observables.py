@@ -480,14 +480,14 @@ class TestSpectrumCache:
 
 
 def lz_diagonal_sums(state, hbar=1.0):
-    """Oracle: (<L_z>, sigma_Lz) from the diagonal sums, the variance as the
-    centred sum, recomputed on every call; the cached moments use the same
+    """Oracle: (<L_z>, sigma_Lz) from the diagonal sums over the integer
+    modes, the variance as the centred sum and the mean shifted by
+    theta/2pi, recomputed on every call; the cached moments use the same
     arithmetic, so they match bit for bit."""
     w = np.abs(state.amps) ** 2
-    mu = state.mu
-    m1 = float(np.sum(mu * w))
-    var = float(np.sum((mu - m1) ** 2 * w) / np.sum(w))
-    return hbar * m1, hbar * math.sqrt(var)
+    m1 = float(np.sum(state.modes * w))
+    var = float(np.sum((state.modes - m1) ** 2 * w) / np.sum(w))
+    return hbar * (m1 + state.theta / TWO_PI), hbar * math.sqrt(var)
 
 
 class TestLzMomentsCache:

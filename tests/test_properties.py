@@ -5,15 +5,18 @@ every bound over the whole n-series, what a rotation keeps and swaps, and
 the CLI's JSON row tables against ``json.dumps(indent=2)``."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import qring.cli
-from qring.observables import angle_moments_beta, sigma_lz, sigma_xy
+from qring.observables import (angle_moments_beta, expect_lz, sigma_lz,
+                               sigma_xy)
 from qring.state import MAX_MODE, Config, dump_state, from_fourier, load_state
 from qring.uncertainty import (
     check_fujikawa,
@@ -21,6 +24,8 @@ from qring.uncertainty import (
     check_ur_x,
     check_ur_y,
     detect_fold_symmetry,
+    is_fully_symmetric,
+    recommend_n,
     series_columns,
 )
 
@@ -125,6 +130,26 @@ def test_scalar_checks_match_columns_bit_for_bit(state):
                                 for n in range(1, nmax + 1))]
             columns = list(zip(*(field.tolist() for field in bounds)))
             assert repr(scalar) == repr(columns)
+
+
+@hypothesis.settings(max_examples=10)
+@hypothesis.given(states(), st.floats(0.0, TWO_PI, exclude_max=True))
+def test_boundary_phase_moves_only_the_mean_lz(state, theta):
+    # the density and the centred variance of the integer modes are free
+    # of theta, so every verdict equals the periodic twin's bit for bit
+    # (pickle keeps every bit of arrays and floats, zero signs included)
+    shifted = dataclasses.replace(state, theta=theta)
+    twin = dataclasses.replace(state, theta=0.0)
+    nmax = min(state.mode_span, 16) + 1
+    betas = np.linspace(-7.0, 7.0, 5)
+    for probe in (
+            lambda s: series_columns(s, nmax),
+            lambda s: dataclasses.astuple(check_fujikawa(s)),
+            lambda s: angle_moments_beta(s, betas),
+            lambda s: (detect_fold_symmetry(s), is_fully_symmetric(s)),
+            recommend_n, sigma_lz):
+        assert pickle.dumps(probe(shifted)) == pickle.dumps(probe(twin))
+    assert expect_lz(shifted) == expect_lz(twin) + theta / TWO_PI
 
 
 @hypothesis.given(states())
