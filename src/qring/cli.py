@@ -25,6 +25,18 @@ it.  ``_write_table`` writes every ``curve``, ``scan-beta`` and
 ``mwp --emit-curve`` table, its CSV in one format call; the report's stderr
 check table is one format call as well.  Each packet curve is one array
 ``evaluate`` call.
+
+``build_parser`` is the one grammar.  ``main`` parses a command line of
+the documented shape (global options, the subcommand, its positionals,
+then its options, each spelled in full and given once) with ``_parse``,
+which reads the parser's own option strings, actions, exclusive groups
+and negative-number matcher on the first call, and runs each value
+through its action's type and choices.  It gives the namespace argparse
+would, at a fraction of argparse's cost, and None for anything else:
+``-h``, ``--opt=value``, abbreviations, ``--``, repeats, unknown tokens,
+bad values or missing arguments.  Those go to ``parse_args``, so argparse
+alone reads every other spelling and writes all help, usage and error
+text.
 """
 
 import argparse
@@ -36,6 +48,7 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -504,8 +517,140 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Grammar(NamedTuple):
+    """What ``_parse`` reads of one parser of ``build_parser()``."""
+
+    parser: argparse.ArgumentParser
+    defaults: dict      # dest -> default, in the order argparse sets them
+    positionals: list   # nargs None or "?", in order
+    options: dict       # exact option string -> store or store_true action
+    required: list      # required options
+    groups: list        # the action sets of the exclusive groups
+    prefixes: tuple     # the prefix characters of an option
+    negative: object    # the negative-number matcher, None when such
+                        # numbers are options
+
+
+def _grammar(parser: argparse.ArgumentParser,
+             positionals: list) -> _Grammar | None:
+    """The grammar of one parser with the given positionals, or None when
+    one has a nargs other than None or "?", which ``_parse`` leaves to
+    argparse."""
+    actions = parser._actions
+    if any(a.nargs not in (None, "?") for a in positionals):
+        return None
+    defaults = {}
+    for a in actions:
+        if argparse.SUPPRESS not in (a.dest, a.default):
+            defaults.setdefault(a.dest, a.default)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    options = {s: a for a in actions for s in a.option_strings
+               if type(a) is argparse._StoreTrueAction
+               or (type(a) is argparse._StoreAction and a.nargs is None)}
+    return _Grammar(
+        parser, defaults, positionals, options,
+        [a for a in actions if a.required and a.option_strings],
+        [frozenset(g._group_actions)
+         for g in parser._mutually_exclusive_groups],
+        tuple(parser.prefix_chars),
+        None if parser._has_negative_number_optionals
+        else parser._negative_number_matcher)
+
+
+@functools.cache
+def _grammars() -> tuple:
+    """The global options' grammar, the subcommand action and each
+    subcommand's grammar by name, read once from ``build_parser()``."""
+    top = build_parser()
+    command, = [a for a in top._actions if not a.option_strings]
+    return _grammar(top, []), command, {
+        name: _grammar(p, [a for a in p._actions if not a.option_strings])
+        for name, p in command.choices.items()}
+
+
+def _is_value(g: _Grammar, token: str) -> bool:
+    """Whether argparse takes the token as a value, not as an option."""
+    return (not token.startswith(g.prefixes)
+            or (g.negative is not None and g.negative.match(token) is not None))
+
+
+def _value(parser: argparse.ArgumentParser, action: argparse.Action,
+           token: str):
+    """The token through the action's type and choices, as argparse runs
+    it; raises ``argparse.ArgumentError`` where argparse would reject it."""
+    value = parser._get_value(action, token)
+    parser._check_value(action, value)
+    return value
+
+
+def _fill(g: _Grammar, argv: list, i: int, values: dict) -> int | None:
+    """Read the positionals of g, then its options, from argv[i:] into
+    values.  Returns the index of the first token that is not one of its
+    options, or None where argparse might read the tokens otherwise or
+    reject them."""
+    parser, present = g.parser, set()
+    try:
+        for action in g.positionals:
+            if i < len(argv) and _is_value(g, argv[i]):
+                values[action.dest] = _value(parser, action, argv[i])
+                present.add(action)
+                i += 1
+            elif action.nargs is None:
+                return None
+        while i < len(argv) and argv[i] in g.options:
+            action = g.options[argv[i]]
+            if action in present:
+                return None
+            present.add(action)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                i += 1
+            elif i + 1 < len(argv) and _is_value(g, argv[i + 1]):
+                values[action.dest] = _value(parser, action, argv[i + 1])
+                i += 2
+            else:
+                return None
+    except argparse.ArgumentError:
+        return None
+    if (any(a not in present for a in g.required)
+            or any(len(group & present) > 1 for group in g.groups)):
+        return None
+    return i
+
+
+def _parse(argv: list) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives, for an
+    argv of the documented shape, else None.
+
+    The shape is the global options, the subcommand, its positionals and
+    then its options, each option spelled exactly and given once.  Each
+    value is a token argparse takes as one and passes the action's own
+    type and choices; the required options are present, and no two of
+    one exclusive group.  Anything else (``-h``, ``--opt=value``, an
+    abbreviation, ``--``, a repeat, a bad value) gives None.  The global
+    parser scans the subcommand's tokens too, and rejects one only as an
+    ambiguous prefix of two global options; no subcommand option is one.
+    """
+    top, command, subs = _grammars()
+    values = dict(top.defaults)
+    i = _fill(top, argv, 0, values)
+    if i is None or i == len(argv) or (sub := subs.get(argv[i])) is None:
+        return None
+    sub_values = dict(sub.defaults)
+    if _fill(sub, argv, i + 1, sub_values) != len(argv):
+        return None
+    # argparse sets the subcommand, then copies the subparser's namespace
+    values[command.dest] = argv[i]
+    values.update(sub_values)
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         cfg = Config(hbar=args.hbar, cmp_tol=args.tol)
     except ValueError as exc:

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bessel import i0_scaled, ik_scaled, ratio
+from .bessel import _SERIES_CUTOFF, h_alpha, i0_scaled, ik_scaled, ratio
 from .errors import ResolutionError
 from .observables import expect_lz, expect_xy, sigma_lz, sigma_xy
 from .state import (DEFAULT_CONFIG, MAX_MODE, CircleState, Config, TWO_PI,
@@ -88,7 +88,12 @@ def _predictions(packet: VonMisesPacket, hbar: float) -> PacketPrediction:
     # r/kappa with its analytic limit 1/2 at kappa = 0
     r_over = 0.5 if kappa == 0.0 else r / kappa
     along2 = r_over                   # variance along the packet's own axis
-    across2 = 1.0 - r_over - r * r    # variance on the conjugate axis
+    # variance on the conjugate axis; 1 - r/kappa - r^2 cancels as r nears
+    # 1, so from the cutoff on it is h_alpha/(kappa r), whose sums do not
+    if abs(kappa) < _SERIES_CUTOFF:
+        across2 = 1.0 - r_over - r * r
+    else:
+        across2 = h_alpha(kappa) / (kappa * r)
     try:
         lz2 = kappa * (0.5 * n * hbar) ** 2 * r
     except OverflowError:             # float ** raises where * gives inf

@@ -5,14 +5,35 @@ same examples on every run, no deadline (the host's speed varies), a
 small example count that keeps them to about a second, and no example
 database written to disk.  ``states`` is the hypothesis strategy of the
 generated states; test modules import it with ``from conftest import
-states`` once hypothesis has imported.
+states`` once hypothesis has imported.  ``readme_commands`` lists the
+``qring`` command lines of the README.
 """
 
 import math
+import re
+import shlex
+from pathlib import Path
 
 from qring.state import from_fourier
 
 TWO_PI = 2.0 * math.pi
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_commands() -> list:
+    """(argv, target) of each ``qring ...`` line of the README's shell
+    blocks, in order; target is the file a ``> file`` sends stdout to, or
+    None."""
+    text = (ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.DOTALL):
+        for line in block.splitlines():
+            if line.startswith("qring "):
+                argv, target = shlex.split(line, comments=True)[1:], None
+                if ">" in argv:
+                    argv, target = argv[:argv.index(">")], argv[-1]
+                commands.append((argv, target))
+    return commands
 
 try:
     from hypothesis import settings, strategies as st

@@ -1,5 +1,6 @@
 """Tests for the qring command-line interface."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import qring.cli
+from conftest import readme_commands
 from qring.cli import MAX_SCAN_ROWS, build_parser, main
 from qring.mwp import mwp_x, mwp_y, verify_packet
 from qring.observables import (
@@ -1138,6 +1140,174 @@ class TestSharedParser:
         assert at_import == 0
         assert first > 0
         assert total == first
+
+
+# numbers argparse takes as values (2, -3, -.5) and as options (-1e-3,
+# -inf), and floats an int option rejects
+PARSE_NUMBERS = ["2", "-3", "-.5", "8.0", "nan", "1e400", "-1e-3", "-inf"]
+# spellings argparse reads in its own way: abbreviations, --opt=value,
+# help, the end of options, a lone dash and an empty token
+PARSE_ODD = ["--sym", "--kap", "--kappa=2", "-h", "--", "-", ""]
+
+
+def subcommands() -> dict:
+    """Each subcommand's parser by name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def action_tokens(action) -> list:
+    """The token lists that give an action a valid value: an option
+    string of it, then, unless it is a flag, one of its choices or a
+    number of its type; a positional's value alone."""
+    if action.choices:
+        values = list(action.choices)
+    elif action.type is int:
+        values = ["2", "-3"]
+    elif action.type is float:
+        values = ["2", "-.5", "8.0", "nan", "1e400"]
+    else:
+        values = ["F", "-3"]
+    if not action.option_strings:
+        return [[v] for v in values]
+    if action.nargs == 0:
+        return [[s] for s in action.option_strings]
+    return [[s, v] for s in action.option_strings for v in values]
+
+
+def argparse_result(argv):
+    """``build_parser().parse_args(argv)``, or None where it exits."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            return build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+class TestFastParse:
+    def test_agrees_with_argparse(self):
+        # the documented shape (global options, a subcommand, its
+        # positionals and its options in any order, each required one
+        # present 7 times in 8); then that argv with up to two tokens of
+        # the alphabet inserted anywhere (repeats, global options after
+        # the subcommand, odd spellings), and each argv one token away:
+        # one dropped, one doubled, or one replaced by a bad value or an
+        # odd spelling.  nan compares by repr.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        subs = subcommands()
+        alphabet = sorted({s for p in [build_parser(), *subs.values()]
+                           for a in p._actions for s in a.option_strings}
+                          | set(subs) | set(PARSE_NUMBERS) | set(PARSE_ODD)
+                          | {"X", "cos-phi", "Z"})
+        bad = ["Z", "8.0", "-1e-3", *PARSE_ODD]
+
+        @st.composite
+        def argvs(draw):
+            def given(actions, required):
+                return [draw(st.sampled_from(action_tokens(a)))
+                        for a in actions if draw(st.integers(0, 7))
+                        < (7 if required(a) else 4)]
+
+            def options(parser):
+                # help aside
+                return [a for a in parser._actions if a.option_strings
+                        and a.default is not argparse.SUPPRESS]
+
+            name = draw(st.sampled_from(sorted(subs)))
+            sub = subs[name]
+            groups = (given(options(build_parser()), lambda a: False)
+                      + [[name]]
+                      + given([a for a in sub._actions
+                               if not a.option_strings],
+                              lambda a: a.nargs is None)
+                      + draw(st.permutations(
+                          given(options(sub), lambda a: a.required))))
+            return [token for group in groups for token in group]
+
+        def agrees(argv):
+            fast = qring.cli._parse(argv)
+            if fast is not None:
+                expected = argparse_result(argv)
+                assert expected is not None, argv
+                assert (repr(sorted(vars(fast).items()))
+                        == repr(sorted(vars(expected).items()))), argv
+            return fast is not None
+
+        inserts = st.lists(st.tuples(st.integers(0, 15),
+                                     st.sampled_from(alphabet)), max_size=2)
+        hits = []
+
+        @hypothesis.settings(max_examples=40)
+        @hypothesis.given(argvs(), inserts)
+        def check(argv, inserts):
+            hits.append(agrees(argv))
+            for i in range(len(argv)):
+                agrees(argv[:i] + argv[i + 1:])
+                agrees(argv[:i + 1] + argv[i:])
+                for token in bad:
+                    agrees(argv[:i] + [token] + argv[i + 1:])
+            for at, token in inserts:
+                argv.insert(at % (len(argv) + 1), token)
+            agrees(argv)
+
+        check()
+        # the fast path reads a good share of the drawn argvs
+        assert sum(hits) > len(hits) / 4
+
+    def test_documented_shapes_skip_argparse(self, capsys, monkeypatch,
+                                             tmp_path):
+        # every README line, a global option before a positional, and the
+        # benchmark's scan-beta, report and mwp shapes: the same exit code
+        # and bytes with argparse's parsing made to raise
+        monkeypatch.chdir(tmp_path)
+        Path("F").write_text(dump_state(mwp_x(2, 1, 5.0)[1]))
+        commands = readme_commands() + [
+            (["--json", "--hbar", "2", "examples", "cos-phi"], None),
+            (["scan-beta", "F", "--from", "-2.1", "--to", "4.1",
+              "--step", "0.1"], None),
+            (["report", "F", "--nmax", "8"], None),
+            (["mwp", "--axis", "Y", "--n", "3", "--m", "-2",
+              "--kappa", "12.5", "--emit-state"], None)]
+        runs = []
+        for argv, target in commands:
+            runs.append(run_cli(capsys, *argv))
+            if target:
+                Path(target).write_text(runs[-1][1])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a documented command")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            refuse)
+        for (argv, _), expected in zip(commands, runs):
+            assert run_cli(capsys, *argv) == expected, argv
+
+    def test_other_spellings_fall_back(self, capsys):
+        # argparse reads each of these, and writes every help and error
+        cases = [
+            (["mwp", "--axis", "X", "--n", "2", "--kap", "5"], 0),
+            (["mwp", "--axis=X", "--n", "2", "--kappa", "5"], 0),
+            (["mwp", "--axis", "X", "--n", "1", "--n", "2", "--kappa",
+              "5"], 0),
+            (["report", "--", "-F"], 2),
+            (["mwp", "--axis", "X", "--n", "2", "--kappa", "-1e-3"], 2),
+            (["mwp", "--axis", "X", "--n", "2.5", "--kappa", "5"], 2),
+            (["mwp", "--axis", "X", "--n", "2", "--kappa", "5",
+              "--emit-state", "--emit-curve"], 2),
+            (["mwp", "--json", "--axis", "X", "--n", "2", "--kappa", "5"],
+             2),
+            (["-h"], 0),
+        ]
+        for argv, status in cases:
+            assert qring.cli._parse(argv) is None, argv
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == status, argv
+        capsys.readouterr()
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ from scipy import special
 
 from qring.bessel import f_alpha, h_alpha, ratio
 from qring.errors import ResolutionError
-from qring.mwp import Axis, mwp_x, mwp_y, verify_packet
+from qring.mwp import (Axis, VonMisesPacket, _predictions, mwp_x, mwp_y,
+                       verify_packet)
 from qring.observables import (
     expect_lz,
     expect_xy,
@@ -88,6 +89,20 @@ class TestConstruction:
         with mpmath.workdps(40):
             ref = float(mpmath.besseli(1, 16.3) / mpmath.besseli(0, 16.3))
         assert abs(ey / ref - 1.0) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("kappa", [20.0, 25.0, 50.0, 1e3, 1e4])
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_predicted_conjugate_variance_against_mpmath(self, axis, kappa):
+        # 1 - r/kappa - r^2 cancels as r nears 1: it was off by 3.5e-8
+        # relative at kappa 1e4; the prediction needs no state
+        mpmath = pytest.importorskip("mpmath")
+        pred = _predictions(VonMisesPacket(axis, 1, 0, kappa), 1.0)
+        across2 = pred.sigma_y2 if axis is Axis.X else pred.sigma_x2
+        with mpmath.workdps(60):
+            k = mpmath.mpf(kappa)
+            r = mpmath.besseli(1, k) / mpmath.besseli(0, k)
+            ref = float(1 - r / k - r * r)
+        assert abs(across2 / ref - 1.0) <= 8 * np.finfo(float).eps
 
     def test_mean_y_against_quadrature(self):
         _, s = mwp_x(1, 0, 2.0)

@@ -3,12 +3,12 @@
 import ast
 import importlib
 import re
-import shlex
 from pathlib import Path
 
 import pytest
 
 import qring
+from conftest import readme_commands
 from qring.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,17 +135,10 @@ def test_readme_cli_commands_exit_0(capsys, tmp_path, monkeypatch):
     # each `qring ...` line of the README's shell blocks, in order, in
     # process; `> file` redirects stdout to that file under tmp_path
     monkeypatch.chdir(tmp_path)
-    text = (ROOT / "README.md").read_text()
-    lines = [line for block in re.findall(r"```sh\n(.*?)```", text,
-                                          flags=re.DOTALL)
-             for line in block.splitlines() if line.startswith("qring ")]
-    assert len(lines) >= 10
-    for line in lines:
-        argv = shlex.split(line, comments=True)[1:]
-        target = None
-        if ">" in argv:
-            argv, target = argv[:argv.index(">")], argv[argv.index(">") + 1]
-        assert main(argv) == 0, line
+    commands = readme_commands()
+    assert len(commands) >= 10
+    for argv, target in commands:
+        assert main(argv) == 0, argv
         out = capsys.readouterr().out
         if target:
             Path(target).write_text(out)

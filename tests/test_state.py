@@ -206,8 +206,10 @@ class TestEvaluateAndDensity:
                                        mwp_x(2, 1, 5.0)[1]],
                              ids=["3 modes", "packet"])
     def test_block_size_invariance(self, state, monkeypatch):
-        # an odd count leaves a lone last row at the two-row bounds
-        phi = np.linspace(-40.0, 40.0, 100_001)
+        # an odd count leaves a lone last row at the two-row bounds, and
+        # 21 847 is the least odd count past one block of the 3-mode state
+        # at 2**16 (21 845 rows); the packet's blocks are shorter
+        phi = np.linspace(-40.0, 40.0, 21_847)
         results = []
         for bound in (1, 7, 2**16):
             monkeypatch.setattr(qring.state, "_PHASE_BLOCK", bound)
