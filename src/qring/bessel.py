@@ -1,25 +1,25 @@
 """Modified Bessel functions of the first kind, exponentially scaled.
 
-Self-contained evaluation of exp(-|x|) I0(x) and exp(-|x|) I1(x), their
-ratio I1/I0, the scaled sequence I_k for all integer orders ``ik_scaled``
-(the Fourier weights of a von Mises profile), and two derived spread
-functions used by the circular uncertainty checks:
+``von_mises(x)`` gives the four functions of a von Mises profile at one
+argument: exp(-|x|) I0(x), exp(-|x|) I1(x), and the spread functions of
+the circular uncertainty checks,
 
 * ``f_alpha(x) = sqrt(x * (I0/I1 - I1/I0))`` -- the factor by which the
-  total-uncertainty product of a von Mises profile exceeds its lower bound.
+  total-uncertainty product of a von Mises profile exceeds its lower bound;
 * ``h_alpha(x) = x * r * (1 - r/x - r**2)`` with ``r = I1/I0`` -- the gap of
   the conjugate-axis bound on the same profile.
 
-Everything the package reads is a scaled value or a ratio of I0 and I1,
-so there is one policy and no unscaled API: the ascending power series
-for |x| <= 20 and the scaled asymptotic series above, both summed to a
-relative term tolerance of 1e-16.  Above 20 the asymptotic terms reach
-that tolerance by term 22, long before they turn near term 2|x| >= 40;
-at a cutoff of 15 the smallest term, about e^(-2x), cost up to 140 ulp.
-From 20 on, ``f_alpha`` and ``h_alpha`` come from sums of the asymptotic
-terms that do not cancel (``_spread``), up to the float64 maximum.
-``ik_scaled`` raises ``ValueError`` when |x| is so large (about 1e10)
-that its recurrence would need more than 2**20 orders.
+``i0_scaled``, ``i1_scaled``, ``ratio`` (I1/I0), ``f_alpha`` and
+``h_alpha`` are its projections; ``ik_scaled`` gives the scaled I_k of all
+integer orders (the Fourier weights of a von Mises profile).  There is no
+unscaled API and one rule: for |x| < 20 one loop sums the ascending power
+series of both orders, and from 20 on one loop sums the scaled asymptotic
+series of both orders and their k-weighted sums, to a relative term
+tolerance of 1e-16.  There the terms reach it by term 22, long before they
+turn near term 2|x| >= 40; at a cutoff of 15 the smallest term, about
+e^(-2x), cost up to 140 ulp.  ``ik_scaled`` raises ``ValueError`` when |x|
+is so large (about 1e10) that its recurrence would need more than 2**20
+orders.
 """
 
 import math
@@ -27,9 +27,9 @@ import math
 import numpy as np
 
 __all__ = ["i0_scaled", "i1_scaled", "ik_scaled", "ratio", "f_alpha",
-           "h_alpha"]
+           "h_alpha", "von_mises"]
 
-# |x| above which the scaled asymptotic series replaces the power series
+# |x| from which the scaled asymptotic series replaces the power series
 _SERIES_CUTOFF = 20.0
 # relative truncation tolerance of both series
 _TERM_TOL = 1e-16
@@ -39,63 +39,96 @@ _MAX_TERMS = 500
 _MAX_ORDER = 2**20
 
 
-def _series(nu: int, x: float) -> float:
-    """Ascending series sum_k (x/2)^(2k+nu) / (k! (k+nu)!), nu in {0, 1}.
+def _power(x: float) -> tuple[float, float]:
+    """(I0(x), I1(x)) for 0 < x < _SERIES_CUTOFF, by the ascending series
+    sum_k (x/2)^(2k+nu) / (k! (k+nu)!).
 
-    All terms are positive, so no cancellation occurs; terms are built
-    iteratively to avoid overflowing intermediates.
+    All terms are positive, so nothing cancels; terms are built
+    iteratively to avoid overflowing intermediates.  Each order stops at
+    its first term below the tolerance of its own sum, and I1 no later
+    than I0: I1's k-th term is I0's times (x/2)/(k+1), its sum I0's times
+    a mean of (x/2)/(j+1) over j <= k.
     """
     q = 0.25 * x * x
-    term = 1.0 if nu == 0 else 0.5 * abs(x)
-    total = term
+    t0 = s0 = 1.0
+    t1 = s1 = 0.5 * x
     for k in range(1, _MAX_TERMS):
-        term *= q / (k * (k + nu))
-        total += term
-        if term < _TERM_TOL * total:
+        t0 *= q / (k * k)
+        s0 += t0
+        if t1 >= _TERM_TOL * s1:
+            t1 *= q / (k * (k + 1))
+            s1 += t1
+        if t0 < _TERM_TOL * s0:
             break
-    return total
+    return s0, s1
 
 
-# Coefficient products (mu - 1)(mu - 9)... with mu = 4 nu^2 enter the
-# asymptotic expansion I_nu(x) ~ e^x / sqrt(2 pi x) * sum_k t_k(nu), where
-# t_k = t_{k-1} * (-(mu - (2k - 1)^2) / (8 k x)) and t_0 = 1.
-def _asymptotic_scaled(nu: int, x: float) -> float:
-    """e^(-x) I_nu(x) for x > _SERIES_CUTOFF via the asymptotic expansion.
+# The asymptotic expansion I_nu(x) ~ e^x / sqrt(2 pi x) * sum_k t_k(nu),
+# with t_0 = 1 and t_k = t_{k-1} (2k - 1 - 2 nu)(2k - 1 + 2 nu) / (8 k x).
+def _asymptotic(x: float) -> tuple[float, float, float, float]:
+    """(x (A0 - 1), x (A1 - 1), x P0, x P1) for x >= _SERIES_CUTOFF, where
+    A_nu = sum_k t_k(nu) and P_nu = sum_k k t_k(nu).
 
-    The terms shrink while 8 k x > (2k - 1)^2 - mu, up to k near 2x > 40,
-    and reach the tolerance by k = 22, so no divergence guard is needed
-    (they reach it before they turn only above x near 17.4).
+    The loop runs on u_k = x t_k, which stays normal up to the float64
+    maximum.  k t_k shrinks up to k near 2x > 40 and reaches the tolerance
+    by k = 22; the loop stops at 2x if the tolerance is not met.
     """
-    mu = 4 * nu * nu
-    total = 1.0
-    term = 1.0
-    for k in range(1, _MAX_TERMS):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        total += term
-        if abs(term) < _TERM_TOL * abs(total):
+    u0, u1 = 0.125, -0.375            # u_1 of orders 0 and 1
+    s0, s1, p0, p1 = u0, u1, u0, u1
+    for k in range(2, int(min(2.0 * x, _MAX_TERMS))):
+        u0 *= (2 * k - 1) ** 2 / (8.0 * k * x)
+        u1 *= ((2 * k - 1) ** 2 - 4) / (8.0 * k * x)
+        s0 += u0
+        s1 += u1
+        p0 += k * u0
+        p1 += k * u1
+        if k * (u0 - u1) < _TERM_TOL * (p0 - p1):
             break
-    # two square roots: 2 pi x overflows for x near the float64 maximum
-    return total / math.sqrt(2.0 * math.pi) / math.sqrt(x)
+    return s0, s1, p0, p1
 
 
-def _eval(nu: int, x: float) -> float:
+def von_mises(x: float) -> tuple[float, float, float, float]:
+    """(i0_scaled, i1_scaled, f_alpha, h_alpha) of x, from one series.
+
+    Below the cutoff, f and h come from r = I1/I0.  From it on, with A_nu
+    and P_nu the sums of ``_asymptotic``, r = A1/A0, so x (1 - r) =
+    x (A0 - A1)/A0; and h = x r r' (r' = 1 - r/x - r^2 by the Riccati
+    equation of I1/I0) is r (A1 P0 - A0 P1)/A0^2, by dA_nu/dx = -P_nu/x.
+    Every t_k(0) is positive and every t_k(1), k >= 1, negative, so
+    x (A0 - A1), A1 P0 and -A0 P1 sum positive terms and never cancel, up
+    to the float64 maximum.  x = 0 gives the analytic limits
+    (1, 0, sqrt(2), 0); a non-finite x raises ``ValueError``.
+    """
     if not math.isfinite(x):
         raise ValueError("argument must be finite")
     ax = abs(x)
-    if ax <= _SERIES_CUTOFF:
-        return _series(nu, x) * math.exp(-ax)
-    return _asymptotic_scaled(nu, ax)
+    # the limits hold at 0 and at the least subnormal, whose I1 ~ x/2 is 0
+    if ax <= math.ulp(0.0):
+        return 1.0, 0.0, math.sqrt(2.0), 0.0
+    if ax < _SERIES_CUTOFF:
+        s0, s1 = _power(ax)
+        scale = math.exp(-ax)
+        i0, i1 = s0 * scale, math.copysign(s1 * scale, x)
+        r = i1 / i0
+        return (i0, i1, math.sqrt(x * (1.0 - r * r) / r),
+                x * r * (1.0 - r / x - r * r))
+    s0, s1, p0, p1 = _asymptotic(ax)
+    a0, a1 = 1.0 + s0 / ax, 1.0 + s1 / ax
+    # two square roots: 2 pi x overflows for x near the float64 maximum
+    root, sx = math.sqrt(2.0 * math.pi), math.sqrt(ax)
+    return (a0 / root / sx, math.copysign(a1 / root / sx, x),
+            math.sqrt((s0 - s1) * (a0 + a1) / (a0 * a1)),
+            a1 * (a1 * p0 - a0 * p1) / (a0 * a0 * a0) / ax)
 
 
 def i0_scaled(x: float) -> float:
     """exp(-|x|) I0(x); even, 1 at x = 0, finite for every finite x."""
-    return _eval(0, x)
+    return von_mises(x)[0]
 
 
 def i1_scaled(x: float) -> float:
     """exp(-|x|) I1(x); odd, and finite for every finite x."""
-    value = _eval(1, x)
-    return math.copysign(value, x) if x != 0 else 0.0
+    return von_mises(x)[1]
 
 
 def ik_scaled(x: float, trunc_tol: float = 1e-12) -> np.ndarray:
@@ -150,42 +183,8 @@ def ratio(x: float) -> float:
     Odd in x, strictly increasing, with |ratio(x)| < 1.  The scaled forms
     share the factor exp(-|x|), so it cancels analytically.
     """
-    if x == 0.0:
-        return 0.0
-    return i1_scaled(x) / i0_scaled(x)
-
-
-def _spread(x: float) -> tuple[float, float]:
-    """(f_alpha(x), h_alpha(x)) for x != 0; below the cutoff from
-    r = ratio(x).  From the cutoff on, with A_nu = sum_k t_k(nu) the sums
-    of ``_asymptotic_scaled``, r = A1/A0 (the prefactor is shared), so
-    x (1 - r) = x (A0 - A1)/A0; and h = x r r' (r' = 1 - r/x - r^2 is the
-    Riccati equation of I1/I0) is r (A1 P0 - A0 P1)/A0^2, by
-    dA_nu/dx = -P_nu/x with P_nu = sum_k k t_k(nu).  Every t_k(0) is
-    positive and every t_k(1), k >= 1, negative, so x (A0 - A1), A1 P0 and
-    -A0 P1 sum positive terms and never cancel.  The loop runs on
-    u_k = x t_k, which stays normal up to the float64 maximum.
-    """
-    ax = abs(x)
-    if not _SERIES_CUTOFF <= ax < math.inf:  # ratio rejects nan and inf
-        r = ratio(x)
-        return math.sqrt(x * (1.0 - r * r) / r), x * r * (1.0 - r / x - r * r)
-    u0, u1 = 0.125, -0.375            # u_1 of orders 0 and 1
-    s0, s1 = u0, u1                   # x (A_nu - 1)
-    p0, p1 = u0, u1                   # x P_nu
-    # k t_k shrinks up to k near 2x; stop there if the tolerance is not met
-    for k in range(2, int(min(2.0 * ax, _MAX_TERMS))):
-        u0 *= (2 * k - 1) ** 2 / (8.0 * k * ax)
-        u1 *= ((2 * k - 1) ** 2 - 4) / (8.0 * k * ax)
-        s0 += u0
-        s1 += u1
-        p0 += k * u0
-        p1 += k * u1
-        if k * (u0 - u1) < _TERM_TOL * (p0 - p1):
-            break
-    a0, a1 = 1.0 + s0 / ax, 1.0 + s1 / ax
-    return (math.sqrt((s0 - s1) * (a0 + a1) / (a0 * a1)),
-            a1 * (a1 * p0 - a0 * p1) / (a0 * a0 * a0) / ax)
+    i0, i1 = von_mises(x)[:2]
+    return i1 / i0
 
 
 def f_alpha(x: float) -> float:
@@ -194,7 +193,7 @@ def f_alpha(x: float) -> float:
     Even function decreasing from sqrt(2) at x = 0 toward 1 as |x| grows;
     the x = 0 value is the analytic limit of the 0/0 form.
     """
-    return math.sqrt(2.0) if x == 0.0 else _spread(x)[0]
+    return von_mises(x)[2]
 
 
 def h_alpha(x: float) -> float:
@@ -203,4 +202,4 @@ def h_alpha(x: float) -> float:
     Even, zero only at x = 0 (by limit; h ~ x^2/4 near zero, ~ 1/(2x) for
     large x), and strictly positive elsewhere.
     """
-    return 0.0 if x == 0.0 else _spread(x)[1]
+    return von_mises(x)[3]

@@ -230,10 +230,11 @@ def _example(name: str, args, cfg: Config) -> tuple[dict, list]:
     elif name == "von-mises":
         alpha, n = args.alpha, 1
         state, params = mwp_x(1, 0, alpha)[1], {"alpha": alpha}
-        r = bessel.ratio(alpha)
+        i0, i1, f, _ = bessel.von_mises(alpha)
+        r = i1 / i0
         expected = [("mean_x", 0.0), ("mean_y", r),
                     ("sigma_lz", 0.5 * hb * math.sqrt(alpha * r)),
-                    ("total_product", 0.5 * hb * bessel.f_alpha(alpha))]
+                    ("total_product", 0.5 * hb * f)]
     elif name == "cos-phi":
         state, params, n = cos_harmonic_state(1), {}, 2
         expected = [("r_1", 0.0), ("sigma_lz", hb), ("mean_x2", 0.5),

@@ -13,8 +13,8 @@ and t = n phi: order k sits at mode n k + m.  Coefficients whose weight is
 at most 1e-24 of the total (``_TRUNC_TOL`` squared, a fixed policy) are
 dropped, and the mode cap ``state.MAX_MODE`` is the only limit on kappa.
 A packet is only its parameters; ``verify_packet`` computes the
-closed-form predictions, in the hbar of its ``Config``, and compares them
-with the moments measured on the state.
+closed-form predictions from one ``bessel.von_mises`` call, in the hbar of
+its ``Config``, and compares them with the moments measured on the state.
 """
 
 import math
@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bessel import _SERIES_CUTOFF, h_alpha, i0_scaled, ik_scaled, ratio
+from .bessel import i0_scaled, ik_scaled, von_mises
 from .errors import ResolutionError
 from .observables import expect_lz, expect_xy, sigma_lz, sigma_xy
 from .state import (DEFAULT_CONFIG, MAX_MODE, CircleState, Config, TWO_PI,
@@ -84,16 +84,14 @@ class PacketVerification:
 
 def _predictions(packet: VonMisesPacket, hbar: float) -> PacketPrediction:
     n, kappa = packet.n, packet.kappa
-    r = ratio(kappa)
-    # r/kappa with its analytic limit 1/2 at kappa = 0
-    r_over = 0.5 if kappa == 0.0 else r / kappa
-    along2 = r_over                   # variance along the packet's own axis
-    # variance on the conjugate axis; 1 - r/kappa - r^2 cancels as r nears
-    # 1, so from the cutoff on it is h_alpha/(kappa r), whose sums do not
-    if abs(kappa) < _SERIES_CUTOFF:
-        across2 = 1.0 - r_over - r * r
-    else:
-        across2 = h_alpha(kappa) / (kappa * r)
+    i0, i1, _, h = von_mises(kappa)
+    r = i1 / i0
+    # variance along the packet's own axis, 1/2 at kappa = 0
+    along2 = r / kappa if r else 0.5
+    # variance on the conjugate axis: 1 - r/kappa - r^2 cancels as r nears
+    # 1, where h_alpha/(kappa r) does not; h_alpha ~ kappa^2/4 underflows
+    # as kappa nears 0, where 1 - r/kappa - r^2 is at least 0.3
+    across2 = 1.0 - along2 - r * r if abs(kappa) < 1.0 else h / (kappa * r)
     try:
         lz2 = kappa * (0.5 * n * hbar) ** 2 * r
     except OverflowError:             # float ** raises where * gives inf
@@ -102,8 +100,7 @@ def _predictions(packet: VonMisesPacket, hbar: float) -> PacketPrediction:
         raise OverflowError(f"sigma_Lz^2 prediction at n={n} overflows "
                             f"float64 (hbar={hbar!r}); use a smaller hbar")
     # 1/sqrt(2 pi I0(kappa)) from the scaled I0: no overflow at any kappa
-    norm = (math.exp(-0.5 * abs(kappa))
-            / math.sqrt(TWO_PI * i0_scaled(kappa)))
+    norm = math.exp(-0.5 * abs(kappa)) / math.sqrt(TWO_PI * i0)
     if packet.axis is Axis.X:
         return PacketPrediction(ex=0.0, ey=r, sigma_x2=along2,
                                 sigma_y2=across2, sigma_lz2=lz2,

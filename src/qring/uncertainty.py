@@ -282,11 +282,9 @@ def detect_fold_symmetry(state: CircleState, tol: float = 1e-9) -> int:
     ``MAX_MODE`` is returned as the convention for that case.  Returns 1
     when no symmetry is present.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    mags = state.resultants[1:]
-    if mags.size == 0 or float(mags.sum()) <= tol:
+    if is_fully_symmetric(state, tol):
         return MAX_MODE
+    mags = state.resultants[1:]
     k = np.arange(1, mags.size + 1)
     # a lag whose harmonic alone exceeds tol must sit on the lattice, so n
     # divides the gcd of those lags (gcd 0, none of them: any n may do)
@@ -298,7 +296,10 @@ def detect_fold_symmetry(state: CircleState, tol: float = 1e-9) -> int:
 
 
 def is_fully_symmetric(state: CircleState, tol: float = 1e-9) -> bool:
-    """True when the density has no harmonic above tol (uniform density)."""
+    """True when the density harmonics sum to at most tol (uniform
+    density).  Raises ValueError unless tol is positive."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     mags = state.resultants[1:]
     return mags.size == 0 or float(mags.sum()) <= tol
 

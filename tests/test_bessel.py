@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 from scipy import special
 
+from qring import bessel
 from qring.bessel import (
-    _asymptotic_scaled,
-    _series,
+    _asymptotic,
+    _power,
     f_alpha,
     h_alpha,
     i0_scaled,
     i1_scaled,
     ik_scaled,
     ratio,
+    von_mises,
 )
 
 EPS = np.finfo(float).eps
@@ -41,6 +43,31 @@ def mp_spread(x):
         r = mpmath.besseli(1, x) / mpmath.besseli(0, x)
         return (float(mpmath.sqrt(x * (1 / r - r))),
                 float(x * r * (1 - r / x - r * r)))
+
+
+def per_order_series(nu, x):
+    """Oracle: the ascending series of I_nu(x), nu in {0, 1}, one order at
+    a time, each stopping at its first term below 1e-16 of its sum."""
+    q = 0.25 * x * x
+    term = 1.0 if nu == 0 else 0.5 * abs(x)
+    total = term
+    for k in range(1, 500):
+        term *= q / (k * (k + nu))
+        total += term
+        if term < 1e-16 * total:
+            break
+    return total
+
+
+def per_order_values(x):
+    """Oracle: (i0_scaled, i1_scaled, ratio, f_alpha, h_alpha) of x != 0,
+    |x| < 20, from the per-order series and, for f and h, from r."""
+    scale = math.exp(-abs(x))
+    i0 = per_order_series(0, x) * scale
+    i1 = math.copysign(per_order_series(1, x) * scale, x)
+    r = i1 / i0
+    return (i0, i1, r, math.sqrt(x * (1.0 - r * r) / r),
+            x * r * (1.0 - r / x - r * r))
 
 
 def i0_quadrature(x, nodes=1024):
@@ -301,14 +328,55 @@ class TestErrorsAndConfig:
     def test_alternate_cutoff_consistent(self):
         # above the cutoff at 20 both series lie within 8 eps of the true
         # value, so within 16 eps of each other, and the switch is seamless;
-        # at the old cutoff of 15 the asymptotic series, which has no
-        # divergence guard, turns before it reaches its tolerance (it does
-        # only above about 17.4), so the cutoff cannot sit that low
+        # at the old cutoff of 15 the asymptotic terms turn near term 30
+        # before they reach the tolerance (they do only above about 17.4),
+        # and the sums are off by over 40 eps, so the cutoff cannot sit
+        # that low
         def gap(nu, x):
-            series = _series(nu, x) * math.exp(-x)
-            return abs(_asymptotic_scaled(nu, x) / series - 1.0)
+            series = _power(x)[nu] * math.exp(-x)
+            sums = 1.0 + _asymptotic(x)[nu] / x
+            return abs(sums / math.sqrt(2.0 * math.pi * x) / series - 1.0)
 
         for nu in (0, 1):
             for x in np.linspace(20.01, 25.0, 12):
                 assert gap(nu, float(x)) <= 16 * EPS, (nu, x)
-            assert not gap(nu, 15.05) <= 1e-14
+            assert gap(nu, 15.05) > 16 * EPS
+
+    @pytest.mark.parametrize("x", [20.0, -20.0, np.nextafter(20.0, 0.0),
+                                   -np.nextafter(20.0, 0.0)])
+    def test_one_rule_at_the_cutoff(self, x, monkeypatch):
+        # every function is its von_mises projection, and all of them take
+        # the asymptotic sums from |x| = 20 on and the power series below
+        x = float(x)
+        i0, i1, f, h = von_mises(x)
+        assert (i0_scaled(x), i1_scaled(x), ratio(x), f_alpha(x),
+                h_alpha(x)) == (i0, i1, i1 / i0, f, h)
+
+        def unused(_x):
+            raise AssertionError("wrong branch")
+
+        monkeypatch.setattr(bessel, "_power" if abs(x) == 20.0
+                            else "_asymptotic", unused)
+        for fn in (i0_scaled, i1_scaled, ratio, f_alpha, h_alpha, von_mises):
+            fn(x)
+
+
+class TestOneEvaluation:
+    # 3604 points of (-20, 20), both signs, the ends included
+    XS = np.random.default_rng(18).uniform(0.0, 20.0, 1800).tolist()
+    XS += [np.nextafter(20.0, 0.0), 1e-300]
+    XS += [-x for x in XS]
+
+    def test_bits_below_cutoff_match_per_order_series(self):
+        # the joint loop stops each order where the per-order loop did
+        for x in self.XS:
+            got = (i0_scaled(x), i1_scaled(x), ratio(x), f_alpha(x),
+                   h_alpha(x))
+            assert got == per_order_values(x), x
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324])
+    def test_limits_at_zero_and_least_subnormal(self, x):
+        # at the least subnormal I1 ~ x/2 rounds to 0, where r = 0 would
+        # divide f by zero; both take the analytic limits
+        assert von_mises(x) == (1.0, 0.0, math.sqrt(2.0), 0.0)
+        assert ratio(x) == 0.0

@@ -256,6 +256,16 @@ class TestVerifyPacket:
         assert v.predicted.sigma_x2 == 0.5
         assert v.ok
 
+    @pytest.mark.parametrize("kappa", [1e-158, -1e-200, 5e-324])
+    @pytest.mark.parametrize("build", [mwp_x, mwp_y])
+    def test_tiny_concentration_variances(self, build, kappa):
+        # h_alpha ~ kappa^2/4 underflows and I1 ~ kappa/2 rounds to 0 at the
+        # least subnormal; both variances stay at their limit 1/2
+        pk, s = build(1, 0, kappa)
+        v = verify_packet(pk, s)
+        assert (v.predicted.sigma_x2, v.predicted.sigma_y2) == (0.5, 0.5)
+        assert v.ok, v.deltas
+
     def test_mismatch_reported_not_raised(self):
         pk, _ = mwp_x(1, 0, 2.0)
         _, other = mwp_x(1, 0, 3.0)

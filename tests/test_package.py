@@ -98,6 +98,27 @@ def test_no_unused_private_names():
             if name.partition(":")[2] not in read] == []
 
 
+def test_no_private_bessel_names_outside_bessel():
+    # a module that reads a private name of bessel, such as its series
+    # cutoff, keeps a second copy of the Bessel policy
+    leaks = []
+    for path in SOURCES:
+        if path.name == "bessel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module or "").rpartition(".")[2] == "bessel":
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) == "bessel"):
+                names = [node.attr]
+            else:
+                names = []
+            leaks += [f"{path.name}:{name}" for name in names
+                      if name.startswith("_")]
+    assert leaks == []
+
+
 def test_no_unused_error_types():
     # an error type that nothing raises is a failure the package promises
     # and cannot produce; a base class is live through a raised subclass

@@ -339,6 +339,14 @@ class TestFoldSymmetry:
         with pytest.raises(ValueError):
             detect_fold_symmetry(uniform_state(), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("fn", [detect_fold_symmetry,
+                                    is_fully_symmetric])
+    def test_tol_validation_of_both(self, fn, tol):
+        for state in (uniform_state(), random_state(3, 1)):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                fn(state, tol)
+
     def test_no_single_harmonic_above_tol(self):
         # each harmonic is about 1e-10, their sum 3e-10 exceeds tol
         s = from_fourier({0: 1, 1: 1e-10, 2: 1e-10, 3: 1e-10})
