@@ -10,16 +10,17 @@ the circular uncertainty checks,
   the conjugate-axis bound on the same profile.
 
 ``i0_scaled``, ``i1_scaled``, ``ratio`` (I1/I0), ``f_alpha`` and
-``h_alpha`` are its projections; ``ik_scaled`` gives the scaled I_k of all
-integer orders (the Fourier weights of a von Mises profile).  There is no
-unscaled API and one rule: for |x| < 20 one loop sums the ascending power
-series of both orders, and from 20 on one loop sums the scaled asymptotic
-series of both orders and their k-weighted sums, to a relative term
-tolerance of 1e-16.  There the terms reach it by term 22, long before they
-turn near term 2|x| >= 40; at a cutoff of 15 the smallest term, about
-e^(-2x), cost up to 140 ulp.  ``ik_scaled`` raises ``ValueError`` when |x|
-is so large (about 1e10) that its recurrence would need more than 2**20
-orders.
+``h_alpha`` are its projections.  There is no unscaled API and one rule:
+for |x| < 20 one loop sums the ascending power series of both orders, and
+from 20 on one loop sums the scaled asymptotic series of both orders and
+their k-weighted sums, to a relative term tolerance of 1e-16.  There the
+terms reach it by term 22, long before they turn near term 2|x| >= 40; at
+a cutoff of 15 the smallest term, about e^(-2x), cost up to 140 ulp.
+
+``ik_scaled(x, max_order)`` gives the scaled I_k, the Fourier coefficients
+of a von Mises profile, under the packets' one truncation policy: exactly
+the orders whose weight I_k^2 exceeds 1e-24 of the total, or None when the
+orders up to ``max_order`` provably cannot hold them.
 """
 
 import math
@@ -34,9 +35,11 @@ _SERIES_CUTOFF = 20.0
 # relative truncation tolerance of both series
 _TERM_TOL = 1e-16
 _MAX_TERMS = 500
-# longest Miller recurrence ik_scaled runs; |x| near 1e10 reaches it at
-# the default trunc_tol
+# longest Miller recurrence ik_scaled runs; |x| near 1e10 reaches it
 _MAX_ORDER = 2**20
+# ik_scaled keeps the orders whose weight I_k^2 exceeds this share of the
+# total, the one truncation of every von Mises packet
+_KEEP = 1e-24
 
 
 def _power(x: float) -> tuple[float, float]:
@@ -131,30 +134,59 @@ def i1_scaled(x: float) -> float:
     return von_mises(x)[1]
 
 
-def ik_scaled(x: float, trunc_tol: float = 1e-12) -> np.ndarray:
-    """exp(-|x|) I_k(x) for k = 0 .. K, as a float array.
+def _needs_order(ax: float, k: int) -> bool:
+    """True when the orders below k provably cannot hold a profile of
+    argument ax > 0 under the ``_KEEP`` rule, before any order is computed.
+
+    I_j/I_{j-1} >= ax / (j + sqrt(j^2 + ax^2)) gives (I_k/I_0)^2 >=
+    exp(-2 k^2/ax), and the total weight is I_0(2 ax), so order k is kept
+    when that bound exceeds _KEEP I_0(2 ax)/I_0(ax)^2.  Past about ax = 1e47
+    every single weight is below _KEEP of the total; there the 2k - 1
+    orders below k, none heavier than I_0^2, hold less than half of it.
+    """
+    decay = 2.0 * k * k / ax
+    log_keep = -math.log(_KEEP)
+    # 1 <= I_0(2x)/I_0(x)^2 <= exp(x)/I_0(x) <= sqrt(1 + 2 pi x): the
+    # common case settles both tests without a Bessel call
+    if decay >= log_keep and 1.0 + 2.0 * math.pi * ax <= (4 * k - 2) ** 2:
+        return False
+    # I_0(2x)/I_0(x)^2 grows with x: where 2x would overflow, its value at
+    # 2**1022, near e^354, is a lower bound that settles both tests alike
+    y = min(ax, 2.0**1022)
+    log_total = math.log(i0_scaled(2.0 * y)) - 2.0 * math.log(i0_scaled(y))
+    return decay < log_keep - log_total or log_total > math.log(4 * k - 2)
+
+
+def ik_scaled(x: float, max_order: int) -> np.ndarray | None:
+    """exp(-|x|) I_k(x) for k = 0 .. K, as a float array: exactly the
+    orders whose weight I_k^2 exceeds ``_KEEP`` of the total sum_j I_j^2 =
+    I_0(2x).  None, before any order is computed, when the orders up to
+    ``max_order`` provably cannot hold it (``_needs_order``); the proof is
+    one-sided, so near its edge K may pass ``max_order``.  Raises
+    ``ValueError`` when the recurrence would start above 2**20 orders.
 
     Miller backward recurrence (A&S 9.12; Numerical Recipes 6.6), run on the
     ratios r_k = I_k/I_{k-1} = x / (2k + x r_{k+1}) so nothing overflows,
     and normalized by I_0 + 2 sum_{k>=1} I_k = exp(|x|).  Negative x uses
-    I_k(-x) = (-1)^k I_k(x); I_{-k} = I_k.  K is the first order whose
-    dropped tail sum_{|j|>K} I_j^2 weighs less than ``trunc_tol**2`` of the
-    total sum_j I_j^2 = I_0(2x).
+    I_k(-x) = (-1)^k I_k(x); I_{-k} = I_k.
     """
     if not math.isfinite(x):
         raise ValueError("argument must be finite")
-    if not 0 < trunc_tol < 1:
-        raise ValueError("trunc_tol must lie in (0, 1)")
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
     ax = abs(x)
     if ax == 0.0:
         return np.ones(1)
-    # Start where I_top/I_0 < exp(-log_floor).  The ratio bound
+    if _needs_order(ax, max_order + 1):
+        return None
+    # Start where I_top/I_0 < exp(-53).  The ratio bound
     # r_k <= x / (k - 1/2 + sqrt((k - 1/2)^2 + x^2)) (Amos 1974) gives
-    # log(I_k/I_0) <= x - sqrt(x^2 + k^2).  The floor keeps the tail 25
-    # e-folds below order K, so the start error reaching K is ~exp(-50),
-    # and keeps the normalizing sum exact to float64 for any trunc_tol.
-    log_floor = 25.0 + max(-math.log(trunc_tol), 28.0)
-    top = math.sqrt(log_floor * (log_floor + 2.0 * ax))
+    # log(I_k/I_0) <= x - sqrt(x^2 + k^2).  A kept order has
+    # I_K/I_0 > 1e-12 = exp(-27.6), so the start lies 25 e-folds below it:
+    # the start error reaching K is ~exp(-50), and the normalizing sum is
+    # exact to float64.  Where the proof passes, the start stays within
+    # about 2.3 (max_order + 1) + 53 up to max_order 1e7.
+    top = math.sqrt(53.0 * (53.0 + 2.0 * ax))
     if top > _MAX_ORDER:
         raise ValueError(
             f"ik_scaled argument x = {x!r} is too large: the recurrence "
@@ -167,11 +199,10 @@ def ik_scaled(x: float, trunc_tol: float = 1e-12) -> np.ndarray:
         ratios[k - 1] = r
     seq = np.cumprod([1.0] + ratios)
     seq *= 1.0 / (2.0 * seq.sum() - 1.0)
+    # I_k decreases in k, so the kept orders are a prefix
     weight = seq * seq
-    # tail[k] = 2 sum_{j>k} I_j^2 for k = 0 .. top-1, non-increasing
-    tail = 2.0 * np.cumsum(weight[:0:-1])[::-1]
-    heavy = tail >= trunc_tol**2 * (weight[0] + tail[0])
-    seq = seq[: int(np.count_nonzero(heavy)) + 1]
+    total = 2.0 * weight.sum() - weight[0]
+    seq = seq[: np.count_nonzero(weight > _KEEP * total)]
     if x < 0:
         seq[1::2] *= -1.0
     return seq

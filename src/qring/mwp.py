@@ -9,9 +9,10 @@ and is the X packet rotated by pi/(2n) up to a global phase.
 States are built from their exact Fourier coefficients, the Jacobi-Anger
 expansions exp(z sin t) = sum_k I_k(z) (-i)^k e^{ikt} and
 exp(-z cos t) = sum_k (-1)^k I_k(z) e^{ikt} (A&S 9.6.34) with z = kappa/2
-and t = n phi: order k sits at mode n k + m.  Coefficients whose weight is
-at most 1e-24 of the total (``_TRUNC_TOL`` squared, a fixed policy) are
-dropped, and the mode cap ``state.MAX_MODE`` is the only limit on kappa.
+and t = n phi: order k sits at mode n k + m.  ``bessel.ik_scaled`` keeps
+the orders whose weight exceeds 1e-24 of the total, a fixed policy, and
+proves early when kappa needs orders past the mode cap ``state.MAX_MODE``,
+the only limit on kappa; ``state._build`` checks the kept modes exactly.
 A packet is only its parameters; ``verify_packet`` computes the
 closed-form predictions from one ``bessel.von_mises`` call, in the hbar of
 its ``Config``, and compares them with the moments measured on the state.
@@ -23,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bessel import i0_scaled, ik_scaled, von_mises
+from .bessel import ik_scaled, von_mises
 from .errors import ResolutionError
 from .observables import expect_lz, expect_xy, sigma_lz, sigma_xy
 from .state import (DEFAULT_CONFIG, MAX_MODE, CircleState, Config, TWO_PI,
@@ -37,10 +38,6 @@ __all__ = [
     "mwp_y",
     "verify_packet",
 ]
-
-
-# the packets drop coefficients of weight at most _TRUNC_TOL^2 of the total
-_TRUNC_TOL = 1e-12
 
 
 class Axis(Enum):
@@ -116,48 +113,23 @@ _ORDER_PHASE = {Axis.X: np.array([1.0, -1j, -1.0, 1j]),
                 Axis.Y: np.array([1.0, -1.0, 1.0, -1.0])}
 
 
-def _exceeds_cap(z: float, n: int, m: int) -> bool:
-    """True when the packet provably needs a mode beyond the cap, checked
-    before any order is computed.
-
-    k = (MAX_MODE - |m|)//n + 1 is the first order whose mode n k + |m|
-    passes the cap.  I_j/I_{j-1} >= |z| / (j + sqrt(j^2 + z^2)) gives
-    (I_k/I_0)^2 >= exp(-2 k^2/|z|), and the total weight is I_0(2z), so
-    order k is kept when that bound exceeds _TRUNC_TOL^2 I_0(2z)/I_0(z)^2.
-    Past about |z| = 1e47 every single weight is below _TRUNC_TOL^2 of the
-    total; there the 2k - 1 orders inside the cap, none heavier than I_0^2,
-    hold less than half of it.
-    """
-    k = (MAX_MODE - abs(m)) // n + 1
-    if k < 1:
-        return False  # mode m alone breaks the cap; _build reports it
-    decay = 2.0 * k * k / abs(z)
-    log_tol2 = -2.0 * math.log(_TRUNC_TOL)
-    # 1 <= I_0(2z)/I_0(z)^2 <= exp(|z|)/I_0(z) <= sqrt(1 + 2 pi |z|): the
-    # common case settles both tests without a Bessel call
-    if decay >= log_tol2 and 1.0 + TWO_PI * abs(z) <= (4 * k - 2) ** 2:
-        return False
-    log_total = math.log(i0_scaled(2.0 * z)) - 2.0 * math.log(i0_scaled(z))
-    return (decay < log_tol2 - log_total
-            or log_total > math.log(4 * k - 2))
-
-
 def _packet(axis: Axis, n: int, m: int,
             kappa: float) -> tuple[VonMisesPacket, CircleState]:
     if n < 1:
         raise ValueError("harmonic index n must be >= 1")
     if not math.isfinite(kappa):
         raise ValueError("concentration must be finite")
-    z = 0.5 * kappa
-    if z != 0.0 and _exceeds_cap(z, n, m):
+    if abs(m) > MAX_MODE:
+        raise ResolutionError(
+            f"mode index {abs(m)} exceeds the cap {MAX_MODE}")
+    # orders up to (MAX_MODE - |m|)//n keep every mode n k + m within the cap
+    ik = ik_scaled(0.5 * kappa, (MAX_MODE - abs(m)) // n)
+    if ik is None:
         raise ResolutionError(
             f"concentration {kappa} needs modes beyond the cap {MAX_MODE}")
-    ik = ik_scaled(z, _TRUNC_TOL)
     order = np.arange(1 - ik.size, ik.size)
     amps = ik[np.abs(order)] * _ORDER_PHASE[axis][order % 4]
-    weight = np.abs(amps) ** 2
-    keep = weight > _TRUNC_TOL**2 * weight.sum()
-    state = _build(n * order[keep] + m, amps[keep], 0.0)
+    state = _build(n * order + m, amps, 0.0)
     return VonMisesPacket(axis=axis, n=n, m=m, kappa=kappa), state
 
 

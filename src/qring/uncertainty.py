@@ -251,17 +251,13 @@ def series_columns(state: CircleState, nmax: int,
         y_lhs = sy * slz
         y_rhs = 0.5 * n * hbar * np.abs(ex)
         t_lhs = np.where(isotropic, math.inf, sn * slz)
-    t_rhs = np.full(nmax, 0.5 * hbar)
-    bad = np.column_stack([
-        ~(np.isfinite(x_lhs) & np.isfinite(x_rhs)),
-        ~(np.isfinite(y_lhs) & np.isfinite(y_rhs)),
-        ~((np.isfinite(t_lhs) | isotropic) & np.isfinite(t_rhs)),
-    ])
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), 3)
-        lhs, rhs = ((x_lhs, x_rhs), (y_lhs, y_rhs), (t_lhs, t_rhs))[j]
-        kind = (URKind.X_AXIS, URKind.Y_AXIS, URKind.TOTAL)[j]
-        raise _overflow(kind, i + 1, float(lhs[i]), float(rhs[i]))
+    t_rhs = np.full(nmax, 0.5 * hbar)  # finite: Config keeps hbar finite
+    sides = np.concatenate((x_lhs, x_rhs, y_lhs, y_rhs, t_lhs[~isotropic]))
+    if not np.isfinite(sides).all():
+        # the scalar check that owns the overflow raises its own error
+        for i in range(1, nmax + 1):
+            for check in (check_ur_x, check_ur_y, check_total_ur):
+                check(state, i, config)
     tol = config.cmp_tol
     return SeriesColumns(
         n=n, ex=ex, ey=ey, r_n=r, sigma_x=sx, sigma_y=sy,

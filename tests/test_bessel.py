@@ -138,23 +138,25 @@ class TestValues:
 
 
 class TestScaledSequence:
-    """ik_scaled: exp(-|x|) I_k(x) for every order up to the truncation."""
+    """ik_scaled: exp(-|x|) I_k(x) for exactly the orders a packet keeps."""
 
     XS = np.geomspace(1e-3, 1e4, 29)
+    # a max_order no argument here needs: the cap proof never fires
+    WIDE = bessel._MAX_ORDER
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_matches_scipy(self, sign):
         # scipy's ive drifts by up to 1.3e-13 above x ~ 3e3 (measured
         # against 40-digit mpmath); test_matches_mpmath covers that range
         for x in sign * self.XS[self.XS <= 1e3]:
-            seq = ik_scaled(float(x))
+            seq = ik_scaled(float(x), self.WIDE)
             ref = special.ive(np.arange(seq.size), x)
             assert np.max(np.abs(seq / ref - 1.0)) <= 1e-13, x
 
     @pytest.mark.parametrize("x", [1e-3, 0.7, 30.0, 1e3, -3e3, 1e4])
     def test_matches_mpmath(self, x):
         mpmath = pytest.importorskip("mpmath")
-        seq = ik_scaled(x)
+        seq = ik_scaled(x, self.WIDE)
         with mpmath.workdps(40):
             ref = [float(mpmath.besseli(k, x) * mpmath.exp(-abs(x)))
                    for k in range(seq.size)]
@@ -163,41 +165,56 @@ class TestScaledSequence:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_first_orders_match_i0_i1(self, sign):
         for x in sign * self.XS:
-            seq = ik_scaled(float(x))
+            seq = ik_scaled(float(x), self.WIDE)
             assert seq[0] == pytest.approx(i0_scaled(float(x)), rel=1e-13)
             assert seq[1] == pytest.approx(i1_scaled(float(x)), rel=1e-13)
 
     @pytest.mark.parametrize("x", [1e-3, 0.5, 7.0, -40.0, 900.0])
-    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
-    def test_truncation_is_first_light_tail(self, x, tol):
-        # sum_k I_k(x)^2 = I_0(2x); the tail beyond K is below tol^2 of it,
-        # the tail beyond K - 1 is not
-        seq = ik_scaled(x, tol)
+    def test_keeps_exactly_the_heavy_orders(self, x):
+        # sum_k I_k(x)^2 = I_0(2x); the last kept order weighs more than
+        # 1e-24 of it, the next one does not
+        seq = ik_scaled(x, self.WIDE)
         big_k = seq.size - 1
-        weights = special.ive(np.arange(big_k, big_k + 400), x) ** 2
+        last, past = special.ive([big_k, big_k + 1], x) ** 2
         total = special.ive(0, 2 * x)
-        assert 2 * weights[1:].sum() < tol**2 * total
-        assert 2 * weights.sum() >= tol**2 * total
+        assert last > 1e-24 * total
+        assert past <= 1e-24 * total
 
     def test_zero_argument(self):
-        assert ik_scaled(0.0).tolist() == [1.0]
+        assert ik_scaled(0.0, 0).tolist() == [1.0]
 
-    @pytest.mark.parametrize("x,tol", [(math.nan, 1e-12), (math.inf, 1e-12),
-                                       (1.0, 0.0), (1.0, 1.0)])
-    def test_invalid_arguments(self, x, tol):
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_invalid_arguments(self, x):
         with pytest.raises(ValueError):
-            ik_scaled(x, tol)
+            ik_scaled(x, 512)
 
-    @pytest.mark.parametrize("x", [1e300, 1e14, -1e14, 1.7e308])
+    def test_negative_max_order(self):
+        with pytest.raises(ValueError, match="max_order"):
+            ik_scaled(1.0, -1)
+
+    @pytest.mark.parametrize("x", [1e300, -1e300, 1e14, -1e14, 1.7e308])
     def test_huge_argument_rejected_before_allocating(self, x):
-        # the recurrence would start beyond 2**20 orders; this must fail
-        # at once, not after building a list of ~sqrt(|x|) ratios
+        # both answers come at once, not after building a list of
+        # ~sqrt(|x|) ratios: at max_order 512 the cap proof returns None;
+        # at 2**40 it passes below |x| ~ 1e47 and the recurrence, which
+        # would start beyond 2**20 orders, is refused, while above it
+        # every single order weighs too little and the proof still answers
+        assert ik_scaled(x, 512) is None
+        if abs(x) < 1e47:
+            with pytest.raises(ValueError, match="ik_scaled argument"):
+                ik_scaled(x, 2**40)
+        else:
+            assert ik_scaled(x, 2**40) is None
+
+    def test_rejected_within_max_order_limit(self):
+        # max_order 2**20 allows |x| up to about 5e10, the recurrence only
+        # about 1e10
         with pytest.raises(ValueError, match="ik_scaled argument"):
-            ik_scaled(x)
+            ik_scaled(2e10, 2**20)
 
     def test_below_limit_unchanged(self):
-        # x = 1e8 needs about 1e5 orders, well inside the limit
-        seq = ik_scaled(1e8)
+        # x = 1e8 needs about 7e4 orders, well inside the limit
+        seq = ik_scaled(1e8, self.WIDE)
         assert seq[0] == pytest.approx(i0_scaled(1e8), rel=1e-13)
         assert seq[1] == pytest.approx(i1_scaled(1e8), rel=1e-13)
 

@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qring.bessel
 import qring.cli
+import qring.mwp
 from conftest import readme_commands
 from qring.cli import MAX_SCAN_ROWS, build_parser, main
 from qring.mwp import mwp_x, mwp_y, verify_packet
@@ -694,6 +696,20 @@ class TestMwp:
         assert code == 2
         assert out == ""
         assert "--points" in err
+
+    @pytest.mark.parametrize("m", ["600", "-513"])
+    @pytest.mark.parametrize("kappa", ["1", "1e7", "1e300"])
+    def test_mode_past_the_cap_exit_2(self, capsys, monkeypatch, m, kappa):
+        # the packet's own mode is checked before any Bessel work
+        def fail(*args):
+            raise AssertionError("ik_scaled called")
+        monkeypatch.setattr(qring.mwp, "ik_scaled", fail)
+        monkeypatch.setattr(qring.bessel, "ik_scaled", fail)
+        code, out, err = run_cli(capsys, "mwp", "--axis", "X", "--n", "1",
+                                 "--m", m, "--kappa", kappa)
+        assert code == 2
+        assert out == ""
+        assert f"mode index {m.lstrip('-')} exceeds the cap 512" in err
 
     def test_points_above_cap_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "mwp", "--axis", "X", "--n", "1",

@@ -2,11 +2,15 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
+import qring.bessel
+import qring.mwp
 from qring.bessel import f_alpha, h_alpha, ratio
 from qring.errors import ResolutionError
 from qring.mwp import (Axis, VonMisesPacket, _predictions, mwp_x, mwp_y,
@@ -170,9 +174,16 @@ class TestConstruction:
             mwp_y(1, 0, kappa)
 
     @pytest.mark.parametrize("m", [600, -513])
-    def test_mode_alone_breaks_cap(self, m):
-        with pytest.raises(ResolutionError, match="exceeds the cap 512"):
-            mwp_x(1, m, 1.0)
+    def test_mode_alone_breaks_cap(self, m, monkeypatch):
+        # rejected before any Bessel work, at every concentration
+        def fail(*args):
+            raise AssertionError("ik_scaled called")
+        monkeypatch.setattr(qring.mwp, "ik_scaled", fail)
+        monkeypatch.setattr(qring.bessel, "ik_scaled", fail)
+        message = f"mode index {abs(m)} exceeds the cap 512"
+        for kappa in (1.0, 1e7, 1e300):
+            with pytest.raises(ResolutionError, match=message):
+                mwp_x(1, m, kappa)
 
     @pytest.mark.parametrize("n,m", [(1, 0), (1, 3), (2, -1), (5, 2)])
     def test_cap_boundary_matches_oracle(self, n, m):
@@ -228,6 +239,34 @@ class TestConstruction:
         assert dataclasses.astuple(pk) == (Axis.Y, 2, 1, 5.0)
         with pytest.raises(TypeError):
             mwp_x(1, 0, 2.0, Config(hbar=2.0))
+
+
+class TestCapReach:
+    """The README's figures for the reach of the mode cap at m = 0."""
+
+    # floor of the largest |kappa| that fits the cap, by n; the reach is
+    # 10433.77, 2577.14, 1127.57 and 634.89
+    FLOORS = {1: 10433, 2: 2577, 3: 1127, 4: 634}
+
+    def test_readme_figures(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = " ".join(readme.read_text().split())
+        found = re.search(r"allows `\|kappa\|` up to about (\d+) "
+                          r"\(`kappa = (\d+)` keeps (\d+) modes\); the "
+                          r"reach shrinks roughly as `1/n\^2`", text)
+        about, kappa, modes = map(int, found.groups())
+        assert about == self.FLOORS[1] + 1
+        assert mwp_x(1, 0, float(kappa))[1].modes.size == modes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_floor_builds_and_ceiling_raises(self, n):
+        floor = self.FLOORS[n]
+        for kappa in (floor, -floor):
+            mwp_x(n, 0, float(kappa))
+            with pytest.raises(ResolutionError):
+                mwp_x(n, 0, math.copysign(floor + 1.0, kappa))
+        # roughly 1/n^2
+        assert floor * n * n == pytest.approx(self.FLOORS[1], rel=0.05)
 
 
 class TestVerifyPacket:

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+import qring.uncertainty
 from qring.mwp import mwp_x, mwp_y
 from qring.observables import (
     expect_xy,
@@ -509,6 +510,15 @@ class TestOverflow:
         with pytest.raises(OverflowError) as col_exc:
             series_columns(state, 8, cfg)
         assert str(col_exc.value) == str(exc.value)
+
+    def test_finite_columns_run_no_scalar_check(self, monkeypatch):
+        # the scalar checks only name an overflow the columns found
+        def fail(*args):
+            raise AssertionError("scalar check called")
+        for name in ("check_ur_x", "check_ur_y", "check_total_ur"):
+            monkeypatch.setattr(qring.uncertainty, name, fail)
+        cols = series_columns(self.STATE, 8, Config(hbar=1e306))
+        assert np.all(np.isfinite(cols.total.lhs))
 
     def test_largest_finite_hbar_holds(self):
         cfg, state = Config(hbar=1e306), self.STATE
