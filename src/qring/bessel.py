@@ -24,6 +24,7 @@ orders up to ``max_order`` provably cannot hold them.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -99,15 +100,16 @@ def von_mises(x: float) -> tuple[float, float, float, float]:
     equation of I1/I0) is r (A1 P0 - A0 P1)/A0^2, by dA_nu/dx = -P_nu/x.
     Every t_k(0) is positive and every t_k(1), k >= 1, negative, so
     x (A0 - A1), A1 P0 and -A0 P1 sum positive terms and never cancel, up
-    to the float64 maximum.  x = 0 gives the analytic limits
-    (1, 0, sqrt(2), 0); a non-finite x raises ``ValueError``.
+    to the float64 maximum.  Below |x| = 2**-600 it gives the limits
+    (1, x/2, sqrt(2), 0), exact there in float64, also where x/2 is
+    subnormal; a non-finite x raises ``ValueError``.
     """
     if not math.isfinite(x):
         raise ValueError("argument must be finite")
     ax = abs(x)
-    # the limits hold at 0 and at the least subnormal, whose I1 ~ x/2 is 0
-    if ax <= math.ulp(0.0):
-        return 1.0, 0.0, math.sqrt(2.0), 0.0
+    if ax < 2.0**-600:
+        # x/2 rounds to 0 at the least subnormal; "or" keeps that 0 positive
+        return 1.0, 0.5 * x or 0.0, math.sqrt(2.0), 0.0
     if ax < _SERIES_CUTOFF:
         s0, s1 = _power(ax)
         scale = math.exp(-ax)
@@ -163,6 +165,7 @@ def ik_scaled(x: float, max_order: int) -> np.ndarray | None:
     I_0(2x).  None, before any order is computed, when the orders up to
     ``max_order`` provably cannot hold it (``_needs_order``); the proof is
     one-sided, so near its edge K may pass ``max_order``.  Raises
+    ``TypeError`` for a ``max_order`` that is not an integer, and
     ``ValueError`` when the recurrence would start above 2**20 orders.
 
     Miller backward recurrence (A&S 9.12; Numerical Recipes 6.6), run on the
@@ -172,12 +175,14 @@ def ik_scaled(x: float, max_order: int) -> np.ndarray | None:
     """
     if not math.isfinite(x):
         raise ValueError("argument must be finite")
+    max_order = operator.index(max_order)
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     ax = abs(x)
     if ax == 0.0:
         return np.ones(1)
-    if _needs_order(ax, max_order + 1):
+    # past _MAX_ORDER the start check decides: no kept order passes it
+    if max_order <= _MAX_ORDER and _needs_order(ax, max_order + 1):
         return None
     # Start where I_top/I_0 < exp(-53).  The ratio bound
     # r_k <= x / (k - 1/2 + sqrt((k - 1/2)^2 + x^2)) (Amos 1974) gives

@@ -8,7 +8,9 @@ dependence of the raw angle moments), and ``mwp`` (packet construction).
 Machine-readable output (JSON or CSV) goes to stdout, human diagnostics to
 stderr.  Exit codes: 0 all comparisons passed, 1 a comparison failed,
 2 usage/parse error (an overflowing bound or sigma_Lz included),
-3 unusable state (non-normalizable).
+3 unusable state (non-normalizable).  The subcommands only raise: ``main``
+alone writes a failure's ``error:`` line and exits 3 on a
+``DegenerateStateError``, 2 on any other ``ValueError`` or ``OverflowError``.
 
 ``examples`` is one table: each case gives its (quantity, expected,
 measured) rows, and its product row measures the total bound's left side.
@@ -263,9 +265,7 @@ def _example(name: str, args, cfg: Config) -> tuple[dict, list]:
 def run_examples(args, cfg: Config) -> int:
     selected = [args.case] if args.case else CASE_NAMES
     if "von-mises" in selected and args.alpha == 0.0:
-        print("error: the von Mises example needs a nonzero --alpha",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("the von Mises example needs a nonzero --alpha")
     report = {"cases": [], "all_pass": True}
     for name in selected:
         params, rows = _example(name, args, cfg)
@@ -321,23 +321,17 @@ def run_curve(args, _cfg: Config) -> int:
 
 
 def _load_state_file(path: str):
+    """The state in the file at path.  A file it cannot read or parse raises
+    a ``ValueError`` that names it; a ``DegenerateStateError`` passes."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return load_state(fh.read())
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None, USAGE_ERROR
-    except UnicodeDecodeError as exc:
-        print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
-        return None, USAGE_ERROR
-    try:
-        return load_state(text), 0
-    except DegenerateStateError as exc:
-        print(f"error: state is not normalizable: {exc}", file=sys.stderr)
-        return None, STATE_ERROR
-    except ValueError as exc:
-        print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
-        return None, USAGE_ERROR
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except DegenerateStateError:
+        raise
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
 # one line of the report's stderr table, and the check fields it reads
@@ -358,12 +352,8 @@ def _bound_rows(kind: str, ns: list, bounds) -> list:
 
 def run_report(args, cfg: Config) -> int:
     if not 1 <= args.nmax <= MAX_SCAN_ROWS:
-        print(f"error: --nmax must lie in [1, {MAX_SCAN_ROWS}]",
-              file=sys.stderr)
-        return USAGE_ERROR
-    state, status = _load_state_file(args.state_file)
-    if state is None:
-        return status
+        raise ValueError(f"--nmax must lie in [1, {MAX_SCAN_ROWS}]")
+    state = _load_state_file(args.state_file)
     cols = series_columns(state, args.nmax, cfg)
     ns = cols.n.tolist()
     mean_phi, slz = mean_angle(state, cfg), sigma_lz(state, cfg)
@@ -408,9 +398,7 @@ def run_report(args, cfg: Config) -> int:
 
 
 def run_scan_beta(args, _cfg: Config) -> int:
-    state, status = _load_state_file(args.state_file)
-    if state is None:
-        return status
+    state = _load_state_file(args.state_file)
     betas = _row_range(args.start, args.stop, args.step)
     means, _, sigmas = angle_moments_beta(state, betas)
     _write_table(("beta", "mean_phi_beta", "sigma_phi_beta"),
@@ -420,9 +408,7 @@ def run_scan_beta(args, _cfg: Config) -> int:
 
 def run_mwp(args, cfg: Config) -> int:
     if not 1 <= args.points <= MAX_SCAN_ROWS:
-        print(f"error: --points must lie in [1, {MAX_SCAN_ROWS}]",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"--points must lie in [1, {MAX_SCAN_ROWS}]")
     builder = mwp_x if Axis(args.axis) is Axis.X else mwp_y
     packet, state = builder(args.n, args.m, args.kappa)
     if args.emit_state:
@@ -652,11 +638,6 @@ def main(argv=None) -> int:
     args = _parse(argv)
     if args is None:
         args = build_parser().parse_args(argv)
-    try:
-        cfg = Config(hbar=args.hbar, cmp_tol=args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     dispatch = {
         "examples": run_examples,
         "curve": run_curve,
@@ -665,7 +646,10 @@ def main(argv=None) -> int:
         "mwp": run_mwp,
     }
     try:
-        return dispatch[args.command](args, cfg)
+        return dispatch[args.command](args, Config(args.hbar, args.tol))
+    except DegenerateStateError as exc:
+        print(f"error: state is not normalizable: {exc}", file=sys.stderr)
+        return STATE_ERROR
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

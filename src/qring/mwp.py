@@ -83,8 +83,8 @@ def _predictions(packet: VonMisesPacket, hbar: float) -> PacketPrediction:
     n, kappa = packet.n, packet.kappa
     i0, i1, _, h = von_mises(kappa)
     r = i1 / i0
-    # variance along the packet's own axis, 1/2 at kappa = 0
-    along2 = r / kappa if r else 0.5
+    # variance along the packet's own axis; its limit 1/2 where r is subnormal
+    along2 = r / kappa if abs(r) >= 2.0**-1022 else 0.5
     # variance on the conjugate axis: 1 - r/kappa - r^2 cancels as r nears
     # 1, where h_alpha/(kappa r) does not; h_alpha ~ kappa^2/4 underflows
     # as kappa nears 0, where 1 - r/kappa - r^2 is at least 0.3

@@ -330,9 +330,14 @@ def sin_half_power_state(n: int) -> CircleState:
 
     Odd powers are anti-periodic and carry boundary phase pi
     (half-odd-integer effective modes); even powers are periodic.
+    Raises ``ResolutionError`` past the mode cap, n > 2 MAX_MODE.
     """
     if n < 1:
         raise ValueError("power must be >= 1")
+    # the widest mode, before any binomial overflows float64 (n >= 1030)
+    if (n + 1) // 2 > MAX_MODE:
+        raise ResolutionError(
+            f"mode index {(n + 1) // 2} exceeds the cap {MAX_MODE}")
     # sin^n(phi/2) = (2i)^-n sum_j C(n,j) (-1)^(n-j) exp(i (j - n/2) phi)
     scale = (1.0 / 2j) ** n
     coeffs = {}

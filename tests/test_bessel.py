@@ -195,16 +195,28 @@ class TestScaledSequence:
     @pytest.mark.parametrize("x", [1e300, -1e300, 1e14, -1e14, 1.7e308])
     def test_huge_argument_rejected_before_allocating(self, x):
         # both answers come at once, not after building a list of
-        # ~sqrt(|x|) ratios: at max_order 512 the cap proof returns None;
-        # at 2**40 it passes below |x| ~ 1e47 and the recurrence, which
-        # would start beyond 2**20 orders, is refused, while above it
-        # every single order weighs too little and the proof still answers
+        # ~sqrt(|x|) ratios: up to max_order 2**20 the cap proof returns
+        # None; past it the proof is skipped and the recurrence, which
+        # would start beyond 2**20 orders, is refused
         assert ik_scaled(x, 512) is None
-        if abs(x) < 1e47:
-            with pytest.raises(ValueError, match="ik_scaled argument"):
-                ik_scaled(x, 2**40)
-        else:
-            assert ik_scaled(x, 2**40) is None
+        assert ik_scaled(x, 2**20) is None
+        with pytest.raises(ValueError, match="ik_scaled argument"):
+            ik_scaled(x, 2**40)
+
+    @pytest.mark.parametrize("x,base", [(1.0, 512), (-3.5, 512),
+                                        (1e8, 2**20)])
+    def test_max_order_past_the_limit(self, x, base):
+        # past 2**20 the start check decides alone: the kept orders end
+        # before the start, so any larger max_order gives the same orders
+        expected = ik_scaled(x, base)
+        for max_order in (2**20 + 1, 2**40, 10**400):
+            assert np.array_equal(ik_scaled(x, max_order), expected)
+
+    @pytest.mark.parametrize("max_order", [2.5, 3.0, "3", None])
+    def test_max_order_must_be_an_integer(self, max_order):
+        with pytest.raises(TypeError):
+            ik_scaled(1.0, max_order)
+        assert np.array_equal(ik_scaled(1.0, np.int64(3)), ik_scaled(1.0, 3))
 
     def test_rejected_within_max_order_limit(self):
         # max_order 2**20 allows |x| up to about 5e10, the recurrence only
@@ -390,6 +402,28 @@ class TestOneEvaluation:
             got = (i0_scaled(x), i1_scaled(x), ratio(x), f_alpha(x),
                    h_alpha(x))
             assert got == per_order_values(x), x
+
+    def test_bits_below_2_to_minus_600_match_the_series(self):
+        # the limits return exactly what the series gave, down to the
+        # least normal x/2; the sweep crosses 2**-600 both ways
+        exps = np.random.default_rng(20).uniform(-1021.0, -590.0, 2000)
+        xs = [2.0**-1021, np.nextafter(2.0**-600, 0.0), 2.0**-600]
+        xs += np.exp2(exps).tolist()
+        for x in xs + [-x for x in xs]:
+            got = (i0_scaled(x), i1_scaled(x), ratio(x), f_alpha(x),
+                   h_alpha(x))
+            assert got == per_order_values(x), x
+
+    def test_subnormal_limits(self):
+        # r = I1/I0 ~ x/2 is subnormal below 2**-1021, where the quotient
+        # x (1 - r^2)/r of the series lost digits of f (1.2247 at 1.5e-323)
+        for k in range(1, 4001):
+            x = k * 5e-324
+            assert f_alpha(x) == f_alpha(-x) == math.sqrt(2.0)
+            assert von_mises(x) == (1.0, 0.5 * x, math.sqrt(2.0), 0.0)
+        # x/2 rounds to 0 at the least subnormal, a positive 0 as at x = 0
+        for x in (0.0, -0.0, 5e-324, -5e-324):
+            assert math.copysign(1.0, i1_scaled(x)) == 1.0
 
     @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324])
     def test_limits_at_zero_and_least_subnormal(self, x):

@@ -88,6 +88,74 @@ def write_examples_golden():
     EXAMPLES_GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
 
 
+# the state files of the failure table, by name
+FAILURE_FILES = {
+    "zero.txt": b"theta 0\n0 0 0\n1 0 0\n",
+    "nan.txt": b"theta 0\n0 nan 0\n1 1 0\n",
+    "header.txt": b"theta 0\n",
+    "short.txt": b"theta 0\n0 1 0\n1 1\n",
+    "bad.txt": b"\xff",
+    "wide.txt": b"theta 0\n600 1 0\n",
+    "ok.txt": b"theta 0\n0 1 0\n1 0.5 0\n",
+}
+SCAN = ["--from", "0", "--to", "1", "--step", "1"]
+# one row per failure site: argv, exit code and the one stderr line, where
+# {dir} is the directory of the files above
+FAILURES = [
+    (["report", "{dir}/zero.txt"], 3,
+     "state is not normalizable: state has no nonzero coefficient"),
+    (["scan-beta", "{dir}/nan.txt", *SCAN], 3,
+     "state is not normalizable: state has a non-finite amplitude"),
+    (["report", "{dir}/header.txt"], 3,
+     "state is not normalizable: state file lists no coefficients"),
+    (["scan-beta", "{dir}/missing.txt", *SCAN], 2,
+     "cannot read {dir}/missing.txt: [Errno 2] No such file or directory: "
+     "'{dir}/missing.txt'"),
+    (["report", "{dir}/short.txt"], 2,
+     "cannot parse {dir}/short.txt: line 3: expected 'm re im'"),
+    (["report", "{dir}/bad.txt"], 2,
+     "cannot parse {dir}/bad.txt: 'utf-8' codec can't decode byte 0xff in "
+     "position 0: invalid start byte"),
+    (["report", "{dir}/wide.txt"], 2,
+     "cannot parse {dir}/wide.txt: mode index 600 exceeds the cap 512"),
+    (["report", "{dir}/ok.txt", "--nmax", "0"], 2,
+     "--nmax must lie in [1, 100000]"),
+    (["report", "{dir}/ok.txt", "--symmetry-tol", "0"], 2,
+     "tol must be positive"),
+    (["scan-beta", "{dir}/ok.txt", "--from", "1", "--to", "0", "--step", "1"],
+     2, "need finite --from <= --to and --step > 0, with at most 100000 rows"),
+    (["mwp", "--axis", "X", "--n", "1", "--kappa", "2", "--points", "0"], 2,
+     "--points must lie in [1, 100000]"),
+    (["mwp", "--axis", "Y", "--n", "1", "--m", "600", "--kappa", "2"], 2,
+     "mode index 600 exceeds the cap 512"),
+    (["mwp", "--axis", "X", "--n", "1", "--kappa", "1e300"], 2,
+     "concentration 1e+300 needs modes beyond the cap 512"),
+    (["--hbar", "1e308", "mwp", "--axis", "X", "--n", "2", "--kappa", "5"], 2,
+     "sigma_Lz^2 prediction at n=2 overflows float64 (hbar=1e+308); use a "
+     "smaller hbar"),
+    (["examples", "von-mises", "--alpha", "0"], 2,
+     "the von Mises example needs a nonzero --alpha"),
+    (["examples", "sin-power", "--n", "1025"], 2,
+     "mode index 513 exceeds the cap 512"),
+    (["--hbar", "1.5e308", "examples", "superposition", "--m", "0"], 2,
+     "sigma_Lz of the superposition example overflows float64 "
+     "(hbar=1.5e+308); use a smaller hbar"),
+    (["--hbar", "-1", "examples"], 2, "hbar must be positive and finite"),
+    (["--tol", "2", "curve", "f", "--from", "0", "--to", "1", "--step", "1"],
+     2, "cmp_tol must lie in (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("argv,code,line", FAILURES,
+                         ids=[" ".join(argv) for argv, _, _ in FAILURES])
+def test_failure_exit_code_and_message(capsys, tmp_path, argv, code, line):
+    for name, text in FAILURE_FILES.items():
+        (tmp_path / name).write_bytes(text)
+    argv = [token.format(dir=tmp_path) for token in argv]
+    assert run_cli(capsys, *argv) == (
+        code, "", f"error: {line.format(dir=tmp_path)}\n")
+
+
 class TestExamples:
     def test_all_cases_pass(self, capsys):
         code, out, err = run_cli(capsys, "examples")
@@ -118,6 +186,21 @@ class TestExamples:
         checks = {c["quantity"]: c
                   for c in json.loads(out)["cases"][0]["checks"]}
         assert checks["mean_x"]["expected"] == pytest.approx(-7 / 8)
+
+    @pytest.mark.parametrize("n", [1025, 1030, 1100, 10**6])
+    def test_sin_power_past_the_cap_exit_2(self, capsys, n):
+        # the cap is checked before the binomials, which overflow float64
+        # from n = 1030 on
+        code, out, err = run_cli(capsys, "examples", "sin-power",
+                                 "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == (f"error: mode index {(n + 1) // 2} exceeds the cap "
+                       f"512\n")
+
+    def test_sin_power_at_the_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "examples", "sin-power", "--n", "1024")
+        assert code == 0
+        assert json.loads(out)["all_pass"]
 
     def test_unknown_selector_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

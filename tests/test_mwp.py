@@ -295,11 +295,13 @@ class TestVerifyPacket:
         assert v.predicted.sigma_x2 == 0.5
         assert v.ok
 
-    @pytest.mark.parametrize("kappa", [1e-158, -1e-200, 5e-324])
+    @pytest.mark.parametrize("kappa", [1e-158, -1e-200, 5e-324, 1.5e-323,
+                                       -4000 * 5e-324, 1e-315, 1e-310])
     @pytest.mark.parametrize("build", [mwp_x, mwp_y])
     def test_tiny_concentration_variances(self, build, kappa):
-        # h_alpha ~ kappa^2/4 underflows and I1 ~ kappa/2 rounds to 0 at the
-        # least subnormal; both variances stay at their limit 1/2
+        # h_alpha ~ kappa^2/4 underflows, I1 ~ kappa/2 is subnormal below
+        # 2**-1021 and rounds to 0 at the least subnormal; both variances
+        # stay at their limit 1/2
         pk, s = build(1, 0, kappa)
         v = verify_packet(pk, s)
         assert (v.predicted.sigma_x2, v.predicted.sigma_y2) == (0.5, 0.5)

@@ -137,6 +137,28 @@ def test_no_unused_error_types():
     assert sorted(bases.keys() - live) == []
 
 
+def test_only_main_maps_failures_to_exit_codes():
+    # the subcommands raise; cli.main alone writes an "error: " line and
+    # reads the exit codes of a failure
+    tree = ast.parse((ROOT / "src" / "qring" / "cli.py").read_text())
+
+    def sites(root):
+        return [node for node in ast.walk(root)
+                if (isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value.startswith("error: "))
+                or (isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)
+                    and node.id in ("USAGE_ERROR", "STATE_ERROR"))]
+
+    main, = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    inside = set(map(id, sites(main)))
+    outside = [node.lineno for node in sites(tree) if id(node) not in inside]
+    assert inside
+    assert outside == []
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

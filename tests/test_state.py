@@ -74,6 +74,19 @@ class TestFromFourier:
             from_fourier({0: 1.0, -MAX_MODE - 1: 1.0})
         assert from_fourier({-MAX_MODE: 1.0}).modes.tolist() == [-MAX_MODE]
 
+    @pytest.mark.parametrize("n", [1025, 1030, 1100, 10**6])
+    def test_sin_power_past_the_cap(self, n):
+        # checked before any binomial, which overflows float64 from
+        # n = 1030 on
+        with pytest.raises(ResolutionError) as exc:
+            sin_half_power_state(n)
+        assert str(exc.value) == (f"mode index {(n + 1) // 2} exceeds the "
+                                  f"cap 512")
+
+    def test_sin_power_at_the_cap(self):
+        modes = sin_half_power_state(1024).modes
+        assert (modes[0], modes[-1]) == (-MAX_MODE, MAX_MODE)
+
     @pytest.mark.parametrize("mode,shown", [
         (2**63, 2**63), (-2**63, 2**63), (2**64, 2**64),
         (-2**64 - 1, 2**64 + 1), (1e30, int(1e30)), (-600.0, 600)])
