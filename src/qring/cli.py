@@ -46,6 +46,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -91,6 +92,11 @@ CASE_NAMES = ["superposition", "sin-power", "von-mises", "cos-phi", "cos-2phi"]
 # most rows one scan-beta, curve or mwp --emit-curve run may print, and the
 # largest report --nmax
 MAX_SCAN_ROWS = 100_000
+
+# a token that is a value, not an option: argparse's own matcher with an
+# optional exponent, so that -1e-3 follows an option as -0.001 does
+_NEGATIVE_NUMBER = re.compile(
+    r"^-\d+([eE][-+]?\d+)?$|^-\d*\.\d+([eE][-+]?\d+)?$")
 
 
 def _fields(record) -> dict:
@@ -501,6 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--emit-curve", action="store_true",
                        help="write the |psi| curve as CSV")
 
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

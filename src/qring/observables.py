@@ -119,13 +119,16 @@ def sigma_total(state: CircleState, n: int,
                 config: Config = DEFAULT_CONFIG) -> float:
     """Total spread sigma_n = (1/n) sqrt(1 - R_n^2) / R_n.
 
-    Returns ``math.inf`` when R_n is numerically zero (below cmp_tol);
+    R_n is read straight from the cached harmonics, by the C hypot of
+    ``mean_resultant``.  Returns ``math.inf`` when R_n is numerically zero
+    (below cmp_tol), the one place that gate is decided for a scalar n;
     the infinite value is meaningful and propagates through the total
     uncertainty check.
     """
     if n < 1:
         raise ValueError("harmonic index n must be >= 1")
-    r = mean_resultant(state, n)
+    rho = state.harmonics
+    r = abs(rho.item(n)) if n < rho.size else 0.0
     if r < config.cmp_tol:
         return math.inf
     return math.sqrt(max(1.0 - r * r, 0.0)) / (n * r)

@@ -150,15 +150,21 @@ class CircleState:
         """Density harmonics rho_k = sum_m c_{m+k} conj(c_m), k = 0 .. span.
 
         rho(phi) = (1/2pi) sum_k rho_k exp(i k phi) with rho_{-k} =
-        conj(rho_k), the same for every boundary phase.  Computed once per
-        state; ``rotate`` and ``replace`` build a new state, which starts
-        without the cache.  Read-only.
+        conj(rho_k), the same for every boundary phase.  A contiguous mode
+        set (every m from the lowest to the highest) correlates ``amps``
+        as it is; any other is first scattered onto the lattice of the
+        gcd of its offsets, so the input holds the same values either way.
+        Computed once per state; ``rotate`` and ``replace`` build a new
+        state, which starts without the cache.  Read-only.
         """
-        offsets = self.modes - self.modes[0]
-        # modes on a stride-g lattice put every harmonic on multiples of g
-        stride = int(np.gcd.reduce(offsets)) or 1
-        dense = np.zeros(self.mode_span // stride + 1, dtype=complex)
-        dense[offsets // stride] = self.amps
+        if self.modes.size == self.mode_span + 1:
+            dense, stride = self.amps, 1
+        else:
+            offsets = self.modes - self.modes[0]
+            # a stride-g lattice puts every harmonic on multiples of g
+            stride = int(np.gcd.reduce(offsets))
+            dense = np.zeros(self.mode_span // stride + 1, dtype=complex)
+            dense[offsets // stride] = self.amps
         full = np.correlate(dense, dense, mode="full")
         rho = np.zeros(self.mode_span + 1, dtype=complex)
         # np.correlate lags run from -(L-1) to L-1; lag j sits at index L-1+j

@@ -16,11 +16,13 @@ giving a verdict on infinities; the one infinite side allowed is the
 total bound's left side when sigma_n is infinite.
 
 The scalar checks evaluate one bound at one n in Python floats.  The X
-and Y checks share one helper, which reads rho_n, rho_2n and sigma_Lz
-once each as Python scalars; a check costs a few float operations and
-the frozen ``URReport`` it returns, whose fields are set in one dict
-update.  The window bound (Franke-Arnold et al., New J. Phys. 6, 103
-(2004)) is two alternating sums over the harmonics, since
+and Y checks share one helper, which reads rho_n and rho_2n straight from
+the cached harmonics and sigma_Lz from the cached moments, once each, with
+no observable call in between; the total check reads sigma_Lz the same
+way and sigma_n from ``sigma_total``.  A check costs a few float
+operations and the frozen ``URReport`` it returns, whose fields are stored
+into its dict one by one.  The window bound (Franke-Arnold et al., New J.
+Phys. 6, 103 (2004)) is two alternating sums over the harmonics, since
 e^{-ik pi} = (-1)^k: two dot products give the angle spread and the even
 and odd sums the density at the seam, with no phase table.
 ``series_columns`` evaluates the observables and the three per-n bound
@@ -38,12 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .observables import (
-    _seam_spread,
-    expect_xy,
-    sigma_lz,
-    sigma_total,
-)
+from .observables import _seam_spread, sigma_lz, sigma_total
 from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config
 
 __all__ = [
@@ -69,14 +66,23 @@ class URKind(Enum):
     FUJIKAWA = "FUJIKAWA"
 
 
+# the members as module globals: an Enum class attribute lookup costs
+# several times a global read, and every check makes one or two
+_X_AXIS = URKind.X_AXIS
+_Y_AXIS = URKind.Y_AXIS
+_TOTAL = URKind.TOTAL
+_FUJIKAWA = URKind.FUJIKAWA
+
+
 @dataclass(frozen=True, init=False)
 class URReport:
     """Left side, right side and verdict of one uncertainty inequality.
 
-    A frozen dataclass whose ``__init__`` fills the instance dict in one
-    update, where the generated one would call ``object.__setattr__`` once
-    per field; fields, ``asdict``, ``replace``, eq, hash, repr and the
-    ``FrozenInstanceError`` on assignment are those of the dataclass.
+    A frozen dataclass whose ``__init__`` stores each field straight into
+    the instance dict, where the generated one would call
+    ``object.__setattr__`` once per field; fields, ``asdict``, ``replace``,
+    eq, hash, repr and the ``FrozenInstanceError`` on assignment are those
+    of the dataclass.
     """
 
     kind: URKind
@@ -89,8 +95,14 @@ class URReport:
 
     def __init__(self, kind: URKind, n: int, lhs: float, rhs: float,
                  slack: float, holds: bool, saturated: bool):
-        self.__dict__.update(kind=kind, n=n, lhs=lhs, rhs=rhs, slack=slack,
-                             holds=holds, saturated=saturated)
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["n"] = n
+        fields["lhs"] = lhs
+        fields["rhs"] = rhs
+        fields["slack"] = slack
+        fields["holds"] = holds
+        fields["saturated"] = saturated
 
 
 def _overflow(kind: URKind, n: int, lhs: float, rhs: float) -> OverflowError:
@@ -113,29 +125,38 @@ def _report(kind: URKind, n: int, lhs: float, rhs: float, tol: float,
 def _axis_check(kind: URKind, state: CircleState, n: int,
                 config: Config) -> URReport:
     """The X_AXIS or Y_AXIS bound at n: the spread of one axis against
-    the mean of the other, from rho_n and rho_2n read once each, with the
-    arithmetic of ``sigma_xy``."""
-    ex, ey = expect_xy(state, n)
-    x2n, _ = expect_xy(state, 2 * n)
-    if kind is URKind.X_AXIS:
-        var, other = 0.5 * (1.0 + x2n) - ex * ex, ey
+    the mean of the other, with the arithmetic of ``sigma_xy``.
+
+    rho_n and rho_2n are read once each from the cached harmonics, 0 past
+    the mode span as ``expect_xy`` gives them, and sigma_Lz from the
+    cached moments as ``sigma_lz`` computes it.  <Yn> = -Im rho_n enters
+    only through its square and its modulus, so Im rho_n stands in for it.
+    """
+    if n < 1:
+        raise ValueError("harmonic index n must be >= 1")
+    rho = state.harmonics
+    z = rho.item(n) if n < rho.size else 0j
+    x2n = rho.item(2 * n).real if 2 * n < rho.size else 0.0
+    if kind is _X_AXIS:
+        var, other = 0.5 * (1.0 + x2n) - z.real * z.real, z.imag
     else:
-        var, other = 0.5 * (1.0 - x2n) - ey * ey, ex
-    lhs = math.sqrt(max(var, 0.0)) * sigma_lz(state, config)
-    rhs = 0.5 * n * config.hbar * abs(other)
+        var, other = 0.5 * (1.0 - x2n) - z.imag * z.imag, z.real
+    hbar = config.hbar
+    lhs = math.sqrt(max(var, 0.0)) * (hbar * math.sqrt(state.lz_moments[1]))
+    rhs = 0.5 * n * hbar * abs(other)
     return _report(kind, n, lhs, rhs, config.cmp_tol)
 
 
 def check_ur_x(state: CircleState, n: int,
                config: Config = DEFAULT_CONFIG) -> URReport:
     """sigma_Xn * sigma_Lz against (n hbar / 2) |<Yn>|."""
-    return _axis_check(URKind.X_AXIS, state, n, config)
+    return _axis_check(_X_AXIS, state, n, config)
 
 
 def check_ur_y(state: CircleState, n: int,
                config: Config = DEFAULT_CONFIG) -> URReport:
     """sigma_Yn * sigma_Lz against (n hbar / 2) |<Xn>|."""
-    return _axis_check(URKind.Y_AXIS, state, n, config)
+    return _axis_check(_Y_AXIS, state, n, config)
 
 
 def check_total_ur(state: CircleState, n: int,
@@ -148,9 +169,10 @@ def check_total_ur(state: CircleState, n: int,
     """
     sn = sigma_total(state, n, config)
     infinite = math.isinf(sn)
-    lhs = math.inf if infinite else sn * sigma_lz(state, config)
-    rhs = 0.5 * config.hbar
-    return _report(URKind.TOTAL, n, lhs, rhs, config.cmp_tol, infinite)
+    hbar = config.hbar
+    lhs = (math.inf if infinite
+           else sn * (hbar * math.sqrt(state.lz_moments[1])))
+    return _report(_TOTAL, n, lhs, 0.5 * hbar, config.cmp_tol, infinite)
 
 
 def check_fujikawa(state: CircleState,
@@ -172,7 +194,7 @@ def check_fujikawa(state: CircleState,
     rho = state.harmonics.real
     two_pi_rho = rho.item(0) + 2.0 * float(rho[2::2].sum() - rho[1::2].sum())
     rhs = 0.5 * config.hbar * (1.0 - two_pi_rho)
-    return _report(URKind.FUJIKAWA, 1, lhs, rhs, config.cmp_tol)
+    return _report(_FUJIKAWA, 1, lhs, rhs, config.cmp_tol)
 
 
 class BoundColumns(NamedTuple):

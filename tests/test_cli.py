@@ -1241,8 +1241,8 @@ class TestSharedParser:
         assert total == first
 
 
-# numbers argparse takes as values (2, -3, -.5) and as options (-1e-3,
-# -inf), and floats an int option rejects
+# numbers the parsers take as values (2, -3, -.5, -1e-3) and as options
+# (-inf), and floats an int option rejects
 PARSE_NUMBERS = ["2", "-3", "-.5", "8.0", "nan", "1e400", "-1e-3", "-inf"]
 # spellings argparse reads in its own way: abbreviations, --opt=value,
 # help, the end of options, a lone dash and an empty token
@@ -1383,6 +1383,23 @@ class TestFastParse:
         for (argv, _), expected in zip(commands, runs):
             assert run_cli(capsys, *argv) == expected, argv
 
+    def test_negative_exponent_is_a_value(self, capsys, tmp_path):
+        # -1e-3 may follow an option as its own token, as -0.001 may, on
+        # the fast path and in argparse alike
+        argv = ["mwp", "--axis", "X", "--n", "2", "--kappa"]
+        joined = run_cli(capsys, *argv[:-1], "--kappa=-1e-3")
+        assert joined[0] == 0
+        assert run_cli(capsys, *argv, "-1e-3") == joined
+        assert build_parser().parse_args([*argv, "-1E+3"]).kappa == -1e3
+        path = write_state(tmp_path, mwp_x(2, 1, 5.0)[1])
+        scan = ["scan-beta", path, "--from", "-1e-3", "--to", "1",
+                "--step", "0.5"]
+        code, out, err = run_cli(capsys, *scan)
+        assert (code, err) == (0, "")
+        assert [row.partition(",")[0] for row in out.splitlines()[1:]] == [
+            "-0.001", "0.499", "0.999"]
+        assert qring.cli._parse(scan).start == -1e-3
+
     def test_other_spellings_fall_back(self, capsys):
         # argparse reads each of these, and writes every help and error
         cases = [
@@ -1391,7 +1408,7 @@ class TestFastParse:
             (["mwp", "--axis", "X", "--n", "1", "--n", "2", "--kappa",
               "5"], 0),
             (["report", "--", "-F"], 2),
-            (["mwp", "--axis", "X", "--n", "2", "--kappa", "-1e-3"], 2),
+            (["mwp", "--axis", "X", "--n", "2", "--kappa", "-inf"], 2),
             (["mwp", "--axis", "X", "--n", "2.5", "--kappa", "5"], 2),
             (["mwp", "--axis", "X", "--n", "2", "--kappa", "5",
               "--emit-state", "--emit-curve"], 2),

@@ -117,9 +117,11 @@ def test_state_file_round_trip_keeps_bits(state):
 @hypothesis.given(states())
 def test_scalar_checks_match_columns_bit_for_bit(state):
     # repr tells apart any two floats, zero signs included, and a bool from
-    # a numpy bool
+    # a numpy bool.  hbar = 0.37 rounds, so a change in the order of the
+    # sigma_Lz product shows in the last bit; 2**-40 and 2**40 hold the
+    # bits at units far from 1
     nmax = state.mode_span + 2
-    for hbar in (1.0, 0.37):
+    for hbar in (1.0, 0.37, 2.0**-40, 2.0**40):
         cfg = Config(hbar=hbar)
         cols = series_columns(state, nmax, cfg)
         for check, bounds in ((check_ur_x, cols.x_axis),

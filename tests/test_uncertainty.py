@@ -62,8 +62,8 @@ class TestReportFields:
 
 
 class TestReportDataclass:
-    """``URReport`` fills its fields in one dict update; everything else is
-    the frozen dataclass."""
+    """``URReport`` stores its fields into its dict one by one; everything
+    else is the frozen dataclass."""
 
     NAMES = ["kind", "n", "lhs", "rhs", "slack", "holds", "saturated"]
     REP = URReport(URKind.TOTAL, 3, 0.75, 0.5, 0.25, True, False)
@@ -116,6 +116,14 @@ class TestReportDataclass:
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(rep, name)
         assert rep == URReport(URKind.X_AXIS, 1, 0.0, 0.0, 0.0, True, True)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("check", [check_ur_x, check_ur_y, check_total_ur])
+def test_harmonic_index_below_one_rejected(check, n):
+    with pytest.raises(ValueError) as info:
+        check(random_state(4, 1), n)
+    assert str(info.value) == "harmonic index n must be >= 1"
 
 
 class TestAxisChecks:
