@@ -7,38 +7,32 @@ dependence of the raw angle moments), and ``mwp`` (packet construction).
 
 Machine-readable output (JSON or CSV) goes to stdout, human diagnostics to
 stderr.  Exit codes: 0 all comparisons passed, 1 a comparison failed,
-2 usage/parse error (an overflowing bound or sigma_Lz included),
+2 usage/parse error (a value that overflows float64 at --hbar included),
 3 unusable state (non-normalizable).  The subcommands only raise: ``main``
 alone writes a failure's ``error:`` line and exits 3 on a
 ``DegenerateStateError``, 2 on any other ``ValueError`` or ``OverflowError``.
 
 ``examples`` is one table: each case gives its (quantity, expected,
-measured) rows, and its product row measures the total bound's left side.
+measured) rows at hbar = 1, and its product row measures the total bound's
+left side.  Every comparison is decided on those values, against --tol,
+and only the printed values are scaled to --hbar.
 ``curve`` and ``scan-beta`` share one row range, from + k*step up to --to.
 ``report`` reads its n-series from ``uncertainty.series_columns``, one
 array pass over every n.  Every JSON document goes through
 ``_write_json``, which writes exactly the bytes of ``json.dumps(obj,
-indent=2)`` but encodes each innermost container in one call of the
-standard library's C encoder.  A row table (a list of flat dicts, such as
-the report's ``observables`` and ``uncertainty`` lists) is one encoder
-call too: the encoder escapes every newline inside a string, so the text
-``"}" + separator + "{"`` only ever joins two rows, and one replace indents
-it.  ``_write_table`` writes every ``curve``, ``scan-beta`` and
-``mwp --emit-curve`` table, its CSV in one format call; the report's stderr
-check table is one format call as well.  Each packet curve is one array
-``evaluate`` call.
+indent=2)`` but encodes each innermost container, and each row table (a
+list of flat dicts, such as the report's ``observables``), in one call of
+the standard library's C encoder.  ``_write_table`` writes every
+``curve``, ``scan-beta`` and ``mwp --emit-curve`` table, its CSV in one
+format call, as is the report's stderr check table.
 
 ``build_parser`` is the one grammar.  ``main`` parses a command line of
 the documented shape (global options, the subcommand, its positionals,
 then its options, each spelled in full and given once) with ``_parse``,
-which reads the parser's own option strings, actions, exclusive groups
-and negative-number matcher on the first call, and runs each value
-through its action's type and choices.  It gives the namespace argparse
-would, at a fraction of argparse's cost, and None for anything else:
-``-h``, ``--opt=value``, abbreviations, ``--``, repeats, unknown tokens,
-bad values or missing arguments.  Those go to ``parse_args``, so argparse
-alone reads every other spelling and writes all help, usage and error
-text.
+which gives the namespace argparse would, at a fraction of argparse's
+cost, and None for anything else.  That goes to ``parse_args``, so
+argparse alone reads every other spelling and writes all help, usage and
+error text.
 """
 
 import argparse
@@ -68,6 +62,7 @@ from .observables import (
 )
 from .state import (
     Config,
+    _in_hbar,
     cos_harmonic_state,
     dump_state,
     load_state,
@@ -199,72 +194,71 @@ def _write_table(names, columns, as_json: bool) -> None:
                      + row * len(columns[0]) % values)
 
 
-def _check(quantity: str, expected: float, measured: float, tol: float) -> dict:
+def _check(name: str, quantity: str, expected: float, measured: float,
+           cfg: Config) -> dict:
+    """One examples row, decided at hbar = 1 and printed at cfg.hbar."""
     if math.isinf(expected) or math.isinf(measured):
         ok = math.isinf(expected) and math.isinf(measured)
     else:
-        ok = abs(measured - expected) <= tol * max(1.0, abs(expected))
+        ok = abs(measured - expected) <= cfg.cmp_tol * max(1.0, abs(expected))
+    # sigma_lz and the products have degree 1 in hbar, the rest degree 0
+    power = 1 if quantity.startswith(("sigma_lz", "total_product")) else 0
+    what = ("{} of the {} example", quantity, name)
+    expected, measured, _ = _in_hbar(cfg, power, what, expected, measured)
     return {"quantity": quantity, "expected": expected,
             "measured": measured, "pass": bool(ok)}
 
 
-def _example(name: str, args, cfg: Config) -> tuple[dict, list]:
+def _example(name: str, args) -> tuple[dict, list]:
     """The params of one worked example and its (quantity, expected,
-    measured) rows.
+    measured) rows at hbar = 1.
 
     Each case checks the total bound at its harmonic index n: sigma_n
     (``sigma_r`` at n = 1) against its closed form, and the product
     against the bound's left side, ``check_total_ur(state, n).lhs``.  The
     one documented infinity is a superposition with |k - m| != 1, whose
-    sigma_r and product are infinite; an infinite sigma_Lz is an overflow.
+    sigma_r and product are infinite.
     """
-    hb, s3 = cfg.hbar, math.sqrt(3)
+    s3 = math.sqrt(3)
     if name == "superposition":
         k, m, n = args.k, args.m, 1
         state, params = superposition_state(k, m), {"k": k, "m": m}
         d = abs(k - m)
         expected = [("mean_x", 0.5 if d == 1 else 0.0), ("mean_y", 0.0),
-                    ("sigma_lz", 0.5 * hb * d),
+                    ("sigma_lz", 0.5 * d),
                     ("sigma_r", s3 if d == 1 else math.inf),
-                    ("total_product", 0.5 * s3 * hb if d == 1 else math.inf)]
+                    ("total_product", 0.5 * s3 if d == 1 else math.inf)]
     elif name == "sin-power":
         p, n = args.n, 1
         state, params = sin_half_power_state(p), {"n": p}
         expected = [("mean_x", -p / (p + 1)),
                     ("sigma_r", math.sqrt(2 * p + 1) / p),
-                    ("sigma_lz", 0.5 * hb * p / math.sqrt(2 * p - 1)),
+                    ("sigma_lz", 0.5 * p / math.sqrt(2 * p - 1)),
                     ("total_product",
-                     0.5 * hb * math.sqrt((2 * p + 1) / (2 * p - 1)))]
+                     0.5 * math.sqrt((2 * p + 1) / (2 * p - 1)))]
     elif name == "von-mises":
         alpha, n = args.alpha, 1
         state, params = mwp_x(1, 0, alpha)[1], {"alpha": alpha}
         i0, i1, f, _ = bessel.von_mises(alpha)
         r = i1 / i0
         expected = [("mean_x", 0.0), ("mean_y", r),
-                    ("sigma_lz", 0.5 * hb * math.sqrt(alpha * r)),
-                    ("total_product", 0.5 * hb * f)]
+                    ("sigma_lz", 0.5 * math.sqrt(alpha * r)),
+                    ("total_product", 0.5 * f)]
     elif name == "cos-phi":
         state, params, n = cos_harmonic_state(1), {}, 2
-        expected = [("r_1", 0.0), ("sigma_lz", hb), ("mean_x2", 0.5),
-                    ("sigma_2", 0.5 * s3),
-                    ("total_product_n2", 0.5 * s3 * hb)]
+        expected = [("r_1", 0.0), ("sigma_lz", 1.0), ("mean_x2", 0.5),
+                    ("sigma_2", 0.5 * s3), ("total_product_n2", 0.5 * s3)]
     else:
         state, params, n = cos_harmonic_state(2), {}, 4
         expected = [("r_1", 0.0), ("r_4", 0.5), ("sigma_4", 0.25 * s3),
-                    ("sigma_lz", 2.0 * hb),
-                    ("total_product_n4", 0.5 * s3 * hb)]
-    total = check_total_ur(state, n, cfg).lhs
-    slz = sigma_lz(state, cfg)
-    if not math.isfinite(slz):
-        raise OverflowError(f"sigma_Lz of the {name} example overflows "
-                            f"float64 (hbar={hb!r}); use a smaller hbar")
+                    ("sigma_lz", 2.0), ("total_product_n4", 0.5 * s3)]
     ex, ey = expect_xy(state, 1)
     measured = {"mean_x": ex, "mean_y": ey, "mean_x2": expect_xy(state, 2)[0],
                 "r_1": mean_resultant(state, 1),
-                "r_4": mean_resultant(state, 4), "sigma_lz": slz,
-                "sigma_r" if n == 1 else f"sigma_{n}":
-                    sigma_total(state, n, cfg),
-                "total_product" if n == 1 else f"total_product_n{n}": total}
+                "r_4": mean_resultant(state, 4), "sigma_lz": sigma_lz(state),
+                "sigma_r" if n == 1 else f"sigma_{n}": sigma_total(state, n),
+                "total_product" if n == 1 else f"total_product_n{n}":
+                    check_total_ur(state, n).lhs}
     return params, [(q, e, measured[q]) for q, e in expected]
 
 
@@ -274,8 +268,8 @@ def run_examples(args, cfg: Config) -> int:
         raise ValueError("the von Mises example needs a nonzero --alpha")
     report = {"cases": [], "all_pass": True}
     for name in selected:
-        params, rows = _example(name, args, cfg)
-        checks = [_check(*row, cfg.cmp_tol) for row in rows]
+        params, rows = _example(name, args)
+        checks = [_check(name, *row, cfg) for row in rows]
         for c in checks:
             verdict = "PASS" if c["pass"] else "FAIL"
             print(f"[{verdict}] {name} {c['quantity']}: "
@@ -362,7 +356,7 @@ def run_report(args, cfg: Config) -> int:
     state = _load_state_file(args.state_file)
     cols = series_columns(state, args.nmax, cfg)
     ns = cols.n.tolist()
-    mean_phi, slz = mean_angle(state, cfg), sigma_lz(state, cfg)
+    mean_phi, slz = mean_angle(state), sigma_lz(state, cfg)
     observables = [
         {"n": n, "ex": ex, "ey": ey, "r_n": r, "mean_phi": mean_phi,
          "sigma_x": sx, "sigma_y": sy, "sigma_lz": slz, "sigma_tilde": st,

@@ -14,21 +14,22 @@ the orders whose weight exceeds 1e-24 of the total, a fixed policy, and
 proves early when kappa needs orders past the mode cap ``state.MAX_MODE``,
 the only limit on kappa; ``state._build`` checks the kept modes exactly.
 A packet is only its parameters; ``verify_packet`` computes the
-closed-form predictions from one ``bessel.von_mises`` call, in the hbar of
-its ``Config``, and compares them with the moments measured on the state.
+closed-form predictions from one ``bessel.von_mises`` call and compares
+them with the moments measured on the state, both at hbar = 1, and only
+then scales the L_z rows to the hbar of its ``Config``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .bessel import ik_scaled, von_mises
 from .errors import ResolutionError
-from .observables import expect_lz, expect_xy, sigma_lz, sigma_xy
+from .observables import expect_xy, sigma_xy
 from .state import (DEFAULT_CONFIG, MAX_MODE, CircleState, Config, TWO_PI,
-                    _build)
+                    _build, _in_hbar)
 
 __all__ = [
     "Axis",
@@ -47,7 +48,8 @@ class Axis(Enum):
 
 @dataclass(frozen=True)
 class PacketPrediction:
-    """Closed-form statistics of a von Mises packet."""
+    """Closed-form statistics of a von Mises packet; sigma_lz2 is in units
+    of hbar^2."""
 
     ex: float
     ey: float
@@ -79,7 +81,7 @@ class PacketVerification:
     measured: dict
 
 
-def _predictions(packet: VonMisesPacket, hbar: float) -> PacketPrediction:
+def _predictions(packet: VonMisesPacket) -> PacketPrediction:
     n, kappa = packet.n, packet.kappa
     i0, i1, _, h = von_mises(kappa)
     r = i1 / i0
@@ -89,13 +91,7 @@ def _predictions(packet: VonMisesPacket, hbar: float) -> PacketPrediction:
     # 1, where h_alpha/(kappa r) does not; h_alpha ~ kappa^2/4 underflows
     # as kappa nears 0, where 1 - r/kappa - r^2 is at least 0.3
     across2 = 1.0 - along2 - r * r if abs(kappa) < 1.0 else h / (kappa * r)
-    try:
-        lz2 = kappa * (0.5 * n * hbar) ** 2 * r
-    except OverflowError:             # float ** raises where * gives inf
-        lz2 = math.inf
-    if not math.isfinite(lz2):
-        raise OverflowError(f"sigma_Lz^2 prediction at n={n} overflows "
-                            f"float64 (hbar={hbar!r}); use a smaller hbar")
+    lz2 = kappa * (0.5 * n) ** 2 * r
     # 1/sqrt(2 pi I0(kappa)) from the scaled I0: no overflow at any kappa
     norm = math.exp(-0.5 * abs(kappa)) / math.sqrt(TWO_PI * i0)
     if packet.axis is Axis.X:
@@ -155,32 +151,38 @@ def mwp_y(n: int, m: int, beta: float) -> tuple[VonMisesPacket, CircleState]:
 def verify_packet(packet: VonMisesPacket, state: CircleState,
                   config: Config = DEFAULT_CONFIG) -> PacketVerification:
     """Compare measured moments of the state against the packet's
-    closed-form predictions, both in ``config.hbar``.
+    closed-form predictions at hbar = 1, and report both in units of
+    ``config.hbar``.
 
-    Raises ``OverflowError`` naming the sigma_Lz^2 prediction when it
-    overflows float64 (a huge hbar).  Measures <Xn>, <Yn>, sigma_Xn^2,
-    sigma_Yn^2, sigma_Lz^2 and <Lz> on the state, and checks the
-    self-consistency of the concentration (the ratio of the transverse
-    mean to the along-axis variance reproduces kappa).
-    The measured kappa carries a relative rounding error, so its delta
-    passes within tol * max(1, |kappa|); every other delta within tol =
-    ``config.cmp_tol``.  A mismatch is reported, not raised.
+    Measures <Xn>, <Yn>, sigma_Xn^2, sigma_Yn^2, sigma_Lz^2 and <Lz> on
+    the state, and checks that the ratio of the transverse mean to the
+    along-axis variance reproduces kappa.  That delta carries a relative
+    rounding error, so it passes within tol * max(1, |kappa|); every other
+    delta within tol = ``config.cmp_tol`` (in units of hbar^2 and hbar for
+    the L_z rows).  A mismatch is reported, not raised.
     """
     n, tol = packet.n, config.cmp_tol
-    pred = _predictions(packet, config.hbar)
+    pred = _predictions(packet)
     ex, ey = expect_xy(state, n)
     sx, sy = sigma_xy(state, n)
-    slz = sigma_lz(state, config)
+    lz, var = state.lz_moments
+    slz = math.sqrt(var)
     measured = {"ex": ex, "ey": ey, "sigma_x2": sx * sx, "sigma_y2": sy * sy,
-                "sigma_lz2": slz * slz, "lz": expect_lz(state, config)}
+                "sigma_lz2": slz * slz, "lz": lz}
     deltas = {key: measured[key] - getattr(pred, key) for key in measured
               if key != "lz"}
-    deltas["lz"] = measured["lz"] - packet.m * config.hbar
+    deltas["lz"] = lz - packet.m
     if packet.axis is Axis.X:
         deltas["kappa"] = ey / measured["sigma_x2"] - packet.kappa
     else:
         deltas["kappa"] = -ex / measured["sigma_y2"] - packet.kappa
     ok = (all(abs(deltas[key]) <= tol for key in measured)
           and abs(deltas["kappa"]) <= tol * max(1.0, abs(packet.kappa)))
-    return PacketVerification(ok=ok, tol=tol, predicted=pred, deltas=deltas,
-                              measured=measured)
+    lz2, measured["sigma_lz2"], deltas["sigma_lz2"] = _in_hbar(
+        config, 2, ("sigma_Lz^2 prediction at n={}", n), pred.sigma_lz2,
+        measured["sigma_lz2"], deltas["sigma_lz2"])
+    measured["lz"], deltas["lz"], _ = _in_hbar(config, 1, "<L_z>", lz,
+                                               deltas["lz"])
+    return PacketVerification(ok=ok, tol=tol,
+                              predicted=replace(pred, sigma_lz2=lz2),
+                              deltas=deltas, measured=measured)

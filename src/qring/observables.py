@@ -8,8 +8,9 @@ do not repeat them.  Trigonometric moments read the density harmonics
 rho_k, computed once per state and cached on it
 (``CircleState.harmonics``): <exp(i k phi)> = conj(rho_k), so
 (<X_n>, <Y_n>) = (Re rho_n, -Im rho_n) and R_n = |rho_n|, all zero past
-the mode span; every R_n is a C hypot.  hbar enters only through L_z,
-read from the ``Config`` given to ``expect_lz`` and ``sigma_lz``.
+the mode span; every R_n is a C hypot, and counts as zero below its
+rounding bound ``_R_ZERO``.  hbar enters only through L_z, in
+``expect_lz`` and ``sigma_lz``.
 
 The window-dependent angle moments integrate phi rho and phi^2 rho over
 [beta, beta + 2pi].  Integrating each harmonic by parts gives, with
@@ -35,7 +36,8 @@ import math
 
 import numpy as np
 
-from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config, _phase_sums
+from .state import (DEFAULT_CONFIG, MAX_MODE, CircleState, Config, _in_hbar,
+                    _phase_sums)
 
 __all__ = [
     "expect_xy",
@@ -49,6 +51,13 @@ __all__ = [
 ]
 
 _HARMONIC_STEPS = np.array([1j])  # harmonics 1, 2, 3, ...: steps of 1
+
+# the zero of R_n by L = harmonics.size: rho_n, a complex inner product of
+# at most L terms with sum |c|^2 = 1, rounds by at most sqrt(2) gamma_{L+2},
+# gamma_k = k u/(1 - k u), u = 2**-53 (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., ch. 3): 1.61e-13 at the widest L = 1025
+_R_ZERO = [math.sqrt(2.0) * k * 2.0**-53 / (1.0 - k * 2.0**-53)
+           for k in range(2, 2 * MAX_MODE + 4)]
 
 # the weights e^{ik beta}/k and e^{ik beta}/k^2 at the seam beta = -pi,
 # where e^{ik beta} = (-1)^k, for k = 1 .. the widest span
@@ -72,12 +81,12 @@ def expect_xy(state: CircleState, n: int) -> tuple[float, float]:
 
 def expect_lz(state: CircleState, config: Config = DEFAULT_CONFIG) -> float:
     """<L_z> = hbar sum mu |c|^2; real by construction."""
-    return config.hbar * state.lz_moments[0]
+    return _in_hbar(config, 1, "<L_z>", state.lz_moments[0])[0]
 
 
 def sigma_lz(state: CircleState, config: Config = DEFAULT_CONFIG) -> float:
     """Standard deviation of L_z from the exact centred diagonal sum."""
-    return config.hbar * math.sqrt(state.lz_moments[1])
+    return _in_hbar(config, 1, "sigma_Lz", math.sqrt(state.lz_moments[1]))[0]
 
 
 def sigma_xy(state: CircleState, n: int) -> tuple[float, float]:
@@ -99,14 +108,14 @@ def mean_resultant(state: CircleState, n: int) -> float:
     return abs(rho.item(n)) if n < rho.size else 0.0
 
 
-def mean_angle(state: CircleState,
-               config: Config = DEFAULT_CONFIG) -> float | None:
-    """Mean direction in (-pi, pi], or None when R_1 < cmp_tol.
+def mean_angle(state: CircleState) -> float | None:
+    """Mean direction in (-pi, pi], or None when R_1 is below its rounding
+    bound ``_R_ZERO``.
 
     Defined through <X> = R cos<phi>, <Y> = R sin<phi>; with no first
     harmonic anisotropy there is no preferred direction.
     """
-    if mean_resultant(state, 1) < config.cmp_tol:
+    if mean_resultant(state, 1) < _R_ZERO[state.harmonics.size]:
         return None
     ex, ey = expect_xy(state, 1)
     phi = math.atan2(ey, ex)
@@ -115,21 +124,20 @@ def mean_angle(state: CircleState,
     return phi
 
 
-def sigma_total(state: CircleState, n: int,
-                config: Config = DEFAULT_CONFIG) -> float:
+def sigma_total(state: CircleState, n: int) -> float:
     """Total spread sigma_n = (1/n) sqrt(1 - R_n^2) / R_n.
 
     R_n is read straight from the cached harmonics, by the C hypot of
     ``mean_resultant``.  Returns ``math.inf`` when R_n is numerically zero
-    (below cmp_tol), the one place that gate is decided for a scalar n;
-    the infinite value is meaningful and propagates through the total
-    uncertainty check.
+    (below its rounding bound ``_R_ZERO``), the one place that gate is
+    decided for a scalar n; the infinite value is meaningful and
+    propagates through the total uncertainty check.
     """
     if n < 1:
         raise ValueError("harmonic index n must be >= 1")
     rho = state.harmonics
     r = abs(rho.item(n)) if n < rho.size else 0.0
-    if r < config.cmp_tol:
+    if r < _R_ZERO[rho.size]:
         return math.inf
     return math.sqrt(max(1.0 - r * r, 0.0)) / (n * r)
 

@@ -93,9 +93,9 @@ def _phase_sums(points: np.ndarray, ifreqs: np.ndarray, columns: np.ndarray,
 @dataclass(frozen=True)
 class Config:
     """Units and tolerances, their one home: hbar sets the angular momentum
-    scale and cmp_tol the comparison tolerance for verdicts.  Only the
-    functions that read one of them take a Config; a state carries none.
-    """
+    scale, entering a value only through ``_in_hbar``, and cmp_tol the
+    tolerance of every verdict, decided at hbar = 1.  Only the functions
+    that read one of them take a Config; a state carries none."""
 
     hbar: float = 1.0
     cmp_tol: float = 1e-9
@@ -108,6 +108,30 @@ class Config:
 
 
 DEFAULT_CONFIG = Config()
+
+
+def _in_hbar(config: Config, power: int, what, x, y=0.0, z=0.0) -> tuple:
+    """(x, y, z), floats or arrays at hbar = 1 of degree ``power`` in hbar,
+    each multiplied by ``config.hbar`` ``power`` times (hbar**power may
+    overflow where the product does not): the one place hbar enters a value.
+    A finite value that comes out infinite raises ``OverflowError`` naming
+    ``what``, a string or a ``str.format`` string and its arguments in one
+    tuple; an infinite one (an isotropic sigma_n) stays infinite."""
+    hbar = config.hbar
+    sx, sy, sz = x, y, z
+    while power:  # a while loop: range() would cost more than the product
+        sx, sy, sz = sx * hbar, sy * hbar, sz * hbar
+        power -= 1
+    total = sx + sy + sz  # finite when every value is, in one test
+    if not (math.isfinite(total) if type(total) is float
+            else np.isfinite(total).all()):
+        for value, out in ((x, sx), (y, sy), (z, sz)):
+            if np.any(np.isinf(out) & np.isfinite(value)):
+                name = (what if isinstance(what, str)
+                        else what[0].format(*what[1:]))
+                raise OverflowError(f"{name} overflows float64 "
+                                    f"(hbar={hbar!r}); use a smaller hbar")
+    return sx, sy, sz
 
 
 @dataclass(frozen=True, eq=False)

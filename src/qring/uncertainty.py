@@ -9,28 +9,22 @@ their combination into the total bound sigma_n * sigma_Lz >= hbar/2, and
 the window-anchored bound sigma_phi * sigma_Lz >= (hbar/2)(1 - 2pi rho(pi))
 with the window start fixed at -pi, for every boundary phase.  All four
 are theorems, so ``holds`` is expected true for every valid state; the
-interesting output is the slack and the saturation flag.  hbar and the
-tolerance come from the ``Config`` each check is given.  A side that
-overflows float64 (a huge hbar) raises ``OverflowError`` rather than
-giving a verdict on infinities; the one infinite side allowed is the
+interesting output is the slack and the saturation flag.  Each bound is
+homogeneous of degree 1 in hbar: a check decides ``holds`` and
+``saturated`` on its sides at hbar = 1 against ``Config.cmp_tol``, then
+scales the sides and the slack by ``state._in_hbar``, which raises the
+``OverflowError`` of a huge hbar; the one infinite side allowed is the
 total bound's left side when sigma_n is infinite.
 
-The scalar checks evaluate one bound at one n in Python floats.  The X
-and Y checks share one helper, which reads rho_n and rho_2n straight from
-the cached harmonics and sigma_Lz from the cached moments, once each, with
-no observable call in between; the total check reads sigma_Lz the same
-way and sigma_n from ``sigma_total``.  A check costs a few float
-operations and the frozen ``URReport`` it returns, whose fields are stored
-into its dict one by one.  The window bound (Franke-Arnold et al., New J.
-Phys. 6, 103 (2004)) is two alternating sums over the harmonics, since
-e^{-ik pi} = (-1)^k: two dot products give the angle spread and the even
-and odd sums the density at the seam, with no phase table.
-``series_columns`` evaluates the observables and the three per-n bound
-families for every n = 1..nmax at once, as arrays over rho_1..rho_nmax
-and rho_2..rho_2nmax (zero past the mode span), with the same arithmetic
-as the scalar checks, so every value is bit-identical to theirs.  The
-columns, the symmetry detection and ``recommend_n`` read the moduli R_k
-from the per-state cache ``CircleState.resultants``.
+The scalar checks evaluate one bound at one n in Python floats, reading
+rho_n, rho_2n and sigma_Lz straight from the per-state caches with no
+observable call in between (sigma_n from ``sigma_total``), and return a
+frozen ``URReport``.  ``series_columns`` evaluates the observables and
+the three per-n bound families for every n = 1..nmax at once, as arrays
+over rho_1..rho_nmax and rho_2..rho_2nmax (zero past the mode span), with
+the same arithmetic as the scalar checks, so every value is bit-identical
+to theirs.  The columns, the symmetry detection and ``recommend_n`` read
+the moduli R_k from the per-state cache ``CircleState.resultants``.
 """
 
 import math
@@ -40,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .observables import _seam_spread, sigma_lz, sigma_total
-from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config
+from .observables import _R_ZERO, _seam_spread, sigma_total
+from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config, _in_hbar
 
 __all__ = [
     "URKind",
@@ -105,33 +99,23 @@ class URReport:
         fields["saturated"] = saturated
 
 
-def _overflow(kind: URKind, n: int, lhs: float, rhs: float) -> OverflowError:
-    return OverflowError(
-        f"{kind.value} bound at n={n} overflows float64 (lhs={lhs!r}, "
-        f"rhs={rhs!r}); use a smaller hbar")
-
-
-def _report(kind: URKind, n: int, lhs: float, rhs: float, tol: float,
-            infinite_lhs: bool = False) -> URReport:
-    """Verdict of lhs >= rhs.  ``infinite_lhs`` marks a left side that is
-    infinite by definition; any other non-finite side is an overflow."""
-    if not (math.isfinite(rhs) and (infinite_lhs or math.isfinite(lhs))):
-        raise _overflow(kind, n, lhs, rhs)
-    slack = lhs - rhs
-    return URReport(kind, n, lhs, rhs, slack, bool(slack >= -tol),
-                    bool(math.isfinite(slack) and abs(slack) <= tol))
+def _report(kind: URKind, n: int, lhs: float, rhs: float,
+            config: Config) -> URReport:
+    """Verdict of lhs >= rhs on the sides at hbar = 1, reported in the
+    units of ``config.hbar``."""
+    slack, tol = lhs - rhs, config.cmp_tol
+    what = ("{.value} bound at n={}", kind, n)
+    lhs, rhs, scaled = _in_hbar(config, 1, what, lhs, rhs, slack)
+    return URReport(kind, n, lhs, rhs, scaled, slack >= -tol,
+                    abs(slack) <= tol)
 
 
 def _axis_check(kind: URKind, state: CircleState, n: int,
                 config: Config) -> URReport:
-    """The X_AXIS or Y_AXIS bound at n: the spread of one axis against
-    the mean of the other, with the arithmetic of ``sigma_xy``.
-
-    rho_n and rho_2n are read once each from the cached harmonics, 0 past
-    the mode span as ``expect_xy`` gives them, and sigma_Lz from the
-    cached moments as ``sigma_lz`` computes it.  <Yn> = -Im rho_n enters
-    only through its square and its modulus, so Im rho_n stands in for it.
-    """
+    """The X_AXIS or Y_AXIS bound at n with the arithmetic of
+    ``sigma_xy``, from rho_n and rho_2n of the cached harmonics (0 past the
+    span) and the cached sigma_Lz.  <Yn> = -Im rho_n enters only through
+    its square and its modulus, so Im rho_n stands in for it."""
     if n < 1:
         raise ValueError("harmonic index n must be >= 1")
     rho = state.harmonics
@@ -141,10 +125,8 @@ def _axis_check(kind: URKind, state: CircleState, n: int,
         var, other = 0.5 * (1.0 + x2n) - z.real * z.real, z.imag
     else:
         var, other = 0.5 * (1.0 - x2n) - z.imag * z.imag, z.real
-    hbar = config.hbar
-    lhs = math.sqrt(max(var, 0.0)) * (hbar * math.sqrt(state.lz_moments[1]))
-    rhs = 0.5 * n * hbar * abs(other)
-    return _report(kind, n, lhs, rhs, config.cmp_tol)
+    lhs = math.sqrt(max(var, 0.0)) * math.sqrt(state.lz_moments[1])
+    return _report(kind, n, lhs, 0.5 * n * abs(other), config)
 
 
 def check_ur_x(state: CircleState, n: int,
@@ -161,40 +143,31 @@ def check_ur_y(state: CircleState, n: int,
 
 def check_total_ur(state: CircleState, n: int,
                    config: Config = DEFAULT_CONFIG) -> URReport:
-    """sigma_n * sigma_Lz against hbar/2.
-
-    An infinite sigma_n (vanishing R_n) makes the left side infinite and
-    the bound trivially true, matching the convention that the total
-    spread of an isotropic harmonic is infinite.
-    """
-    sn = sigma_total(state, n, config)
-    infinite = math.isinf(sn)
-    hbar = config.hbar
-    lhs = (math.inf if infinite
-           else sn * (hbar * math.sqrt(state.lz_moments[1])))
-    return _report(_TOTAL, n, lhs, 0.5 * hbar, config.cmp_tol, infinite)
+    """sigma_n * sigma_Lz against hbar/2.  An infinite sigma_n (R_n below
+    its rounding bound, an isotropic harmonic) makes the left side
+    infinite and the bound trivially true."""
+    sn = sigma_total(state, n)
+    lhs = math.inf if math.isinf(sn) else sn * math.sqrt(state.lz_moments[1])
+    return _report(_TOTAL, n, lhs, 0.5, config)
 
 
 def check_fujikawa(state: CircleState,
                    config: Config = DEFAULT_CONFIG) -> URReport:
     """Window bound sigma_phi * sigma_Lz >= (hbar/2)(1 - 2 pi rho(pi)).
 
-    The window bound of Franke-Arnold et al., New J. Phys. 6, 103 (2004).
-    The window start is fixed at beta = -pi, so the angle spread is taken
-    over (-pi, pi] and the right side probes the density at the seam.
-    There e^{ik beta} = (-1)^k exactly, so both sides are alternating sums
-    over the harmonics: the spread from the two dot products of
-    ``observables._seam_spread``, the density from the even and odd sums.
-    A negative right side makes the bound trivial.  Every boundary phase
-    theta is supported: the density does not depend on theta, and the
-    bound's boundary term is (hbar/2)(1 - 2 pi rho(pi)) for every theta.
+    The window bound of Franke-Arnold et al., New J. Phys. 6, 103 (2004),
+    at the window start beta = -pi: the angle spread over (-pi, pi] and
+    the density at the seam, where e^{ik beta} = (-1)^k, are alternating
+    sums over the harmonics (``observables._seam_spread`` and the even and
+    odd sums), with no phase table.  A negative right side makes the bound
+    trivial.  Every boundary phase theta is supported: the density, and
+    so the boundary term, does not depend on theta.
     """
-    lhs = _seam_spread(state) * sigma_lz(state, config)
+    lhs = _seam_spread(state) * math.sqrt(state.lz_moments[1])
     # 2 pi rho(pi) = rho_0 + 2 Re sum_{k>=1} rho_k (-1)^k
     rho = state.harmonics.real
     two_pi_rho = rho.item(0) + 2.0 * float(rho[2::2].sum() - rho[1::2].sum())
-    rhs = 0.5 * config.hbar * (1.0 - two_pi_rho)
-    return _report(_FUJIKAWA, 1, lhs, rhs, config.cmp_tol)
+    return _report(_FUJIKAWA, 1, lhs, 0.5 * (1.0 - two_pi_rho), config)
 
 
 class BoundColumns(NamedTuple):
@@ -229,11 +202,12 @@ class SeriesColumns(NamedTuple):
     total: BoundColumns
 
 
-def _bound_columns(lhs: np.ndarray, rhs: np.ndarray,
-                   tol: float) -> BoundColumns:
-    slack = lhs - rhs
-    return BoundColumns(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= -tol,
-                        saturated=np.isfinite(slack) & (np.abs(slack) <= tol))
+def _bound_columns(kind: URKind, lhs: np.ndarray, rhs: np.ndarray,
+                   config: Config) -> BoundColumns:
+    """``_report`` over the columns of one bound family."""
+    slack, tol = lhs - rhs, config.cmp_tol
+    scaled = _in_hbar(config, 1, f"{kind.value} bounds", lhs, rhs, slack)
+    return BoundColumns(*scaled, slack >= -tol, np.abs(slack) <= tol)
 
 
 def series_columns(state: CircleState, nmax: int,
@@ -261,33 +235,30 @@ def series_columns(state: CircleState, nmax: int,
     sy = np.sqrt(np.maximum(0.5 * (1.0 - x2n) - ey * ey, 0.0))
     r = np.zeros(nmax)
     r[:inside] = state.resultants[1 : inside + 1]
-    isotropic = r < config.cmp_tol
+    isotropic = r < _R_ZERO[rho.size]
     safe_r = np.where(isotropic, 1.0, r)
     sn = np.sqrt(np.maximum(1.0 - safe_r * safe_r, 0.0)) / (n * safe_r)
     sn[isotropic] = math.inf
-    slz = sigma_lz(state, config)
-    hbar = config.hbar
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_lhs = sx * slz
-        x_rhs = 0.5 * n * hbar * np.abs(ey)
-        y_lhs = sy * slz
-        y_rhs = 0.5 * n * hbar * np.abs(ex)
-        t_lhs = np.where(isotropic, math.inf, sn * slz)
-    t_rhs = np.full(nmax, 0.5 * hbar)  # finite: Config keeps hbar finite
-    sides = np.concatenate((x_lhs, x_rhs, y_lhs, y_rhs, t_lhs[~isotropic]))
-    if not np.isfinite(sides).all():
+    slz = math.sqrt(state.lz_moments[1])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_axis = _bound_columns(_X_AXIS, sx * slz, 0.5 * n * np.abs(ey),
+                                    config)
+            y_axis = _bound_columns(_Y_AXIS, sy * slz, 0.5 * n * np.abs(ex),
+                                    config)
+            total = _bound_columns(
+                _TOTAL, np.where(isotropic, math.inf, sn * slz),
+                np.full(nmax, 0.5), config)
+    except OverflowError:
         # the scalar check that owns the overflow raises its own error
         for i in range(1, nmax + 1):
             for check in (check_ur_x, check_ur_y, check_total_ur):
                 check(state, i, config)
-    tol = config.cmp_tol
+        raise
     return SeriesColumns(
         n=n, ex=ex, ey=ey, r_n=r, sigma_x=sx, sigma_y=sy,
         sigma_tilde=np.sqrt(sx * sx + sy * sy), sigma_n=sn,
-        x_axis=_bound_columns(x_lhs, x_rhs, tol),
-        y_axis=_bound_columns(y_lhs, y_rhs, tol),
-        total=_bound_columns(t_lhs, t_rhs, tol),
-    )
+        x_axis=x_axis, y_axis=y_axis, total=total)
 
 
 def detect_fold_symmetry(state: CircleState, tol: float = 1e-9) -> int:

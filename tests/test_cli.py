@@ -138,7 +138,7 @@ FAILURES = [
     (["examples", "sin-power", "--n", "1025"], 2,
      "mode index 513 exceeds the cap 512"),
     (["--hbar", "1.5e308", "examples", "superposition", "--m", "0"], 2,
-     "sigma_Lz of the superposition example overflows float64 "
+     "sigma_lz of the superposition example overflows float64 "
      "(hbar=1.5e+308); use a smaller hbar"),
     (["--hbar", "-1", "examples"], 2, "hbar must be positive and finite"),
     (["--tol", "2", "curve", "f", "--from", "0", "--to", "1", "--step", "1"],
@@ -241,6 +241,19 @@ class TestExamples:
         assert json.loads(out)["all_pass"]
         assert "[FAIL]" not in err
 
+    @pytest.mark.parametrize("alpha", ["1e-9", "1e-11"])
+    def test_resultant_between_rounding_bound_and_tol_exit_0(self, capsys,
+                                                             alpha):
+        # R_1 = alpha/2 lies below --tol but far above its rounding bound,
+        # 7.9e-16 here: the product is finite, 0.7071, not inf
+        code, out, err = run_cli(capsys, "examples", "von-mises",
+                                 "--alpha", alpha)
+        assert code == 0 and "[FAIL]" not in err
+        checks = {c["quantity"]: c
+                  for c in json.loads(out)["cases"][0]["checks"]}
+        assert checks["total_product"]["measured"] == pytest.approx(
+            0.5 * math.sqrt(2.0), rel=1e-9)
+
     def test_unread_packet_prediction_does_not_fail(self, capsys):
         # the von Mises packet's sigma_Lz^2 prediction would overflow at
         # 1e307, but the example reads only the packet's state
@@ -258,11 +271,13 @@ class TestExamples:
 
     @pytest.mark.parametrize("argv,named", [
         (["--hbar", "1.5e308", "examples", "superposition", "--k", "3",
-          "--m", "0"], "sigma_Lz of the superposition example"),
-        (["--hbar", "1e308", "examples", "cos-2phi"], "TOTAL bound at n=4"),
+          "--m", "0"], "sigma_lz of the superposition example"),
+        (["--hbar", "1e308", "examples", "cos-2phi"],
+         "sigma_lz of the cos-2phi example"),
     ], ids=["superposition", "cos-2phi"])
     def test_overflowing_measurement_exit_2(self, capsys, argv, named):
-        # an infinite sigma_Lz never passes against an infinite expectation
+        # an infinite sigma_Lz never passes against an infinite expectation;
+        # the first row of degree 1 in hbar, sigma_lz, names the overflow
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -535,6 +550,24 @@ class TestReport:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("hbar", ["1e-12", "1e8"])
+    def test_packet_verdicts_do_not_depend_on_hbar(self, capsys, tmp_path,
+                                                   hbar):
+        # the n = 3 X packet saturates its X_AXIS bound at n = 3 and no
+        # other row; at 1e8 that slack read -1.49e-8 and the report exited
+        # 1, at 1e-12 ten of its thirteen rows read saturated
+        path = write_state(tmp_path, mwp_x(3, 0, 5.0)[1])
+
+        def flags(*argv):
+            code, out, _ = run_cli(capsys, *argv, "report", path)
+            assert code == 0
+            return [(c["kind"], c["n"], c["holds"], c["saturated"])
+                    for c in json.loads(out)["uncertainty"]]
+
+        unit = flags()
+        assert [row[:2] for row in unit if row[3]] == [("X_AXIS", 3)]
+        assert flags("--hbar", hbar) == unit
+
     def test_large_hbar_exit_0(self, capsys, tmp_path):
         # every side of every bound is finite at this hbar
         path = write_state(tmp_path, random_state(6, 11))
@@ -558,7 +591,8 @@ class TestReport:
         # R_n = 0 below n = 100 leaves every TOTAL lhs infinite by
         # definition and both axis spreads at 0.71, so at this hbar only
         # the window bound's lhs, 1.8 sigma_Lz, overflows; its error line
-        # reads like the others, with no numpy warning before it
+        # reads like the others, with no numpy warning before it, and names
+        # the hbar of the overflow
         path = tmp_path / "wide.txt"
         path.write_text("theta 0\n0 1 0\n100 1 0\n")
         code, out, err = run_cli(capsys, "--hbar", "3e306", "report",
@@ -566,8 +600,7 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert err == ("error: FUJIKAWA bound at n=1 overflows float64 "
-                       "(lhs=inf, rhs=-1.4999999999999995e+306); use a "
-                       "smaller hbar\n")
+                       "(hbar=3e+306); use a smaller hbar\n")
 
     @pytest.mark.parametrize("mode", ["9223372036854775808",
                                       "-9223372036854775808",
@@ -746,6 +779,23 @@ class TestMwp:
                                    for phi, value in csv_rows]
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
+    @pytest.mark.parametrize("hbar", ["1e8", "2e-40"])
+    def test_verification_does_not_depend_on_hbar(self, capsys, hbar):
+        # at 1e8 the sigma_lz2 delta read 2.0 and the lz delta 6.1e-9, so
+        # the packet failed its own verification
+        argv = ["mwp", "--axis", "X", "--n", "1", "--kappa", "5"]
+        code, out, _ = run_cli(capsys, "--hbar", hbar, *argv)
+        assert code == 0
+        got = json.loads(out)
+        unit = json.loads(run_cli(capsys, *argv)[1])
+        assert got["verification"]["ok"] is True
+        h = float(hbar)
+        assert got["measured"]["lz"] == unit["measured"]["lz"] * h
+        assert got["measured"]["sigma_lz2"] == (
+            unit["measured"]["sigma_lz2"] * h * h)
+        assert got["predicted"]["sigma_lz2"] == (
+            unit["predicted"]["sigma_lz2"] * h * h)
+
     @pytest.mark.parametrize("hbar,n,kappa", [("1e308", "2", "5"),
                                               ("1e154", "1", "5000")])
     def test_overflowing_prediction_exit_2(self, capsys, hbar, n, kappa):
@@ -917,10 +967,10 @@ def observable_row(state, n, cfg):
     """Oracle: the ``report`` observables at n from the scalar functions."""
     (ex, ey), (sx, sy) = expect_xy(state, n), sigma_xy(state, n)
     return {"n": n, "ex": ex, "ey": ey, "r_n": mean_resultant(state, n),
-            "mean_phi": mean_angle(state, cfg), "sigma_x": sx, "sigma_y": sy,
+            "mean_phi": mean_angle(state), "sigma_x": sx, "sigma_y": sy,
             "sigma_lz": sigma_lz(state, cfg),
             "sigma_tilde": math.sqrt(sx * sx + sy * sy),
-            "sigma_n": sigma_total(state, n, cfg)}
+            "sigma_n": sigma_total(state, n)}
 
 
 def asdict_report(state, nmax, cfg=Config()):

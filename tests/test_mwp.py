@@ -100,7 +100,7 @@ class TestConstruction:
         # 1 - r/kappa - r^2 cancels as r nears 1: it was off by 3.5e-8
         # relative at kappa 1e4; the prediction needs no state
         mpmath = pytest.importorskip("mpmath")
-        pred = _predictions(VonMisesPacket(axis, 1, 0, kappa), 1.0)
+        pred = _predictions(VonMisesPacket(axis, 1, 0, kappa))
         across2 = pred.sigma_y2 if axis is Axis.X else pred.sigma_x2
         with mpmath.workdps(60):
             k = mpmath.mpf(kappa)

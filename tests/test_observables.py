@@ -166,13 +166,29 @@ class TestMeanAngle:
         assert -math.pi < val <= math.pi
 
     def test_threshold_at_r1_reads_the_resultant(self):
-        # R_1 against cmp_tol by the bits of mean_resultant: at cmp_tol =
-        # R_1 the state is anisotropic, as sigma_total says
-        s = random_state(3, 7)
-        cfg = Config(cmp_tol=mean_resultant(s, 1))
-        ex, ey = expect_xy(s, 1)
-        assert mean_angle(s, cfg) == math.atan2(ey, ex)
-        assert math.isfinite(sigma_total(s, 1, cfg))
+        # R_1 against its rounding bound sqrt(2) gamma_{L+2}, L = 2 here, by
+        # the bits of mean_resultant: at R_1 = the bound the state is
+        # anisotropic, as sigma_total says, and below it isotropic
+        u = 2.0**-53
+        zero = math.sqrt(2.0) * 4 * u / (1 - 4 * u)
+        for scale in (0.5, 0.99, 1.0, 1.01, 2.0, 1e6):
+            s = from_fourier({0: 1.0, 1: scale * zero})
+            r1 = mean_resultant(s, 1)
+            assert r1 == scale * zero  # the norm rounds to 1
+            ex, ey = expect_xy(s, 1)
+            assert (mean_angle(s) == math.atan2(ey, ex)) is (scale >= 1.0)
+            assert (mean_angle(s) is None) is (scale < 1.0)
+            assert math.isfinite(sigma_total(s, 1)) is (scale >= 1.0)
+
+    def test_rounding_bound_of_the_widest_span(self):
+        # L = 1025 harmonics: sqrt(2) gamma_1027 = 1.61e-13; far below the
+        # verdict tolerance, which no longer gates R_n
+        s = from_fourier({-512: 1.0, 512: 1e-13})
+        assert s.harmonics.size == 1025
+        assert mean_resultant(s, 1024) == pytest.approx(1e-13, rel=1e-12)
+        assert math.isinf(sigma_total(s, 1024))
+        s = from_fourier({-512: 1.0, 512: 2e-13})
+        assert math.isfinite(sigma_total(s, 1024))
 
     @pytest.mark.parametrize("delta", [0.4, 2.0, -1.3, 5.9])
     def test_equivariance(self, delta):

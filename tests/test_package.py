@@ -159,6 +159,47 @@ def test_only_main_maps_failures_to_exit_codes():
     assert outside == []
 
 
+def _reads(predicate):
+    """(file, innermost function, node) of each node of the package that
+    satisfies predicate."""
+    found = []
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(child, ast.FunctionDef)
+                     else function)
+            if predicate(child):
+                found.append((path.name, inner, child))
+            visit(child, path, inner)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), path, None)
+    return found
+
+
+def test_hbar_enters_in_one_place():
+    # hbar is a unit: one helper scales every printed value and names the
+    # overflow; every other function works at hbar = 1
+    builds = _reads(lambda node: isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "OverflowError")
+    assert {(path, fn) for path, fn, _ in builds} == {
+        ("state.py", "_in_hbar")}
+    reads = _reads(lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == "hbar" and isinstance(node.ctx, ast.Load))
+    # Config validates its own field and main builds it from the option;
+    # neither is a read of a Config's unit
+    assert sorted((path, fn, node.value.id) for path, fn, node in reads) == [
+        ("cli.py", "main", "args"), ("cli.py", "run_report", "cfg"),
+        ("state.py", "__post_init__", "self"),
+        ("state.py", "__post_init__", "self"),
+        ("state.py", "_in_hbar", "config")]
+    payload, = [node for path, fn, node in _reads(
+        lambda node: isinstance(node, ast.Dict)) if fn == "run_report"
+        and any(getattr(k, "value", None) == "hbar" for k in node.keys)]
+    assert any(isinstance(v, ast.Attribute) and v.attr == "hbar"
+               for v in payload.values)
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

@@ -1,8 +1,9 @@
 """Property tests over generated states: the running-product phase tables
 against the direct exp of every (point, frequency) pair, the seam sums of
 the window bound against the phase tables, the state file round trip,
-every bound over the whole n-series, what a rotation keeps and swaps, and
-the CLI's JSON row tables against ``json.dumps(indent=2)``."""
+every bound over the whole n-series, what a rotation keeps and swaps, the
+CLI's JSON row tables against ``json.dumps(indent=2)``, verdicts that do
+not depend on hbar, and no NaN or inf behind a true verdict."""
 
 import contextlib
 import dataclasses
@@ -10,13 +11,16 @@ import io
 import json
 import math
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qring.cli
-from qring.observables import (angle_moments_beta, expect_lz, sigma_lz,
-                               sigma_xy)
+from qring.mwp import mwp_x, mwp_y, verify_packet
+from qring.observables import (_R_ZERO, angle_moments_beta, expect_lz,
+                               sigma_lz, sigma_total, sigma_xy)
 from qring.state import MAX_MODE, Config, dump_state, from_fourier, load_state
 from qring.uncertainty import (
     check_fujikawa,
@@ -158,7 +162,7 @@ def test_boundary_phase_moves_only_the_mean_lz(state, theta):
 def test_every_bound_holds_over_the_series(state):
     # theorems at every n up to the span and at every boundary phase, on
     # finite sides; the one infinite side is the TOTAL left side of an
-    # isotropic harmonic, R_n below cmp_tol
+    # isotropic harmonic, R_n below its rounding bound
     cols = series_columns(state, max(state.mode_span, 1))
     for bounds in (cols.x_axis, cols.y_axis, cols.total):
         assert bounds.holds.all()
@@ -167,8 +171,8 @@ def test_every_bound_holds_over_the_series(state):
         assert np.isfinite(bounds.rhs).all()
     assert np.isfinite(cols.x_axis.lhs).all()
     assert np.isfinite(cols.y_axis.lhs).all()
-    isotropic = cols.r_n < Config().cmp_tol
-    assert np.all(np.isfinite(cols.total.lhs) | isotropic)
+    isotropic = cols.r_n < _R_ZERO[state.harmonics.size]
+    assert np.array_equal(np.isinf(cols.total.lhs), isotropic)
     rep = check_fujikawa(state)
     assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
     assert rep.holds
@@ -214,10 +218,11 @@ def test_rotation_keeps_resultants_spreads_and_total_slack(state, delta):
     assert detect_fold_symmetry(turned) == detect_fold_symmetry(state)
     slz, dlz = lz_error(state, turned)
     assert abs(slz[0] - slz[1]) <= dlz
-    # sigma_n is infinite below R_n = cmp_tol, which rounding may cross
+    # sigma_n is infinite below the rounding bound of R_n, which rounding
+    # may cross
     r_lo = np.minimum(a.r_n, b.r_n)
     same_inf = np.isinf(a.sigma_n) == np.isinf(b.sigma_n)
-    assert np.all(same_inf | (r_lo < 1e-9 + dr))
+    assert np.all(same_inf | (r_lo < _R_ZERO[state.harmonics.size] + dr))
     finite = np.isfinite(a.sigma_n) & np.isfinite(b.sigma_n)
     n = a.n[finite]
     r0, r1 = a.r_n[finite], b.r_n[finite]
@@ -266,3 +271,149 @@ def test_row_table_equals_indented_dumps(rows):
     with contextlib.redirect_stdout(buf):
         qring.cli._write_json(rows)
     assert buf.getvalue() == json.dumps(rows, indent=2) + "\n"
+
+
+# hbar is a unit: every verdict must be the same at each of these
+HBARS = (2.0**-40, 1e-12, 1.0, 1e8, 2.0**60)
+# the exact axis-saturating packets: the X packet saturates the X_AXIS
+# bound at its own n, the Y packet the Y_AXIS bound
+PACKETS = [(build, n, m, kappa) for build in (mwp_x, mwp_y)
+           for n in (1, 2, 3) for m in (-3, 0, 7)
+           for kappa in (0.5, 2.0, 5.0, 50.0, 500.0)]
+
+
+def verdicts(state, nmax, cfg):
+    """(holds, saturated) of every scalar check up to nmax and of the
+    window bound, and the verdict columns of ``series_columns``."""
+    reports = [check(state, n, cfg) for n in range(1, nmax + 1)
+               for check in (check_ur_x, check_ur_y, check_total_ur)]
+    reports.append(check_fujikawa(state, cfg))
+    cols = series_columns(state, nmax, cfg)
+    return ([(r.holds, r.saturated) for r in reports],
+            [(b.holds.tolist(), b.saturated.tolist())
+             for b in (cols.x_axis, cols.y_axis, cols.total)])
+
+
+def run_main(*argv):
+    """(exit code, JSON document) of an in-process ``qring`` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = qring.cli.main(list(argv))
+    return code, json.loads(out.getvalue())
+
+
+def assert_true_verdicts_finite(doc):
+    """No NaN or inf behind a true ``holds``, ``saturated``, ``ok`` or
+    ``pass`` of a CLI document, but for the documented infinities: the
+    TOTAL left side (and slack) of an infinite sigma_n, and the infinite
+    rows of a superposition with |k - m| != 1."""
+    if "uncertainty" in doc:
+        infinite = {row["n"] for row in doc["observables"]
+                    if row["sigma_n"] == math.inf}
+        for row in doc["uncertainty"]:
+            values = [row["lhs"], row["rhs"], row["slack"]]
+            if (row["kind"] == "TOTAL" and row["n"] in infinite
+                    and not row["saturated"]):
+                assert values[0] == values[2] == math.inf, row
+                values = values[1:2]
+            if row["holds"] or row["saturated"]:
+                assert all(map(math.isfinite, values)), row
+    elif "cases" in doc:
+        for case in doc["cases"]:
+            for row in case["checks"]:
+                pair = (row["expected"], row["measured"])
+                if row["pass"] and pair != (math.inf, math.inf):
+                    assert all(map(math.isfinite, pair)), row
+                if pair == (math.inf, math.inf):
+                    assert case["id"] == "superposition", row
+    elif doc["verification"]["ok"]:
+        values = [*doc["predicted"].values(), *doc["measured"].values(),
+                  *doc["verification"]["deltas"].values()]
+        assert all(map(math.isfinite, values)), doc
+
+
+@hypothesis.settings(max_examples=20)
+@hypothesis.given(states())
+def test_verdicts_do_not_depend_on_hbar(state):
+    # every bound is homogeneous of degree 1 in hbar, so a verdict decided
+    # against cmp_tol at hbar = 1 holds in any unit
+    nmax = min(state.mode_span, 16) + 1
+    unit = verdicts(state, nmax, Config())
+    for hbar in HBARS:
+        assert verdicts(state, nmax, Config(hbar=hbar)) == unit
+
+
+def test_packet_verdicts_do_not_depend_on_hbar():
+    # at hbar = 1e8 only 18 of these 90 checks read saturated, 3 read
+    # holds: false, and packets failed their own verification
+    for build, n, m, kappa in PACKETS:
+        packet, state = build(n, m, kappa)
+        own = check_ur_x if build is mwp_x else check_ur_y
+        unit = (verdicts(state, 4, Config()),
+                verify_packet(packet, state).ok)
+        for hbar in HBARS:
+            cfg = Config(hbar=hbar)
+            assert own(state, n, cfg).saturated, (build, n, m, kappa, hbar)
+            assert (verdicts(state, 4, cfg),
+                    verify_packet(packet, state, cfg).ok) == unit
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "1e-17"])
+def test_examples_verdicts_do_not_depend_on_hbar(tol):
+    # at --tol 1e-17 rounding fails some rows at hbar = 1; a row compared
+    # in units of a tiny hbar would pass them
+    def passes(hbar):
+        code, doc = run_main("--hbar", repr(hbar), "--tol", tol, "examples")
+        assert_true_verdicts_finite(doc)
+        return code, [(case["id"], row["quantity"], row["pass"])
+                      for case in doc["cases"] for row in case["checks"]]
+
+    unit = passes(1.0)
+    assert (unit[0] == 0) is (tol == "1e-9")
+    for hbar in HBARS:
+        assert passes(hbar) == unit
+
+
+@hypothesis.settings(max_examples=10)
+@hypothesis.given(states())
+def test_no_nan_or_inf_behind_a_true_verdict(state):
+    nmax = min(state.mode_span, 16) + 1
+    for hbar in HBARS:
+        cfg = Config(hbar=hbar)
+        for n in range(1, nmax + 1):
+            for check in (check_ur_x, check_ur_y, check_total_ur):
+                rep = check(state, n, cfg)
+                values = [rep.lhs, rep.rhs, rep.slack]
+                if rep.kind.value == "TOTAL" and math.isinf(rep.lhs):
+                    # the documented infinite sigma_n
+                    assert math.isinf(sigma_total(state, n))
+                    assert rep.slack == math.inf and not rep.saturated
+                    values = [rep.rhs]
+                if rep.holds or rep.saturated:
+                    assert all(map(math.isfinite, values)), rep
+        rep = check_fujikawa(state, cfg)
+        assert not rep.holds or all(
+            map(math.isfinite, (rep.lhs, rep.rhs, rep.slack)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.txt"
+        path.write_text(dump_state(state))
+        for hbar in (1.0, 2.0**60):
+            _, doc = run_main("--hbar", repr(hbar), "report", str(path),
+                              "--nmax", str(nmax))
+            assert_true_verdicts_finite(doc)
+
+
+def test_no_nan_or_inf_behind_a_true_packet_or_example_verdict():
+    for build, n, m, kappa in PACKETS[::9]:
+        packet, state = build(n, m, kappa)
+        for hbar in HBARS:
+            v = verify_packet(packet, state, Config(hbar=hbar))
+            values = [*dataclasses.astuple(v.predicted), *v.measured.values(),
+                      *v.deltas.values()]
+            assert not v.ok or all(map(math.isfinite, values))
+    for argv in (["examples"], ["examples", "superposition", "--k", "7"],
+                 ["mwp", "--axis", "Y", "--n", "2", "--kappa", "50"]):
+        for hbar in HBARS:
+            assert_true_verdicts_finite(run_main("--hbar", repr(hbar),
+                                                 *argv)[1])

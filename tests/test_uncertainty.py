@@ -433,8 +433,10 @@ def _spread_states():
     states += [from_fourier({3: 1j}),
                from_fourier(random_state(6, 8).coeffs(), theta=2.2),
                from_fourier(random_state(40, 9).coeffs(), theta=math.pi),
-               # R_1 ~ 1e-11 and R_2 = 0 lie below cmp_tol: sigma_n = inf
-               from_fourier({0: 1.0, 1: 1e-11}),
+               # R_1 ~ 1e-16 and R_2 = 0 lie below the rounding bound of
+               # R_n: sigma_n = inf; R_3 ~ 1e-11 lies above it: finite
+               from_fourier({0: 1.0, 1: 1e-16}),
+               from_fourier({0: 1.0, 3: 1e-11}),
                mwp_y(3, 1, 4.0)[1],
                cos_harmonic_state(2)]
     return states
@@ -461,7 +463,7 @@ class TestSeriesColumns:
             want = {"ex": ex, "ey": ey, "r_n": mean_resultant(state, n),
                     "sigma_x": sx, "sigma_y": sy,
                     "sigma_tilde": math.sqrt(sx * sx + sy * sy),
-                    "sigma_n": sigma_total(state, n, cfg)}
+                    "sigma_n": sigma_total(state, n)}
             for name in self.OBSERVABLES:
                 assert same_float(getattr(cols, name)[i].item(),
                                   want[name]), (n, name)
