@@ -18,7 +18,8 @@ left side.  Every comparison is decided on those values, against --tol,
 and only the printed values are scaled to --hbar.
 ``curve`` and ``scan-beta`` share one row range, from + k*step up to --to.
 ``report`` reads its n-series from ``uncertainty.series_columns``, one
-array pass over every n.  Every JSON document goes through
+row of Python floats per n, and builds its row tables from those rows
+with no numpy call.  Every JSON document goes through
 ``_write_json``, which writes exactly the bytes of ``json.dumps(obj,
 indent=2)`` but encodes each innermost container, and each row table (a
 list of flat dicts, such as the report's ``observables``), in one call of
@@ -337,40 +338,27 @@ def _load_state_file(path: str):
 # one line of the report's stderr table, and the check fields it reads
 _CHECK_ROW = "%-10s %2d %12.6g %12.6g %12.6g %s\n"
 _CHECK_FIELDS = itemgetter("kind", "n", "lhs", "rhs", "slack", "holds")
-
-
-def _bound_rows(kind: str, ns: list, bounds) -> list:
-    """The ``report`` rows of one bound family, in ``URReport`` field
-    order, from its columns."""
-    return [{"kind": kind, "n": n, "lhs": lhs, "rhs": rhs, "slack": slack,
-             "holds": holds, "saturated": saturated}
-            for n, lhs, rhs, slack, holds, saturated in zip(
-                ns, bounds.lhs.tolist(), bounds.rhs.tolist(),
-                bounds.slack.tolist(), bounds.holds.tolist(),
-                bounds.saturated.tolist())]
+# the kinds of the bounds of a ``SeriesRow``: x_axis, y_axis, total
+_SERIES_KINDS = (URKind.X_AXIS.value, URKind.Y_AXIS.value,
+                 URKind.TOTAL.value)
 
 
 def run_report(args, cfg: Config) -> int:
     if not 1 <= args.nmax <= MAX_SCAN_ROWS:
         raise ValueError(f"--nmax must lie in [1, {MAX_SCAN_ROWS}]")
     state = _load_state_file(args.state_file)
-    cols = series_columns(state, args.nmax, cfg)
-    ns = cols.n.tolist()
+    rows = series_columns(state, args.nmax, cfg)
     mean_phi, slz = mean_angle(state), sigma_lz(state, cfg)
     observables = [
         {"n": n, "ex": ex, "ey": ey, "r_n": r, "mean_phi": mean_phi,
          "sigma_x": sx, "sigma_y": sy, "sigma_lz": slz, "sigma_tilde": st,
          "sigma_n": sn}
-        for n, ex, ey, r, sx, sy, st, sn in zip(
-            ns, cols.ex.tolist(), cols.ey.tolist(), cols.r_n.tolist(),
-            cols.sigma_x.tolist(), cols.sigma_y.tolist(),
-            cols.sigma_tilde.tolist(), cols.sigma_n.tolist())
-    ]
-    families = [_bound_rows(kind.value, ns, bounds) for kind, bounds in (
-        (URKind.X_AXIS, cols.x_axis), (URKind.Y_AXIS, cols.y_axis),
-        (URKind.TOTAL, cols.total))]
+        for n, ex, ey, r, sx, sy, st, sn, _, _, _ in rows]
     # per n: X, Y, TOTAL, as the scalar checks run
-    checks = [row for rows in zip(*families) for row in rows]
+    checks = [{"kind": kind, "n": row.n, "lhs": lhs, "rhs": rhs,
+               "slack": slack, "holds": holds, "saturated": saturated}
+              for row in rows for kind, (lhs, rhs, slack, holds, saturated)
+              in zip(_SERIES_KINDS, (row.x_axis, row.y_axis, row.total))]
     if state.is_periodic:
         fujikawa = check_fujikawa(state, cfg)
         checks.append({**_fields(fujikawa), "kind": fujikawa.kind.value})

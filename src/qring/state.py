@@ -111,22 +111,23 @@ DEFAULT_CONFIG = Config()
 
 
 def _in_hbar(config: Config, power: int, what, x, y=0.0, z=0.0) -> tuple:
-    """(x, y, z), floats or arrays at hbar = 1 of degree ``power`` in hbar,
-    each multiplied by ``config.hbar`` ``power`` times (hbar**power may
-    overflow where the product does not): the one place hbar enters a value.
-    A finite value that comes out infinite raises ``OverflowError`` naming
+    """(x, y, z), floats at hbar = 1 of degree ``power`` in hbar, each
+    multiplied by ``config.hbar`` ``power`` times (hbar**power may overflow
+    where the product does not): the one place hbar enters a value.  At
+    hbar = 1 they come back as they are, as the products would be.  A
+    finite value that comes out infinite raises ``OverflowError`` naming
     ``what``, a string or a ``str.format`` string and its arguments in one
     tuple; an infinite one (an isotropic sigma_n) stays infinite."""
     hbar = config.hbar
+    if hbar == 1.0:  # v * 1.0 is v to the bit, and never overflows
+        return x, y, z
     sx, sy, sz = x, y, z
     while power:  # a while loop: range() would cost more than the product
         sx, sy, sz = sx * hbar, sy * hbar, sz * hbar
         power -= 1
-    total = sx + sy + sz  # finite when every value is, in one test
-    if not (math.isfinite(total) if type(total) is float
-            else np.isfinite(total).all()):
+    if not math.isfinite(sx + sy + sz):  # finite when every value is
         for value, out in ((x, sx), (y, sy), (z, sz)):
-            if np.any(np.isinf(out) & np.isfinite(value)):
+            if math.isinf(out) and math.isfinite(value):
                 name = (what if isinstance(what, str)
                         else what[0].format(*what[1:]))
                 raise OverflowError(f"{name} overflows float64 "
@@ -422,13 +423,13 @@ def _parse_columns(fields) -> tuple | None:
     return modes, parts.view(complex)
 
 
-def _first_fault(rows) -> ValueError:
-    """The error naming the first malformed line among the (line number,
-    fields) data lines, walked in file order.  It repeats each check of
-    ``_parse_columns`` per line, so it finds a fault wherever that returns
-    None."""
+def _first_fault(data, linenos) -> ValueError:
+    """The error naming the first malformed line among the split data
+    lines, walked in file order with their line numbers.  It repeats each
+    check of ``_parse_columns`` per line, so it finds a fault wherever that
+    returns None."""
     seen = set()
-    for lineno, fields in rows:
+    for lineno, fields in zip(linenos, data):
         if len(fields) != 3:
             return ValueError(f"line {lineno}: expected 'm re im'")
         try:
@@ -441,31 +442,41 @@ def _first_fault(rows) -> ValueError:
         seen.add(m)
 
 
+def _record_linenos(lines) -> list:
+    """The line numbers, from 1, of the split lines that ``load_state``
+    keeps: all but the blank ones and the comments."""
+    return [lineno for lineno, fields in enumerate(lines, start=1)
+            if fields and fields[0][0] != "#"]
+
+
 def load_state(text: str) -> CircleState:
     """Parse the text record produced by :func:`dump_state`.
 
     Raises ``ValueError`` naming the offending line on malformed input and
     ``DegenerateStateError`` when the parsed state cannot be normalized.
-    Blank lines and lines starting with ``#`` are skipped.  The data lines
-    are converted as columns; only a file that fails a check is walked
-    line by line, to name its first bad line.
+    Blank lines and lines starting with ``#`` are skipped.  The text is
+    split once, into the fields of each line; the data lines are converted
+    as columns.  Line numbers are counted only for a file that fails a
+    check, whose first bad line is then found line by line.
     """
-    rows = [(lineno, fields) for lineno, fields in
-            enumerate(map(str.split, text.splitlines()), start=1)
-            if fields and fields[0][0] != "#"]
-    if not rows:
+    lines = list(map(str.split, text.splitlines()))
+    records = [fields for fields in lines if fields and fields[0][0] != "#"]
+    if not records:
         raise ValueError("line 1: missing 'theta' header")
-    (lineno, header), data = rows[0], rows[1:]
+    header = records[0]
     if header[0] != "theta" or len(header) != 2:
-        raise ValueError(f"line {lineno}: expected header 'theta <value>'")
+        raise ValueError(f"line {_record_linenos(lines)[0]}: "
+                         f"expected header 'theta <value>'")
     try:
         theta = float(header[1])
     except ValueError:
-        raise ValueError(f"line {lineno}: bad theta value") from None
+        raise ValueError(
+            f"line {_record_linenos(lines)[0]}: bad theta value") from None
+    data = records[1:]
     if not data:
         raise DegenerateStateError("state file lists no coefficients")
-    columns = _parse_columns([fields for _, fields in data])
+    columns = _parse_columns(data)
     if columns is None:
-        raise _first_fault(data)
+        raise _first_fault(data, _record_linenos(lines)[1:])
     modes, amps = columns
     return _build(modes, amps, theta)

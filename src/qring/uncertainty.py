@@ -20,11 +20,12 @@ The scalar checks evaluate one bound at one n in Python floats, reading
 rho_n, rho_2n and sigma_Lz straight from the per-state caches with no
 observable call in between (sigma_n from ``sigma_total``), and return a
 frozen ``URReport``.  ``series_columns`` evaluates the observables and
-the three per-n bound families for every n = 1..nmax at once, as arrays
-over rho_1..rho_nmax and rho_2..rho_2nmax (zero past the mode span), with
-the same arithmetic as the scalar checks, so every value is bit-identical
-to theirs.  The columns, the symmetry detection and ``recommend_n`` read
-the moduli R_k from the per-state cache ``CircleState.resultants``.
+the three per-n bounds for every n = 1..nmax in one loop over n, in
+Python floats, with the same arithmetic as the scalar checks (zero past
+the mode span), so every value is bit-identical to theirs.  Both decide
+and scale a bound in ``_verdict``.  The symmetry detection and
+``recommend_n`` read the moduli R_k from the per-state cache
+``CircleState.resultants``.
 """
 
 import math
@@ -40,8 +41,7 @@ from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config, _in_hbar
 __all__ = [
     "URKind",
     "URReport",
-    "BoundColumns",
-    "SeriesColumns",
+    "SeriesRow",
     "check_ur_x",
     "check_ur_y",
     "check_total_ur",
@@ -99,15 +99,15 @@ class URReport:
         fields["saturated"] = saturated
 
 
-def _report(kind: URKind, n: int, lhs: float, rhs: float,
-            config: Config) -> URReport:
-    """Verdict of lhs >= rhs on the sides at hbar = 1, reported in the
-    units of ``config.hbar``."""
+def _verdict(kind: URKind, n: int, lhs: float, rhs: float,
+             config: Config) -> tuple:
+    """(lhs, rhs, slack, holds, saturated) of lhs >= rhs: the verdict on
+    the sides at hbar = 1, the sides and the slack in the units of
+    ``config.hbar``."""
     slack, tol = lhs - rhs, config.cmp_tol
     what = ("{.value} bound at n={}", kind, n)
     lhs, rhs, scaled = _in_hbar(config, 1, what, lhs, rhs, slack)
-    return URReport(kind, n, lhs, rhs, scaled, slack >= -tol,
-                    abs(slack) <= tol)
+    return lhs, rhs, scaled, slack >= -tol, abs(slack) <= tol
 
 
 def _axis_check(kind: URKind, state: CircleState, n: int,
@@ -126,7 +126,8 @@ def _axis_check(kind: URKind, state: CircleState, n: int,
     else:
         var, other = 0.5 * (1.0 - x2n) - z.imag * z.imag, z.real
     lhs = math.sqrt(max(var, 0.0)) * math.sqrt(state.lz_moments[1])
-    return _report(kind, n, lhs, 0.5 * n * abs(other), config)
+    return URReport(kind, n,
+                    *_verdict(kind, n, lhs, 0.5 * n * abs(other), config))
 
 
 def check_ur_x(state: CircleState, n: int,
@@ -148,7 +149,7 @@ def check_total_ur(state: CircleState, n: int,
     infinite and the bound trivially true."""
     sn = sigma_total(state, n)
     lhs = math.inf if math.isinf(sn) else sn * math.sqrt(state.lz_moments[1])
-    return _report(_TOTAL, n, lhs, 0.5, config)
+    return URReport(_TOTAL, n, *_verdict(_TOTAL, n, lhs, 0.5, config))
 
 
 def check_fujikawa(state: CircleState,
@@ -167,98 +168,68 @@ def check_fujikawa(state: CircleState,
     # 2 pi rho(pi) = rho_0 + 2 Re sum_{k>=1} rho_k (-1)^k
     rho = state.harmonics.real
     two_pi_rho = rho.item(0) + 2.0 * float(rho[2::2].sum() - rho[1::2].sum())
-    return _report(_FUJIKAWA, 1, lhs, 0.5 * (1.0 - two_pi_rho), config)
+    rhs = 0.5 * (1.0 - two_pi_rho)
+    return URReport(_FUJIKAWA, 1, *_verdict(_FUJIKAWA, 1, lhs, rhs, config))
 
 
-class BoundColumns(NamedTuple):
-    """One bound family over n = 1..nmax: the ``URReport`` fields as
-    arrays."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    slack: np.ndarray
-    holds: np.ndarray
-    saturated: np.ndarray
-
-
-class SeriesColumns(NamedTuple):
-    """The n-dependent report fields for n = 1..nmax, one array each.
+class SeriesRow(NamedTuple):
+    """The n-dependent report fields at one n: the observables as Python
+    floats, and each bound as its (lhs, rhs, slack, holds, saturated).
 
     The observables match ``expect_xy``, ``mean_resultant``, ``sigma_xy``
     and ``sigma_total``, and the bounds ``check_ur_x``, ``check_ur_y`` and
     ``check_total_ur``, bit for bit.
     """
 
-    n: np.ndarray
-    ex: np.ndarray
-    ey: np.ndarray
-    r_n: np.ndarray
-    sigma_x: np.ndarray
-    sigma_y: np.ndarray
-    sigma_tilde: np.ndarray
-    sigma_n: np.ndarray
-    x_axis: BoundColumns
-    y_axis: BoundColumns
-    total: BoundColumns
-
-
-def _bound_columns(kind: URKind, lhs: np.ndarray, rhs: np.ndarray,
-                   config: Config) -> BoundColumns:
-    """``_report`` over the columns of one bound family."""
-    slack, tol = lhs - rhs, config.cmp_tol
-    scaled = _in_hbar(config, 1, f"{kind.value} bounds", lhs, rhs, slack)
-    return BoundColumns(*scaled, slack >= -tol, np.abs(slack) <= tol)
+    n: int
+    ex: float
+    ey: float
+    r_n: float
+    sigma_x: float
+    sigma_y: float
+    sigma_tilde: float
+    sigma_n: float
+    x_axis: tuple
+    y_axis: tuple
+    total: tuple
 
 
 def series_columns(state: CircleState, nmax: int,
-                   config: Config = DEFAULT_CONFIG) -> SeriesColumns:
+                   config: Config = DEFAULT_CONFIG) -> list:
     """Observables and the X_AXIS, Y_AXIS and TOTAL bounds for every
-    n = 1..nmax in one array pass over the cached harmonics.
+    n = 1..nmax, one ``SeriesRow`` per n: one loop over the cached
+    harmonics, with the arithmetic of the scalar checks.
 
-    Raises ``OverflowError`` for the first bound, in the order n, then
-    X, Y, TOTAL, whose scalar check would raise it.
+    Raises the ``OverflowError`` of the first bound, in the order n, then
+    X, Y, TOTAL, that overflows.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     rho = state.harmonics
-    n = np.arange(1, nmax + 1)
-    inside = min(nmax, rho.size - 1)  # n within the mode span
-    rho_n = np.zeros(nmax, dtype=complex)
-    rho_n[:inside] = rho[1 : inside + 1]
-    x2n = np.zeros(nmax)
-    half = min(nmax, (rho.size - 1) // 2)  # n with 2n within the span
-    x2n[:half] = rho[2 : 2 * half + 1 : 2].real
-    ex = rho_n.real
-    ey = -rho_n.imag
-    ey[inside:] = 0.0  # expect_xy gives +0.0 past the span, not -0.0
-    sx = np.sqrt(np.maximum(0.5 * (1.0 + x2n) - ex * ex, 0.0))
-    sy = np.sqrt(np.maximum(0.5 * (1.0 - x2n) - ey * ey, 0.0))
-    r = np.zeros(nmax)
-    r[:inside] = state.resultants[1 : inside + 1]
-    isotropic = r < _R_ZERO[rho.size]
-    safe_r = np.where(isotropic, 1.0, r)
-    sn = np.sqrt(np.maximum(1.0 - safe_r * safe_r, 0.0)) / (n * safe_r)
-    sn[isotropic] = math.inf
+    size = rho.size
+    r_zero = _R_ZERO[size]
     slz = math.sqrt(state.lz_moments[1])
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_axis = _bound_columns(_X_AXIS, sx * slz, 0.5 * n * np.abs(ey),
-                                    config)
-            y_axis = _bound_columns(_Y_AXIS, sy * slz, 0.5 * n * np.abs(ex),
-                                    config)
-            total = _bound_columns(
-                _TOTAL, np.where(isotropic, math.inf, sn * slz),
-                np.full(nmax, 0.5), config)
-    except OverflowError:
-        # the scalar check that owns the overflow raises its own error
-        for i in range(1, nmax + 1):
-            for check in (check_ur_x, check_ur_y, check_total_ur):
-                check(state, i, config)
-        raise
-    return SeriesColumns(
-        n=n, ex=ex, ey=ey, r_n=r, sigma_x=sx, sigma_y=sy,
-        sigma_tilde=np.sqrt(sx * sx + sy * sy), sigma_n=sn,
-        x_axis=x_axis, y_axis=y_axis, total=total)
+    rows = []
+    for n in range(1, nmax + 1):
+        if n < size:
+            z = rho.item(n)
+            ex, ey, r = z.real, -z.imag, abs(z)
+        else:  # expect_xy gives +0.0 past the span, not -0.0
+            ex = ey = r = 0.0
+        x2n = rho.item(2 * n).real if 2 * n < size else 0.0
+        sx = math.sqrt(max(0.5 * (1.0 + x2n) - ex * ex, 0.0))
+        sy = math.sqrt(max(0.5 * (1.0 - x2n) - ey * ey, 0.0))
+        if r < r_zero:
+            sn = total_lhs = math.inf
+        else:
+            sn = math.sqrt(max(1.0 - r * r, 0.0)) / (n * r)
+            total_lhs = sn * slz
+        rows.append(SeriesRow(
+            n, ex, ey, r, sx, sy, math.sqrt(sx * sx + sy * sy), sn,
+            _verdict(_X_AXIS, n, sx * slz, 0.5 * n * abs(ey), config),
+            _verdict(_Y_AXIS, n, sy * slz, 0.5 * n * abs(ex), config),
+            _verdict(_TOTAL, n, total_lhs, 0.5, config)))
+    return rows
 
 
 def detect_fold_symmetry(state: CircleState, tol: float = 1e-9) -> int:

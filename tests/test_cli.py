@@ -97,6 +97,13 @@ FAILURE_FILES = {
     "bad.txt": b"\xff",
     "wide.txt": b"theta 0\n600 1 0\n",
     "ok.txt": b"theta 0\n0 1 0\n1 0.5 0\n",
+    # comment and blank lines around each fault: the line named is the
+    # line of the file
+    "noisy_header.txt": b"# state\n\nthet 0\n0 1 0\n",
+    "noisy_theta.txt": b"\n  # c\ntheta x\n# c\n0 1 0\n",
+    "noisy_short.txt": b"#\ntheta 0\n\n0 1 0\n# 1 1 0\n1 1\n\n",
+    "noisy_field.txt": b"theta 0\n# c\n0 1 0\n\t\n1 x 0\n# end\n",
+    "noisy_dup.txt": b"# c\ntheta 0\n0 1 0\n  # 0 1 0\n\n0 0 1\n#\n",
 }
 SCAN = ["--from", "0", "--to", "1", "--step", "1"]
 # one row per failure site: argv, exit code and the one stderr line, where
@@ -113,6 +120,17 @@ FAILURES = [
      "'{dir}/missing.txt'"),
     (["report", "{dir}/short.txt"], 2,
      "cannot parse {dir}/short.txt: line 3: expected 'm re im'"),
+    (["report", "{dir}/noisy_header.txt"], 2,
+     "cannot parse {dir}/noisy_header.txt: line 3: expected header "
+     "'theta <value>'"),
+    (["report", "{dir}/noisy_theta.txt"], 2,
+     "cannot parse {dir}/noisy_theta.txt: line 3: bad theta value"),
+    (["report", "{dir}/noisy_short.txt"], 2,
+     "cannot parse {dir}/noisy_short.txt: line 6: expected 'm re im'"),
+    (["scan-beta", "{dir}/noisy_field.txt", *SCAN], 2,
+     "cannot parse {dir}/noisy_field.txt: line 5: bad numeric field"),
+    (["report", "{dir}/noisy_dup.txt"], 2,
+     "cannot parse {dir}/noisy_dup.txt: line 6: duplicate mode 0"),
     (["report", "{dir}/bad.txt"], 2,
      "cannot parse {dir}/bad.txt: 'utf-8' codec can't decode byte 0xff in "
      "position 0: invalid start byte"),

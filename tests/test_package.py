@@ -200,6 +200,19 @@ def test_hbar_enters_in_one_place():
                for v in payload.values)
 
 
+def test_report_path_reads_no_numpy():
+    # report's n-series is one loop in Python floats: a numpy call on a
+    # length-nmax array costs more than the arithmetic it does
+    guarded = {("uncertainty.py", "series_columns"), ("cli.py", "run_report")}
+    defined = {(path, node.name) for path, _, node in _reads(
+        lambda node: isinstance(node, ast.FunctionDef))}
+    reads = {(path, fn) for path, fn, _ in _reads(
+        lambda node: isinstance(node, ast.Name) and node.id == "np")}
+    assert guarded <= defined
+    assert ("uncertainty.py", "detect_fold_symmetry") in reads
+    assert sorted(guarded & reads) == []
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

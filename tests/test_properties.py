@@ -127,14 +127,13 @@ def test_scalar_checks_match_columns_bit_for_bit(state):
     nmax = state.mode_span + 2
     for hbar in (1.0, 0.37, 2.0**-40, 2.0**40):
         cfg = Config(hbar=hbar)
-        cols = series_columns(state, nmax, cfg)
-        for check, bounds in ((check_ur_x, cols.x_axis),
-                              (check_ur_y, cols.y_axis),
-                              (check_total_ur, cols.total)):
+        rows = series_columns(state, nmax, cfg)
+        for check, family in ((check_ur_x, "x_axis"), (check_ur_y, "y_axis"),
+                              (check_total_ur, "total")):
             scalar = [(r.lhs, r.rhs, r.slack, r.holds, r.saturated)
                       for r in (check(state, n, cfg)
                                 for n in range(1, nmax + 1))]
-            columns = list(zip(*(field.tolist() for field in bounds)))
+            columns = [getattr(row, family) for row in rows]
             assert repr(scalar) == repr(columns)
 
 
@@ -163,16 +162,16 @@ def test_every_bound_holds_over_the_series(state):
     # theorems at every n up to the span and at every boundary phase, on
     # finite sides; the one infinite side is the TOTAL left side of an
     # isotropic harmonic, R_n below its rounding bound
-    cols = series_columns(state, max(state.mode_span, 1))
-    for bounds in (cols.x_axis, cols.y_axis, cols.total):
-        assert bounds.holds.all()
-        assert not np.isnan(bounds.lhs).any()
-        assert not np.isnan(bounds.slack).any()
-        assert np.isfinite(bounds.rhs).all()
-    assert np.isfinite(cols.x_axis.lhs).all()
-    assert np.isfinite(cols.y_axis.lhs).all()
-    isotropic = cols.r_n < _R_ZERO[state.harmonics.size]
-    assert np.array_equal(np.isinf(cols.total.lhs), isotropic)
+    r_zero = _R_ZERO[state.harmonics.size]
+    for row in series_columns(state, max(state.mode_span, 1)):
+        for lhs, rhs, slack, holds, _ in (row.x_axis, row.y_axis, row.total):
+            assert holds
+            assert not math.isnan(lhs)
+            assert not math.isnan(slack)
+            assert math.isfinite(rhs)
+        assert math.isfinite(row.x_axis[0])
+        assert math.isfinite(row.y_axis[0])
+        assert math.isinf(row.total[0]) == (row.r_n < r_zero)
     rep = check_fujikawa(state)
     assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
     assert rep.holds
@@ -213,20 +212,26 @@ def test_rotation_keeps_resultants_spreads_and_total_slack(state, delta):
     turned = state.rotate(delta)
     dr = harmonic_error(state, delta)
     nmax = max(state.mode_span, 1)
-    a, b = series_columns(state, nmax), series_columns(turned, nmax)
-    assert np.all(np.abs(a.r_n - b.r_n) <= dr)
+    # the series as arrays over n: n, r_n, sigma_n and the TOTAL slack
+    a, b = ({"n": np.array([row.n for row in rows]),
+             "r_n": np.array([row.r_n for row in rows]),
+             "sigma_n": np.array([row.sigma_n for row in rows]),
+             "slack": np.array([row.total[2] for row in rows])}
+            for rows in (series_columns(state, nmax),
+                         series_columns(turned, nmax)))
+    assert np.all(np.abs(a["r_n"] - b["r_n"]) <= dr)
     assert detect_fold_symmetry(turned) == detect_fold_symmetry(state)
     slz, dlz = lz_error(state, turned)
     assert abs(slz[0] - slz[1]) <= dlz
     # sigma_n is infinite below the rounding bound of R_n, which rounding
     # may cross
-    r_lo = np.minimum(a.r_n, b.r_n)
-    same_inf = np.isinf(a.sigma_n) == np.isinf(b.sigma_n)
+    r_lo = np.minimum(a["r_n"], b["r_n"])
+    same_inf = np.isinf(a["sigma_n"]) == np.isinf(b["sigma_n"])
     assert np.all(same_inf | (r_lo < _R_ZERO[state.harmonics.size] + dr))
-    finite = np.isfinite(a.sigma_n) & np.isfinite(b.sigma_n)
-    n = a.n[finite]
-    r0, r1 = a.r_n[finite], b.r_n[finite]
-    s0, s1 = a.sigma_n[finite], b.sigma_n[finite]
+    finite = np.isfinite(a["sigma_n"]) & np.isfinite(b["sigma_n"])
+    n = a["n"][finite]
+    r0, r1 = a["r_n"][finite], b["r_n"][finite]
+    s0, s1 = a["sigma_n"][finite], b["sigma_n"][finite]
     # sigma_n = q / (n R) with q = sqrt(1 - R^2)
     q0, q1 = (np.sqrt(np.maximum(1.0 - r * r, 0.0)) for r in (r0, r1))
     r, sn = np.minimum(r0, r1), np.maximum(s0, s1)
@@ -234,7 +239,7 @@ def test_rotation_keeps_resultants_spreads_and_total_slack(state, delta):
     assert np.all(np.abs(s0 - s1) <= dsn)
     # the TOTAL left side sigma_n sigma_Lz against the fixed hbar/2
     dlhs = dsn * slz.max() + sn * dlz + 8.0 * EPS * sn * slz.max()
-    slack = np.abs(a.total.slack[finite] - b.total.slack[finite])
+    slack = np.abs(a["slack"][finite] - b["slack"][finite])
     assert np.all(slack <= dlhs + EPS)
 
 
@@ -284,14 +289,15 @@ PACKETS = [(build, n, m, kappa) for build in (mwp_x, mwp_y)
 
 def verdicts(state, nmax, cfg):
     """(holds, saturated) of every scalar check up to nmax and of the
-    window bound, and the verdict columns of ``series_columns``."""
+    window bound, and the (holds, saturated) of each bound of
+    ``series_columns``."""
     reports = [check(state, n, cfg) for n in range(1, nmax + 1)
                for check in (check_ur_x, check_ur_y, check_total_ur)]
     reports.append(check_fujikawa(state, cfg))
-    cols = series_columns(state, nmax, cfg)
+    rows = series_columns(state, nmax, cfg)
     return ([(r.holds, r.saturated) for r in reports],
-            [(b.holds.tolist(), b.saturated.tolist())
-             for b in (cols.x_axis, cols.y_axis, cols.total)])
+            [bound[3:] for row in rows
+             for bound in (row.x_axis, row.y_axis, row.total)])
 
 
 def run_main(*argv):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -386,6 +388,91 @@ class TestSerialization:
     def test_malformed_file_rejected(self, text, error, match):
         with pytest.raises(error, match=match):
             load_state(text)
+
+
+def interleave(lines):
+    """The file of the given lines with comment and blank lines before the
+    first, between every two and after the last, and the line number of
+    each given line in it."""
+    noise = ["# note", "", "\t# 1 2 3", "   ", "#", "  # 0 1 0"]
+    out, numbers = [], []
+    for k, line in enumerate(lines):
+        out += noise[k % 3 : k % 3 + 1 + k % 2]  # one or two noise lines
+        out.append(line)
+        numbers.append(len(out))
+    out += ["", "# end"]
+    return "\n".join(out) + "\n", numbers
+
+
+class TestCommentsAndBlanks:
+    @pytest.mark.parametrize("state", [
+        random_state(6, 5), sin_half_power_state(5),
+        from_fourier(random_state(9, 2).coeffs(), theta=2.2)])
+    def test_same_state_bit_for_bit(self, state):
+        text = dump_state(state)
+        noisy, _ = interleave(text.splitlines())
+        assert noisy.count("\n") > 2 * text.count("\n")
+        for back in (load_state(noisy), load_state(text)):
+            assert back.modes.tobytes() == state.modes.tobytes()
+            assert back.amps.tobytes() == state.amps.tobytes()
+            assert back.theta == state.theta
+
+    @pytest.mark.parametrize("lines, bad, message", [
+        (["thet 0", "0 1 0"], 0, "expected header 'theta <value>'"),
+        (["theta 0 1", "0 1 0"], 0, "expected header 'theta <value>'"),
+        (["theta x", "0 1 0"], 0, "bad theta value"),
+        (["theta 0", "0 1 0", "1 1", "2 1 0"], 2, "expected 'm re im'"),
+        (["theta 0", "0 1 0", "1 1 0", "2 1 0 0"], 3, "expected 'm re im'"),
+        (["theta 0", "0 1 0", "1 x 0", "2 1 0"], 2, "bad numeric field"),
+        (["theta 0", "0 1 0", "1.5 1 0"], 2, "bad numeric field"),
+        (["theta 0", "0 1 0", "1 1 0", "0 0 1", "1 x 0"], 3,
+         "duplicate mode 0"),
+    ], ids=["header", "header-width", "theta", "fields", "fields-last",
+            "numeric", "mode", "duplicate"])
+    def test_fault_names_its_true_line(self, lines, bad, message):
+        noisy, numbers = interleave(lines)
+        with pytest.raises(ValueError) as exc:
+            load_state(noisy)
+        assert str(exc.value) == f"line {numbers[bad]}: {message}"
+        with pytest.raises(ValueError) as exc:
+            load_state("\n".join(lines) + "\n")
+        assert str(exc.value) == f"line {bad + 1}: {message}"
+
+
+def same_bits(a, b):
+    """a and b are the same float64, bit for bit: zero signs included, and
+    a NaN the same NaN."""
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class TestInHbar:
+    VALUES = [(-0.0, math.inf, math.nan), (1.7e308, -0.0, 1.7e308),
+              (math.nan, 1.7e308, -math.inf), (0.37, -1e-320, 2.0**-1074)]
+
+    @pytest.mark.parametrize("power", [0, 1, 2])
+    @pytest.mark.parametrize("values", VALUES)
+    def test_unit_hbar_returns_its_inputs(self, values, power):
+        # x * 1.0 is x to the bit and cannot overflow; 1.7e308 squared
+        # would, if hbar were applied as a power
+        for cfg in (Config(), Config(hbar=1)):
+            out = qring.state._in_hbar(cfg, power, "value", *values)
+            assert len(out) == 3
+            assert all(map(same_bits, out, values)), (values, power)
+
+    @pytest.mark.parametrize("hbar", [1.0 + 2.0**-52, 2.0, 1e308])
+    def test_other_hbar_names_an_overflow(self, hbar):
+        cfg = Config(hbar=hbar)
+        with pytest.raises(OverflowError) as exc:
+            qring.state._in_hbar(cfg, 1, ("{} at n={}", "X", 3),
+                                 0.5, sys.float_info.max)
+        assert str(exc.value) == (f"X at n=3 overflows float64 "
+                                  f"(hbar={hbar!r}); use a smaller hbar")
+
+    def test_other_hbar_keeps_an_infinite_value(self):
+        # an isotropic sigma_n: infinite before the unit, so no overflow
+        x, y, z = qring.state._in_hbar(Config(hbar=2.0), 1, "value",
+                                       math.inf, 0.5, math.inf)
+        assert (x, y, z) == (math.inf, 1.0, math.inf)
 
 
 def reference_dump_state(state):

@@ -408,7 +408,7 @@ class TestRecommendN:
         assert recommend_n(random_state(4, 8), 0.3951983655112775) == 2
         for seed in range(200):
             s = random_state(4, seed)
-            r = series_columns(s, s.mode_span).r_n.tolist()
+            r = [row.r_n for row in series_columns(s, s.mode_span)]
             for threshold in r:
                 if 0 < threshold < 1:
                     want = next(n for n, v in enumerate(r, 1)
@@ -446,6 +446,7 @@ class TestSeriesColumns:
     OBSERVABLES = ["ex", "ey", "r_n", "sigma_x", "sigma_y", "sigma_tilde",
                    "sigma_n"]
     BOUND_FIELDS = ["lhs", "rhs", "slack", "holds", "saturated"]
+    FAMILIES = ["x_axis", "y_axis", "total"]
 
     @pytest.mark.parametrize("hbar", [1.0, 0.37, 2.5])
     @pytest.mark.parametrize("state", _spread_states(),
@@ -454,23 +455,23 @@ class TestSeriesColumns:
     def test_bit_identical_to_scalar_api(self, state, hbar):
         cfg = Config(hbar=hbar)
         nmax = 2 * state.mode_span + 3
-        cols = series_columns(state, nmax, cfg)
-        checks = [(check_ur_x, cols.x_axis), (check_ur_y, cols.y_axis),
-                  (check_total_ur, cols.total)]
-        assert cols.n.tolist() == list(range(1, nmax + 1))
-        for i, n in enumerate(range(1, nmax + 1)):
+        rows = series_columns(state, nmax, cfg)
+        assert [row.n for row in rows] == list(range(1, nmax + 1))
+        for row in rows:
+            n = row.n
             (ex, ey), (sx, sy) = expect_xy(state, n), sigma_xy(state, n)
             want = {"ex": ex, "ey": ey, "r_n": mean_resultant(state, n),
                     "sigma_x": sx, "sigma_y": sy,
                     "sigma_tilde": math.sqrt(sx * sx + sy * sy),
                     "sigma_n": sigma_total(state, n)}
             for name in self.OBSERVABLES:
-                assert same_float(getattr(cols, name)[i].item(),
-                                  want[name]), (n, name)
-            for check, bounds in checks:
+                got = getattr(row, name)
+                assert type(got) is float, (n, name)
+                assert same_float(got, want[name]), (n, name)
+            for check, family in zip((check_ur_x, check_ur_y,
+                                      check_total_ur), self.FAMILIES):
                 ref = check(state, n, cfg)
-                for name in self.BOUND_FIELDS:
-                    got = getattr(bounds, name)[i].item()
+                for name, got in zip(self.BOUND_FIELDS, getattr(row, family)):
                     want = getattr(ref, name)
                     assert type(got) is type(want), (n, name)
                     assert same_float(got, want), (ref.kind, n, name)
@@ -487,18 +488,18 @@ class TestSeriesColumns:
                         == 2.0 * check(state, n, one).rhs)
         assert (check_fujikawa(state, two).rhs
                 == 2.0 * check_fujikawa(state, one).rhs)
-        cols_one = series_columns(state, 6, one)
-        cols_two = series_columns(state, 6, two)
-        for family in ("x_axis", "y_axis", "total"):
-            np.testing.assert_array_equal(
-                getattr(cols_two, family).rhs,
-                2.0 * getattr(cols_one, family).rhs)
+        for row_one, row_two in zip(series_columns(state, 6, one),
+                                    series_columns(state, 6, two)):
+            for family in self.FAMILIES:
+                # rhs is the second field of a bound
+                assert (getattr(row_two, family)[1]
+                        == 2.0 * getattr(row_one, family)[1])
 
     def test_zero_past_the_span_is_positive(self):
         # -Im of the zero pad would print as -0.0
-        cols = series_columns(random_state(2, 3), 10)
-        assert all(math.copysign(1.0, v) == 1.0 for v in cols.ey[5:])
-        assert all(math.isinf(v) for v in cols.sigma_n[4:])
+        rows = series_columns(random_state(2, 3), 10)
+        assert all(math.copysign(1.0, row.ey) == 1.0 for row in rows[4:])
+        assert all(math.isinf(row.sigma_n) for row in rows[4:])
 
     def test_nmax_validation(self):
         with pytest.raises(ValueError):
@@ -522,19 +523,19 @@ class TestOverflow:
         assert str(col_exc.value) == str(exc.value)
 
     def test_finite_columns_run_no_scalar_check(self, monkeypatch):
-        # the scalar checks only name an overflow the columns found
+        # the series names its own overflows; it calls no scalar check
         def fail(*args):
             raise AssertionError("scalar check called")
         for name in ("check_ur_x", "check_ur_y", "check_total_ur"):
             monkeypatch.setattr(qring.uncertainty, name, fail)
-        cols = series_columns(self.STATE, 8, Config(hbar=1e306))
-        assert np.all(np.isfinite(cols.total.lhs))
+        rows = series_columns(self.STATE, 8, Config(hbar=1e306))
+        assert all(math.isfinite(row.total[0]) for row in rows)
 
     def test_largest_finite_hbar_holds(self):
         cfg, state = Config(hbar=1e306), self.STATE
-        cols = series_columns(state, 8, cfg)
-        for bounds in (cols.x_axis, cols.y_axis, cols.total):
-            assert np.all(np.isfinite(bounds.lhs)) and bounds.holds.all()
+        for row in series_columns(state, 8, cfg):
+            for lhs, _, _, holds, _ in (row.x_axis, row.y_axis, row.total):
+                assert math.isfinite(lhs) and holds
         assert check_fujikawa(state, cfg).holds
 
     def test_fujikawa_overflow_raises(self):
@@ -547,4 +548,4 @@ class TestOverflow:
         state = mwp_y(3, 1, 4.0)[1]
         rep = check_total_ur(state, 1)
         assert math.isinf(rep.lhs) and rep.holds and not rep.saturated
-        assert math.isinf(series_columns(state, 1).total.lhs[0])
+        assert math.isinf(series_columns(state, 1)[0].total[0])
