@@ -202,7 +202,7 @@ def ik_scaled(x: float, max_order: int) -> np.ndarray | None:
     for k in range(top, 0, -1):
         r = ax / (2 * k + ax * r)
         ratios[k - 1] = r
-    seq = np.cumprod([1.0] + ratios)
+    seq = np.multiply.accumulate(np.array([1.0] + ratios))
     seq *= 1.0 / (2.0 * seq.sum() - 1.0)
     # I_k decreases in k, so the kept orders are a prefix
     weight = seq * seq

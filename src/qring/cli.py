@@ -21,9 +21,11 @@ and only the printed values are scaled to --hbar.
 row of Python floats per n, and builds its row tables from those rows
 with no numpy call.  Every JSON document goes through
 ``_write_json``, which writes exactly the bytes of ``json.dumps(obj,
-indent=2)`` but encodes each innermost container, and each row table (a
-list of flat dicts, such as the report's ``observables``), in one call of
-the standard library's C encoder.  ``_write_table`` writes every
+indent=2)`` but encodes each innermost container, each row table (a
+list of flat dicts, such as the report's ``observables``) and each
+scalar leaf in one call of the standard library's C encoder, built once
+per indent depth by ``_flat_encoder``: ``JSONEncoder.encode`` would
+build a new one on every call.  ``_write_table`` writes every
 ``curve``, ``scan-beta`` and ``mwp --emit-curve`` table, its CSV in one
 format call, as is the report's stderr check table.
 
@@ -111,12 +113,28 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 @functools.cache
-def _flat_encoder(depth: int) -> json.JSONEncoder:
-    """Encoder of a container of scalars whose items sit ``depth`` indents
-    deep.  The item separator carries the newline and the indent; with no
-    ``indent`` set, CPython runs its C encoder."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "),
-                            check_circular=False)
+def _flat_encoder(make, depth: int):
+    """The encode function of a container of scalars whose items sit
+    ``depth`` indents deep: the item separator carries the newline and
+    the indent.  ``make`` is ``json.encoder.c_make_encoder`` as the caller
+    reads it; it builds the one C encoder that ``JSONEncoder.iterencode``
+    would build afresh on every call.  Where it is None (no ``_json``
+    module), ``JSONEncoder.encode`` runs the pure-Python encoder."""
+    encoder = json.JSONEncoder(separators=(",\n" + "  " * depth, ": "),
+                               check_circular=False)
+    if make is None:
+        return encoder.encode
+    iterencode = make(None, encoder.default, encode_basestring_ascii, None,
+                      encoder.key_separator, encoder.item_separator,
+                      False, False, True)
+    return lambda obj: "".join(iterencode(obj, 0))
+
+
+def _dumps(obj, depth: int = 0) -> str:
+    """obj through the encoder of ``_flat_encoder``: a scalar as
+    ``json.dumps`` writes it, a container of scalars with its items
+    ``depth`` indents deep."""
+    return _flat_encoder(json.encoder.c_make_encoder, depth)(obj)
 
 
 def _key(key) -> str:
@@ -125,7 +143,7 @@ def _key(key) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
     if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii(json.dumps(key))
+        return encode_basestring_ascii(_dumps(key))
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {type(key).__name__}")
 
@@ -142,7 +160,7 @@ def _encode(obj, depth: int, out: list) -> None:
     """Append the ``json.dumps(obj, indent=2)`` text of obj, nested
     ``depth`` indents deep, to out."""
     if not isinstance(obj, _CONTAINERS) or not obj:
-        out.append(json.dumps(obj))
+        out.append(_dumps(obj))
         return
     is_dict = isinstance(obj, dict)
     inner = "\n" + "  " * (depth + 1)
@@ -151,7 +169,7 @@ def _encode(obj, depth: int, out: list) -> None:
         # the encoder escapes every newline in a string, so a literal one
         # is a separator, and "}" separator "{" only ever joins two rows
         field = "\n" + "  " * (depth + 2)
-        text = _flat_encoder(depth + 2).encode(obj)
+        text = _dumps(obj, depth + 2)
         rows = text[2:-2].replace("}," + field + "{",
                                   inner + "}," + inner + "{" + field)
         out += ("[", inner, "{", field, rows, inner, "}", outer, "]")
@@ -159,7 +177,7 @@ def _encode(obj, depth: int, out: list) -> None:
     values = obj.values() if is_dict else obj
     if (_SCALARS.issuperset(map(type, values))
             or not any(isinstance(v, _CONTAINERS) for v in values)):
-        text = _flat_encoder(depth + 1).encode(obj)
+        text = _dumps(obj, depth + 1)
         out += (text[0], inner, text[1:-1], outer, text[-1])
         return
     out.append("{" if is_dict else "[")
@@ -397,7 +415,7 @@ def run_scan_beta(args, _cfg: Config) -> int:
 def run_mwp(args, cfg: Config) -> int:
     if not 1 <= args.points <= MAX_SCAN_ROWS:
         raise ValueError(f"--points must lie in [1, {MAX_SCAN_ROWS}]")
-    builder = mwp_x if Axis(args.axis) is Axis.X else mwp_y
+    builder = mwp_x if args.axis == Axis.X.value else mwp_y
     packet, state = builder(args.n, args.m, args.kappa)
     if args.emit_state:
         sys.stdout.write(dump_state(state))

@@ -20,7 +20,7 @@ then scales the L_z rows to the hbar of its ``Config``.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -81,7 +81,8 @@ class PacketVerification:
     measured: dict
 
 
-def _predictions(packet: VonMisesPacket) -> PacketPrediction:
+def _predictions(packet: VonMisesPacket) -> dict:
+    """The fields of the packet's ``PacketPrediction`` at hbar = 1."""
     n, kappa = packet.n, packet.kappa
     i0, i1, _, h = von_mises(kappa)
     r = i1 / i0
@@ -95,12 +96,11 @@ def _predictions(packet: VonMisesPacket) -> PacketPrediction:
     # 1/sqrt(2 pi I0(kappa)) from the scaled I0: no overflow at any kappa
     norm = math.exp(-0.5 * abs(kappa)) / math.sqrt(TWO_PI * i0)
     if packet.axis is Axis.X:
-        return PacketPrediction(ex=0.0, ey=r, sigma_x2=along2,
-                                sigma_y2=across2, sigma_lz2=lz2,
-                                norm_const=norm)
+        return {"ex": 0.0, "ey": r, "sigma_x2": along2, "sigma_y2": across2,
+                "sigma_lz2": lz2, "norm_const": norm}
     # -cos profile: density concentrates where cos(n phi) = -sign(kappa)
-    return PacketPrediction(ex=-r, ey=0.0, sigma_x2=across2,
-                            sigma_y2=along2, sigma_lz2=lz2, norm_const=norm)
+    return {"ex": -r, "ey": 0.0, "sigma_x2": across2, "sigma_y2": along2,
+            "sigma_lz2": lz2, "norm_const": norm}
 
 
 # per-order phase of the Jacobi-Anger coefficient: (-i)^k for sin, (-1)^k
@@ -169,7 +169,7 @@ def verify_packet(packet: VonMisesPacket, state: CircleState,
     slz = math.sqrt(var)
     measured = {"ex": ex, "ey": ey, "sigma_x2": sx * sx, "sigma_y2": sy * sy,
                 "sigma_lz2": slz * slz, "lz": lz}
-    deltas = {key: measured[key] - getattr(pred, key) for key in measured
+    deltas = {key: measured[key] - pred[key] for key in measured
               if key != "lz"}
     deltas["lz"] = lz - packet.m
     if packet.axis is Axis.X:
@@ -178,11 +178,11 @@ def verify_packet(packet: VonMisesPacket, state: CircleState,
         deltas["kappa"] = -ex / measured["sigma_y2"] - packet.kappa
     ok = (all(abs(deltas[key]) <= tol for key in measured)
           and abs(deltas["kappa"]) <= tol * max(1.0, abs(packet.kappa)))
-    lz2, measured["sigma_lz2"], deltas["sigma_lz2"] = _in_hbar(
-        config, 2, ("sigma_Lz^2 prediction at n={}", n), pred.sigma_lz2,
+    pred["sigma_lz2"], measured["sigma_lz2"], deltas["sigma_lz2"] = _in_hbar(
+        config, 2, ("sigma_Lz^2 prediction at n={}", n), pred["sigma_lz2"],
         measured["sigma_lz2"], deltas["sigma_lz2"])
     measured["lz"], deltas["lz"], _ = _in_hbar(config, 1, "<L_z>", lz,
                                                deltas["lz"])
     return PacketVerification(ok=ok, tol=tol,
-                              predicted=replace(pred, sigma_lz2=lz2),
+                              predicted=PacketPrediction(**pred),
                               deltas=deltas, measured=measured)

@@ -396,12 +396,13 @@ def dump_state(state: CircleState) -> str:
 
     All values use 17 significant digits, enough for exact float64
     round-trips.  The rows are formatted from the columns as Python
-    scalars, one format call per row.
+    scalars, in one format call over the whole table.
     """
-    rows = zip(state.modes.tolist(), state.amps.real.tolist(),
-               state.amps.imag.tolist())
+    values = tuple(chain.from_iterable(zip(
+        state.modes.tolist(), state.amps.real.tolist(),
+        state.amps.imag.tolist())))
     return (f"theta {state.theta:.17g}\n"
-            + "".join(["%d %.17g %.17g\n" % row for row in rows]))
+            + "%d %.17g %.17g\n" * state.modes.size % values)
 
 
 def _parse_columns(fields) -> tuple | None:

@@ -6,9 +6,11 @@ small example count that keeps them to about a second, and no example
 database written to disk.  ``states`` is the hypothesis strategy of the
 generated states; test modules import it with ``from conftest import
 states`` once hypothesis has imported.  ``readme_commands`` lists the
-``qring`` command lines of the README.
+``qring`` command lines of the README.  ``PACKET_GRID`` is the packets
+whose output bytes the CLI and state-file tests pin.
 """
 
+import itertools
 import math
 import re
 import shlex
@@ -18,6 +20,11 @@ from qring.state import from_fourier
 
 TWO_PI = 2.0 * math.pi
 ROOT = Path(__file__).resolve().parents[1]
+
+# (axis, n, m, kappa) of the pinned packets: kappa 19.9 and 20.0 lie on
+# either side of the cutoff between the two ``bessel.von_mises`` branches
+PACKET_GRID = list(itertools.product(
+    ["X", "Y"], [1, 8], [-3, 3], [0.5, 19.9, 20.0, 39.9]))
 
 
 def readme_commands() -> list:

@@ -18,7 +18,7 @@ import pytest
 import qring.bessel
 import qring.cli
 import qring.mwp
-from conftest import readme_commands
+from conftest import PACKET_GRID, readme_commands
 from qring.cli import MAX_SCAN_ROWS, build_parser, main
 from qring.mwp import mwp_x, mwp_y, verify_packet
 from qring.observables import (
@@ -1183,10 +1183,23 @@ class TestJsonWriter:
             qring.cli._write_json(obj)
 
     def test_without_c_encoder(self, capsys, monkeypatch):
-        # the pure-Python encoder, as where the _json module is missing
-        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        # the pure-Python encoder, as where the _json module is missing:
+        # written once first, so that an encoder cached with the C one
+        # would be at hand, and must not be used
         obj = {"a": [1.5, {"b": -0.0, 1: "\u03c6"}], "c": [math.inf]}
         qring.cli._write_json(obj)
+        capsys.readouterr()
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        calls = []
+        make = json.encoder._make_iterencode
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", spy)
+        qring.cli._write_json(obj)
+        assert calls
         assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [
@@ -1205,6 +1218,11 @@ class TestJsonWriter:
          "--step", "0.5"],
         ["report", "STATE", "--nmax", "8"],
         ["report", "QUASI", "--nmax", "20"],
+        # the packet grid: both von_mises branches, at and near the cutoff
+        *[["mwp", "--axis", axis, "--n", str(n), "--m", str(m),
+           "--kappa", repr(kappa)] for axis, n, m, kappa in PACKET_GRID],
+        ["--hbar", "2.5", "mwp", "--axis", "Y", "--n", "8", "--m", "-3",
+         "--kappa", "39.9"],
     ], ids=" ".join)
     def test_every_document(self, capsys, tmp_path, monkeypatch, argv):
         quasi = report_state(16, "quasi-periodic", 3)

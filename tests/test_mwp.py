@@ -101,7 +101,7 @@ class TestConstruction:
         # relative at kappa 1e4; the prediction needs no state
         mpmath = pytest.importorskip("mpmath")
         pred = _predictions(VonMisesPacket(axis, 1, 0, kappa))
-        across2 = pred.sigma_y2 if axis is Axis.X else pred.sigma_x2
+        across2 = pred["sigma_y2" if axis is Axis.X else "sigma_x2"]
         with mpmath.workdps(60):
             k = mpmath.mpf(kappa)
             r = mpmath.besseli(1, k) / mpmath.besseli(0, k)

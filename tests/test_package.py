@@ -213,6 +213,20 @@ def test_report_path_reads_no_numpy():
     assert sorted(guarded & reads) == []
 
 
+def test_json_writer_builds_one_encoder_per_depth():
+    # JSONEncoder.encode builds a new C encoder on every call, which costs
+    # more than a report's floats: cli encodes through the cached
+    # encoders of _flat_encoder alone
+    def named(name):
+        return lambda node: (isinstance(node, ast.Call) and name in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)))
+
+    assert [fn for path, fn, _ in _reads(named("dumps"))
+            if path == "cli.py"] == []
+    assert {(path, fn) for path, fn, _ in _reads(named("JSONEncoder"))} == {
+        ("cli.py", "_flat_encoder")}
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

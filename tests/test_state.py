@@ -10,7 +10,8 @@ import pytest
 
 import qring.state
 from qring.errors import DegenerateStateError, ResolutionError
-from qring.mwp import mwp_x
+from conftest import PACKET_GRID
+from qring.mwp import mwp_x, mwp_y
 from qring.state import (
     MAX_MODE,
     Config,
@@ -566,6 +567,13 @@ class TestColumnIO:
     def test_corpus_matches_reference(self, text):
         assert (load_outcome(load_state, text)
                 == load_outcome(reference_load_state, text))
+
+    @pytest.mark.parametrize("axis,n,m,kappa", PACKET_GRID)
+    def test_packets_match_reference(self, axis, n, m, kappa):
+        # the odd orders of an X packet have exact zero real parts, which
+        # the generated states rarely do
+        _, state = (mwp_x if axis == "X" else mwp_y)(n, m, kappa)
+        assert dump_state(state) == reference_dump_state(state)
 
     def test_generated_files_match_reference(self):
         hypothesis = pytest.importorskip("hypothesis")
