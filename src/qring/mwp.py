@@ -27,7 +27,7 @@ import numpy as np
 
 from .bessel import ik_scaled, von_mises
 from .errors import ResolutionError
-from .observables import expect_xy, sigma_xy
+from .observables import _xy_at
 from .state import (DEFAULT_CONFIG, MAX_MODE, CircleState, Config, TWO_PI,
                     _build, _in_hbar)
 
@@ -163,8 +163,7 @@ def verify_packet(packet: VonMisesPacket, state: CircleState,
     """
     n, tol = packet.n, config.cmp_tol
     pred = _predictions(packet)
-    ex, ey = expect_xy(state, n)
-    sx, sy = sigma_xy(state, n)
+    ex, ey, sx, sy = _xy_at(state, n)
     lz, var = state.lz_moments
     slz = math.sqrt(var)
     measured = {"ex": ex, "ey": ey, "sigma_x2": sx * sx, "sigma_y2": sy * sy,

@@ -12,6 +12,13 @@ the mode span; every R_n is a C hypot, and counts as zero below its
 rounding bound ``_R_ZERO``.  hbar enters only through L_z, in
 ``expect_lz`` and ``sigma_lz``.
 
+The per-n arithmetic has one home, two private kernels in Python floats:
+``_xy_at`` gives <X_n>, <Y_n>, sigma_Xn and sigma_Yn, and ``_total_at``
+gives R_n and sigma_n.  ``expect_xy``, ``sigma_xy``, ``mean_resultant``,
+``sigma_total`` and ``mean_angle`` read them, and so do the bound checks
+and the n-series of ``uncertainty`` and the packet check of ``mwp``, so
+every caller gets the same bits.
+
 The window-dependent angle moments integrate phi rho and phi^2 rho over
 [beta, beta + 2pi].  Integrating each harmonic by parts gives, with
 c = beta + pi and rho_0 = 1,
@@ -66,17 +73,47 @@ _SEAM_1 = (-1.0) ** _SEAM_K / _SEAM_K
 _SEAM_2 = (-1.0) ** _SEAM_K / (_SEAM_K * _SEAM_K)
 
 
-def expect_xy(state: CircleState, n: int) -> tuple[float, float]:
-    """(<cos(n phi)>, <sin(n phi)>) as real and imaginary parts of
-    <exp(i n phi)> = conj(rho_n), read as one Python complex; (0.0, 0.0)
-    past the mode span."""
+def _xy_at(state: CircleState, n: int) -> tuple[float, float, float, float]:
+    """(<X_n>, <Y_n>, sigma_Xn, sigma_Yn) from rho_n and Re rho_2n, +0.0
+    past the mode span, by the exact double-angle reduction
+    <Xn^2> = (1 + <X_{2n}>)/2, <Yn^2> = (1 - <X_{2n}>)/2."""
     if n < 1:
         raise ValueError("harmonic index n must be >= 1")
     rho = state.harmonics
-    if n >= rho.size:
-        return 0.0, 0.0
-    value = rho.item(n)
-    return value.real, -value.imag
+    size = rho.size
+    if n < size:
+        z = rho.item(n)
+        ex, ey = z.real, -z.imag
+    else:  # +0.0 past the span, not -0.0
+        ex = ey = 0.0
+    x2n = rho.item(2 * n).real if 2 * n < size else 0.0
+    # each clip selects as max(var, 0.0) does, without the cost of a call
+    var_x = 0.5 * (1.0 + x2n) - ex * ex
+    var_y = 0.5 * (1.0 - x2n) - ey * ey
+    return (ex, ey, math.sqrt(0.0 if var_x < 0.0 else var_x),
+            math.sqrt(0.0 if var_y < 0.0 else var_y))
+
+
+def _total_at(state: CircleState, n: int) -> tuple[float, float]:
+    """(R_n, sigma_n): R_n = |rho_n| by C hypot (0.0 past the mode span),
+    sigma_n = (1/n) sqrt(1 - R_n^2) / R_n, or ``math.inf`` when R_n is
+    below its rounding bound ``_R_ZERO``, the one place that gate is
+    decided for a scalar n."""
+    if n < 1:
+        raise ValueError("harmonic index n must be >= 1")
+    rho = state.harmonics
+    size = rho.size
+    r = abs(rho.item(n)) if n < size else 0.0
+    if r < _R_ZERO[size]:
+        return r, math.inf
+    across = 1.0 - r * r
+    return r, math.sqrt(0.0 if across < 0.0 else across) / (n * r)
+
+
+def expect_xy(state: CircleState, n: int) -> tuple[float, float]:
+    """(<cos(n phi)>, <sin(n phi)>) = (Re rho_n, -Im rho_n); (0.0, 0.0)
+    past the mode span."""
+    return _xy_at(state, n)[:2]
 
 
 def expect_lz(state: CircleState, config: Config = DEFAULT_CONFIG) -> float:
@@ -90,22 +127,14 @@ def sigma_lz(state: CircleState, config: Config = DEFAULT_CONFIG) -> float:
 
 
 def sigma_xy(state: CircleState, n: int) -> tuple[float, float]:
-    """(sigma_Xn, sigma_Yn) via the exact double-angle reduction
-    <Xn^2> = (1 + <X_{2n}>)/2, <Yn^2> = (1 - <X_{2n}>)/2, from the Python
-    floats of ``expect_xy`` at n and 2n."""
-    ex, ey = expect_xy(state, n)
-    x2n, _ = expect_xy(state, 2 * n)
-    var_x = 0.5 * (1.0 + x2n) - ex * ex
-    var_y = 0.5 * (1.0 - x2n) - ey * ey
-    return math.sqrt(max(var_x, 0.0)), math.sqrt(max(var_y, 0.0))
+    """(sigma_Xn, sigma_Yn) via the exact double-angle reduction from
+    <X_n>, <Y_n> and <X_{2n}>."""
+    return _xy_at(state, n)[2:]
 
 
 def mean_resultant(state: CircleState, n: int) -> float:
     """R_n = |<exp(i n phi)>| = |rho_n| in [0, 1], by C hypot."""
-    if n < 1:
-        raise ValueError("harmonic index n must be >= 1")
-    rho = state.harmonics
-    return abs(rho.item(n)) if n < rho.size else 0.0
+    return _total_at(state, n)[0]
 
 
 def mean_angle(state: CircleState) -> float | None:
@@ -115,9 +144,10 @@ def mean_angle(state: CircleState) -> float | None:
     Defined through <X> = R cos<phi>, <Y> = R sin<phi>; with no first
     harmonic anisotropy there is no preferred direction.
     """
-    if mean_resultant(state, 1) < _R_ZERO[state.harmonics.size]:
+    # sigma_1 is infinite exactly when R_1 is below _R_ZERO
+    if math.isinf(_total_at(state, 1)[1]):
         return None
-    ex, ey = expect_xy(state, 1)
+    ex, ey, _, _ = _xy_at(state, 1)
     phi = math.atan2(ey, ex)
     if phi <= -math.pi:
         phi = math.pi
@@ -127,19 +157,11 @@ def mean_angle(state: CircleState) -> float | None:
 def sigma_total(state: CircleState, n: int) -> float:
     """Total spread sigma_n = (1/n) sqrt(1 - R_n^2) / R_n.
 
-    R_n is read straight from the cached harmonics, by the C hypot of
-    ``mean_resultant``.  Returns ``math.inf`` when R_n is numerically zero
-    (below its rounding bound ``_R_ZERO``), the one place that gate is
-    decided for a scalar n; the infinite value is meaningful and
-    propagates through the total uncertainty check.
+    Returns ``math.inf`` when R_n is numerically zero (below its rounding
+    bound ``_R_ZERO``); the infinite value is meaningful and propagates
+    through the total uncertainty check.
     """
-    if n < 1:
-        raise ValueError("harmonic index n must be >= 1")
-    rho = state.harmonics
-    r = abs(rho.item(n)) if n < rho.size else 0.0
-    if r < _R_ZERO[rho.size]:
-        return math.inf
-    return math.sqrt(max(1.0 - r * r, 0.0)) / (n * r)
+    return _total_at(state, n)[1]
 
 
 def _spread(u1, u2):

@@ -16,16 +16,16 @@ scales the sides and the slack by ``state._in_hbar``, which raises the
 ``OverflowError`` of a huge hbar; the one infinite side allowed is the
 total bound's left side when sigma_n is infinite.
 
-The scalar checks evaluate one bound at one n in Python floats, reading
-rho_n, rho_2n and sigma_Lz straight from the per-state caches with no
-observable call in between (sigma_n from ``sigma_total``), and return a
-frozen ``URReport``.  ``series_columns`` evaluates the observables and
-the three per-n bounds for every n = 1..nmax in one loop over n, in
-Python floats, with the same arithmetic as the scalar checks (zero past
-the mode span), so every value is bit-identical to theirs.  Both decide
-and scale a bound in ``_verdict``.  The symmetry detection and
-``recommend_n`` read the moduli R_k from the per-state cache
-``CircleState.resultants``.
+The scalar checks evaluate one bound at one n in Python floats and
+return a frozen ``URReport``.  ``series_columns`` evaluates the
+observables and the three per-n bounds for every n = 1..nmax in one loop
+over n.  Both read the per-n observables from the two kernels of
+``observables``, ``_xy_at`` (the axis means and spreads) and
+``_total_at`` (R_n and sigma_n), and sigma_Lz from the per-state cache,
+and both decide and scale a bound in ``_verdict``, so every value of the
+loop is bit-identical to the scalar checks' by construction.  The
+symmetry detection and ``recommend_n`` read the moduli R_k from the
+per-state cache ``CircleState.resultants``.
 """
 
 import math
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .observables import _R_ZERO, _seam_spread, sigma_total
+from .observables import _seam_spread, _total_at, _xy_at
 from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config, _in_hbar
 
 __all__ = [
@@ -110,36 +110,22 @@ def _verdict(kind: URKind, n: int, lhs: float, rhs: float,
     return lhs, rhs, scaled, slack >= -tol, abs(slack) <= tol
 
 
-def _axis_check(kind: URKind, state: CircleState, n: int,
-                config: Config) -> URReport:
-    """The X_AXIS or Y_AXIS bound at n with the arithmetic of
-    ``sigma_xy``, from rho_n and rho_2n of the cached harmonics (0 past the
-    span) and the cached sigma_Lz.  <Yn> = -Im rho_n enters only through
-    its square and its modulus, so Im rho_n stands in for it."""
-    if n < 1:
-        raise ValueError("harmonic index n must be >= 1")
-    rho = state.harmonics
-    z = rho.item(n) if n < rho.size else 0j
-    x2n = rho.item(2 * n).real if 2 * n < rho.size else 0.0
-    if kind is _X_AXIS:
-        var, other = 0.5 * (1.0 + x2n) - z.real * z.real, z.imag
-    else:
-        var, other = 0.5 * (1.0 - x2n) - z.imag * z.imag, z.real
-    lhs = math.sqrt(max(var, 0.0)) * math.sqrt(state.lz_moments[1])
-    return URReport(kind, n,
-                    *_verdict(kind, n, lhs, 0.5 * n * abs(other), config))
-
-
 def check_ur_x(state: CircleState, n: int,
                config: Config = DEFAULT_CONFIG) -> URReport:
     """sigma_Xn * sigma_Lz against (n hbar / 2) |<Yn>|."""
-    return _axis_check(_X_AXIS, state, n, config)
+    _, ey, sx, _ = _xy_at(state, n)
+    lhs = sx * math.sqrt(state.lz_moments[1])
+    return URReport(_X_AXIS, n,
+                    *_verdict(_X_AXIS, n, lhs, 0.5 * n * abs(ey), config))
 
 
 def check_ur_y(state: CircleState, n: int,
                config: Config = DEFAULT_CONFIG) -> URReport:
     """sigma_Yn * sigma_Lz against (n hbar / 2) |<Xn>|."""
-    return _axis_check(_Y_AXIS, state, n, config)
+    ex, _, _, sy = _xy_at(state, n)
+    lhs = sy * math.sqrt(state.lz_moments[1])
+    return URReport(_Y_AXIS, n,
+                    *_verdict(_Y_AXIS, n, lhs, 0.5 * n * abs(ex), config))
 
 
 def check_total_ur(state: CircleState, n: int,
@@ -147,7 +133,7 @@ def check_total_ur(state: CircleState, n: int,
     """sigma_n * sigma_Lz against hbar/2.  An infinite sigma_n (R_n below
     its rounding bound, an isotropic harmonic) makes the left side
     infinite and the bound trivially true."""
-    sn = sigma_total(state, n)
+    _, sn = _total_at(state, n)
     lhs = math.inf if math.isinf(sn) else sn * math.sqrt(state.lz_moments[1])
     return URReport(_TOTAL, n, *_verdict(_TOTAL, n, lhs, 0.5, config))
 
@@ -176,9 +162,10 @@ class SeriesRow(NamedTuple):
     """The n-dependent report fields at one n: the observables as Python
     floats, and each bound as its (lhs, rhs, slack, holds, saturated).
 
-    The observables match ``expect_xy``, ``mean_resultant``, ``sigma_xy``
-    and ``sigma_total``, and the bounds ``check_ur_x``, ``check_ur_y`` and
-    ``check_total_ur``, bit for bit.
+    Each row reads the kernels ``observables._xy_at`` and ``_total_at``,
+    as ``expect_xy``, ``mean_resultant``, ``sigma_xy`` and ``sigma_total``
+    and the bounds ``check_ur_x``, ``check_ur_y`` and ``check_total_ur``
+    do, so it matches them bit for bit.
     """
 
     n: int
@@ -197,33 +184,20 @@ class SeriesRow(NamedTuple):
 def series_columns(state: CircleState, nmax: int,
                    config: Config = DEFAULT_CONFIG) -> list:
     """Observables and the X_AXIS, Y_AXIS and TOTAL bounds for every
-    n = 1..nmax, one ``SeriesRow`` per n: one loop over the cached
-    harmonics, with the arithmetic of the scalar checks.
+    n = 1..nmax, one ``SeriesRow`` per n: one loop over n that reads the
+    two per-n kernels, as the scalar checks do.
 
     Raises the ``OverflowError`` of the first bound, in the order n, then
     X, Y, TOTAL, that overflows.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    rho = state.harmonics
-    size = rho.size
-    r_zero = _R_ZERO[size]
     slz = math.sqrt(state.lz_moments[1])
     rows = []
     for n in range(1, nmax + 1):
-        if n < size:
-            z = rho.item(n)
-            ex, ey, r = z.real, -z.imag, abs(z)
-        else:  # expect_xy gives +0.0 past the span, not -0.0
-            ex = ey = r = 0.0
-        x2n = rho.item(2 * n).real if 2 * n < size else 0.0
-        sx = math.sqrt(max(0.5 * (1.0 + x2n) - ex * ex, 0.0))
-        sy = math.sqrt(max(0.5 * (1.0 - x2n) - ey * ey, 0.0))
-        if r < r_zero:
-            sn = total_lhs = math.inf
-        else:
-            sn = math.sqrt(max(1.0 - r * r, 0.0)) / (n * r)
-            total_lhs = sn * slz
+        ex, ey, sx, sy = _xy_at(state, n)
+        r, sn = _total_at(state, n)
+        total_lhs = math.inf if math.isinf(sn) else sn * slz
         rows.append(SeriesRow(
             n, ex, ey, r, sx, sy, math.sqrt(sx * sx + sy * sy), sn,
             _verdict(_X_AXIS, n, sx * slz, 0.5 * n * abs(ey), config),

@@ -212,7 +212,8 @@ class TestSigmaTotal:
         assert sigma_total(cos_harmonic_state(1), 1) == math.inf
         assert sigma_total(superposition_state(5, 2), 1) == math.inf
 
-    @pytest.mark.parametrize("fn", [sigma_total, mean_resultant])
+    @pytest.mark.parametrize(
+        "fn", [sigma_total, mean_resultant, expect_xy, sigma_xy])
     @pytest.mark.parametrize("n", [0, -2])
     def test_harmonic_index_below_one_rejected(self, fn, n):
         with pytest.raises(ValueError, match="n must be >= 1"):

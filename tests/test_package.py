@@ -213,6 +213,28 @@ def test_report_path_reads_no_numpy():
     assert sorted(guarded & reads) == []
 
 
+def test_per_n_callers_read_the_two_kernels():
+    # the per-n arithmetic has one home, observables._xy_at and _total_at:
+    # a caller that reads rho_n itself holds a second copy of a formula
+    callers = {("observables.py", "expect_xy"), ("observables.py", "sigma_xy"),
+               ("observables.py", "mean_resultant"),
+               ("observables.py", "sigma_total"),
+               ("uncertainty.py", "check_ur_x"),
+               ("uncertainty.py", "check_ur_y"),
+               ("uncertainty.py", "check_total_ur"),
+               ("uncertainty.py", "series_columns"),
+               ("mwp.py", "verify_packet")}
+    defined = {(path, node.name) for path, _, node in _reads(
+        lambda node: isinstance(node, ast.FunctionDef))}
+    reads = {(path, fn) for path, fn, _ in _reads(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in ("harmonics", "item"))}
+    assert callers <= defined
+    assert sorted(callers & reads) == []
+    assert {("observables.py", "_xy_at"),
+            ("observables.py", "_total_at")} <= reads
+
+
 def test_json_writer_builds_one_encoder_per_depth():
     # JSONEncoder.encode builds a new C encoder on every call, which costs
     # more than a report's floats: cli encodes through the cached
