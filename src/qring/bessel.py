@@ -19,8 +19,9 @@ a cutoff of 15 the smallest term, about e^(-2x), cost up to 140 ulp.
 
 ``ik_scaled(x, max_order)`` gives the scaled I_k, the Fourier coefficients
 of a von Mises profile, under the packets' one truncation policy: exactly
-the orders whose weight I_k^2 exceeds 1e-24 of the total, or None when the
-orders up to ``max_order`` provably cannot hold them.
+the orders whose weight I_k^2 exceeds 1e-24 of the total, never fewer
+than orders 0 and 1 for x != 0, or None when the orders up to
+``max_order`` provably cannot hold them.
 """
 
 import math
@@ -162,10 +163,13 @@ def _needs_order(ax: float, k: int) -> bool:
 def ik_scaled(x: float, max_order: int) -> np.ndarray | None:
     """exp(-|x|) I_k(x) for k = 0 .. K, as a float array: exactly the
     orders whose weight I_k^2 exceeds ``_KEEP`` of the total sum_j I_j^2 =
-    I_0(2x).  None, before any order is computed, when the orders up to
+    I_0(2x), and for x != 0 never fewer than orders 0 and 1: order 1
+    carries the profile's anisotropy, and below |x| = 2e-12 weighs less
+    than ``_KEEP``; cut to order 0, a packet would be the bare eigenstate.
+    None, before any order is computed, when the orders up to
     ``max_order`` provably cannot hold it (``_needs_order``); the proof is
-    one-sided, so near its edge K may pass ``max_order``.  Raises
-    ``TypeError`` for a ``max_order`` that is not an integer, and
+    one-sided, and order 1 is always kept, so K may pass ``max_order``.
+    Raises ``TypeError`` for a ``max_order`` that is not an integer, and
     ``ValueError`` when the recurrence would start above 2**20 orders.
 
     Miller backward recurrence (A&S 9.12; Numerical Recipes 6.6), run on the
@@ -204,10 +208,10 @@ def ik_scaled(x: float, max_order: int) -> np.ndarray | None:
         ratios[k - 1] = r
     seq = np.multiply.accumulate(np.array([1.0] + ratios))
     seq *= 1.0 / (2.0 * seq.sum() - 1.0)
-    # I_k decreases in k, so the kept orders are a prefix
+    # I_k decreases in k, so the kept orders are a prefix; order 1 stays
     weight = seq * seq
     total = 2.0 * weight.sum() - weight[0]
-    seq = seq[: np.count_nonzero(weight > _KEEP * total)]
+    seq = seq[: max(2, np.count_nonzero(weight > _KEEP * total))]
     if x < 0:
         seq[1::2] *= -1.0
     return seq

@@ -39,7 +39,6 @@ error text.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -73,7 +72,6 @@ from .state import (
     superposition_state,
 )
 from .uncertainty import (
-    URKind,
     check_fujikawa,
     check_total_ur,
     detect_fold_symmetry,
@@ -95,16 +93,6 @@ MAX_SCAN_ROWS = 100_000
 # optional exponent, so that -1e-3 follows an option as -0.001 does
 _NEGATIVE_NUMBER = re.compile(
     r"^-\d+([eE][-+]?\d+)?$|^-\d*\.\d+([eE][-+]?\d+)?$")
-
-
-def _fields(record) -> dict:
-    """The fields of a dataclass of scalars, in declaration order.
-
-    A shallow dict: ``dataclasses.asdict`` would deep-copy every value,
-    which scalars do not need.
-    """
-    return {f.name: getattr(record, f.name)
-            for f in dataclasses.fields(record)}
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -356,9 +344,6 @@ def _load_state_file(path: str):
 # one line of the report's stderr table, and the check fields it reads
 _CHECK_ROW = "%-10s %2d %12.6g %12.6g %12.6g %s\n"
 _CHECK_FIELDS = itemgetter("kind", "n", "lhs", "rhs", "slack", "holds")
-# the kinds of the bounds of a ``SeriesRow``: x_axis, y_axis, total
-_SERIES_KINDS = (URKind.X_AXIS.value, URKind.Y_AXIS.value,
-                 URKind.TOTAL.value)
 
 
 def run_report(args, cfg: Config) -> int:
@@ -372,14 +357,14 @@ def run_report(args, cfg: Config) -> int:
          "sigma_x": sx, "sigma_y": sy, "sigma_lz": slz, "sigma_tilde": st,
          "sigma_n": sn}
         for n, ex, ey, r, sx, sy, st, sn, _, _, _ in rows]
-    # per n: X, Y, TOTAL, as the scalar checks run
-    checks = [{"kind": kind, "n": row.n, "lhs": lhs, "rhs": rhs,
-               "slack": slack, "holds": holds, "saturated": saturated}
-              for row in rows for kind, (lhs, rhs, slack, holds, saturated)
-              in zip(_SERIES_KINDS, (row.x_axis, row.y_axis, row.total))]
+    # per n: X, Y, TOTAL, as the scalar checks run; then the window bound
+    bounds = [(row.x_axis, row.y_axis, row.total) for row in rows]
     if state.is_periodic:
-        fujikawa = check_fujikawa(state, cfg)
-        checks.append({**_fields(fujikawa), "kind": fujikawa.kind.value})
+        bounds.append((check_fujikawa(state, cfg),))
+    checks = [{"kind": kind.value, "n": n, "lhs": lhs, "rhs": rhs,
+               "slack": slack, "holds": holds, "saturated": saturated}
+              for group in bounds
+              for kind, n, lhs, rhs, slack, holds, saturated in group]
     # built before any output, as it validates the two symmetry flags
     payload = {
         "hbar": cfg.hbar,
@@ -432,7 +417,7 @@ def run_mwp(args, cfg: Config) -> int:
         "n": packet.n,
         "m": packet.m,
         "kappa": packet.kappa,
-        "predicted": _fields(verification.predicted),
+        "predicted": verification.predicted,
         "measured": verification.measured,
         "verification": {"ok": verification.ok, "tol": verification.tol,
                          "deltas": verification.deltas},

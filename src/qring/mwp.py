@@ -10,13 +10,14 @@ States are built from their exact Fourier coefficients, the Jacobi-Anger
 expansions exp(z sin t) = sum_k I_k(z) (-i)^k e^{ikt} and
 exp(-z cos t) = sum_k (-1)^k I_k(z) e^{ikt} (A&S 9.6.34) with z = kappa/2
 and t = n phi: order k sits at mode n k + m.  ``bessel.ik_scaled`` keeps
-the orders whose weight exceeds 1e-24 of the total, a fixed policy, and
-proves early when kappa needs orders past the mode cap ``state.MAX_MODE``,
-the only limit on kappa; ``state._build`` checks the kept modes exactly.
-A packet is only its parameters; ``verify_packet`` computes the
-closed-form predictions from one ``bessel.von_mises`` call and compares
-them with the moments measured on the state, both at hbar = 1, and only
-then scales the L_z rows to the hbar of its ``Config``.
+the orders whose weight exceeds 1e-24 of the total, and orders 0 and 1
+at any nonzero kappa, a fixed policy; it proves early when kappa needs
+orders past the mode cap ``state.MAX_MODE``, the only limit on kappa,
+and ``state._build`` checks the kept modes exactly.  A packet is only
+its parameters; ``verify_packet`` computes the closed-form predictions,
+a dict, from one ``bessel.von_mises`` call and compares them with the
+moments measured on the state, both at hbar = 1, and only then scales
+the L_z rows to the hbar of its ``Config``.
 """
 
 import math
@@ -47,19 +48,6 @@ class Axis(Enum):
 
 
 @dataclass(frozen=True)
-class PacketPrediction:
-    """Closed-form statistics of a von Mises packet; sigma_lz2 is in units
-    of hbar^2."""
-
-    ex: float
-    ey: float
-    sigma_x2: float
-    sigma_y2: float
-    sigma_lz2: float
-    norm_const: float
-
-
-@dataclass(frozen=True)
 class VonMisesPacket:
     """Parameters of a minimum wave packet."""
 
@@ -72,17 +60,19 @@ class VonMisesPacket:
 @dataclass(frozen=True)
 class PacketVerification:
     """Closed-form predictions of a packet, the moments measured on its
-    state, and their deltas."""
+    state, and their deltas.  ``predicted`` is the dict of
+    ``_predictions``, with sigma_lz2 in units of hbar^2."""
 
     ok: bool
     tol: float
-    predicted: PacketPrediction
+    predicted: dict
     deltas: dict
     measured: dict
 
 
 def _predictions(packet: VonMisesPacket) -> dict:
-    """The fields of the packet's ``PacketPrediction`` at hbar = 1."""
+    """The closed-form statistics of the packet at hbar = 1, in the order
+    ex, ey, sigma_x2, sigma_y2, sigma_lz2, norm_const."""
     n, kappa = packet.n, packet.kappa
     i0, i1, _, h = von_mises(kappa)
     r = i1 / i0
@@ -182,6 +172,4 @@ def verify_packet(packet: VonMisesPacket, state: CircleState,
         measured["sigma_lz2"], deltas["sigma_lz2"])
     measured["lz"], deltas["lz"], _ = _in_hbar(config, 1, "<L_z>", lz,
                                                deltas["lz"])
-    return PacketVerification(ok=ok, tol=tol,
-                              predicted=PacketPrediction(**pred),
-                              deltas=deltas, measured=measured)
+    return PacketVerification(ok, tol, pred, deltas, measured)

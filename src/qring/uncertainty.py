@@ -16,20 +16,21 @@ scales the sides and the slack by ``state._in_hbar``, which raises the
 ``OverflowError`` of a huge hbar; the one infinite side allowed is the
 total bound's left side when sigma_n is infinite.
 
-The scalar checks evaluate one bound at one n in Python floats and
-return a frozen ``URReport``.  ``series_columns`` evaluates the
-observables and the three per-n bounds for every n = 1..nmax in one loop
-over n.  Both read the per-n observables from the two kernels of
-``observables``, ``_xy_at`` (the axis means and spreads) and
-``_total_at`` (R_n and sigma_n), and sigma_Lz from the per-state cache,
-and both decide and scale a bound in ``_verdict``, so every value of the
-loop is bit-identical to the scalar checks' by construction.  The
-symmetry detection and ``recommend_n`` read the moduli R_k from the
-per-state cache ``CircleState.resultants``.
+Every bound verdict is one tuple, (kind, n, lhs, rhs, slack, holds,
+saturated), built by ``_verdict``.  The scalar checks evaluate one bound
+at one n in Python floats and return it as a ``URReport``, a
+``NamedTuple``.  ``series_columns`` evaluates the observables and the
+three per-n bounds for every n = 1..nmax in one loop over n, and keeps
+each verdict as the plain tuple.  Both read the per-n observables from
+the two kernels of ``observables``, ``_xy_at`` (the axis means and
+spreads) and ``_total_at`` (R_n and sigma_n), and sigma_Lz from the
+per-state cache, so every verdict of the loop equals the scalar check's,
+bit for bit, by construction.  The symmetry detection and
+``recommend_n`` read the moduli R_k from the per-state cache
+``CircleState.resultants``.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -68,16 +69,9 @@ _TOTAL = URKind.TOTAL
 _FUJIKAWA = URKind.FUJIKAWA
 
 
-@dataclass(frozen=True, init=False)
-class URReport:
-    """Left side, right side and verdict of one uncertainty inequality.
-
-    A frozen dataclass whose ``__init__`` stores each field straight into
-    the instance dict, where the generated one would call
-    ``object.__setattr__`` once per field; fields, ``asdict``, ``replace``,
-    eq, hash, repr and the ``FrozenInstanceError`` on assignment are those
-    of the dataclass.
-    """
+class URReport(NamedTuple):
+    """Left side, right side and verdict of one uncertainty inequality:
+    the tuple ``_verdict`` returns, with its fields named."""
 
     kind: URKind
     n: int
@@ -87,27 +81,16 @@ class URReport:
     holds: bool
     saturated: bool
 
-    def __init__(self, kind: URKind, n: int, lhs: float, rhs: float,
-                 slack: float, holds: bool, saturated: bool):
-        fields = self.__dict__
-        fields["kind"] = kind
-        fields["n"] = n
-        fields["lhs"] = lhs
-        fields["rhs"] = rhs
-        fields["slack"] = slack
-        fields["holds"] = holds
-        fields["saturated"] = saturated
-
 
 def _verdict(kind: URKind, n: int, lhs: float, rhs: float,
              config: Config) -> tuple:
-    """(lhs, rhs, slack, holds, saturated) of lhs >= rhs: the verdict on
-    the sides at hbar = 1, the sides and the slack in the units of
-    ``config.hbar``."""
+    """(kind, n, lhs, rhs, slack, holds, saturated) of lhs >= rhs, the
+    fields of a ``URReport``: the verdict on the sides at hbar = 1, the
+    sides and the slack in the units of ``config.hbar``."""
     slack, tol = lhs - rhs, config.cmp_tol
     what = ("{.value} bound at n={}", kind, n)
     lhs, rhs, scaled = _in_hbar(config, 1, what, lhs, rhs, slack)
-    return lhs, rhs, scaled, slack >= -tol, abs(slack) <= tol
+    return kind, n, lhs, rhs, scaled, slack >= -tol, abs(slack) <= tol
 
 
 def check_ur_x(state: CircleState, n: int,
@@ -115,8 +98,8 @@ def check_ur_x(state: CircleState, n: int,
     """sigma_Xn * sigma_Lz against (n hbar / 2) |<Yn>|."""
     _, ey, sx, _ = _xy_at(state, n)
     lhs = sx * math.sqrt(state.lz_moments[1])
-    return URReport(_X_AXIS, n,
-                    *_verdict(_X_AXIS, n, lhs, 0.5 * n * abs(ey), config))
+    return URReport._make(
+        _verdict(_X_AXIS, n, lhs, 0.5 * n * abs(ey), config))
 
 
 def check_ur_y(state: CircleState, n: int,
@@ -124,8 +107,8 @@ def check_ur_y(state: CircleState, n: int,
     """sigma_Yn * sigma_Lz against (n hbar / 2) |<Xn>|."""
     ex, _, _, sy = _xy_at(state, n)
     lhs = sy * math.sqrt(state.lz_moments[1])
-    return URReport(_Y_AXIS, n,
-                    *_verdict(_Y_AXIS, n, lhs, 0.5 * n * abs(ex), config))
+    return URReport._make(
+        _verdict(_Y_AXIS, n, lhs, 0.5 * n * abs(ex), config))
 
 
 def check_total_ur(state: CircleState, n: int,
@@ -135,7 +118,7 @@ def check_total_ur(state: CircleState, n: int,
     infinite and the bound trivially true."""
     _, sn = _total_at(state, n)
     lhs = math.inf if math.isinf(sn) else sn * math.sqrt(state.lz_moments[1])
-    return URReport(_TOTAL, n, *_verdict(_TOTAL, n, lhs, 0.5, config))
+    return URReport._make(_verdict(_TOTAL, n, lhs, 0.5, config))
 
 
 def check_fujikawa(state: CircleState,
@@ -155,12 +138,12 @@ def check_fujikawa(state: CircleState,
     rho = state.harmonics.real
     two_pi_rho = rho.item(0) + 2.0 * float(rho[2::2].sum() - rho[1::2].sum())
     rhs = 0.5 * (1.0 - two_pi_rho)
-    return URReport(_FUJIKAWA, 1, *_verdict(_FUJIKAWA, 1, lhs, rhs, config))
+    return URReport._make(_verdict(_FUJIKAWA, 1, lhs, rhs, config))
 
 
 class SeriesRow(NamedTuple):
     """The n-dependent report fields at one n: the observables as Python
-    floats, and each bound as its (lhs, rhs, slack, holds, saturated).
+    floats, and each bound as the plain ``_verdict`` tuple of its check.
 
     Each row reads the kernels ``observables._xy_at`` and ``_total_at``,
     as ``expect_xy``, ``mean_resultant``, ``sigma_xy`` and ``sigma_total``

@@ -183,6 +183,16 @@ class TestScaledSequence:
     def test_zero_argument(self):
         assert ik_scaled(0.0, 0).tolist() == [1.0]
 
+    @pytest.mark.parametrize("x", [1e-13, -1e-13, 2e-12, 1e-300, -1e-300])
+    def test_tiny_argument_keeps_order_one(self, x):
+        # I_1^2 falls below 1e-24 of the total under |x| = 2e-12, but order
+        # 1 carries the profile's anisotropy: I_1(x) ~ x/2 stays
+        seq = ik_scaled(x, 5)
+        assert seq.size == 2
+        assert seq[0] == pytest.approx(i0_scaled(x), rel=1e-15)
+        assert seq[1] == pytest.approx(i1_scaled(x), rel=1e-15)
+        assert ik_scaled(1e-13, 0).size == 2
+
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_invalid_arguments(self, x):
         with pytest.raises(ValueError):

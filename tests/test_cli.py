@@ -272,6 +272,33 @@ class TestExamples:
         assert checks["total_product"]["measured"] == pytest.approx(
             0.5 * math.sqrt(2.0), rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", ["1e-12", "-1e-12", "3e-15", "-3e-15"])
+    def test_tiny_alpha_keeps_the_packet_anisotropic_exit_0(self, capsys,
+                                                            alpha):
+        # below |alpha| = 4e-12 the packet keeps order 1, which weighs
+        # under 1e-24 of the total: R_1 = |alpha|/2 stays above its
+        # rounding bound, 6.3e-16 for three modes
+        code, out, err = run_cli(capsys, "examples", "von-mises",
+                                 "--alpha", alpha)
+        assert code == 0 and "[FAIL]" not in err
+        checks = {c["quantity"]: c
+                  for c in json.loads(out)["cases"][0]["checks"]}
+        assert checks["mean_y"]["measured"] == pytest.approx(
+            0.5 * float(alpha), rel=1e-12)
+        assert checks["total_product"]["measured"] == pytest.approx(
+            0.5 * math.sqrt(2.0), rel=1e-9)
+
+    def test_resultant_below_rounding_bound_fails_by_design(self, capsys):
+        # R_1 = 5e-16 lies below its rounding bound: sigma_1 and the
+        # product are infinite, against the finite closed form
+        code, out, err = run_cli(capsys, "examples", "von-mises",
+                                 "--alpha", "1e-15")
+        assert code == 1
+        assert "[FAIL] von-mises total_product" in err
+        checks = {c["quantity"]: c
+                  for c in json.loads(out)["cases"][0]["checks"]}
+        assert math.isinf(checks["total_product"]["measured"])
+
     def test_unread_packet_prediction_does_not_fail(self, capsys):
         # the von Mises packet's sigma_Lz^2 prediction would overflow at
         # 1e307, but the example reads only the packet's state
@@ -862,6 +889,20 @@ class TestMwp:
         assert out == ""
         assert f"mode index {m.lstrip('-')} exceeds the cap 512" in err
 
+    @pytest.mark.parametrize("m,mode", [("512", 513), ("-512", 513),
+                                        ("511", 513)])
+    @pytest.mark.parametrize("kappa", ["1e-13", "1e-9"])
+    def test_kept_order_one_past_the_cap_exit_2(self, capsys, m, mode,
+                                                kappa):
+        # order 1 is kept at every nonzero concentration, so at n = 1 or
+        # 2 it lands past the cap for these m
+        n = "2" if m == "511" else "1"
+        code, out, err = run_cli(capsys, "mwp", "--axis", "X", "--n", n,
+                                 "--m", m, "--kappa", kappa)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: mode index {mode} exceeds the cap 512\n"
+
     def test_points_above_cap_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "mwp", "--axis", "X", "--n", "1",
                                  "--kappa", "2", "--emit-curve",
@@ -993,7 +1034,7 @@ def observable_row(state, n, cfg):
 
 def asdict_report(state, nmax, cfg=Config()):
     """Oracle: the report payload built from the scalar library calls,
-    with ``dataclasses.asdict`` for the bound checks, at the default
+    with ``URReport._asdict`` for the bound checks, at the default
     tolerances of ``report``."""
     observables, checks = [], []
     for n in range(1, nmax + 1):
@@ -1006,7 +1047,7 @@ def asdict_report(state, nmax, cfg=Config()):
         "hbar": cfg.hbar,
         "theta": state.theta,
         "observables": observables,
-        "uncertainty": [{**dataclasses.asdict(rep), "kind": rep.kind.value}
+        "uncertainty": [{**rep._asdict(), "kind": rep.kind.value}
                         for rep in checks],
         "fold_symmetry": {"n": detect_fold_symmetry(state, 1e-9),
                           "fully_symmetric": is_fully_symmetric(state, 1e-9)},
@@ -1112,7 +1153,7 @@ class TestSerialization:
         verification = verify_packet(packet, state)
         payload = {
             "axis": axis, "n": n, "m": m, "kappa": kappa,
-            "predicted": dataclasses.asdict(verification.predicted),
+            "predicted": verification.predicted,
             "measured": verification.measured,
             "verification": {"ok": verification.ok, "tol": 1e-9,
                              "deltas": verification.deltas},

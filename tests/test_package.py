@@ -249,6 +249,48 @@ def test_json_writer_builds_one_encoder_per_depth():
         ("cli.py", "_flat_encoder")}
 
 
+def _record_constructors():
+    """({(file, class)} of every dataclass and NamedTuple of the package,
+    [(file, class, method)] of each ``__init__`` or ``__new__`` one
+    defines)."""
+    def name(node):
+        # dataclass, dataclass(...), dataclasses.dataclass, typing.NamedTuple
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    records, constructors = set(), []
+    for path, _, node in _reads(lambda node: isinstance(node, ast.ClassDef)):
+        if ("NamedTuple" in map(name, node.bases)
+                or "dataclass" in map(name, node.decorator_list)):
+            records.add((path, node.name))
+            constructors += [(path, node.name, fn.name) for fn in node.body
+                             if isinstance(fn, ast.FunctionDef)
+                             and fn.name in ("__init__", "__new__")]
+    return records, constructors
+
+
+def test_records_keep_their_generated_constructor():
+    # a record is its fields: a hand-written __init__ or __new__ is a
+    # second constructor to keep in step with them, and every caller
+    # builds the record from the fields alone
+    records, constructors = _record_constructors()
+    assert {("uncertainty.py", "URReport"), ("uncertainty.py", "SeriesRow"),
+            ("mwp.py", "VonMisesPacket"), ("state.py", "Config")} <= records
+    assert constructors == []
+
+
+def test_cli_writes_records_without_dataclasses():
+    # the CLI writes each result as the library returns it: no field
+    # walk over a dataclass converts one on the way
+    tree = ast.parse((ROOT / "src" / "qring" / "cli.py").read_text())
+    imported = {alias.name.partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.partition(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert "json" in imported
+    assert "dataclasses" not in imported
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

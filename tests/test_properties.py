@@ -23,6 +23,7 @@ from qring.observables import (_R_ZERO, angle_moments_beta, expect_lz,
                                sigma_lz, sigma_total, sigma_xy)
 from qring.state import MAX_MODE, Config, dump_state, from_fourier, load_state
 from qring.uncertainty import (
+    URReport,
     check_fujikawa,
     check_total_ur,
     check_ur_x,
@@ -120,21 +121,24 @@ def test_state_file_round_trip_keeps_bits(state):
 
 @hypothesis.given(states())
 def test_scalar_checks_match_columns_bit_for_bit(state):
-    # repr tells apart any two floats, zero signs included, and a bool from
-    # a numpy bool.  hbar = 0.37 rounds, so a change in the order of the
-    # sigma_Lz product shows in the last bit; 2**-40 and 2**40 hold the
-    # bits at units far from 1
+    # compared field by field: float.hex tells apart any two floats, zero
+    # signs included, and type() a bool from a numpy bool.  hbar = 0.37
+    # rounds, so a change in the order of the sigma_Lz product shows in the
+    # last bit; 2**-40 and 2**40 hold the bits at units far from 1
     nmax = state.mode_span + 2
     for hbar in (1.0, 0.37, 2.0**-40, 2.0**40):
         cfg = Config(hbar=hbar)
         rows = series_columns(state, nmax, cfg)
         for check, family in ((check_ur_x, "x_axis"), (check_ur_y, "y_axis"),
                               (check_total_ur, "total")):
-            scalar = [(r.lhs, r.rhs, r.slack, r.holds, r.saturated)
-                      for r in (check(state, n, cfg)
-                                for n in range(1, nmax + 1))]
-            columns = [getattr(row, family) for row in rows]
-            assert repr(scalar) == repr(columns)
+            for row in rows:
+                scalar, column = check(state, row.n, cfg), getattr(row, family)
+                assert len(column) == len(URReport._fields)
+                for name, want, got in zip(URReport._fields, scalar, column):
+                    where = (family, row.n, name)
+                    assert type(got) is type(want), where
+                    assert (got.hex() == want.hex() if type(want) is float
+                            else got == want), where
 
 
 @hypothesis.settings(max_examples=10)
@@ -149,7 +153,7 @@ def test_boundary_phase_moves_only_the_mean_lz(state, theta):
     betas = np.linspace(-7.0, 7.0, 5)
     for probe in (
             lambda s: series_columns(s, nmax),
-            lambda s: dataclasses.astuple(check_fujikawa(s)),
+            lambda s: tuple(check_fujikawa(s)),
             lambda s: angle_moments_beta(s, betas),
             lambda s: (detect_fold_symmetry(s), is_fully_symmetric(s)),
             recommend_n, sigma_lz):
@@ -164,14 +168,15 @@ def test_every_bound_holds_over_the_series(state):
     # isotropic harmonic, R_n below its rounding bound
     r_zero = _R_ZERO[state.harmonics.size]
     for row in series_columns(state, max(state.mode_span, 1)):
-        for lhs, rhs, slack, holds, _ in (row.x_axis, row.y_axis, row.total):
+        for _, _, lhs, rhs, slack, holds, _ in (row.x_axis, row.y_axis,
+                                                row.total):
             assert holds
             assert not math.isnan(lhs)
             assert not math.isnan(slack)
             assert math.isfinite(rhs)
-        assert math.isfinite(row.x_axis[0])
-        assert math.isfinite(row.y_axis[0])
-        assert math.isinf(row.total[0]) == (row.r_n < r_zero)
+        assert math.isfinite(row.x_axis[2])
+        assert math.isfinite(row.y_axis[2])
+        assert math.isinf(row.total[2]) == (row.r_n < r_zero)
     rep = check_fujikawa(state)
     assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
     assert rep.holds
@@ -216,7 +221,7 @@ def test_rotation_keeps_resultants_spreads_and_total_slack(state, delta):
     a, b = ({"n": np.array([row.n for row in rows]),
              "r_n": np.array([row.r_n for row in rows]),
              "sigma_n": np.array([row.sigma_n for row in rows]),
-             "slack": np.array([row.total[2] for row in rows])}
+             "slack": np.array([row.total[4] for row in rows])}
             for rows in (series_columns(state, nmax),
                          series_columns(turned, nmax)))
     assert np.all(np.abs(a["r_n"] - b["r_n"]) <= dr)
@@ -296,7 +301,7 @@ def verdicts(state, nmax, cfg):
     reports.append(check_fujikawa(state, cfg))
     rows = series_columns(state, nmax, cfg)
     return ([(r.holds, r.saturated) for r in reports],
-            [bound[3:] for row in rows
+            [bound[5:] for row in rows
              for bound in (row.x_axis, row.y_axis, row.total)])
 
 
@@ -415,7 +420,7 @@ def test_no_nan_or_inf_behind_a_true_packet_or_example_verdict():
         packet, state = build(n, m, kappa)
         for hbar in HBARS:
             v = verify_packet(packet, state, Config(hbar=hbar))
-            values = [*dataclasses.astuple(v.predicted), *v.measured.values(),
+            values = [*v.predicted.values(), *v.measured.values(),
                       *v.deltas.values()]
             assert not v.ok or all(map(math.isfinite, values))
     for argv in (["examples"], ["examples", "superposition", "--k", "7"],
