@@ -12,6 +12,14 @@ stderr.  Exit codes: 0 all comparisons passed, 1 a comparison failed,
 alone writes a failure's ``error:`` line and exits 3 on a
 ``DegenerateStateError``, 2 on any other ``ValueError`` or ``OverflowError``.
 
+The library works in units of hbar (hbar = 1); --hbar is only the unit of
+the printed values.  ``_in_hbar`` alone multiplies a value by hbar and
+builds the ``OverflowError`` of one that overflows there, and at
+hbar = 1 every value is printed as the library returns it.  ``main``
+validates --hbar before --tol; ``report`` scales its bounds by n (X, Y,
+TOTAL), then sigma_Lz, then the window bound, before it reads its
+symmetry options, and ``mwp`` scales sigma_lz2, then lz.
+
 ``examples`` is one table: each case gives its (quantity, expected,
 measured) rows at hbar = 1, and its product row measures the total bound's
 left side.  Every comparison is decided on those values, against --tol,
@@ -64,7 +72,6 @@ from .observables import (
 )
 from .state import (
     Config,
-    _in_hbar,
     cos_harmonic_state,
     dump_state,
     load_state,
@@ -201,9 +208,42 @@ def _write_table(names, columns, as_json: bool) -> None:
                      + row * len(columns[0]) % values)
 
 
+def _in_hbar(hbar: float, power: int, what, x, y=0.0, z=0.0) -> tuple:
+    """(x, y, z), floats at hbar = 1 of degree ``power`` in hbar, each
+    multiplied by hbar ``power`` times (hbar**power may overflow where the
+    product does not): the one place hbar enters a value.  At hbar = 1
+    they come back as they are, as the products would be.  A finite value
+    that comes out infinite raises ``OverflowError`` naming ``what``, a
+    string or a ``str.format`` string and its arguments in one tuple; an
+    infinite one (an isotropic sigma_n) stays infinite."""
+    if hbar == 1.0:  # v * 1.0 is v to the bit, and never overflows
+        return x, y, z
+    sx, sy, sz = x, y, z
+    while power:  # a while loop: range() would cost more than the product
+        sx, sy, sz = sx * hbar, sy * hbar, sz * hbar
+        power -= 1
+    if not math.isfinite(sx + sy + sz):  # finite when every value is
+        for value, out in ((x, sx), (y, sy), (z, sz)):
+            if math.isinf(out) and math.isfinite(value):
+                name = (what if isinstance(what, str)
+                        else what[0].format(*what[1:]))
+                raise OverflowError(f"{name} overflows float64 "
+                                    f"(hbar={hbar!r}); use a smaller hbar")
+    return sx, sy, sz
+
+
+def _bound_in_hbar(hbar: float, verdict) -> tuple:
+    """A bound verdict (kind, n, lhs, rhs, slack, holds, saturated) with its
+    sides and slack, of degree 1, in units of hbar."""
+    kind, n, lhs, rhs, slack, holds, saturated = verdict
+    lhs, rhs, slack = _in_hbar(hbar, 1, ("{.value} bound at n={}", kind, n),
+                               lhs, rhs, slack)
+    return kind, n, lhs, rhs, slack, holds, saturated
+
+
 def _check(name: str, quantity: str, expected: float, measured: float,
-           cfg: Config) -> dict:
-    """One examples row, decided at hbar = 1 and printed at cfg.hbar."""
+           cfg: Config, hbar: float) -> dict:
+    """One examples row, decided at hbar = 1 and printed in units of hbar."""
     if math.isinf(expected) or math.isinf(measured):
         ok = math.isinf(expected) and math.isinf(measured)
     else:
@@ -211,7 +251,7 @@ def _check(name: str, quantity: str, expected: float, measured: float,
     # sigma_lz and the products have degree 1 in hbar, the rest degree 0
     power = 1 if quantity.startswith(("sigma_lz", "total_product")) else 0
     what = ("{} of the {} example", quantity, name)
-    expected, measured, _ = _in_hbar(cfg, power, what, expected, measured)
+    expected, measured, _ = _in_hbar(hbar, power, what, expected, measured)
     return {"quantity": quantity, "expected": expected,
             "measured": measured, "pass": bool(ok)}
 
@@ -276,7 +316,7 @@ def run_examples(args, cfg: Config) -> int:
     report = {"cases": [], "all_pass": True}
     for name in selected:
         params, rows = _example(name, args)
-        checks = [_check(name, *row, cfg) for row in rows]
+        checks = [_check(name, *row, cfg, args.hbar) for row in rows]
         for c in checks:
             verdict = "PASS" if c["pass"] else "FAIL"
             print(f"[{verdict}] {name} {c['quantity']}: "
@@ -351,23 +391,27 @@ def run_report(args, cfg: Config) -> int:
         raise ValueError(f"--nmax must lie in [1, {MAX_SCAN_ROWS}]")
     state = _load_state_file(args.state_file)
     rows = series_columns(state, args.nmax, cfg)
-    mean_phi, slz = mean_angle(state), sigma_lz(state, cfg)
+    # per n: X, Y, TOTAL, as the scalar checks run; then the window bound
+    bounds = [bound for row in rows
+              for bound in (row.x_axis, row.y_axis, row.total)]
+    slz, hbar = sigma_lz(state), args.hbar
+    if hbar != 1.0:  # in the documented order of their overflow errors
+        bounds = [_bound_in_hbar(hbar, bound) for bound in bounds]
+        slz = _in_hbar(hbar, 1, "sigma_Lz", slz)[0]
+    if state.is_periodic:
+        bounds.append(_bound_in_hbar(hbar, check_fujikawa(state, cfg)))
+    mean_phi = mean_angle(state)
     observables = [
         {"n": n, "ex": ex, "ey": ey, "r_n": r, "mean_phi": mean_phi,
          "sigma_x": sx, "sigma_y": sy, "sigma_lz": slz, "sigma_tilde": st,
          "sigma_n": sn}
         for n, ex, ey, r, sx, sy, st, sn, _, _, _ in rows]
-    # per n: X, Y, TOTAL, as the scalar checks run; then the window bound
-    bounds = [(row.x_axis, row.y_axis, row.total) for row in rows]
-    if state.is_periodic:
-        bounds.append((check_fujikawa(state, cfg),))
     checks = [{"kind": kind.value, "n": n, "lhs": lhs, "rhs": rhs,
                "slack": slack, "holds": holds, "saturated": saturated}
-              for group in bounds
-              for kind, n, lhs, rhs, slack, holds, saturated in group]
+              for kind, n, lhs, rhs, slack, holds, saturated in bounds]
     # built before any output, as it validates the two symmetry flags
     payload = {
-        "hbar": cfg.hbar,
+        "hbar": hbar,
         "theta": state.theta,
         "observables": observables,
         "uncertainty": checks,
@@ -412,15 +456,23 @@ def run_mwp(args, cfg: Config) -> int:
                      args.json)
         return 0
     verification = verify_packet(packet, state, cfg)
+    predicted, measured, deltas = (verification.predicted,
+                                   verification.measured, verification.deltas)
+    predicted["sigma_lz2"], measured["sigma_lz2"], deltas["sigma_lz2"] = (
+        _in_hbar(args.hbar, 2, ("sigma_Lz^2 prediction at n={}", packet.n),
+                 predicted["sigma_lz2"], measured["sigma_lz2"],
+                 deltas["sigma_lz2"]))
+    measured["lz"], deltas["lz"], _ = _in_hbar(args.hbar, 1, "<L_z>",
+                                               measured["lz"], deltas["lz"])
     payload = {
         "axis": packet.axis.value,
         "n": packet.n,
         "m": packet.m,
         "kappa": packet.kappa,
-        "predicted": verification.predicted,
-        "measured": verification.measured,
+        "predicted": predicted,
+        "measured": measured,
         "verification": {"ok": verification.ok, "tol": verification.tol,
-                         "deltas": verification.deltas},
+                         "deltas": deltas},
     }
     _write_json(payload)
     return 0 if verification.ok else 1
@@ -639,7 +691,9 @@ def main(argv=None) -> int:
         "mwp": run_mwp,
     }
     try:
-        return dispatch[args.command](args, Config(args.hbar, args.tol))
+        if not (math.isfinite(args.hbar) and args.hbar > 0):
+            raise ValueError("hbar must be positive and finite")
+        return dispatch[args.command](args, Config(args.tol))
     except DegenerateStateError as exc:
         print(f"error: state is not normalizable: {exc}", file=sys.stderr)
         return STATE_ERROR

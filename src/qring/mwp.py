@@ -16,8 +16,7 @@ orders past the mode cap ``state.MAX_MODE``, the only limit on kappa,
 and ``state._build`` checks the kept modes exactly.  A packet is only
 its parameters; ``verify_packet`` computes the closed-form predictions,
 a dict, from one ``bessel.von_mises`` call and compares them with the
-moments measured on the state, both at hbar = 1, and only then scales
-the L_z rows to the hbar of its ``Config``.
+moments measured on the state, both in units of hbar (hbar = 1).
 """
 
 import math
@@ -30,7 +29,7 @@ from .bessel import ik_scaled, von_mises
 from .errors import ResolutionError
 from .observables import _xy_at
 from .state import (DEFAULT_CONFIG, MAX_MODE, CircleState, Config, TWO_PI,
-                    _build, _in_hbar)
+                    _build)
 
 __all__ = [
     "Axis",
@@ -60,8 +59,8 @@ class VonMisesPacket:
 @dataclass(frozen=True)
 class PacketVerification:
     """Closed-form predictions of a packet, the moments measured on its
-    state, and their deltas.  ``predicted`` is the dict of
-    ``_predictions``, with sigma_lz2 in units of hbar^2."""
+    state, and their deltas, all in units of hbar.  ``predicted`` is the
+    dict of ``_predictions``."""
 
     ok: bool
     tol: float
@@ -82,14 +81,16 @@ def _predictions(packet: VonMisesPacket) -> dict:
     # 1, where h_alpha/(kappa r) does not; h_alpha ~ kappa^2/4 underflows
     # as kappa nears 0, where 1 - r/kappa - r^2 is at least 0.3
     across2 = 1.0 - along2 - r * r if abs(kappa) < 1.0 else h / (kappa * r)
-    lz2 = kappa * (0.5 * n) ** 2 * r
+    # kappa and r share their sign; abs drops the sign of a zero product
+    lz2 = abs(kappa * (0.5 * n) ** 2 * r)
     # 1/sqrt(2 pi I0(kappa)) from the scaled I0: no overflow at any kappa
     norm = math.exp(-0.5 * abs(kappa)) / math.sqrt(TWO_PI * i0)
     if packet.axis is Axis.X:
         return {"ex": 0.0, "ey": r, "sigma_x2": along2, "sigma_y2": across2,
                 "sigma_lz2": lz2, "norm_const": norm}
-    # -cos profile: density concentrates where cos(n phi) = -sign(kappa)
-    return {"ex": -r, "ey": 0.0, "sigma_x2": across2, "sigma_y2": along2,
+    # -cos profile: density concentrates where cos(n phi) = -sign(kappa);
+    # 0.0 - r, not -r, which is -0.0 at r = 0.0
+    return {"ex": 0.0 - r, "ey": 0.0, "sigma_x2": across2, "sigma_y2": along2,
             "sigma_lz2": lz2, "norm_const": norm}
 
 
@@ -141,8 +142,7 @@ def mwp_y(n: int, m: int, beta: float) -> tuple[VonMisesPacket, CircleState]:
 def verify_packet(packet: VonMisesPacket, state: CircleState,
                   config: Config = DEFAULT_CONFIG) -> PacketVerification:
     """Compare measured moments of the state against the packet's
-    closed-form predictions at hbar = 1, and report both in units of
-    ``config.hbar``.
+    closed-form predictions, both in units of hbar.
 
     Measures <Xn>, <Yn>, sigma_Xn^2, sigma_Yn^2, sigma_Lz^2 and <Lz> on
     the state, and checks that the ratio of the transverse mean to the
@@ -167,9 +167,4 @@ def verify_packet(packet: VonMisesPacket, state: CircleState,
         deltas["kappa"] = -ex / measured["sigma_y2"] - packet.kappa
     ok = (all(abs(deltas[key]) <= tol for key in measured)
           and abs(deltas["kappa"]) <= tol * max(1.0, abs(packet.kappa)))
-    pred["sigma_lz2"], measured["sigma_lz2"], deltas["sigma_lz2"] = _in_hbar(
-        config, 2, ("sigma_Lz^2 prediction at n={}", n), pred["sigma_lz2"],
-        measured["sigma_lz2"], deltas["sigma_lz2"])
-    measured["lz"], deltas["lz"], _ = _in_hbar(config, 1, "<L_z>", lz,
-                                               deltas["lz"])
     return PacketVerification(ok, tol, pred, deltas, measured)

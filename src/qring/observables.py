@@ -9,8 +9,8 @@ rho_k, computed once per state and cached on it
 (``CircleState.harmonics``): <exp(i k phi)> = conj(rho_k), so
 (<X_n>, <Y_n>) = (Re rho_n, -Im rho_n) and R_n = |rho_n|, all zero past
 the mode span; every R_n is a C hypot, and counts as zero below its
-rounding bound ``_R_ZERO``.  hbar enters only through L_z, in
-``expect_lz`` and ``sigma_lz``.
+rounding bound ``_R_ZERO``.  L_z, in ``expect_lz`` and ``sigma_lz``, is
+in units of hbar, as every value of the package.
 
 The per-n arithmetic has one home, two private kernels in Python floats:
 ``_xy_at`` gives <X_n>, <Y_n>, sigma_Xn and sigma_Yn, and ``_total_at``
@@ -43,8 +43,7 @@ import math
 
 import numpy as np
 
-from .state import (DEFAULT_CONFIG, MAX_MODE, CircleState, Config, _in_hbar,
-                    _phase_sums)
+from .state import MAX_MODE, CircleState, _phase_sums
 
 __all__ = [
     "expect_xy",
@@ -116,14 +115,15 @@ def expect_xy(state: CircleState, n: int) -> tuple[float, float]:
     return _xy_at(state, n)[:2]
 
 
-def expect_lz(state: CircleState, config: Config = DEFAULT_CONFIG) -> float:
-    """<L_z> = hbar sum mu |c|^2; real by construction."""
-    return _in_hbar(config, 1, "<L_z>", state.lz_moments[0])[0]
+def expect_lz(state: CircleState) -> float:
+    """<L_z>/hbar = sum mu |c|^2; real by construction."""
+    return state.lz_moments[0]
 
 
-def sigma_lz(state: CircleState, config: Config = DEFAULT_CONFIG) -> float:
-    """Standard deviation of L_z from the exact centred diagonal sum."""
-    return _in_hbar(config, 1, "sigma_Lz", math.sqrt(state.lz_moments[1]))[0]
+def sigma_lz(state: CircleState) -> float:
+    """sigma_Lz/hbar, the standard deviation of L_z from the exact centred
+    diagonal sum."""
+    return math.sqrt(state.lz_moments[1])
 
 
 def sigma_xy(state: CircleState, n: int) -> tuple[float, float]:

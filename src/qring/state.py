@@ -5,19 +5,21 @@ with sum |c_m|^2 = 1.  The boundary phase theta makes the state
 quasi-periodic, psi(phi + 2pi) = exp(i theta) psi(phi); theta = 0 is the
 strictly periodic case and theta = pi the anti-periodic one (half-odd
 effective angular momenta).  A state is only this wavefunction: its
-modes, amplitudes and theta, with every |m| at most ``MAX_MODE``.  Units
-and tolerances live in ``Config``, passed to the measurements that read
-them.  The Fourier representation keeps angular momentum moments exact
-diagonal sums and all trigonometric expectation values exact
-autocorrelations.  Each state computes them once and caches them:
-``CircleState.lz_moments`` holds the mean and the centred variance of
-the exponents, ``CircleState.harmonics`` the density harmonics and
-``CircleState.resultants`` their moduli R_k.  Point values are direct
-sums over the modes through the phase tables of ``_phase_sums``: each row
-of a table is a running product, exp(i mu_0 phi) times exp(i g phi) for
-each gap g between neighbouring modes, so a point costs one exp per
-distinct gap rather than one per mode, and a sparse mode set builds one
-column per mode, never the lattice between its modes.
+modes, amplitudes and theta, with every |m| at most ``MAX_MODE``.  Every
+value of the package is in units of hbar (hbar = 1): the CLI alone
+prints in other units.  The comparison tolerance lives in ``Config``,
+passed to the checks that read it.  The Fourier representation keeps
+angular momentum moments exact diagonal sums and all trigonometric
+expectation values exact autocorrelations.  Each state computes them
+once and caches them: ``CircleState.lz_moments`` holds the mean and the
+centred variance of the exponents, ``CircleState.harmonics`` the density
+harmonics and ``CircleState.resultants`` their moduli R_k.  Point values
+are direct sums over the modes through the phase tables of
+``_phase_sums``: each row of a table is a running product, exp(i mu_0
+phi) times exp(i g phi) for each gap g between neighbouring modes, so a
+point costs one exp per distinct gap rather than one per mode, and a
+sparse mode set builds one column per mode, never the lattice between
+its modes.
 """
 
 import math
@@ -92,47 +94,17 @@ def _phase_sums(points: np.ndarray, ifreqs: np.ndarray, columns: np.ndarray,
 
 @dataclass(frozen=True)
 class Config:
-    """Units and tolerances, their one home: hbar sets the angular momentum
-    scale, entering a value only through ``_in_hbar``, and cmp_tol the
-    tolerance of every verdict, decided at hbar = 1.  Only the functions
-    that read one of them take a Config; a state carries none."""
+    """The tolerance of every verdict, cmp_tol, its one home.  Only the
+    functions that read it take a Config; a state carries none."""
 
-    hbar: float = 1.0
     cmp_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ValueError("hbar must be positive and finite")
         if not 0 < self.cmp_tol < 1:
             raise ValueError("cmp_tol must lie in (0, 1)")
 
 
 DEFAULT_CONFIG = Config()
-
-
-def _in_hbar(config: Config, power: int, what, x, y=0.0, z=0.0) -> tuple:
-    """(x, y, z), floats at hbar = 1 of degree ``power`` in hbar, each
-    multiplied by ``config.hbar`` ``power`` times (hbar**power may overflow
-    where the product does not): the one place hbar enters a value.  At
-    hbar = 1 they come back as they are, as the products would be.  A
-    finite value that comes out infinite raises ``OverflowError`` naming
-    ``what``, a string or a ``str.format`` string and its arguments in one
-    tuple; an infinite one (an isotropic sigma_n) stays infinite."""
-    hbar = config.hbar
-    if hbar == 1.0:  # v * 1.0 is v to the bit, and never overflows
-        return x, y, z
-    sx, sy, sz = x, y, z
-    while power:  # a while loop: range() would cost more than the product
-        sx, sy, sz = sx * hbar, sy * hbar, sz * hbar
-        power -= 1
-    if not math.isfinite(sx + sy + sz):  # finite when every value is
-        for value, out in ((x, sx), (y, sy), (z, sz)):
-            if math.isinf(out) and math.isfinite(value):
-                name = (what if isinstance(what, str)
-                        else what[0].format(*what[1:]))
-                raise OverflowError(f"{name} overflows float64 "
-                                    f"(hbar={hbar!r}); use a smaller hbar")
-    return sx, sy, sz
 
 
 @dataclass(frozen=True, eq=False)

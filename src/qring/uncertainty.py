@@ -10,11 +10,11 @@ the window-anchored bound sigma_phi * sigma_Lz >= (hbar/2)(1 - 2pi rho(pi))
 with the window start fixed at -pi, for every boundary phase.  All four
 are theorems, so ``holds`` is expected true for every valid state; the
 interesting output is the slack and the saturation flag.  Each bound is
-homogeneous of degree 1 in hbar: a check decides ``holds`` and
-``saturated`` on its sides at hbar = 1 against ``Config.cmp_tol``, then
-scales the sides and the slack by ``state._in_hbar``, which raises the
-``OverflowError`` of a huge hbar; the one infinite side allowed is the
-total bound's left side when sigma_n is infinite.
+homogeneous of degree 1 in hbar, so a check works in units of hbar: it
+decides ``holds`` and ``saturated`` on its sides at hbar = 1 against
+``Config.cmp_tol`` and returns the sides and the slack at hbar = 1 too.
+The one infinite side is the total bound's left side when sigma_n is
+infinite.
 
 Every bound verdict is one tuple, (kind, n, lhs, rhs, slack, holds,
 saturated), built by ``_verdict``.  The scalar checks evaluate one bound
@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .observables import _seam_spread, _total_at, _xy_at
-from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config, _in_hbar
+from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config
 
 __all__ = [
     "URKind",
@@ -85,12 +85,9 @@ class URReport(NamedTuple):
 def _verdict(kind: URKind, n: int, lhs: float, rhs: float,
              config: Config) -> tuple:
     """(kind, n, lhs, rhs, slack, holds, saturated) of lhs >= rhs, the
-    fields of a ``URReport``: the verdict on the sides at hbar = 1, the
-    sides and the slack in the units of ``config.hbar``."""
+    fields of a ``URReport``, against ``config.cmp_tol``."""
     slack, tol = lhs - rhs, config.cmp_tol
-    what = ("{.value} bound at n={}", kind, n)
-    lhs, rhs, scaled = _in_hbar(config, 1, what, lhs, rhs, slack)
-    return kind, n, lhs, rhs, scaled, slack >= -tol, abs(slack) <= tol
+    return kind, n, lhs, rhs, slack, slack >= -tol, abs(slack) <= tol
 
 
 def check_ur_x(state: CircleState, n: int,
@@ -169,9 +166,6 @@ def series_columns(state: CircleState, nmax: int,
     """Observables and the X_AXIS, Y_AXIS and TOTAL bounds for every
     n = 1..nmax, one ``SeriesRow`` per n: one loop over n that reads the
     two per-n kernels, as the scalar checks do.
-
-    Raises the ``OverflowError`` of the first bound, in the order n, then
-    X, Y, TOTAL, that overflows.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")

@@ -31,7 +31,6 @@ from qring.observables import (
     sigma_xy,
 )
 from qring.state import (
-    Config,
     cos_harmonic_state,
     dump_state,
     from_fourier,
@@ -1022,33 +1021,41 @@ def asdict_json(payload):
     return buf.getvalue()
 
 
-def observable_row(state, n, cfg):
-    """Oracle: the ``report`` observables at n from the scalar functions."""
+def observable_row(state, n, hbar):
+    """Oracle: the ``report`` observables at n from the scalar functions,
+    sigma_lz multiplied by hbar."""
     (ex, ey), (sx, sy) = expect_xy(state, n), sigma_xy(state, n)
     return {"n": n, "ex": ex, "ey": ey, "r_n": mean_resultant(state, n),
             "mean_phi": mean_angle(state), "sigma_x": sx, "sigma_y": sy,
-            "sigma_lz": sigma_lz(state, cfg),
+            "sigma_lz": sigma_lz(state) * hbar,
             "sigma_tilde": math.sqrt(sx * sx + sy * sy),
             "sigma_n": sigma_total(state, n)}
 
 
-def asdict_report(state, nmax, cfg=Config()):
+def scalar_checks(state, nmax, hbar):
+    """Oracle: the report's bound checks from the scalar library calls, at
+    the default tolerance, with each side and slack multiplied by hbar."""
+    checks = []
+    for n in range(1, nmax + 1):
+        checks += [check_ur_x(state, n), check_ur_y(state, n),
+                   check_total_ur(state, n)]
+    if state.is_periodic:
+        checks.append(check_fujikawa(state))
+    return [rep._replace(lhs=rep.lhs * hbar, rhs=rep.rhs * hbar,
+                         slack=rep.slack * hbar) for rep in checks]
+
+
+def asdict_report(state, nmax, hbar=1.0):
     """Oracle: the report payload built from the scalar library calls,
     with ``URReport._asdict`` for the bound checks, at the default
-    tolerances of ``report``."""
-    observables, checks = [], []
-    for n in range(1, nmax + 1):
-        observables.append(observable_row(state, n, cfg))
-        checks += [check_ur_x(state, n, cfg), check_ur_y(state, n, cfg),
-                   check_total_ur(state, n, cfg)]
-    if state.is_periodic:
-        checks.append(check_fujikawa(state, cfg))
+    tolerances of ``report``, in units of hbar."""
     return {
-        "hbar": cfg.hbar,
+        "hbar": hbar,
         "theta": state.theta,
-        "observables": observables,
+        "observables": [observable_row(state, n, hbar)
+                        for n in range(1, nmax + 1)],
         "uncertainty": [{**rep._asdict(), "kind": rep.kind.value}
-                        for rep in checks],
+                        for rep in scalar_checks(state, nmax, hbar)],
         "fold_symmetry": {"n": detect_fold_symmetry(state, 1e-9),
                           "fully_symmetric": is_fully_symmetric(state, 1e-9)},
         "recommended_n": recommend_n(state, 0.1),
@@ -1066,17 +1073,12 @@ def report_state(span, kind, seed):
     return from_fourier(coeffs, theta=2.2 if kind == "quasi-periodic" else 0.0)
 
 
-def stderr_table(state, nmax, cfg=Config()):
+def stderr_table(state, nmax, hbar=1.0):
     """Oracle: the report's stderr as the per-line ``print`` calls write it
     from the scalar checks."""
     buf = io.StringIO()
-    checks = []
-    for n in range(1, nmax + 1):
-        checks += [check_ur_x(state, n, cfg), check_ur_y(state, n, cfg),
-                   check_total_ur(state, n, cfg)]
-    if state.is_periodic:
-        checks.append(check_fujikawa(state, cfg))
-    else:
+    checks = scalar_checks(state, nmax, hbar)
+    if not state.is_periodic:
         print("note: quasi-periodic state, window bound skipped", file=buf)
     print(f"{'kind':10} {'n':>2} {'lhs':>12} {'rhs':>12} {'slack':>12} holds",
           file=buf)
@@ -1123,14 +1125,15 @@ class TestSerialization:
             assert err == stderr_table(state, nmax)
 
     def test_hbar_scaled_report_matches_oracles(self, capsys, tmp_path):
-        cfg = Config(hbar=2.5)
+        # the library works in units of hbar; report multiplies each value
+        # of degree 1 by --hbar once
         path = write_state(tmp_path, random_state(6, 11))
         state = load_state(dump_state(random_state(6, 11)))
         code, out, err = run_cli(capsys, "--hbar", "2.5", "report", path,
                                  "--nmax", "15")
         assert code == 0
-        assert out == asdict_json(asdict_report(state, 15, cfg))
-        assert err == stderr_table(state, 15, cfg)
+        assert out == asdict_json(asdict_report(state, 15, 2.5))
+        assert err == stderr_table(state, 15, 2.5)
 
     def test_infinite_spread_spelled_infinity(self, capsys, tmp_path):
         # R_1 = 0 on a 3-fold density, so sigma_1 and the TOTAL lhs are inf

@@ -1,6 +1,7 @@
 """Tests for qring.mwp: packet construction, closed forms, saturation."""
 
 import dataclasses
+import json
 import math
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from scipy import special
 
 import qring.bessel
+import qring.cli
 import qring.mwp
 from qring.bessel import f_alpha, h_alpha, ratio
 from qring.errors import ResolutionError
@@ -27,6 +29,19 @@ from qring.state import MAX_MODE, Config, from_fourier, uniform_state
 from qring.uncertainty import check_ur_x, check_ur_y, detect_fold_symmetry
 
 TWO_PI = 2.0 * math.pi
+
+
+def run_cli(capsys, *argv):
+    """(exit code, stdout, stderr) of an in-process ``qring`` run."""
+    code = qring.cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def mwp_argv(packet):
+    """The ``qring mwp`` options of the packet."""
+    return ["mwp", "--axis", packet.axis.value, "--n", str(packet.n),
+            "--m", str(packet.m), "--kappa", repr(packet.kappa)]
 
 
 def max_phase_aligned_deviation(a, b):
@@ -232,24 +247,28 @@ class TestConstruction:
         (1e308, 2, 5.0),      # (n hbar/2)^2 raises
         (1e154, 1, 5000.0),   # kappa r (n hbar/2)^2 rounds to inf
         (1e154, 1, -5000.0)])
-    def test_overflowing_lz_prediction_is_named(self, build, hbar, n, kappa):
-        # building the packet reads no hbar; its verification does
-        pk, s = build(n, 0, kappa)
-        with pytest.raises(OverflowError,
-                           match=r"sigma_Lz\^2 prediction.*smaller hbar"):
-            verify_packet(pk, s, Config(hbar=hbar))
+    def test_overflowing_lz_prediction_is_named(self, capsys, build, hbar,
+                                                n, kappa):
+        # building and verifying the packet read no hbar: the CLI prints
+        # in units of --hbar, and names the value that overflows there
+        pk, _ = build(n, 0, kappa)
+        code, out, err = run_cli(capsys, "--hbar", repr(hbar), *mwp_argv(pk))
+        assert (code, out) == (2, "")
+        assert err == (f"error: sigma_Lz^2 prediction at n={n} overflows "
+                       f"float64 (hbar={hbar!r}); use a smaller hbar\n")
 
-    def test_large_finite_lz_prediction(self):
+    def test_large_finite_lz_prediction(self, capsys):
         pk, s = mwp_x(1, 0, 5000.0)
-        v = verify_packet(pk, s, Config(hbar=1e150))
-        assert math.isfinite(v.predicted["sigma_lz2"])
+        code, out, _ = run_cli(capsys, "--hbar", "1e150", *mwp_argv(pk))
+        assert code != 2
+        assert math.isfinite(json.loads(out)["predicted"]["sigma_lz2"])
 
     def test_packet_is_only_its_parameters(self):
         # no builder takes a Config; the predictions come from verify_packet
         pk, _ = mwp_y(2, 1, 5.0)
         assert dataclasses.astuple(pk) == (Axis.Y, 2, 1, 5.0)
         with pytest.raises(TypeError):
-            mwp_x(1, 0, 2.0, Config(hbar=2.0))
+            mwp_x(1, 0, 2.0, Config(cmp_tol=1e-6))
 
 
 class TestCapReach:
@@ -373,18 +392,32 @@ class TestVerifyPacket:
                                                        rel=1e-3)
 
     @pytest.mark.parametrize("build", [mwp_x, mwp_y])
-    def test_hbar_and_tolerance_from_config(self, build):
-        cfg = Config(hbar=2.0, cmp_tol=1e-7)
+    def test_hbar_and_tolerance_from_config(self, capsys, build):
+        # the tolerance comes from the Config, and every value is in units
+        # of hbar; the CLI alone prints them in units of --hbar
         pk, s = build(2, 1, 5.0)
-        v = verify_packet(pk, s, cfg)
+        v = verify_packet(pk, s, Config(cmp_tol=1e-7))
         assert v.ok and v.tol == 1e-7
-        assert v.measured["lz"] == 2.0 * expect_lz(s)
-        assert v.measured["sigma_lz2"] == (2.0 * sigma_lz(s)) ** 2
-        # the predictions scale with config.hbar
-        unit = verify_packet(pk, s).predicted
-        assert v.predicted["sigma_lz2"] == pytest.approx(
-            4.0 * unit["sigma_lz2"], rel=1e-15)
-        assert {**v.predicted, "sigma_lz2": 0.0} == {**unit, "sigma_lz2": 0.0}
+        assert v.measured["lz"] == expect_lz(s)
+        assert v.measured["sigma_lz2"] == sigma_lz(s) ** 2
+        code, out, _ = run_cli(capsys, "--hbar", "2", "--tol", "1e-7",
+                               *mwp_argv(pk))
+        doc = json.loads(out)
+        assert code == 0 and doc["verification"]["tol"] == 1e-7
+        assert doc["measured"]["lz"] == 2.0 * expect_lz(s)
+        assert doc["measured"]["sigma_lz2"] == (2.0 * sigma_lz(s)) ** 2
+        assert doc["predicted"] == {
+            **v.predicted, "sigma_lz2": 4.0 * v.predicted["sigma_lz2"]}
+
+    @pytest.mark.parametrize("kappa", [0.0, -0.0])
+    @pytest.mark.parametrize("build", [mwp_x, mwp_y])
+    def test_uniform_packet_predicts_no_signed_zero(self, build, kappa):
+        # kappa (n/2)^2 r read -0.0 at kappa = -0.0, a variance with a
+        # sign, and the Y mean -r read -0.0 at r = 0.0
+        pk, s = build(1, 0, kappa)
+        predicted = verify_packet(pk, s).predicted
+        assert [math.copysign(1.0, v) for v in predicted.values()] == [1.0] * 6
+        assert predicted["sigma_lz2"] == predicted["ex"] == 0.0
 
     def test_measured_moments_reported(self):
         pk, s = mwp_y(2, 1, 5.0)

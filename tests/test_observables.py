@@ -20,7 +20,6 @@ from qring.observables import (
     sigma_xy,
 )
 from qring.state import (
-    Config,
     cos_harmonic_state,
     from_fourier,
     random_state,
@@ -496,7 +495,7 @@ class TestSpectrumCache:
         assert expect_xy(r, 1) != pytest.approx(expect_xy(s, 1))
 
 
-def lz_diagonal_sums(state, hbar=1.0):
+def lz_diagonal_sums(state):
     """Oracle: (<L_z>, sigma_Lz) from the diagonal sums over the integer
     modes, the variance as the centred sum and the mean shifted by
     theta/2pi, recomputed on every call; the cached moments use the same
@@ -504,7 +503,7 @@ def lz_diagonal_sums(state, hbar=1.0):
     w = np.abs(state.amps) ** 2
     m1 = float(np.sum(state.modes * w))
     var = float(np.sum((state.modes - m1) ** 2 * w) / np.sum(w))
-    return hbar * (m1 + state.theta / TWO_PI), hbar * math.sqrt(var)
+    return m1 + state.theta / TWO_PI, math.sqrt(var)
 
 
 class TestLzMomentsCache:
@@ -525,12 +524,10 @@ class TestLzMomentsCache:
         from_fourier({-2: 1.0, 3: 0.4 - 0.9j}, theta=4.0),
     ])
     def test_bit_identical_to_diagonal_sums(self, s):
-        for _ in range(2):  # first call fills the cache, second reads it
-            for hbar in (1.0, 0.37, 2.5):
-                cfg = Config(hbar=hbar)
-                assert ((expect_lz(s, cfg), sigma_lz(s, cfg))
-                        == lz_diagonal_sums(s, hbar))
-        assert (expect_lz(s), sigma_lz(s)) == lz_diagonal_sums(s)
+        # in units of hbar; the first call fills the cache, the second
+        # reads it
+        for _ in range(2):
+            assert (expect_lz(s), sigma_lz(s)) == lz_diagonal_sums(s)
 
     @pytest.mark.parametrize("delta", [0.7, -2.9])
     def test_rotated_state_starts_without_cache(self, delta):

@@ -2,10 +2,12 @@
 against the direct exp of every (point, frequency) pair, the seam sums of
 the window bound against the phase tables, the state file round trip,
 every bound over the whole n-series, what a rotation keeps and swaps, the
-CLI's JSON row tables against ``json.dumps(indent=2)``, verdicts that do
-not depend on hbar, and no NaN or inf behind a true verdict."""
+CLI's JSON row tables against ``json.dumps(indent=2)``, the CLI's
+documents in units of --hbar against its documents at hbar = 1, and no NaN
+or inf behind a true verdict."""
 
 import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -21,7 +23,7 @@ import qring.cli
 from qring.mwp import mwp_x, mwp_y, verify_packet
 from qring.observables import (_R_ZERO, angle_moments_beta, expect_lz,
                                sigma_lz, sigma_total, sigma_xy)
-from qring.state import MAX_MODE, Config, dump_state, from_fourier, load_state
+from qring.state import MAX_MODE, dump_state, from_fourier, load_state
 from qring.uncertainty import (
     URReport,
     check_fujikawa,
@@ -122,23 +124,19 @@ def test_state_file_round_trip_keeps_bits(state):
 @hypothesis.given(states())
 def test_scalar_checks_match_columns_bit_for_bit(state):
     # compared field by field: float.hex tells apart any two floats, zero
-    # signs included, and type() a bool from a numpy bool.  hbar = 0.37
-    # rounds, so a change in the order of the sigma_Lz product shows in the
-    # last bit; 2**-40 and 2**40 hold the bits at units far from 1
+    # signs included, and type() a bool from a numpy bool
     nmax = state.mode_span + 2
-    for hbar in (1.0, 0.37, 2.0**-40, 2.0**40):
-        cfg = Config(hbar=hbar)
-        rows = series_columns(state, nmax, cfg)
-        for check, family in ((check_ur_x, "x_axis"), (check_ur_y, "y_axis"),
-                              (check_total_ur, "total")):
-            for row in rows:
-                scalar, column = check(state, row.n, cfg), getattr(row, family)
-                assert len(column) == len(URReport._fields)
-                for name, want, got in zip(URReport._fields, scalar, column):
-                    where = (family, row.n, name)
-                    assert type(got) is type(want), where
-                    assert (got.hex() == want.hex() if type(want) is float
-                            else got == want), where
+    rows = series_columns(state, nmax)
+    for check, family in ((check_ur_x, "x_axis"), (check_ur_y, "y_axis"),
+                          (check_total_ur, "total")):
+        for row in rows:
+            scalar, column = check(state, row.n), getattr(row, family)
+            assert len(column) == len(URReport._fields)
+            for name, want, got in zip(URReport._fields, scalar, column):
+                where = (family, row.n, name)
+                assert type(got) is type(want), where
+                assert (got.hex() == want.hex() if type(want) is float
+                        else got == want), where
 
 
 @hypothesis.settings(max_examples=10)
@@ -283,8 +281,10 @@ def test_row_table_equals_indented_dumps(rows):
     assert buf.getvalue() == json.dumps(rows, indent=2) + "\n"
 
 
-# hbar is a unit: every verdict must be the same at each of these
+# units the CLI must print in with every verdict as at hbar = 1, and two
+# in which most documents overflow
 HBARS = (2.0**-40, 1e-12, 1.0, 1e8, 2.0**60)
+OVERFLOWING = (1e306, 1.7e308)
 # the exact axis-saturating packets: the X packet saturates the X_AXIS
 # bound at its own n, the Y packet the Y_AXIS bound
 PACKETS = [(build, n, m, kappa) for build in (mwp_x, mwp_y)
@@ -292,26 +292,88 @@ PACKETS = [(build, n, m, kappa) for build in (mwp_x, mwp_y)
            for kappa in (0.5, 2.0, 5.0, 50.0, 500.0)]
 
 
-def verdicts(state, nmax, cfg):
-    """(holds, saturated) of every scalar check up to nmax and of the
-    window bound, and the (holds, saturated) of each bound of
-    ``series_columns``."""
-    reports = [check(state, n, cfg) for n in range(1, nmax + 1)
-               for check in (check_ur_x, check_ur_y, check_total_ur)]
-    reports.append(check_fujikawa(state, cfg))
-    rows = series_columns(state, nmax, cfg)
-    return ([(r.holds, r.saturated) for r in reports],
-            [bound[5:] for row in rows
-             for bound in (row.x_axis, row.y_axis, row.total)])
+def run_cli(*argv):
+    """(exit code, stdout, stderr) of an in-process ``qring`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = qring.cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_main(*argv):
     """(exit code, JSON document) of an in-process ``qring`` run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = qring.cli.main(list(argv))
-    return code, json.loads(out.getvalue())
+    code, out, _ = run_cli(*argv)
+    return code, json.loads(out)
+
+
+def packet_argv(build, n, m, kappa):
+    """The ``qring mwp`` options of a packet of PACKETS."""
+    return ["mwp", "--axis", "X" if build is mwp_x else "Y", "--n", str(n),
+            "--m", str(m), "--kappa", repr(kappa)]
+
+
+def hexed(obj):
+    """A JSON document with each float replaced by its ``float.hex``, so
+    that == compares the bits of every float, zero signs included."""
+    if isinstance(obj, dict):
+        return {key: hexed(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [hexed(value) for value in obj]
+    return obj.hex() if type(obj) is float else obj
+
+
+def in_units_of(hbar, unit):
+    """Oracle: the ``report`` or ``mwp`` document at --hbar, from the
+    document ``unit`` at hbar = 1, as (document, None): each value of
+    degree p in hbar multiplied by hbar p times, and every other value,
+    each verdict included, unchanged.  Or (None, error line), naming the
+    first value that is finite at hbar = 1 and infinite at hbar, in the
+    documented order: for report the bounds by n (X, Y, TOTAL), sigma_Lz,
+    then the window bound; for mwp sigma_lz2, then lz."""
+    doc = copy.deepcopy(unit)
+    if "uncertainty" in doc:
+        doc["hbar"] = hbar
+        bounds = [(f"{b['kind']} bound at n={b['n']}", 1,
+                   [(b, "lhs"), (b, "rhs"), (b, "slack")])
+                  for b in doc["uncertainty"]]
+        window = [bound for bound in bounds if bound[0].startswith("FUJI")]
+        groups = [bound for bound in bounds if bound not in window]
+        groups.append(("sigma_Lz", 1,
+                       [(row, "sigma_lz") for row in doc["observables"]]))
+        groups += window
+    else:
+        deltas = doc["verification"]["deltas"]
+        groups = [(f"sigma_Lz^2 prediction at n={doc['n']}", 2,
+                   [(doc["predicted"], "sigma_lz2"),
+                    (doc["measured"], "sigma_lz2"), (deltas, "sigma_lz2")]),
+                  ("<L_z>", 1, [(doc["measured"], "lz"), (deltas, "lz")])]
+    for what, power, places in groups:
+        for obj, key in places:
+            value = obj[key]
+            for _ in range(power):
+                obj[key] *= hbar
+            if math.isfinite(value) and math.isinf(obj[key]):
+                return None, (f"error: {what} overflows float64 "
+                              f"(hbar={hbar!r}); use a smaller hbar\n")
+    return doc, None
+
+
+def assert_units_of_hbar(*argv):
+    """The run of argv at each --hbar of HBARS and OVERFLOWING against
+    ``in_units_of`` its run at hbar = 1: the same exit code and the scaled
+    document, or exit 2 with the error line alone.  Returns the document
+    at hbar = 1."""
+    code, out, _ = run_cli(*argv)
+    unit = json.loads(out)
+    for hbar in (*HBARS, *OVERFLOWING):
+        want, error = in_units_of(hbar, unit)
+        got = run_cli("--hbar", repr(hbar), *argv)
+        if error is None:
+            assert got[0] == code, (argv, hbar)
+            assert hexed(json.loads(got[1])) == hexed(want), (argv, hbar)
+        else:
+            assert got == (2, "", error), (argv, hbar)
+    return unit
 
 
 def assert_true_verdicts_finite(doc):
@@ -347,27 +409,30 @@ def assert_true_verdicts_finite(doc):
 @hypothesis.settings(max_examples=20)
 @hypothesis.given(states())
 def test_verdicts_do_not_depend_on_hbar(state):
-    # every bound is homogeneous of degree 1 in hbar, so a verdict decided
-    # against cmp_tol at hbar = 1 holds in any unit
+    # every bound is homogeneous of degree 1 in hbar: the library decides
+    # each verdict in units of hbar, and --hbar only scales what report
+    # prints, or names the first value that overflows
     nmax = min(state.mode_span, 16) + 1
-    unit = verdicts(state, nmax, Config())
-    for hbar in HBARS:
-        assert verdicts(state, nmax, Config(hbar=hbar)) == unit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.txt"
+        path.write_text(dump_state(state))
+        assert_units_of_hbar("report", str(path), "--nmax", str(nmax))
 
 
 def test_packet_verdicts_do_not_depend_on_hbar():
-    # at hbar = 1e8 only 18 of these 90 checks read saturated, 3 read
+    # each packet saturates its own axis bound in every unit; at
+    # hbar = 1e8 only 18 of these 90 checks once read saturated, 3 read
     # holds: false, and packets failed their own verification
-    for build, n, m, kappa in PACKETS:
-        packet, state = build(n, m, kappa)
-        own = check_ur_x if build is mwp_x else check_ur_y
-        unit = (verdicts(state, 4, Config()),
-                verify_packet(packet, state).ok)
-        for hbar in HBARS:
-            cfg = Config(hbar=hbar)
-            assert own(state, n, cfg).saturated, (build, n, m, kappa, hbar)
-            assert (verdicts(state, 4, cfg),
-                    verify_packet(packet, state, cfg).ok) == unit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "packet.txt"
+        for build, n, m, kappa in PACKETS:
+            argv = packet_argv(build, n, m, kappa)
+            assert assert_units_of_hbar(*argv)["verification"]["ok"]
+            path.write_text(run_cli(*argv, "--emit-state")[1])
+            doc = assert_units_of_hbar("report", str(path), "--nmax", "4")
+            own = "X_AXIS" if build is mwp_x else "Y_AXIS"
+            assert [b["saturated"] for b in doc["uncertainty"]
+                    if (b["kind"], b["n"]) == (own, n)] == [True]
 
 
 @pytest.mark.parametrize("tol", ["1e-9", "1e-17"])
@@ -390,22 +455,20 @@ def test_examples_verdicts_do_not_depend_on_hbar(tol):
 @hypothesis.given(states())
 def test_no_nan_or_inf_behind_a_true_verdict(state):
     nmax = min(state.mode_span, 16) + 1
-    for hbar in HBARS:
-        cfg = Config(hbar=hbar)
-        for n in range(1, nmax + 1):
-            for check in (check_ur_x, check_ur_y, check_total_ur):
-                rep = check(state, n, cfg)
-                values = [rep.lhs, rep.rhs, rep.slack]
-                if rep.kind.value == "TOTAL" and math.isinf(rep.lhs):
-                    # the documented infinite sigma_n
-                    assert math.isinf(sigma_total(state, n))
-                    assert rep.slack == math.inf and not rep.saturated
-                    values = [rep.rhs]
-                if rep.holds or rep.saturated:
-                    assert all(map(math.isfinite, values)), rep
-        rep = check_fujikawa(state, cfg)
-        assert not rep.holds or all(
-            map(math.isfinite, (rep.lhs, rep.rhs, rep.slack)))
+    for n in range(1, nmax + 1):
+        for check in (check_ur_x, check_ur_y, check_total_ur):
+            rep = check(state, n)
+            values = [rep.lhs, rep.rhs, rep.slack]
+            if rep.kind.value == "TOTAL" and math.isinf(rep.lhs):
+                # the documented infinite sigma_n
+                assert math.isinf(sigma_total(state, n))
+                assert rep.slack == math.inf and not rep.saturated
+                values = [rep.rhs]
+            if rep.holds or rep.saturated:
+                assert all(map(math.isfinite, values)), rep
+    rep = check_fujikawa(state)
+    assert not rep.holds or all(
+        map(math.isfinite, (rep.lhs, rep.rhs, rep.slack)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.txt"
         path.write_text(dump_state(state))
@@ -418,11 +481,10 @@ def test_no_nan_or_inf_behind_a_true_verdict(state):
 def test_no_nan_or_inf_behind_a_true_packet_or_example_verdict():
     for build, n, m, kappa in PACKETS[::9]:
         packet, state = build(n, m, kappa)
-        for hbar in HBARS:
-            v = verify_packet(packet, state, Config(hbar=hbar))
-            values = [*v.predicted.values(), *v.measured.values(),
-                      *v.deltas.values()]
-            assert not v.ok or all(map(math.isfinite, values))
+        v = verify_packet(packet, state)
+        values = [*v.predicted.values(), *v.measured.values(),
+                  *v.deltas.values()]
+        assert not v.ok or all(map(math.isfinite, values))
     for argv in (["examples"], ["examples", "superposition", "--k", "7"],
                  ["mwp", "--axis", "Y", "--n", "2", "--kappa", "50"]):
         for hbar in HBARS:

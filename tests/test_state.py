@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import qring.cli
 import qring.state
 from qring.errors import DegenerateStateError, ResolutionError
 from conftest import PACKET_GRID
@@ -109,13 +110,13 @@ class TestFromFourier:
         assert from_fourier({2**63: 0.0, 3: 1.0}).modes.tolist() == [3]
 
     def test_config_is_not_an_argument(self):
-        # a state is only its wavefunction; hbar is given to the measurement
+        # a state is only its wavefunction, in units of hbar; the tolerance
+        # is given to the checks
         with pytest.raises(TypeError):
-            random_state(8, 3, Config(hbar=2.0))
+            random_state(8, 3, Config(cmp_tol=1e-6))
         assert [f.name for f in dataclasses.fields(random_state(1, 0))] == [
             "modes", "amps", "theta"]
-        assert [f.name for f in dataclasses.fields(Config)] == [
-            "hbar", "cmp_tol"]
+        assert [f.name for f in dataclasses.fields(Config)] == ["cmp_tol"]
 
     @pytest.mark.parametrize("build, args", [
         (random_state, (-1, 0)),
@@ -447,6 +448,9 @@ def same_bits(a, b):
 
 
 class TestInHbar:
+    """``cli._in_hbar``, the one place a value of the package, in units of
+    hbar, is multiplied by the --hbar of the CLI."""
+
     VALUES = [(-0.0, math.inf, math.nan), (1.7e308, -0.0, 1.7e308),
               (math.nan, 1.7e308, -math.inf), (0.37, -1e-320, 2.0**-1074)]
 
@@ -455,24 +459,23 @@ class TestInHbar:
     def test_unit_hbar_returns_its_inputs(self, values, power):
         # x * 1.0 is x to the bit and cannot overflow; 1.7e308 squared
         # would, if hbar were applied as a power
-        for cfg in (Config(), Config(hbar=1)):
-            out = qring.state._in_hbar(cfg, power, "value", *values)
+        for hbar in (1.0, 1):
+            out = qring.cli._in_hbar(hbar, power, "value", *values)
             assert len(out) == 3
             assert all(map(same_bits, out, values)), (values, power)
 
     @pytest.mark.parametrize("hbar", [1.0 + 2.0**-52, 2.0, 1e308])
     def test_other_hbar_names_an_overflow(self, hbar):
-        cfg = Config(hbar=hbar)
         with pytest.raises(OverflowError) as exc:
-            qring.state._in_hbar(cfg, 1, ("{} at n={}", "X", 3),
-                                 0.5, sys.float_info.max)
+            qring.cli._in_hbar(hbar, 1, ("{} at n={}", "X", 3),
+                               0.5, sys.float_info.max)
         assert str(exc.value) == (f"X at n=3 overflows float64 "
                                   f"(hbar={hbar!r}); use a smaller hbar")
 
     def test_other_hbar_keeps_an_infinite_value(self):
         # an isotropic sigma_n: infinite before the unit, so no overflow
-        x, y, z = qring.state._in_hbar(Config(hbar=2.0), 1, "value",
-                                       math.inf, 0.5, math.inf)
+        x, y, z = qring.cli._in_hbar(2.0, 1, "value",
+                                     math.inf, 0.5, math.inf)
         assert (x, y, z) == (math.inf, 1.0, math.inf)
 
 
@@ -598,15 +601,24 @@ class TestColumnIO:
         check()
 
 
+def refuses_hbar(capsys, hbar) -> bool:
+    """Whether ``qring`` refuses --hbar with its usage error, before it
+    reads a --tol that is bad too: hbar is the CLI's unit, not a Config
+    field."""
+    code = qring.cli.main([f"--hbar={hbar!r}", "--tol", "2", "examples"])
+    return capsys.readouterr() == (
+        "", "error: hbar must be positive and finite\n") and code == 2
+
+
 class TestConfigValidation:
-    def test_bad_hbar(self):
-        with pytest.raises(ValueError):
+    def test_bad_hbar(self, capsys):
+        assert refuses_hbar(capsys, 0.0) and refuses_hbar(capsys, -1.0)
+        with pytest.raises(TypeError):
             Config(hbar=0.0)
 
     @pytest.mark.parametrize("hbar", [math.inf, math.nan, -math.inf])
-    def test_non_finite_hbar(self, hbar):
-        with pytest.raises(ValueError):
-            Config(hbar=hbar)
+    def test_non_finite_hbar(self, capsys, hbar):
+        assert refuses_hbar(capsys, hbar)
 
     @pytest.mark.parametrize("cmp_tol", [0.0, 1.0])
     def test_cmp_tol_outside_open_unit_interval(self, cmp_tol):

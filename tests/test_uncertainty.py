@@ -1,12 +1,14 @@
 """Tests for qring.uncertainty: verdicts, symmetry detection, sweeps."""
 
 import dataclasses
+import json
 import math
 import pickle
 
 import numpy as np
 import pytest
 
+import qring.cli
 import qring.uncertainty
 from qring.mwp import mwp_x, mwp_y
 from qring.observables import (
@@ -18,8 +20,8 @@ from qring.observables import (
 )
 from qring.state import (
     MAX_MODE,
-    Config,
     cos_harmonic_state,
+    dump_state,
     from_fourier,
     random_state,
     sin_half_power_state,
@@ -456,9 +458,10 @@ class TestSeriesColumns:
                              ids=lambda s: f"span{s.mode_span}-"
                                            f"theta{s.theta:.3g}")
     def test_bit_identical_to_scalar_api(self, state, hbar):
-        cfg = Config(hbar=hbar)
+        # in units of hbar, and as report prints them in units of --hbar:
+        # each side and slack multiplied by hbar once
         nmax = 2 * state.mode_span + 3
-        rows = series_columns(state, nmax, cfg)
+        rows = series_columns(state, nmax)
         assert [row.n for row in rows] == list(range(1, nmax + 1))
         for row in rows:
             n = row.n
@@ -473,32 +476,38 @@ class TestSeriesColumns:
                 assert same_float(got, want[name]), (n, name)
             for check, family in zip((check_ur_x, check_ur_y,
                                       check_total_ur), self.FAMILIES):
-                ref = check(state, n, cfg)
+                ref = check(state, n)
                 bound = getattr(row, family)
                 assert type(bound) is tuple and bound == ref, (n, family)
-                for name, got in zip(URReport._fields[2:], bound[2:]):
+                printed = qring.cli._bound_in_hbar(hbar, bound)
+                for name, got in zip(URReport._fields[2:], printed[2:]):
                     want = getattr(ref, name)
+                    if name in ("lhs", "rhs", "slack"):
+                        want *= hbar
                     assert type(got) is type(want), (n, name)
                     assert same_float(got, want), (ref.kind, n, name)
 
     @pytest.mark.parametrize("state", [random_state(8, 3), random_state(3, 7),
                                        mwp_y(2, 1, 3.0)[1]])
-    def test_right_sides_scale_with_config_hbar(self, state):
-        # hbar comes from the Config alone: doubling it doubles every right
-        # side, of the scalar checks and of the columns alike
-        one, two = Config(), Config(hbar=2.0)
-        for n in range(1, 6):
-            for check in (check_ur_x, check_ur_y, check_total_ur):
-                assert (check(state, n, two).rhs
-                        == 2.0 * check(state, n, one).rhs)
-        assert (check_fujikawa(state, two).rhs
-                == 2.0 * check_fujikawa(state, one).rhs)
-        for row_one, row_two in zip(series_columns(state, 6, one),
-                                    series_columns(state, 6, two)):
-            for family in self.FAMILIES:
-                # rhs is the fourth field of a bound
-                assert (getattr(row_two, family)[3]
-                        == 2.0 * getattr(row_one, family)[3])
+    def test_right_sides_scale_with_config_hbar(self, capsys, tmp_path,
+                                                state):
+        # hbar is the unit of the CLI alone: the checks give every right
+        # side at hbar = 1, and doubling --hbar doubles every right side
+        # that report prints
+        path = tmp_path / "state.txt"
+        path.write_text(dump_state(state))
+
+        def right_sides(*argv):
+            code = qring.cli.main([*argv, "report", str(path), "--nmax", "5"])
+            assert code == 0
+            doc = json.loads(capsys.readouterr().out)
+            return [check["rhs"] for check in doc["uncertainty"]]
+
+        unit = [check(state, n).rhs for n in range(1, 6)
+                for check in (check_ur_x, check_ur_y, check_total_ur)]
+        assert right_sides() == [*unit, check_fujikawa(state).rhs]
+        assert right_sides("--hbar", "2") == [2.0 * rhs
+                                              for rhs in right_sides()]
 
     def test_zero_past_the_span_is_positive(self):
         # -Im of the zero pad would print as -0.0
@@ -513,41 +522,56 @@ class TestSeriesColumns:
 
 class TestOverflow:
     # random_state(6, 11) has sigma_Lz / hbar = 3.51 and sigma_1 = 19.5,
-    # so the n = 1 total lhs passes float64's 1.8e308 above hbar ~ 2.6e306
+    # so the n = 1 total lhs passes float64's 1.8e308 above hbar ~ 2.6e306;
+    # the checks work in units of hbar, and report names the overflow of a
+    # value printed in units of --hbar
     STATE = random_state(6, 11)
 
+    def report(self, capsys, tmp_path, hbar):
+        """(exit code, stdout, stderr) of report --nmax 8 on STATE."""
+        path = tmp_path / "state.txt"
+        path.write_text(dump_state(self.STATE))
+        code = qring.cli.main(["--hbar", repr(hbar), "report", str(path),
+                               "--nmax", "8"])
+        return (code, *capsys.readouterr())
+
     @pytest.mark.parametrize("hbar", [1e307, 1e308, 1.7e308])
-    def test_overflowing_side_raises(self, hbar):
-        cfg, state = Config(hbar=hbar), self.STATE
-        with pytest.raises(OverflowError, match="overflows float64") as exc:
-            for n in range(1, 9):
-                for check in (check_ur_x, check_ur_y, check_total_ur):
-                    check(state, n, cfg)
-        with pytest.raises(OverflowError) as col_exc:
-            series_columns(state, 8, cfg)
-        assert str(col_exc.value) == str(exc.value)
+    def test_overflowing_side_raises(self, capsys, tmp_path, hbar):
+        # the first scalar check, by n, then X, Y, TOTAL, with a finite
+        # side or slack that is infinite in units of hbar
+        first = next(
+            f"{rep.kind.value} bound at n={n}" for n in range(1, 9)
+            for rep in (check_ur_x(self.STATE, n), check_ur_y(self.STATE, n),
+                        check_total_ur(self.STATE, n))
+            if any(math.isfinite(v) and math.isinf(v * hbar)
+                   for v in (rep.lhs, rep.rhs, rep.slack)))
+        assert self.report(capsys, tmp_path, hbar) == (
+            2, "", f"error: {first} overflows float64 (hbar={hbar!r}); "
+                   f"use a smaller hbar\n")
 
     def test_finite_columns_run_no_scalar_check(self, monkeypatch):
-        # the series names its own overflows; it calls no scalar check
+        # the series decides its own verdicts; it calls no scalar check
         def fail(*args):
             raise AssertionError("scalar check called")
         for name in ("check_ur_x", "check_ur_y", "check_total_ur"):
             monkeypatch.setattr(qring.uncertainty, name, fail)
-        rows = series_columns(self.STATE, 8, Config(hbar=1e306))
+        rows = series_columns(self.STATE, 8)
         assert all(math.isfinite(row.total[2]) for row in rows)
 
-    def test_largest_finite_hbar_holds(self):
-        cfg, state = Config(hbar=1e306), self.STATE
-        for row in series_columns(state, 8, cfg):
-            for _, _, lhs, _, _, holds, _ in (row.x_axis, row.y_axis,
-                                              row.total):
-                assert math.isfinite(lhs) and holds
-        assert check_fujikawa(state, cfg).holds
+    def test_largest_finite_hbar_holds(self, capsys, tmp_path):
+        code, out, _ = self.report(capsys, tmp_path, 1e306)
+        assert code == 0
+        checks = json.loads(out)["uncertainty"]
+        assert checks[-1]["kind"] == "FUJIKAWA"
+        for check in checks:
+            assert math.isfinite(check["lhs"]) and check["holds"]
 
     def test_fujikawa_overflow_raises(self):
-        cfg, state = Config(hbar=1e308), self.STATE
-        with pytest.raises(OverflowError, match="FUJIKAWA"):
-            check_fujikawa(state, cfg)
+        rep = check_fujikawa(self.STATE)
+        assert math.isfinite(rep.lhs)
+        with pytest.raises(OverflowError,
+                           match=r"^FUJIKAWA bound at n=1 overflows"):
+            qring.cli._bound_in_hbar(1e308, rep)
 
     def test_infinite_sigma_n_still_allowed(self):
         # R_1 = 0 on a 3-fold density: the TOTAL lhs is infinite by definition
