@@ -29,7 +29,7 @@ from .bessel import ik_scaled, von_mises
 from .errors import ResolutionError
 from .observables import _xy_at
 from .state import (DEFAULT_CONFIG, MAX_MODE, CircleState, Config, TWO_PI,
-                    _build)
+                    _build, _cap_error)
 
 __all__ = [
     "Axis",
@@ -107,8 +107,7 @@ def _packet(axis: Axis, n: int, m: int,
     if not math.isfinite(kappa):
         raise ValueError("concentration must be finite")
     if abs(m) > MAX_MODE:
-        raise ResolutionError(
-            f"mode index {abs(m)} exceeds the cap {MAX_MODE}")
+        raise _cap_error(abs(m))
     # orders up to (MAX_MODE - |m|)//n keep every mode n k + m within the cap
     ik = ik_scaled(0.5 * kappa, (MAX_MODE - abs(m)) // n)
     if ik is None:
@@ -154,8 +153,7 @@ def verify_packet(packet: VonMisesPacket, state: CircleState,
     n, tol = packet.n, config.cmp_tol
     pred = _predictions(packet)
     ex, ey, sx, sy = _xy_at(state, n)
-    lz, var = state.lz_moments
-    slz = math.sqrt(var)
+    lz, slz = state.lz_moments
     measured = {"ex": ex, "ey": ey, "sigma_x2": sx * sx, "sigma_y2": sy * sy,
                 "sigma_lz2": slz * slz, "lz": lz}
     deltas = {key: measured[key] - pred[key] for key in measured
@@ -164,7 +162,8 @@ def verify_packet(packet: VonMisesPacket, state: CircleState,
     if packet.axis is Axis.X:
         deltas["kappa"] = ey / measured["sigma_x2"] - packet.kappa
     else:
-        deltas["kappa"] = -ex / measured["sigma_y2"] - packet.kappa
+        # 0.0 - ex, not -ex, which is -0.0 at ex = 0.0
+        deltas["kappa"] = (0.0 - ex) / measured["sigma_y2"] - packet.kappa
     ok = (all(abs(deltas[key]) <= tol for key in measured)
           and abs(deltas["kappa"]) <= tol * max(1.0, abs(packet.kappa)))
     return PacketVerification(ok, tol, pred, deltas, measured)

@@ -1,23 +1,26 @@
 """Expectation values and standard deviations for states on the circle.
 
 Every moment here is an exact finite sum.  Angular momentum moments read
-the diagonal sums over the effective exponents, the variance as the
-centred sum, computed once per state and cached on it
-(``CircleState.lz_moments``), so the many bounds that share one sigma_Lz
-do not repeat them.  Trigonometric moments read the density harmonics
-rho_k, computed once per state and cached on it
-(``CircleState.harmonics``): <exp(i k phi)> = conj(rho_k), so
-(<X_n>, <Y_n>) = (Re rho_n, -Im rho_n) and R_n = |rho_n|, all zero past
-the mode span; every R_n is a C hypot, and counts as zero below its
+the diagonal sums over the effective exponents, the spread as the square
+root of the centred sum, computed once per state and cached on it
+(``CircleState.lz_moments`` holds <L_z> and sigma_Lz), so the many
+bounds that share one sigma_Lz do not repeat them.  Trigonometric
+moments read the density harmonics rho_k, computed once per state and
+cached on it (``CircleState.harmonics``): <exp(i k phi)> = conj(rho_k),
+so (<X_n>, <Y_n>) = (Re rho_n, -Im rho_n) and R_n = |rho_n|, all zero
+past the mode span; every R_n is a C hypot, and counts as zero below its
 rounding bound ``_R_ZERO``.  L_z, in ``expect_lz`` and ``sigma_lz``, is
 in units of hbar, as every value of the package.
 
-The per-n arithmetic has one home, two private kernels in Python floats:
-``_xy_at`` gives <X_n>, <Y_n>, sigma_Xn and sigma_Yn, and ``_total_at``
-gives R_n and sigma_n.  ``expect_xy``, ``sigma_xy``, ``mean_resultant``,
-``sigma_total`` and ``mean_angle`` read them, and so do the bound checks
-and the n-series of ``uncertainty`` and the packet check of ``mwp``, so
-every caller gets the same bits.
+Every measured side of a bound has one home, three private kernels in
+Python floats: ``_xy_at`` gives <X_n>, <Y_n>, sigma_Xn and sigma_Yn,
+``_total_at`` gives R_n and sigma_n, and ``_seam_at`` gives the two sides
+of the window bound at the seam, sigma_phi and 2 pi rho(pi).
+``expect_xy``, ``sigma_xy``, ``mean_resultant``, ``sigma_total`` and
+``mean_angle`` read the first two, and so do the bound checks and the
+n-series of ``uncertainty`` and the packet check of ``mwp``, so every
+caller gets the same bits; ``uncertainty.check_fujikawa`` reads the third.
+No caller outside this module reads the harmonics for a bound.
 
 The window-dependent angle moments integrate phi rho and phi^2 rho over
 [beta, beta + 2pi].  Integrating each harmonic by parts gives, with
@@ -34,7 +37,7 @@ between large terms when beta is far from the origin.  The sums run
 through the phase tables of ``state._phase_sums``, as
 ``CircleState.evaluate``: e^{ik beta} is e^{i beta} multiplied up k times,
 one exp per window start.  At the seam beta = -pi, the window start of the
-window bound, e^{ik beta} = (-1)^k exactly, and ``_seam_spread`` takes the
+window bound, e^{ik beta} = (-1)^k exactly, and ``_seam_at`` takes the
 two sums as dot products with fixed alternating weights instead; both
 paths share ``_spread`` for sigma_phi^beta.
 """
@@ -122,8 +125,8 @@ def expect_lz(state: CircleState) -> float:
 
 def sigma_lz(state: CircleState) -> float:
     """sigma_Lz/hbar, the standard deviation of L_z from the exact centred
-    diagonal sum."""
-    return math.sqrt(state.lz_moments[1])
+    diagonal sum, as the per-state cache holds it."""
+    return state.lz_moments[1]
 
 
 def sigma_xy(state: CircleState, n: int) -> tuple[float, float]:
@@ -170,18 +173,24 @@ def _spread(u1, u2):
     return np.sqrt(np.maximum(u2 - u1 * u1, 0.0))
 
 
-def _seam_spread(state: CircleState) -> float:
-    """sigma_phi^beta at the seam beta = -pi, the window (-pi, pi].
+def _seam_at(state: CircleState) -> tuple[float, float]:
+    """(sigma_phi, 2 pi rho(pi)) at the seam beta = -pi, the window
+    (-pi, pi]: the two measured sides of the window bound.
 
     There e^{ik beta} = (-1)^k exactly, so u1 and u2 are two dot products
-    of the harmonics with fixed weights and need no phase table.  Any
-    boundary phase theta is supported, as for ``angle_moments_beta``.
+    of the harmonics with fixed weights and need no phase table, and
+    2 pi rho(pi) = rho_0 + 2 Re sum_{k>=1} rho_k (-1)^k is the even sum
+    less the odd one.  Any boundary phase theta is supported, as for
+    ``angle_moments_beta``.
     """
     rho = state.harmonics
     span = rho.size - 1
+    real = rho.real
     u1 = 2.0 * float(rho.imag[1:] @ _SEAM_1[:span])
-    u2 = 4.0 * float(rho.real[1:] @ _SEAM_2[:span]) + math.pi**2 / 3.0
-    return float(_spread(u1, u2))
+    u2 = 4.0 * float(real[1:] @ _SEAM_2[:span]) + math.pi**2 / 3.0
+    two_pi_rho = (real.item(0)
+                  + 2.0 * float(real[2::2].sum() - real[1::2].sum()))
+    return float(_spread(u1, u2)), two_pi_rho
 
 
 def angle_moments_beta(state: CircleState, beta):

@@ -12,14 +12,14 @@ passed to the checks that read it.  The Fourier representation keeps
 angular momentum moments exact diagonal sums and all trigonometric
 expectation values exact autocorrelations.  Each state computes them
 once and caches them: ``CircleState.lz_moments`` holds the mean and the
-centred variance of the exponents, ``CircleState.harmonics`` the density
-harmonics and ``CircleState.resultants`` their moduli R_k.  Point values
-are direct sums over the modes through the phase tables of
-``_phase_sums``: each row of a table is a running product, exp(i mu_0
-phi) times exp(i g phi) for each gap g between neighbouring modes, so a
-point costs one exp per distinct gap rather than one per mode, and a
-sparse mode set builds one column per mode, never the lattice between
-its modes.
+spread sigma_Lz of the exponents (the one square root of the centred
+variance), ``CircleState.harmonics`` the density harmonics and
+``CircleState.resultants`` their moduli R_k.  Point values are direct
+sums over the modes through the phase tables of ``_phase_sums``: each
+row of a table is a running product, exp(i mu_0 phi) times exp(i g phi)
+for each gap g between neighbouring modes, so a point costs one exp per
+distinct gap rather than one per mode, and a sparse mode set builds one
+column per mode, never the lattice between its modes.
 """
 
 import math
@@ -183,20 +183,22 @@ class CircleState:
 
     @cached_property
     def lz_moments(self) -> tuple[float, float]:
-        """(<L_z>/hbar, sigma_Lz^2/hbar^2) = (m1 + theta/2pi,
-        sum w (m - m1)^2 / sum w) with w = |c|^2 and m1 = sum m w.
+        """(<L_z>, sigma_Lz) in units of hbar: (m1 + theta/2pi,
+        sqrt(sum w (m - m1)^2 / sum w)) with w = |c|^2 and m1 = sum m w.
 
         The centred sum over the integer modes is free of the cancellation
         in sum m^2 w - m1^2 (a rotated eigenstate has zero spread to
         rounding) and of theta (a quasi-periodic state has its periodic
-        twin's variance bit for bit).  Computed once per state, like
-        ``harmonics``; ``rotate`` and ``replace`` build a new state, which
-        starts without the cache.
+        twin's spread bit for bit).  This is the one square root of the
+        variance: every bound reads sigma_Lz from here.  Computed once per
+        state, like ``harmonics``; ``rotate`` and ``replace`` build a new
+        state, which starts without the cache.
         """
         w = np.abs(self.amps) ** 2
         m1 = float((self.modes * w).sum())
         d = self.modes - m1
-        return m1 + self.theta / TWO_PI, float((d * d * w).sum() / w.sum())
+        return (m1 + self.theta / TWO_PI,
+                math.sqrt(float((d * d * w).sum() / w.sum())))
 
     @cached_property
     def _phase_steps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -242,6 +244,11 @@ def _reduce_theta(theta: float) -> float:
     return theta
 
 
+def _cap_error(index: int) -> ResolutionError:
+    """The error that names a mode index past the cap ``MAX_MODE``."""
+    return ResolutionError(f"mode index {index} exceeds the cap {MAX_MODE}")
+
+
 def _build(modes, amps, theta) -> CircleState:
     raw = np.asarray(modes)
     if raw.dtype.kind not in "iu":
@@ -261,8 +268,7 @@ def _build(modes, amps, theta) -> CircleState:
     # the cap is checked on the input values, which int64 could wrap
     low, high = raw[0], raw[-1]
     if low < -MAX_MODE or high > MAX_MODE:
-        raise ResolutionError(f"mode index {max(-int(low), int(high))} "
-                              f"exceeds the cap {MAX_MODE}")
+        raise _cap_error(max(-int(low), int(high)))
     modes = raw.astype(np.int64, copy=False)
     parts = amps.view(np.float64)  # real and imaginary parts, interleaved
     peak = float(np.abs(parts).max())
@@ -339,8 +345,7 @@ def sin_half_power_state(n: int) -> CircleState:
         raise ValueError("power must be >= 1")
     # the widest mode, before any binomial overflows float64 (n >= 1030)
     if (n + 1) // 2 > MAX_MODE:
-        raise ResolutionError(
-            f"mode index {(n + 1) // 2} exceeds the cap {MAX_MODE}")
+        raise _cap_error((n + 1) // 2)
     # sin^n(phi/2) = (2i)^-n sum_j C(n,j) (-1)^(n-j) exp(i (j - n/2) phi)
     scale = (1.0 / 2j) ** n
     coeffs = {}

@@ -16,18 +16,20 @@ decides ``holds`` and ``saturated`` on its sides at hbar = 1 against
 The one infinite side is the total bound's left side when sigma_n is
 infinite.
 
-Every bound verdict is one tuple, (kind, n, lhs, rhs, slack, holds,
-saturated), built by ``_verdict``.  The scalar checks evaluate one bound
-at one n in Python floats and return it as a ``URReport``, a
-``NamedTuple``.  ``series_columns`` evaluates the observables and the
-three per-n bounds for every n = 1..nmax in one loop over n, and keeps
-each verdict as the plain tuple.  Both read the per-n observables from
-the two kernels of ``observables``, ``_xy_at`` (the axis means and
-spreads) and ``_total_at`` (R_n and sigma_n), and sigma_Lz from the
-per-state cache, so every verdict of the loop equals the scalar check's,
-bit for bit, by construction.  The symmetry detection and
-``recommend_n`` read the moduli R_k from the per-state cache
-``CircleState.resultants``.
+This module measures no side of a bound itself: it multiplies the
+measured sides and decides.  Every bound verdict is one tuple, (kind, n,
+lhs, rhs, slack, holds, saturated), built by ``_verdict``.  The scalar
+checks evaluate one bound at one n in Python floats and return it as a
+``URReport``, a ``NamedTuple``.  ``series_columns`` evaluates the
+observables and the three per-n bounds for every n = 1..nmax in one loop
+over n, and keeps each verdict as the plain tuple.  Both read the per-n
+observables from the kernels of ``observables``, ``_xy_at`` (the axis
+means and spreads) and ``_total_at`` (R_n and sigma_n), and sigma_Lz
+from the per-state cache ``CircleState.lz_moments``, so every verdict of
+the loop equals the scalar check's, bit for bit, by construction.  The
+window bound reads its two sides from the third kernel,
+``observables._seam_at``.  The symmetry detection and ``recommend_n``
+read the moduli R_k from the per-state cache ``CircleState.resultants``.
 """
 
 import math
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .observables import _seam_spread, _total_at, _xy_at
+from .observables import _seam_at, _total_at, _xy_at
 from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config
 
 __all__ = [
@@ -94,18 +96,16 @@ def check_ur_x(state: CircleState, n: int,
                config: Config = DEFAULT_CONFIG) -> URReport:
     """sigma_Xn * sigma_Lz against (n hbar / 2) |<Yn>|."""
     _, ey, sx, _ = _xy_at(state, n)
-    lhs = sx * math.sqrt(state.lz_moments[1])
-    return URReport._make(
-        _verdict(_X_AXIS, n, lhs, 0.5 * n * abs(ey), config))
+    return URReport._make(_verdict(
+        _X_AXIS, n, sx * state.lz_moments[1], 0.5 * n * abs(ey), config))
 
 
 def check_ur_y(state: CircleState, n: int,
                config: Config = DEFAULT_CONFIG) -> URReport:
     """sigma_Yn * sigma_Lz against (n hbar / 2) |<Xn>|."""
     ex, _, _, sy = _xy_at(state, n)
-    lhs = sy * math.sqrt(state.lz_moments[1])
-    return URReport._make(
-        _verdict(_Y_AXIS, n, lhs, 0.5 * n * abs(ex), config))
+    return URReport._make(_verdict(
+        _Y_AXIS, n, sy * state.lz_moments[1], 0.5 * n * abs(ex), config))
 
 
 def check_total_ur(state: CircleState, n: int,
@@ -114,7 +114,7 @@ def check_total_ur(state: CircleState, n: int,
     its rounding bound, an isotropic harmonic) makes the left side
     infinite and the bound trivially true."""
     _, sn = _total_at(state, n)
-    lhs = math.inf if math.isinf(sn) else sn * math.sqrt(state.lz_moments[1])
+    lhs = math.inf if math.isinf(sn) else sn * state.lz_moments[1]
     return URReport._make(_verdict(_TOTAL, n, lhs, 0.5, config))
 
 
@@ -125,17 +125,15 @@ def check_fujikawa(state: CircleState,
     The window bound of Franke-Arnold et al., New J. Phys. 6, 103 (2004),
     at the window start beta = -pi: the angle spread over (-pi, pi] and
     the density at the seam, where e^{ik beta} = (-1)^k, are alternating
-    sums over the harmonics (``observables._seam_spread`` and the even and
-    odd sums), with no phase table.  A negative right side makes the bound
-    trivial.  Every boundary phase theta is supported: the density, and
-    so the boundary term, does not depend on theta.
+    sums over the harmonics, with no phase table, both measured by the
+    kernel ``observables._seam_at``.  A negative right side makes the
+    bound trivial.  Every boundary phase theta is supported: the density,
+    and so the boundary term, does not depend on theta.
     """
-    lhs = _seam_spread(state) * math.sqrt(state.lz_moments[1])
-    # 2 pi rho(pi) = rho_0 + 2 Re sum_{k>=1} rho_k (-1)^k
-    rho = state.harmonics.real
-    two_pi_rho = rho.item(0) + 2.0 * float(rho[2::2].sum() - rho[1::2].sum())
-    rhs = 0.5 * (1.0 - two_pi_rho)
-    return URReport._make(_verdict(_FUJIKAWA, 1, lhs, rhs, config))
+    sigma_phi, two_pi_rho = _seam_at(state)
+    return URReport._make(_verdict(
+        _FUJIKAWA, 1, sigma_phi * state.lz_moments[1],
+        0.5 * (1.0 - two_pi_rho), config))
 
 
 class SeriesRow(NamedTuple):
@@ -169,7 +167,7 @@ def series_columns(state: CircleState, nmax: int,
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    slz = math.sqrt(state.lz_moments[1])
+    slz = state.lz_moments[1]
     rows = []
     for n in range(1, nmax + 1):
         ex, ey, sx, sy = _xy_at(state, n)

@@ -7,11 +7,14 @@ database written to disk.  ``states`` is the hypothesis strategy of the
 generated states; test modules import it with ``from conftest import
 states`` once hypothesis has imported.  ``readme_commands`` lists the
 ``qring`` command lines of the README.  ``PACKET_GRID`` is the packets
-whose output bytes the CLI and state-file tests pin.
+whose output bytes the CLI and state-file tests pin.  The tests import
+the checkout's ``src`` (pyproject's pytest ``pythonpath``), and so do the
+Python subprocesses they start, through ``PYTHONPATH``.
 """
 
 import itertools
 import math
+import os
 import re
 import shlex
 from pathlib import Path
@@ -20,6 +23,8 @@ from qring.state import from_fourier
 
 TWO_PI = 2.0 * math.pi
 ROOT = Path(__file__).resolve().parents[1]
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 # (axis, n, m, kappa) of the pinned packets: kappa 19.9 and 20.0 lie on
 # either side of the cutoff between the two ``bessel.von_mises`` branches

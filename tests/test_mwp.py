@@ -413,11 +413,14 @@ class TestVerifyPacket:
     @pytest.mark.parametrize("build", [mwp_x, mwp_y])
     def test_uniform_packet_predicts_no_signed_zero(self, build, kappa):
         # kappa (n/2)^2 r read -0.0 at kappa = -0.0, a variance with a
-        # sign, and the Y mean -r read -0.0 at r = 0.0
+        # sign, the Y mean -r read -0.0 at r = 0.0, and the Y kappa delta
+        # -ex / sigma_Y^2 - kappa read -0.0 at kappa = 0.0
         pk, s = build(1, 0, kappa)
-        predicted = verify_packet(pk, s).predicted
-        assert [math.copysign(1.0, v) for v in predicted.values()] == [1.0] * 6
-        assert predicted["sigma_lz2"] == predicted["ex"] == 0.0
+        v = verify_packet(pk, s)
+        for values in (v.predicted, v.deltas, v.measured):
+            signs = [math.copysign(1.0, x) for x in values.values()]
+            assert signs == [1.0] * len(values), values
+        assert v.predicted["sigma_lz2"] == v.predicted["ex"] == 0.0
 
     def test_measured_moments_reported(self):
         pk, s = mwp_y(2, 1, 5.0)

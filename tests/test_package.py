@@ -214,25 +214,55 @@ def test_report_path_reads_no_numpy():
 
 
 def test_per_n_callers_read_the_two_kernels():
-    # the per-n arithmetic has one home, observables._xy_at and _total_at:
-    # a caller that reads rho_n itself holds a second copy of a formula
+    # every measured side of a bound has one home: the per-n kernels
+    # observables._xy_at and _total_at, the seam kernel _seam_at, and
+    # sigma_Lz in CircleState.lz_moments; a caller that reads rho_k or
+    # takes the root of a cache itself holds a second copy of a formula
     callers = {("observables.py", "expect_xy"), ("observables.py", "sigma_xy"),
                ("observables.py", "mean_resultant"),
                ("observables.py", "sigma_total"),
                ("uncertainty.py", "check_ur_x"),
                ("uncertainty.py", "check_ur_y"),
                ("uncertainty.py", "check_total_ur"),
+               ("uncertainty.py", "check_fujikawa"),
                ("uncertainty.py", "series_columns"),
                ("mwp.py", "verify_packet")}
-    defined = {(path, node.name) for path, _, node in _reads(
-        lambda node: isinstance(node, ast.FunctionDef))}
+    functions = [(path, node) for path, _, node in _reads(
+        lambda node: isinstance(node, ast.FunctionDef))]
     reads = {(path, fn) for path, fn, _ in _reads(
         lambda node: isinstance(node, ast.Attribute)
         and node.attr in ("harmonics", "item"))}
-    assert callers <= defined
-    assert sorted(callers & reads) == []
-    assert {("observables.py", "_xy_at"),
-            ("observables.py", "_total_at")} <= reads
+    assert callers <= {(path, fn.name) for path, fn in functions}
+
+    def reads_cache(node, names):
+        return any(getattr(sub, "attr", None) == "lz_moments"
+                   or getattr(sub, "id", None) in names
+                   for sub in ast.walk(node))
+
+    # a math.sqrt whose argument reads lz_moments, directly or through a
+    # name its function unpacks from it
+    roots, sqrt_sites = set(), set()
+    for path, fn in functions:
+        names = {target.id for node in ast.walk(fn)
+                 if isinstance(node, ast.Assign)
+                 and reads_cache(node.value, ())
+                 for target in ast.walk(node.targets[0])
+                 if isinstance(target, ast.Name)}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "sqrt"
+                    and getattr(node.func.value, "id", None) == "math"):
+                sqrt_sites.add((path, fn.name))
+                if any(reads_cache(arg, names) for arg in node.args):
+                    roots.add((path, fn.name))
+    strays = sorted(
+        [("reads rho_k", path, fn) for path, fn in reads
+         if (path, fn) in callers or path in ("uncertainty.py", "mwp.py")]
+        + [("root of lz_moments", path, fn) for path, fn in roots])
+    assert not strays, "; ".join(" ".join(stray) for stray in strays)
+    assert {("observables.py", "_xy_at"), ("observables.py", "_total_at"),
+            ("observables.py", "_seam_at")} <= reads
+    assert ("state.py", "lz_moments") in sqrt_sites
 
 
 def test_json_writer_builds_one_encoder_per_depth():

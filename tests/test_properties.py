@@ -206,7 +206,7 @@ def lz_error(state, turned):
     max |mu|."""
     pair = np.array([sigma_lz(state), sigma_lz(turned)])
     reach = np.max(np.abs(state.mu))
-    dvar = 64.0 * EPS * state.lz_moments[1] + (16.0 * EPS * reach) ** 2
+    dvar = 64.0 * EPS * pair[0] ** 2 + (16.0 * EPS * reach) ** 2
     return pair, root_error(pair[0], pair[1], dvar)
 
 
