@@ -7,18 +7,19 @@ dependence of the raw angle moments), and ``mwp`` (packet construction).
 
 Machine-readable output (JSON or CSV) goes to stdout, human diagnostics to
 stderr.  Exit codes: 0 all comparisons passed, 1 a comparison failed,
-2 usage/parse error (a value that overflows float64 at --hbar included),
-3 unusable state (non-normalizable).  The subcommands only raise: ``main``
-alone writes a failure's ``error:`` line and exits 3 on a
-``DegenerateStateError``, 2 on any other ``ValueError`` or ``OverflowError``.
+2 usage/parse error (a value that overflows or underflows float64 at
+--hbar included), 3 unusable state (non-normalizable).  The subcommands
+only raise: ``main`` alone writes a failure's ``error:`` line and exits 3
+on a ``DegenerateStateError``, 2 on any other ``ValueError`` or
+``OverflowError``.
 
 The library works in units of hbar (hbar = 1); --hbar is only the unit of
 the printed values.  ``_in_hbar`` alone multiplies a value by hbar and
-builds the ``OverflowError`` of one that overflows there, and at
-hbar = 1 every value is printed as the library returns it.  ``main``
-validates --hbar before --tol; ``report`` scales its bounds by n (X, Y,
-TOTAL), then sigma_Lz, then the window bound, before it reads its
-symmetry options, and ``mwp`` scales sigma_lz2, then lz.
+names one that overflows or underflows there, and at hbar = 1 every
+value is printed as the library returns it.  ``main`` validates --hbar
+before --tol; ``report`` scales its bounds by n (X, Y, TOTAL), then
+sigma_Lz, then the window bound, before it reads its symmetry options,
+and ``mwp`` scales sigma_lz2, then lz.
 
 ``examples`` is one table: each case gives its (quantity, expected,
 measured) rows at hbar = 1, and its product row measures the total bound's
@@ -43,7 +44,7 @@ then its options, each spelled in full and given once) with ``_parse``,
 which gives the namespace argparse would, at a fraction of argparse's
 cost, and None for anything else.  That goes to ``parse_args``, so
 argparse alone reads every other spelling and writes all help, usage and
-error text.
+error text.  ``_parse`` reads only the grammar ``build_parser`` declares.
 """
 
 import argparse
@@ -212,23 +213,28 @@ def _in_hbar(hbar: float, power: int, what, x, y=0.0, z=0.0) -> tuple:
     """(x, y, z), floats at hbar = 1 of degree ``power`` in hbar, each
     multiplied by hbar ``power`` times (hbar**power may overflow where the
     product does not): the one place hbar enters a value.  At hbar = 1
-    they come back as they are, as the products would be.  A finite value
-    that comes out infinite raises ``OverflowError`` naming ``what``, a
-    string or a ``str.format`` string and its arguments in one tuple; an
-    infinite one (an isotropic sigma_n) stays infinite."""
+    they come back as they are, as the products would be.  The first
+    finite value that comes out infinite raises ``OverflowError``, and
+    the first normal one that comes out zero or subnormal ``ValueError``,
+    naming ``what``, a string or a ``str.format`` string and its
+    arguments in one tuple.  A zero, infinite (an isotropic sigma_n) or
+    subnormal value stays as it is."""
     if hbar == 1.0:  # v * 1.0 is v to the bit, and never overflows
         return x, y, z
     sx, sy, sz = x, y, z
     while power:  # a while loop: range() would cost more than the product
         sx, sy, sz = sx * hbar, sy * hbar, sz * hbar
         power -= 1
-    if not math.isfinite(sx + sy + sz):  # finite when every value is
-        for value, out in ((x, sx), (y, sy), (z, sz)):
-            if math.isinf(out) and math.isfinite(value):
-                name = (what if isinstance(what, str)
-                        else what[0].format(*what[1:]))
+    for value, out in ((x, sx), (y, sy), (z, sz)):
+        overflows = math.isinf(out) and math.isfinite(value)
+        if overflows or abs(out) < sys.float_info.min <= abs(value) < math.inf:
+            name = (what if isinstance(what, str)
+                    else what[0].format(*what[1:]))
+            if overflows:
                 raise OverflowError(f"{name} overflows float64 "
                                     f"(hbar={hbar!r}); use a smaller hbar")
+            raise ValueError(f"{name} underflows float64 "
+                             f"(hbar={hbar!r}); use a larger hbar")
     return sx, sy, sz
 
 
@@ -395,7 +401,7 @@ def run_report(args, cfg: Config) -> int:
     bounds = [bound for row in rows
               for bound in (row.x_axis, row.y_axis, row.total)]
     slz, hbar = sigma_lz(state), args.hbar
-    if hbar != 1.0:  # in the documented order of their overflow errors
+    if hbar != 1.0:  # in the documented order of their range errors
         bounds = [_bound_in_hbar(hbar, bound) for bound in bounds]
         slz = _in_hbar(hbar, 1, "sigma_Lz", slz)[0]
     if state.is_periodic:
@@ -558,25 +564,15 @@ class _Grammar(NamedTuple):
     options: dict       # exact option string -> store or store_true action
     required: list      # required options
     groups: list        # the action sets of the exclusive groups
-    prefixes: tuple     # the prefix characters of an option
-    negative: object    # the negative-number matcher, None when such
-                        # numbers are options
 
 
-def _grammar(parser: argparse.ArgumentParser,
-             positionals: list) -> _Grammar | None:
-    """The grammar of one parser with the given positionals, or None when
-    one has a nargs other than None or "?", which ``_parse`` leaves to
-    argparse."""
+def _grammar(parser: argparse.ArgumentParser, positionals: list) -> _Grammar:
+    """The grammar of one parser with the given positionals."""
     actions = parser._actions
-    if any(a.nargs not in (None, "?") for a in positionals):
-        return None
     defaults = {}
     for a in actions:
         if argparse.SUPPRESS not in (a.dest, a.default):
             defaults.setdefault(a.dest, a.default)
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
     options = {s: a for a in actions for s in a.option_strings
                if type(a) is argparse._StoreTrueAction
                or (type(a) is argparse._StoreAction and a.nargs is None)}
@@ -584,27 +580,26 @@ def _grammar(parser: argparse.ArgumentParser,
         parser, defaults, positionals, options,
         [a for a in actions if a.required and a.option_strings],
         [frozenset(g._group_actions)
-         for g in parser._mutually_exclusive_groups],
-        tuple(parser.prefix_chars),
-        None if parser._has_negative_number_optionals
-        else parser._negative_number_matcher)
+         for g in parser._mutually_exclusive_groups])
 
 
 @functools.cache
 def _grammars() -> tuple:
-    """The global options' grammar, the subcommand action and each
-    subcommand's grammar by name, read once from ``build_parser()``."""
+    """The global options' grammar and each subcommand's grammar by name,
+    read once from ``build_parser()``."""
     top = build_parser()
     command, = [a for a in top._actions if not a.option_strings]
-    return _grammar(top, []), command, {
+    return _grammar(top, []), {
         name: _grammar(p, [a for a in p._actions if not a.option_strings])
         for name, p in command.choices.items()}
 
 
-def _is_value(g: _Grammar, token: str) -> bool:
-    """Whether argparse takes the token as a value, not as an option."""
-    return (not token.startswith(g.prefixes)
-            or (g.negative is not None and g.negative.match(token) is not None))
+def _is_value(token: str) -> bool:
+    """Whether argparse takes the token as a value, not as an option: every
+    option of ``build_parser`` is ``--name``, and each parser has the
+    matcher ``_NEGATIVE_NUMBER``."""
+    return (not token.startswith("-")
+            or _NEGATIVE_NUMBER.match(token) is not None)
 
 
 def _value(parser: argparse.ArgumentParser, action: argparse.Action,
@@ -624,7 +619,7 @@ def _fill(g: _Grammar, argv: list, i: int, values: dict) -> int | None:
     parser, present = g.parser, set()
     try:
         for action in g.positionals:
-            if i < len(argv) and _is_value(g, argv[i]):
+            if i < len(argv) and _is_value(argv[i]):
                 values[action.dest] = _value(parser, action, argv[i])
                 present.add(action)
                 i += 1
@@ -638,7 +633,7 @@ def _fill(g: _Grammar, argv: list, i: int, values: dict) -> int | None:
             if action.nargs == 0:
                 values[action.dest] = action.const
                 i += 1
-            elif i + 1 < len(argv) and _is_value(g, argv[i + 1]):
+            elif i + 1 < len(argv) and _is_value(argv[i + 1]):
                 values[action.dest] = _value(parser, action, argv[i + 1])
                 i += 2
             else:
@@ -664,7 +659,7 @@ def _parse(argv: list) -> argparse.Namespace | None:
     parser scans the subcommand's tokens too, and rejects one only as an
     ambiguous prefix of two global options; no subcommand option is one.
     """
-    top, command, subs = _grammars()
+    top, subs = _grammars()
     values = dict(top.defaults)
     i = _fill(top, argv, 0, values)
     if i is None or i == len(argv) or (sub := subs.get(argv[i])) is None:
@@ -673,7 +668,7 @@ def _parse(argv: list) -> argparse.Namespace | None:
     if _fill(sub, argv, i + 1, sub_values) != len(argv):
         return None
     # argparse sets the subcommand, then copies the subparser's namespace
-    values[command.dest] = argv[i]
+    values["command"] = argv[i]
     values.update(sub_values)
     return argparse.Namespace(**values)
 

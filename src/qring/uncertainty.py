@@ -127,8 +127,13 @@ def check_fujikawa(state: CircleState,
     the density at the seam, where e^{ik beta} = (-1)^k, are alternating
     sums over the harmonics, with no phase table, both measured by the
     kernel ``observables._seam_at``.  A negative right side makes the
-    bound trivial.  Every boundary phase theta is supported: the density,
-    and so the boundary term, does not depend on theta.
+    bound trivial, and the paper's own Y packets have one: ``mwp_y(1, 0,
+    kappa)`` at kappa = 0.5, 2, 5 and 50 has right sides -0.275, -1.12,
+    -2.22 and -8.34 against left sides 0.361, 1.50, 2.94 and 10.66.  The
+    Robertson form, with (hbar/2)|1 - 2 pi rho(pi)| on the right (Pegg et
+    al., New J. Phys. 7, 62 (2005)), is not trivial there; this check
+    keeps the signed form.  Every boundary phase theta is supported: the
+    density, and so the boundary term, does not depend on theta.
     """
     sigma_phi, two_pi_rho = _seam_at(state)
     return URReport._make(_verdict(
@@ -189,7 +194,10 @@ def detect_fold_symmetry(state: CircleState, tol: float = 1e-9) -> int:
     magnitude up to ``tol`` are treated as noise.  A density with no
     harmonics at all (uniform) is symmetric for every n; the mode cap
     ``MAX_MODE`` is returned as the convention for that case.  Returns 1
-    when no symmetry is present.
+    when no symmetry is present.  A genuine fold can equal the cap or
+    exceed it: ``from_fourier({-256: 1, 256: 1})`` gives 512 and
+    ``from_fourier({-512: 1, 512: 1})`` 1024.  ``is_fully_symmetric``,
+    true only for the uniform density, tells the convention apart.
     """
     if is_fully_symmetric(state, tol):
         return MAX_MODE

@@ -5,7 +5,10 @@ same examples on every run, no deadline (the host's speed varies), a
 small example count that keeps them to about a second, and no example
 database written to disk.  ``states`` is the hypothesis strategy of the
 generated states; test modules import it with ``from conftest import
-states`` once hypothesis has imported.  ``readme_commands`` lists the
+states`` once hypothesis has imported.  ``gaussian_coeffs`` draws
+unnormalized Gaussian-integer coefficients, whose harmonics and L_z
+moments ``exact_rho`` and ``exact_lz`` give as exact ``Fraction`` values,
+an oracle with no rounding at all.  ``readme_commands`` lists the
 ``qring`` command lines of the README.  ``PACKET_GRID`` is the packets
 whose output bytes the CLI and state-file tests pin.  The tests import
 the checkout's ``src`` (pyproject's pytest ``pythonpath``), and so do the
@@ -17,6 +20,7 @@ import math
 import os
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 from qring.state import from_fourier
@@ -46,6 +50,38 @@ def readme_commands() -> list:
                     argv, target = argv[:argv.index(">")], argv[-1]
                 commands.append((argv, target))
     return commands
+
+
+def _gaussian(coeffs) -> dict:
+    """mode -> (re, im) ints of coefficients with integral parts."""
+    return {m: (int(c.real), int(c.imag)) for m, c in coeffs.items()}
+
+
+def exact_rho(coeffs, k: int) -> tuple:
+    """Oracle: (Re rho_k, Im rho_k) as Fractions, rho_k = sum_m c_{m+k}
+    conj(c_m) / sum_m |c_m|^2, of the state whose coefficients (mode ->
+    complex with integral parts, left unnormalized) are coeffs."""
+    ints = _gaussian(coeffs)
+    norm = sum(a * a + b * b for a, b in ints.values())
+    re = im = 0
+    for m, (a, b) in ints.items():
+        if m + k in ints:
+            p, q = ints[m + k]
+            # (p + iq)(a - ib)
+            re += p * a + q * b
+            im += q * a - p * b
+    return Fraction(re, norm), Fraction(im, norm)
+
+
+def exact_lz(coeffs) -> tuple:
+    """Oracle: (<L_z>, Var L_z) in units of hbar as Fractions, at theta =
+    0, of the state whose coefficients are coeffs, as for ``exact_rho``."""
+    weights = {m: a * a + b * b for m, (a, b) in _gaussian(coeffs).items()}
+    norm = sum(weights.values())
+    mean = Fraction(sum(m * w for m, w in weights.items()), norm)
+    return mean, Fraction(sum(m * m * w for m, w in weights.items()),
+                          norm) - mean * mean
+
 
 try:
     from hypothesis import settings, strategies as st
@@ -77,3 +113,16 @@ else:
         amps = [10.0**d * complex(math.cos(a), math.sin(a))
                 for d, a in zip(decades, angles)]
         return from_fourier(dict(zip(modes, amps)), theta)
+
+    @st.composite
+    def gaussian_coeffs(draw):
+        """Unnormalized Gaussian-integer coefficients for ``exact_rho`` and
+        ``exact_lz``: mode -> complex with integral parts, |re| and |im| at
+        most 20 and not both zero, on modes within +-512 spanning at most
+        40."""
+        lo = draw(st.integers(-512, 512))
+        hi = draw(st.integers(lo, min(lo + 40, 512)))
+        modes = draw(st.lists(st.integers(lo, hi), min_size=1, unique=True))
+        parts = st.tuples(st.integers(-20, 20), st.integers(-20, 20)).filter(
+            lambda pair: pair != (0, 0))
+        return {m: complex(*draw(parts)) for m in modes}

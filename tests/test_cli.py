@@ -103,6 +103,7 @@ FAILURE_FILES = {
     "noisy_short.txt": b"#\ntheta 0\n\n0 1 0\n# 1 1 0\n1 1\n\n",
     "noisy_field.txt": b"theta 0\n# c\n0 1 0\n\t\n1 x 0\n# end\n",
     "noisy_dup.txt": b"# c\ntheta 0\n0 1 0\n  # 0 1 0\n\n0 0 1\n#\n",
+    "random.txt": dump_state(random_state(6, 11)).encode(),
 }
 SCAN = ["--from", "0", "--to", "1", "--step", "1"]
 # one row per failure site: argv, exit code and the one stderr line, where
@@ -150,6 +151,12 @@ FAILURES = [
     (["--hbar", "1e308", "mwp", "--axis", "X", "--n", "2", "--kappa", "5"], 2,
      "sigma_Lz^2 prediction at n=2 overflows float64 (hbar=1e+308); use a "
      "smaller hbar"),
+    (["--hbar", "5e-324", "report", "{dir}/random.txt", "--nmax", "1"], 2,
+     "X_AXIS bound at n=1 underflows float64 (hbar=5e-324); use a larger "
+     "hbar"),
+    (["--hbar", "1e-310", "mwp", "--axis", "X", "--n", "1", "--kappa", "2"],
+     2, "sigma_Lz^2 prediction at n=1 underflows float64 (hbar=1e-310); use "
+     "a larger hbar"),
     (["examples", "von-mises", "--alpha", "0"], 2,
      "the von Mises example needs a nonzero --alpha"),
     (["examples", "sin-power", "--n", "1025"], 2,

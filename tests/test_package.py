@@ -200,6 +200,26 @@ def test_hbar_enters_in_one_place():
     assert {path for path, _, _ in named} == {"cli.py"}
 
 
+def test_fast_parser_reads_only_the_declared_grammar():
+    # cli._parse reads the grammar build_parser declares, not argparse
+    # state that qring never sets (set_defaults, prefix_chars) or sets
+    # itself (the negative-number matcher); build_parser's assignment of
+    # the matcher is the one use, and TestFastParse guards the rest
+    unread = {"_defaults", "prefix_chars", "_has_negative_number_optionals",
+              "_negative_number_matcher"}
+
+    def name(node):
+        """The attribute an attribute node reads, or a string constant."""
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return node.value if isinstance(node, ast.Constant) else None
+
+    uses = [(fn, name(node), type(getattr(node, "ctx", None)).__name__)
+            for path, fn, node in _reads(lambda node: name(node) in unread)
+            if path == "cli.py"]
+    assert uses == [("build_parser", "_negative_number_matcher", "Store")]
+
+
 def test_report_path_reads_no_numpy():
     # report's n-series is one loop in Python floats: a numpy call on a
     # length-nmax array costs more than the arithmetic it does

@@ -1,7 +1,8 @@
 """Property tests over generated states: the running-product phase tables
 against the direct exp of every (point, frequency) pair, the seam sums of
 the window bound against the phase tables, the state file round trip,
-every bound over the whole n-series, what a rotation keeps and swaps, the
+every bound over the whole n-series, the sign of each per-n slack against
+exact rational arithmetic, what a rotation keeps and swaps, the
 CLI's JSON row tables against ``json.dumps(indent=2)``, the CLI's
 documents in units of --hbar against its documents at hbar = 1, and no NaN
 or inf behind a true verdict."""
@@ -9,11 +10,14 @@ or inf behind a true verdict."""
 import contextlib
 import copy
 import dataclasses
+import decimal
 import io
 import json
 import math
 import pickle
+import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +44,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 # the strategy exists only once hypothesis has imported
-from conftest import states  # noqa: E402
+from conftest import (exact_lz, exact_rho, gaussian_coeffs,  # noqa: E402
+                      states)
 
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps
@@ -180,6 +185,54 @@ def test_every_bound_holds_over_the_series(state):
     assert rep.holds
 
 
+def exact_sides(coeffs, n):
+    """Oracle: (check, lhs^2, rhs^2) of the X_AXIS, Y_AXIS and TOTAL
+    bounds at n, each squared side an exact Fraction; the TOTAL lhs^2 is
+    None where R_n = 0, whose left side is infinite."""
+    xn, yn = exact_rho(coeffs, n)  # <X_n> = Re rho_n, <Y_n> = -Im rho_n
+    x2n, _ = exact_rho(coeffs, 2 * n)
+    _, var_lz = exact_lz(coeffs)
+    sides = [(check_ur_x, ((1 + x2n) / 2 - xn * xn) * var_lz,
+              n * n * yn * yn / 4),
+             (check_ur_y, ((1 - x2n) / 2 - yn * yn) * var_lz,
+              n * n * xn * xn / 4)]
+    r2 = xn * xn + yn * yn
+    total = (1 - r2) * var_lz / (n * n * r2) if r2 else None
+    return sides + [(check_total_ur, total, Fraction(1, 4))]
+
+
+def decimal_sqrt(q):
+    """The square root of a Fraction q >= 0 to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return (decimal.Decimal(q.numerator)
+                / decimal.Decimal(q.denominator)).sqrt()
+
+
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(gaussian_coeffs())
+def test_slack_signs_match_exact_rationals(coeffs):
+    # the sign of each exact slack is that of lhs^2 - rhs^2, decided with
+    # no tolerance; the library's slack has it wherever the exact slack
+    # exceeds 8 gamma_M (1 + |<L_z>|) max(1, lhs), gamma_M = M u/(1 - M u)
+    # over the M modes: the rounding of each side grows with |<L_z>|,
+    # since the centred L_z variance reads a mean off by ulps of it
+    state = from_fourier(coeffs)
+    mu = len(coeffs) * EPS / 2.0  # M u
+    gamma = mu / (1.0 - mu)
+    mean, _ = exact_lz(coeffs)
+    scale = decimal.Decimal(8.0 * gamma * (1.0 + abs(float(mean))))
+    for n in (1, 2, 3):
+        for check, lhs2, rhs2 in exact_sides(coeffs, n):
+            if lhs2 is None:
+                assert check(state, n).slack == math.inf
+                continue
+            lhs = decimal_sqrt(lhs2)
+            if abs(lhs - decimal_sqrt(rhs2)) > scale * max(1, lhs):
+                slack = check(state, n).slack
+                assert (slack > 0.0) == (lhs2 > rhs2), (check, n, slack)
+
+
 angles = st.floats(-4.0, 4.0)
 
 
@@ -281,10 +334,11 @@ def test_row_table_equals_indented_dumps(rows):
     assert buf.getvalue() == json.dumps(rows, indent=2) + "\n"
 
 
-# units the CLI must print in with every verdict as at hbar = 1, and two
-# in which most documents overflow
+# units the CLI must print in with every verdict as at hbar = 1, two in
+# which most documents overflow, and two in which most underflow
 HBARS = (2.0**-40, 1e-12, 1.0, 1e8, 2.0**60)
 OVERFLOWING = (1e306, 1.7e308)
+UNDERFLOWING = (1e-300, 5e-324)
 # the exact axis-saturating packets: the X packet saturates the X_AXIS
 # bound at its own n, the Y packet the Y_AXIS bound
 PACKETS = [(build, n, m, kappa) for build in (mwp_x, mwp_y)
@@ -327,9 +381,10 @@ def in_units_of(hbar, unit):
     document ``unit`` at hbar = 1, as (document, None): each value of
     degree p in hbar multiplied by hbar p times, and every other value,
     each verdict included, unchanged.  Or (None, error line), naming the
-    first value that is finite at hbar = 1 and infinite at hbar, in the
-    documented order: for report the bounds by n (X, Y, TOTAL), sigma_Lz,
-    then the window bound; for mwp sigma_lz2, then lz."""
+    first value that is finite at hbar = 1 and infinite at hbar, or normal
+    at hbar = 1 and zero or subnormal at hbar, in the documented order:
+    for report the bounds by n (X, Y, TOTAL), sigma_Lz, then the window
+    bound; for mwp sigma_lz2, then lz."""
     doc = copy.deepcopy(unit)
     if "uncertainty" in doc:
         doc["hbar"] = hbar
@@ -355,17 +410,21 @@ def in_units_of(hbar, unit):
             if math.isfinite(value) and math.isinf(obj[key]):
                 return None, (f"error: {what} overflows float64 "
                               f"(hbar={hbar!r}); use a smaller hbar\n")
+            if (abs(obj[key]) < sys.float_info.min
+                    <= abs(value) < math.inf):
+                return None, (f"error: {what} underflows float64 "
+                              f"(hbar={hbar!r}); use a larger hbar\n")
     return doc, None
 
 
 def assert_units_of_hbar(*argv):
-    """The run of argv at each --hbar of HBARS and OVERFLOWING against
-    ``in_units_of`` its run at hbar = 1: the same exit code and the scaled
-    document, or exit 2 with the error line alone.  Returns the document
-    at hbar = 1."""
+    """The run of argv at each --hbar of HBARS, OVERFLOWING and
+    UNDERFLOWING against ``in_units_of`` its run at hbar = 1: the same
+    exit code and the scaled document, or exit 2 with the error line
+    alone.  Returns the document at hbar = 1."""
     code, out, _ = run_cli(*argv)
     unit = json.loads(out)
-    for hbar in (*HBARS, *OVERFLOWING):
+    for hbar in (*HBARS, *OVERFLOWING, *UNDERFLOWING):
         want, error = in_units_of(hbar, unit)
         got = run_cli("--hbar", repr(hbar), *argv)
         if error is None:

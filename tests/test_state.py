@@ -472,6 +472,27 @@ class TestInHbar:
         assert str(exc.value) == (f"X at n=3 overflows float64 "
                                   f"(hbar={hbar!r}); use a smaller hbar")
 
+    @pytest.mark.parametrize("hbar,power,values", [
+        (0.5, 1, (0.5, sys.float_info.min, 1.0)),
+        (1e-300, 1, (1.0, -1e-10, 1e-300)),
+        (5e-324, 1, (0.0, -0.275, 2.0)),
+        (1e-200, 2, (1e-100, 1.0, 1.0))])
+    def test_other_hbar_names_an_underflow(self, hbar, power, values):
+        # the first normal value that comes out zero or subnormal, in
+        # order: -0.275 at 5e-324 would print as -0.0
+        with pytest.raises(ValueError) as exc:
+            qring.cli._in_hbar(hbar, power, ("{} at n={}", "X", 3), *values)
+        assert str(exc.value) == (f"X at n=3 underflows float64 "
+                                  f"(hbar={hbar!r}); use a larger hbar")
+
+    def test_other_hbar_keeps_a_zero_or_subnormal_value(self):
+        # zero and subnormal before the unit, so no underflow
+        out = qring.cli._in_hbar(0.5, 1, "value",
+                                 -0.0, 2.0**-1074, 2.0**-1060)
+        assert all(map(same_bits, out, (-0.0, 0.0, 2.0**-1061)))
+        out = qring.cli._in_hbar(1e-300, 2, "value", 0.0, 1e-310, math.inf)
+        assert all(map(same_bits, out, (0.0, 0.0, math.inf)))
+
     def test_other_hbar_keeps_an_infinite_value(self):
         # an isotropic sigma_n: infinite before the unit, so no overflow
         x, y, z = qring.cli._in_hbar(2.0, 1, "value",

@@ -318,6 +318,18 @@ class TestFoldSymmetry:
         assert is_fully_symmetric(s)
         assert not is_fully_symmetric(cos_harmonic_state(1))
 
+    @pytest.mark.parametrize("coeffs,fold,full", [
+        ({0: 1.0}, MAX_MODE, True),
+        ({-256: 1.0, 256: 1.0}, 512, False),
+        ({-512: 1.0, 512: 1.0}, 1024, False)])
+    def test_cap_convention_and_genuine_folds(self, coeffs, fold, full):
+        # the uniform density returns the cap by convention; a genuine fold
+        # may equal the cap or exceed it, and only fully_symmetric tells
+        # the convention apart
+        s = from_fourier(coeffs)
+        assert detect_fold_symmetry(s) == fold
+        assert is_fully_symmetric(s) is full
+
     def test_eigenmode_is_fully_symmetric(self):
         assert is_fully_symmetric(from_fourier({5: 1.0}))
 
