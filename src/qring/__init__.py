@@ -9,7 +9,6 @@ from .mwp import mwp_x, mwp_y, verify_packet
 from .observables import sigma_lz, sigma_total
 from .state import (
     CircleState,
-    Config,
     dump_state,
     from_fourier,
     load_state,
@@ -27,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CircleState",
-    "Config",
     "DegenerateStateError",
     "QringError",
     "ResolutionError",

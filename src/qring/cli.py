@@ -24,7 +24,8 @@ and ``mwp`` scales sigma_lz2, then lz.
 ``examples`` is one table: each case gives its (quantity, expected,
 measured) rows at hbar = 1, and its product row measures the total bound's
 left side.  Every comparison is decided on those values, against --tol,
-and only the printed values are scaled to --hbar.
+and only the printed values are scaled to --hbar.  --tol serves
+``examples`` and ``mwp`` alone; no bound verdict reads it.
 ``curve`` and ``scan-beta`` share one row range, from + k*step up to --to.
 ``report`` reads its n-series from ``uncertainty.series_columns``, one
 row of Python floats per n, and builds its row tables from those rows
@@ -72,7 +73,6 @@ from .observables import (
     sigma_total,
 )
 from .state import (
-    Config,
     cos_harmonic_state,
     dump_state,
     load_state,
@@ -248,16 +248,17 @@ def _bound_in_hbar(hbar: float, verdict) -> tuple:
 
 
 def _check(name: str, quantity: str, expected: float, measured: float,
-           cfg: Config, hbar: float) -> dict:
+           args) -> dict:
     """One examples row, decided at hbar = 1 and printed in units of hbar."""
     if math.isinf(expected) or math.isinf(measured):
         ok = math.isinf(expected) and math.isinf(measured)
     else:
-        ok = abs(measured - expected) <= cfg.cmp_tol * max(1.0, abs(expected))
+        ok = abs(measured - expected) <= args.tol * max(1.0, abs(expected))
     # sigma_lz and the products have degree 1 in hbar, the rest degree 0
     power = 1 if quantity.startswith(("sigma_lz", "total_product")) else 0
     what = ("{} of the {} example", quantity, name)
-    expected, measured, _ = _in_hbar(hbar, power, what, expected, measured)
+    expected, measured, _ = _in_hbar(args.hbar, power, what, expected,
+                                     measured)
     return {"quantity": quantity, "expected": expected,
             "measured": measured, "pass": bool(ok)}
 
@@ -315,14 +316,14 @@ def _example(name: str, args) -> tuple[dict, list]:
     return params, [(q, e, measured[q]) for q, e in expected]
 
 
-def run_examples(args, cfg: Config) -> int:
+def run_examples(args) -> int:
     selected = [args.case] if args.case else CASE_NAMES
     if "von-mises" in selected and args.alpha == 0.0:
         raise ValueError("the von Mises example needs a nonzero --alpha")
     report = {"cases": [], "all_pass": True}
     for name in selected:
         params, rows = _example(name, args)
-        checks = [_check(name, *row, cfg, args.hbar) for row in rows]
+        checks = [_check(name, *row, args) for row in rows]
         for c in checks:
             verdict = "PASS" if c["pass"] else "FAIL"
             print(f"[{verdict}] {name} {c['quantity']}: "
@@ -360,7 +361,7 @@ def _row_range(start: float, stop: float, step: float) -> np.ndarray:
     return xs
 
 
-def run_curve(args, _cfg: Config) -> int:
+def run_curve(args) -> int:
     xs = _row_range(args.start, args.stop, args.step)
     if args.name == "mwp_abs":
         _, state = mwp_x(args.n, args.m, args.alpha)
@@ -392,11 +393,11 @@ _CHECK_ROW = "%-10s %2d %12.6g %12.6g %12.6g %s\n"
 _CHECK_FIELDS = itemgetter("kind", "n", "lhs", "rhs", "slack", "holds")
 
 
-def run_report(args, cfg: Config) -> int:
+def run_report(args) -> int:
     if not 1 <= args.nmax <= MAX_SCAN_ROWS:
         raise ValueError(f"--nmax must lie in [1, {MAX_SCAN_ROWS}]")
     state = _load_state_file(args.state_file)
-    rows = series_columns(state, args.nmax, cfg)
+    rows = series_columns(state, args.nmax)
     # per n: X, Y, TOTAL, as the scalar checks run; then the window bound
     bounds = [bound for row in rows
               for bound in (row.x_axis, row.y_axis, row.total)]
@@ -405,7 +406,7 @@ def run_report(args, cfg: Config) -> int:
         bounds = [_bound_in_hbar(hbar, bound) for bound in bounds]
         slz = _in_hbar(hbar, 1, "sigma_Lz", slz)[0]
     if state.is_periodic:
-        bounds.append(_bound_in_hbar(hbar, check_fujikawa(state, cfg)))
+        bounds.append(_bound_in_hbar(hbar, check_fujikawa(state)))
     mean_phi = mean_angle(state)
     observables = [
         {"n": n, "ex": ex, "ey": ey, "r_n": r, "mean_phi": mean_phi,
@@ -438,7 +439,7 @@ def run_report(args, cfg: Config) -> int:
     return 0 if all(c["holds"] for c in checks) else 1
 
 
-def run_scan_beta(args, _cfg: Config) -> int:
+def run_scan_beta(args) -> int:
     state = _load_state_file(args.state_file)
     betas = _row_range(args.start, args.stop, args.step)
     means, _, sigmas = angle_moments_beta(state, betas)
@@ -447,7 +448,7 @@ def run_scan_beta(args, _cfg: Config) -> int:
     return 0
 
 
-def run_mwp(args, cfg: Config) -> int:
+def run_mwp(args) -> int:
     if not 1 <= args.points <= MAX_SCAN_ROWS:
         raise ValueError(f"--points must lie in [1, {MAX_SCAN_ROWS}]")
     builder = mwp_x if args.axis == Axis.X.value else mwp_y
@@ -461,7 +462,7 @@ def run_mwp(args, cfg: Config) -> int:
                      (phi.tolist(), np.abs(state.evaluate(phi)).tolist()),
                      args.json)
         return 0
-    verification = verify_packet(packet, state, cfg)
+    verification = verify_packet(packet, state, args.tol)
     predicted, measured, deltas = (verification.predicted,
                                    verification.measured, verification.deltas)
     predicted["sigma_lz2"], measured["sigma_lz2"], deltas["sigma_lz2"] = (
@@ -498,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--hbar", type=float, default=1.0,
                         help="angular momentum unit (default 1)")
     parser.add_argument("--tol", type=float, default=1e-9,
-                        help="comparison tolerance (default 1e-9)")
+                        help="comparison tolerance of examples and mwp "
+                             "(default 1e-9)")
     parser.add_argument("--json", action="store_true",
                         help="emit JSON instead of CSV where applicable")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -688,7 +690,9 @@ def main(argv=None) -> int:
     try:
         if not (math.isfinite(args.hbar) and args.hbar > 0):
             raise ValueError("hbar must be positive and finite")
-        return dispatch[args.command](args, Config(args.tol))
+        if not 0 < args.tol < 1:
+            raise ValueError("--tol must lie in (0, 1)")
+        return dispatch[args.command](args)
     except DegenerateStateError as exc:
         print(f"error: state is not normalizable: {exc}", file=sys.stderr)
         return STATE_ERROR

@@ -16,7 +16,8 @@ orders past the mode cap ``state.MAX_MODE``, the only limit on kappa,
 and ``state._build`` checks the kept modes exactly.  A packet is only
 its parameters; ``verify_packet`` computes the closed-form predictions,
 a dict, from one ``bessel.von_mises`` call and compares them with the
-moments measured on the state, both in units of hbar (hbar = 1).
+moments measured on the state, both in units of hbar (hbar = 1), within
+the float tolerance its caller passes.
 """
 
 import math
@@ -28,8 +29,7 @@ import numpy as np
 from .bessel import ik_scaled, von_mises
 from .errors import ResolutionError
 from .observables import _xy_at
-from .state import (DEFAULT_CONFIG, MAX_MODE, CircleState, Config, TWO_PI,
-                    _build, _cap_error)
+from .state import MAX_MODE, CircleState, TWO_PI, _build, _cap_error
 
 __all__ = [
     "Axis",
@@ -139,7 +139,7 @@ def mwp_y(n: int, m: int, beta: float) -> tuple[VonMisesPacket, CircleState]:
 
 
 def verify_packet(packet: VonMisesPacket, state: CircleState,
-                  config: Config = DEFAULT_CONFIG) -> PacketVerification:
+                  tol: float = 1e-9) -> PacketVerification:
     """Compare measured moments of the state against the packet's
     closed-form predictions, both in units of hbar.
 
@@ -147,10 +147,13 @@ def verify_packet(packet: VonMisesPacket, state: CircleState,
     the state, and checks that the ratio of the transverse mean to the
     along-axis variance reproduces kappa.  That delta carries a relative
     rounding error, so it passes within tol * max(1, |kappa|); every other
-    delta within tol = ``config.cmp_tol`` (in units of hbar^2 and hbar for
-    the L_z rows).  A mismatch is reported, not raised.
+    delta within tol (in units of hbar^2 and hbar for the L_z rows).  A
+    mismatch is reported, not raised; a tol outside (0, 1) raises
+    ValueError.
     """
-    n, tol = packet.n, config.cmp_tol
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
+    n = packet.n
     pred = _predictions(packet)
     ex, ey, sx, sy = _xy_at(state, n)
     lz, slz = state.lz_moments

@@ -85,7 +85,8 @@ def _xy_at(state: CircleState, n: int) -> tuple[float, float, float, float]:
     size = rho.size
     if n < size:
         z = rho.item(n)
-        ex, ey = z.real, -z.imag
+        # 0.0 - z.imag, not -z.imag, which is -0.0 at a real harmonic
+        ex, ey = z.real, 0.0 - z.imag
     else:  # +0.0 past the span, not -0.0
         ex = ey = 0.0
     x2n = rho.item(2 * n).real if 2 * n < size else 0.0

@@ -7,13 +7,12 @@ strictly periodic case and theta = pi the anti-periodic one (half-odd
 effective angular momenta).  A state is only this wavefunction: its
 modes, amplitudes and theta, with every |m| at most ``MAX_MODE``.  Every
 value of the package is in units of hbar (hbar = 1): the CLI alone
-prints in other units.  The comparison tolerance lives in ``Config``,
-passed to the checks that read it.  The Fourier representation keeps
-angular momentum moments exact diagonal sums and all trigonometric
-expectation values exact autocorrelations.  Each state computes them
-once and caches them: ``CircleState.lz_moments`` holds the mean and the
-spread sigma_Lz of the exponents (the one square root of the centred
-variance), ``CircleState.harmonics`` the density harmonics and
+prints in other units.  The Fourier representation keeps angular
+momentum moments exact diagonal sums and all trigonometric expectation
+values exact autocorrelations.  Each state computes them once and caches
+them: ``CircleState.lz_moments`` holds the mean and the spread sigma_Lz
+of the exponents (the one square root of the centred variance),
+``CircleState.harmonics`` the density harmonics and
 ``CircleState.resultants`` their moduli R_k.  Point values are direct
 sums over the modes through the phase tables of ``_phase_sums``: each
 row of a table is a running product, exp(i mu_0 phi) times exp(i g phi)
@@ -33,8 +32,6 @@ from .errors import DegenerateStateError, ResolutionError
 
 __all__ = [
     "MAX_MODE",
-    "Config",
-    "DEFAULT_CONFIG",
     "CircleState",
     "from_fourier",
     "random_state",
@@ -90,21 +87,6 @@ def _phase_sums(points: np.ndarray, ifreqs: np.ndarray, columns: np.ndarray,
         for sums, w in zip(out, weights):
             sums[start:stop] = table @ w
     return [sums[:points.size] for sums in out]
-
-
-@dataclass(frozen=True)
-class Config:
-    """The tolerance of every verdict, cmp_tol, its one home.  Only the
-    functions that read it take a Config; a state carries none."""
-
-    cmp_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not 0 < self.cmp_tol < 1:
-            raise ValueError("cmp_tol must lie in (0, 1)")
-
-
-DEFAULT_CONFIG = Config()
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,22 +165,28 @@ class CircleState:
 
     @cached_property
     def lz_moments(self) -> tuple[float, float]:
-        """(<L_z>, sigma_Lz) in units of hbar: (m1 + theta/2pi,
-        sqrt(sum w (m - m1)^2 / sum w)) with w = |c|^2 and m1 = sum m w.
+        """(<L_z>, sigma_Lz) in units of hbar: (m0 + d + theta/2pi,
+        sqrt(sum w (m - m0 - d)^2 / s)) with w = |c|^2, s = sum w, m0 the
+        heaviest mode and d = sum (m - m0) w / s.
 
-        The centred sum over the integer modes is free of the cancellation
-        in sum m^2 w - m1^2 (a rotated eigenstate has zero spread to
-        rounding) and of theta (a quasi-periodic state has its periodic
-        twin's spread bit for bit).  This is the one square root of the
-        variance: every bound reads sigma_Lz from here.  Computed once per
-        state, like ``harmonics``; ``rotate`` and ``replace`` build a new
-        state, which starts without the cache.
+        Centred on a mode, the sums are free of the cancellation in
+        sum m^2 w - <m>^2 and of the rounding of a large |<L_z>| (an
+        eigenstate has <L_z> = m + theta/2pi and zero spread exactly), and
+        of theta (a quasi-periodic state has its periodic twin's spread bit
+        for bit).  This is the one square root of the variance: every
+        bound reads sigma_Lz from here.  Computed once per state, like
+        ``harmonics``; ``rotate`` and ``replace`` build a new state, which
+        starts without the cache.
         """
         w = np.abs(self.amps) ** 2
-        m1 = float((self.modes * w).sum())
-        d = self.modes - m1
-        return (m1 + self.theta / TWO_PI,
-                math.sqrt(float((d * d * w).sum() / w.sum())))
+        s = w.sum()
+        m0 = self.modes.item(w.argmax())
+        offsets = self.modes - m0
+        d = float((offsets * w).sum() / s)
+        e = offsets - d
+        e *= e
+        e *= w
+        return m0 + d + self.theta / TWO_PI, math.sqrt(float(e.sum() / s))
 
     @cached_property
     def _phase_steps(self) -> tuple[np.ndarray, np.ndarray]:

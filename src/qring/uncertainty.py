@@ -11,10 +11,10 @@ with the window start fixed at -pi, for every boundary phase.  All four
 are theorems, so ``holds`` is expected true for every valid state; the
 interesting output is the slack and the saturation flag.  Each bound is
 homogeneous of degree 1 in hbar, so a check works in units of hbar: it
-decides ``holds`` and ``saturated`` on its sides at hbar = 1 against
-``Config.cmp_tol`` and returns the sides and the slack at hbar = 1 too.
-The one infinite side is the total bound's left side when sigma_n is
-infinite.
+decides ``holds`` and ``saturated`` on its sides at hbar = 1, against one
+constant that no caller chooses, and returns the sides and the slack at
+hbar = 1 too.  The one infinite side is the total bound's left side when
+sigma_n is infinite.
 
 This module measures no side of a bound itself: it multiplies the
 measured sides and decides.  Every bound verdict is one tuple, (kind, n,
@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .observables import _seam_at, _total_at, _xy_at
-from .state import DEFAULT_CONFIG, MAX_MODE, CircleState, Config
+from .state import MAX_MODE, CircleState
 
 __all__ = [
     "URKind",
@@ -84,42 +84,41 @@ class URReport(NamedTuple):
     saturated: bool
 
 
-def _verdict(kind: URKind, n: int, lhs: float, rhs: float,
-             config: Config) -> tuple:
+_VERDICT_TOL = 1e-9  # a slack within it is rounding noise, in units of hbar
+
+
+def _verdict(kind: URKind, n: int, lhs: float, rhs: float) -> tuple:
     """(kind, n, lhs, rhs, slack, holds, saturated) of lhs >= rhs, the
-    fields of a ``URReport``, against ``config.cmp_tol``."""
-    slack, tol = lhs - rhs, config.cmp_tol
-    return kind, n, lhs, rhs, slack, slack >= -tol, abs(slack) <= tol
+    fields of a ``URReport``, decided against ``_VERDICT_TOL`` here alone."""
+    slack = lhs - rhs
+    return (kind, n, lhs, rhs, slack, slack >= -_VERDICT_TOL,
+            abs(slack) <= _VERDICT_TOL)
 
 
-def check_ur_x(state: CircleState, n: int,
-               config: Config = DEFAULT_CONFIG) -> URReport:
+def check_ur_x(state: CircleState, n: int) -> URReport:
     """sigma_Xn * sigma_Lz against (n hbar / 2) |<Yn>|."""
     _, ey, sx, _ = _xy_at(state, n)
     return URReport._make(_verdict(
-        _X_AXIS, n, sx * state.lz_moments[1], 0.5 * n * abs(ey), config))
+        _X_AXIS, n, sx * state.lz_moments[1], 0.5 * n * abs(ey)))
 
 
-def check_ur_y(state: CircleState, n: int,
-               config: Config = DEFAULT_CONFIG) -> URReport:
+def check_ur_y(state: CircleState, n: int) -> URReport:
     """sigma_Yn * sigma_Lz against (n hbar / 2) |<Xn>|."""
     ex, _, _, sy = _xy_at(state, n)
     return URReport._make(_verdict(
-        _Y_AXIS, n, sy * state.lz_moments[1], 0.5 * n * abs(ex), config))
+        _Y_AXIS, n, sy * state.lz_moments[1], 0.5 * n * abs(ex)))
 
 
-def check_total_ur(state: CircleState, n: int,
-                   config: Config = DEFAULT_CONFIG) -> URReport:
+def check_total_ur(state: CircleState, n: int) -> URReport:
     """sigma_n * sigma_Lz against hbar/2.  An infinite sigma_n (R_n below
     its rounding bound, an isotropic harmonic) makes the left side
     infinite and the bound trivially true."""
     _, sn = _total_at(state, n)
     lhs = math.inf if math.isinf(sn) else sn * state.lz_moments[1]
-    return URReport._make(_verdict(_TOTAL, n, lhs, 0.5, config))
+    return URReport._make(_verdict(_TOTAL, n, lhs, 0.5))
 
 
-def check_fujikawa(state: CircleState,
-                   config: Config = DEFAULT_CONFIG) -> URReport:
+def check_fujikawa(state: CircleState) -> URReport:
     """Window bound sigma_phi * sigma_Lz >= (hbar/2)(1 - 2 pi rho(pi)).
 
     The window bound of Franke-Arnold et al., New J. Phys. 6, 103 (2004),
@@ -138,7 +137,7 @@ def check_fujikawa(state: CircleState,
     sigma_phi, two_pi_rho = _seam_at(state)
     return URReport._make(_verdict(
         _FUJIKAWA, 1, sigma_phi * state.lz_moments[1],
-        0.5 * (1.0 - two_pi_rho), config))
+        0.5 * (1.0 - two_pi_rho)))
 
 
 class SeriesRow(NamedTuple):
@@ -164,8 +163,7 @@ class SeriesRow(NamedTuple):
     total: tuple
 
 
-def series_columns(state: CircleState, nmax: int,
-                   config: Config = DEFAULT_CONFIG) -> list:
+def series_columns(state: CircleState, nmax: int) -> list:
     """Observables and the X_AXIS, Y_AXIS and TOTAL bounds for every
     n = 1..nmax, one ``SeriesRow`` per n: one loop over n that reads the
     two per-n kernels, as the scalar checks do.
@@ -180,9 +178,9 @@ def series_columns(state: CircleState, nmax: int,
         total_lhs = math.inf if math.isinf(sn) else sn * slz
         rows.append(SeriesRow(
             n, ex, ey, r, sx, sy, math.sqrt(sx * sx + sy * sy), sn,
-            _verdict(_X_AXIS, n, sx * slz, 0.5 * n * abs(ey), config),
-            _verdict(_Y_AXIS, n, sy * slz, 0.5 * n * abs(ex), config),
-            _verdict(_TOTAL, n, total_lhs, 0.5, config)))
+            _verdict(_X_AXIS, n, sx * slz, 0.5 * n * abs(ey)),
+            _verdict(_Y_AXIS, n, sy * slz, 0.5 * n * abs(ex)),
+            _verdict(_TOTAL, n, total_lhs, 0.5)))
     return rows
 
 

@@ -166,7 +166,7 @@ FAILURES = [
      "(hbar=1.5e+308); use a smaller hbar"),
     (["--hbar", "-1", "examples"], 2, "hbar must be positive and finite"),
     (["--tol", "2", "curve", "f", "--from", "0", "--to", "1", "--step", "1"],
-     2, "cmp_tol must lie in (0, 1)"),
+     2, "--tol must lie in (0, 1)"),
 ]
 
 

@@ -25,7 +25,7 @@ from qring.observables import (
     sigma_total,
     sigma_xy,
 )
-from qring.state import MAX_MODE, Config, from_fourier, uniform_state
+from qring.state import MAX_MODE, from_fourier, uniform_state
 from qring.uncertainty import check_ur_x, check_ur_y, detect_fold_symmetry
 
 TWO_PI = 2.0 * math.pi
@@ -264,11 +264,12 @@ class TestConstruction:
         assert math.isfinite(json.loads(out)["predicted"]["sigma_lz2"])
 
     def test_packet_is_only_its_parameters(self):
-        # no builder takes a Config; the predictions come from verify_packet
+        # no builder takes a tolerance; the predictions come from
+        # verify_packet
         pk, _ = mwp_y(2, 1, 5.0)
         assert dataclasses.astuple(pk) == (Axis.Y, 2, 1, 5.0)
         with pytest.raises(TypeError):
-            mwp_x(1, 0, 2.0, Config(cmp_tol=1e-6))
+            mwp_x(1, 0, 2.0, 1e-6)
 
 
 class TestCapReach:
@@ -393,10 +394,11 @@ class TestVerifyPacket:
 
     @pytest.mark.parametrize("build", [mwp_x, mwp_y])
     def test_hbar_and_tolerance_from_config(self, capsys, build):
-        # the tolerance comes from the Config, and every value is in units
-        # of hbar; the CLI alone prints them in units of --hbar
+        # the tolerance is verify_packet's float argument, --tol in the
+        # CLI, and every value is in units of hbar; the CLI alone prints
+        # them in units of --hbar
         pk, s = build(2, 1, 5.0)
-        v = verify_packet(pk, s, Config(cmp_tol=1e-7))
+        v = verify_packet(pk, s, 1e-7)
         assert v.ok and v.tol == 1e-7
         assert v.measured["lz"] == expect_lz(s)
         assert v.measured["sigma_lz2"] == sigma_lz(s) ** 2
@@ -438,7 +440,7 @@ class TestVerifyPacket:
         # 50 is the top of the intended concentration range (~200 modes)
         pk, s = mwp_x(1, 0, 50.0)
         assert int(np.abs(s.modes).max()) < 512
-        v = verify_packet(pk, s, Config(cmp_tol=1e-8))
+        v = verify_packet(pk, s, 1e-8)
         assert v.ok, v.deltas
         assert check_ur_x(s, 1).saturated
 

@@ -20,6 +20,7 @@ from qring.observables import (
     sigma_xy,
 )
 from qring.state import (
+    MAX_MODE,
     cos_harmonic_state,
     from_fourier,
     random_state,
@@ -497,13 +498,14 @@ class TestSpectrumCache:
 
 def lz_diagonal_sums(state):
     """Oracle: (<L_z>, sigma_Lz) from the diagonal sums over the integer
-    modes, the variance as the centred sum and the mean shifted by
-    theta/2pi, recomputed on every call; the cached moments use the same
-    arithmetic, so they match bit for bit."""
+    modes centred on the heaviest mode m0, each divided by the total
+    weight, the mean shifted by theta/2pi, recomputed on every call; the
+    cached moments use the same arithmetic, so they match bit for bit."""
     w = np.abs(state.amps) ** 2
-    m1 = float(np.sum(state.modes * w))
-    var = float(np.sum((state.modes - m1) ** 2 * w) / np.sum(w))
-    return m1 + state.theta / TWO_PI, math.sqrt(var)
+    m0 = int(state.modes[np.argmax(w)])
+    shift = float(np.sum((state.modes - m0) * w) / np.sum(w))
+    var = float(np.sum((state.modes - m0 - shift) ** 2 * w) / np.sum(w))
+    return m0 + shift + state.theta / TWO_PI, math.sqrt(var)
 
 
 class TestLzMomentsCache:
@@ -528,6 +530,16 @@ class TestLzMomentsCache:
         # reads it
         for _ in range(2):
             assert (expect_lz(s), sigma_lz(s)) == lz_diagonal_sums(s)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.3])
+    def test_eigenstate_moments_are_exact(self, theta):
+        # centred on its one mode, an eigenstate's sums have nothing to
+        # round: <L_z> is m + theta/2pi and the spread 0.0 at every m, as
+        # the total weight |c|^2 rounds away from 1
+        for m in range(-MAX_MODE, MAX_MODE + 1):
+            for amp in (1.0, 9 - 4j, 3e-7j, -2.5e5 + 1j):
+                s = from_fourier({m: amp}, theta)
+                assert s.lz_moments == (m + theta / TWO_PI, 0.0), (m, amp)
 
     @pytest.mark.parametrize("delta", [0.7, -2.9])
     def test_rotated_state_starts_without_cache(self, delta):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -325,8 +326,29 @@ def test_records_keep_their_generated_constructor():
     # builds the record from the fields alone
     records, constructors = _record_constructors()
     assert {("uncertainty.py", "URReport"), ("uncertainty.py", "SeriesRow"),
-            ("mwp.py", "VonMisesPacket"), ("state.py", "Config")} <= records
+            ("mwp.py", "VonMisesPacket")} <= records
     assert constructors == []
+
+
+def test_verdicts_decide_against_one_constant():
+    # a bound is a theorem, so its verdict only asks whether the slack is
+    # rounding noise: no caller passes a tolerance, and one constant of
+    # uncertainty, read in _verdict alone, decides holds and saturated
+    bounds = qring.uncertainty
+    params = {fn.__name__: list(inspect.signature(fn).parameters)
+              for fn in (bounds.check_ur_x, bounds.check_ur_y,
+                         bounds.check_total_ur, bounds.check_fujikawa,
+                         bounds.series_columns)}
+    assert params == {"check_ur_x": ["state", "n"],
+                      "check_ur_y": ["state", "n"],
+                      "check_total_ur": ["state", "n"],
+                      "check_fujikawa": ["state"],
+                      "series_columns": ["state", "nmax"]}
+    assert not hasattr(qring, "Config")
+    reads = [(path, fn) for path, fn, _ in _reads(
+        lambda node: isinstance(node, ast.Name) and node.id == "_VERDICT_TOL"
+        and isinstance(node.ctx, ast.Load))]
+    assert reads and set(reads) == {("uncertainty.py", "_verdict")}
 
 
 def test_cli_writes_records_without_dataclasses():

@@ -1,11 +1,11 @@
 """Property tests over generated states: the running-product phase tables
 against the direct exp of every (point, frequency) pair, the seam sums of
 the window bound against the phase tables, the state file round trip,
-every bound over the whole n-series, the sign of each per-n slack against
-exact rational arithmetic, what a rotation keeps and swaps, the
-CLI's JSON row tables against ``json.dumps(indent=2)``, the CLI's
-documents in units of --hbar against its documents at hbar = 1, and no NaN
-or inf behind a true verdict."""
+every bound over the whole n-series, the size and sign of each per-n
+slack against exact rational arithmetic, what a rotation keeps and
+swaps, the CLI's JSON row tables against ``json.dumps(indent=2)``, the
+CLI's documents in units of --hbar against its documents at hbar = 1,
+and no NaN or inf behind a true verdict."""
 
 import contextlib
 import copy
@@ -211,25 +211,26 @@ def decimal_sqrt(q):
 
 @hypothesis.settings(max_examples=100)
 @hypothesis.given(gaussian_coeffs())
+@hypothesis.example({512: 9 - 4j})  # an eigenstate: each side exactly 0
 def test_slack_signs_match_exact_rationals(coeffs):
-    # the sign of each exact slack is that of lhs^2 - rhs^2, decided with
-    # no tolerance; the library's slack has it wherever the exact slack
-    # exceeds 8 gamma_M (1 + |<L_z>|) max(1, lhs), gamma_M = M u/(1 - M u)
-    # over the M modes: the rounding of each side grows with |<L_z>|,
-    # since the centred L_z variance reads a mean off by ulps of it
+    # the library's slack is within 8 gamma_M max(1, lhs) of the exact
+    # slack, gamma_M = M u/(1 - M u) over the M modes, at any |<L_z>|;
+    # where the exact slack exceeds that bound, its sign is that of
+    # lhs^2 - rhs^2, decided with no tolerance
     state = from_fourier(coeffs)
     mu = len(coeffs) * EPS / 2.0  # M u
-    gamma = mu / (1.0 - mu)
-    mean, _ = exact_lz(coeffs)
-    scale = decimal.Decimal(8.0 * gamma * (1.0 + abs(float(mean))))
+    gamma = decimal.Decimal(mu / (1.0 - mu))
     for n in (1, 2, 3):
         for check, lhs2, rhs2 in exact_sides(coeffs, n):
+            slack = check(state, n).slack
             if lhs2 is None:
-                assert check(state, n).slack == math.inf
+                assert slack == math.inf
                 continue
             lhs = decimal_sqrt(lhs2)
-            if abs(lhs - decimal_sqrt(rhs2)) > scale * max(1, lhs):
-                slack = check(state, n).slack
+            exact = lhs - decimal_sqrt(rhs2)
+            bound = 8 * gamma * max(1, lhs)
+            assert abs(decimal.Decimal(slack) - exact) <= bound, (check, n)
+            if abs(exact) > bound:
                 assert (slack > 0.0) == (lhs2 > rhs2), (check, n, slack)
 
 

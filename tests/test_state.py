@@ -12,10 +12,9 @@ import qring.cli
 import qring.state
 from qring.errors import DegenerateStateError, ResolutionError
 from conftest import PACKET_GRID
-from qring.mwp import mwp_x, mwp_y
+from qring.mwp import mwp_x, mwp_y, verify_packet
 from qring.state import (
     MAX_MODE,
-    Config,
     cos_harmonic_state,
     dump_state,
     from_fourier,
@@ -110,13 +109,12 @@ class TestFromFourier:
         assert from_fourier({2**63: 0.0, 3: 1.0}).modes.tolist() == [3]
 
     def test_config_is_not_an_argument(self):
-        # a state is only its wavefunction, in units of hbar; the tolerance
-        # is given to the checks
+        # a state is only its wavefunction, in units of hbar, and carries
+        # no tolerance
         with pytest.raises(TypeError):
-            random_state(8, 3, Config(cmp_tol=1e-6))
+            random_state(8, 3, 1e-6)
         assert [f.name for f in dataclasses.fields(random_state(1, 0))] == [
             "modes", "amps", "theta"]
-        assert [f.name for f in dataclasses.fields(Config)] == ["cmp_tol"]
 
     @pytest.mark.parametrize("build, args", [
         (random_state, (-1, 0)),
@@ -624,8 +622,8 @@ class TestColumnIO:
 
 def refuses_hbar(capsys, hbar) -> bool:
     """Whether ``qring`` refuses --hbar with its usage error, before it
-    reads a --tol that is bad too: hbar is the CLI's unit, not a Config
-    field."""
+    reads a --tol that is bad too: hbar is the CLI's unit, and main checks
+    it first."""
     code = qring.cli.main([f"--hbar={hbar!r}", "--tol", "2", "examples"])
     return capsys.readouterr() == (
         "", "error: hbar must be positive and finite\n") and code == 2
@@ -634,14 +632,17 @@ def refuses_hbar(capsys, hbar) -> bool:
 class TestConfigValidation:
     def test_bad_hbar(self, capsys):
         assert refuses_hbar(capsys, 0.0) and refuses_hbar(capsys, -1.0)
-        with pytest.raises(TypeError):
-            Config(hbar=0.0)
 
     @pytest.mark.parametrize("hbar", [math.inf, math.nan, -math.inf])
     def test_non_finite_hbar(self, capsys, hbar):
         assert refuses_hbar(capsys, hbar)
 
-    @pytest.mark.parametrize("cmp_tol", [0.0, 1.0])
-    def test_cmp_tol_outside_open_unit_interval(self, cmp_tol):
-        with pytest.raises(ValueError, match="cmp_tol"):
-            Config(cmp_tol=cmp_tol)
+    @pytest.mark.parametrize("cmp_tol", [0.0, 1.0, -1e-9, 2.0, math.nan])
+    def test_cmp_tol_outside_open_unit_interval(self, capsys, cmp_tol):
+        # the comparison tolerance is verify_packet's float and --tol,
+        # each refused outside (0, 1) before any comparison
+        with pytest.raises(ValueError, match=r"^tol must lie in \(0, 1\)$"):
+            verify_packet(*mwp_x(1, 0, 2.0), cmp_tol)
+        code = qring.cli.main(["--tol", repr(cmp_tol), "examples"])
+        assert code == 2 and capsys.readouterr() == (
+            "", "error: --tol must lie in (0, 1)\n")

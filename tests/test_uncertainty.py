@@ -522,10 +522,16 @@ class TestSeriesColumns:
                                               for rhs in right_sides()]
 
     def test_zero_past_the_span_is_positive(self):
-        # -Im of the zero pad would print as -0.0
-        rows = series_columns(random_state(2, 3), 10)
-        assert all(math.copysign(1.0, row.ey) == 1.0 for row in rows[4:])
-        assert all(math.isinf(row.sigma_n) for row in rows[4:])
+        # -Im of the zero pad, or of a real harmonic on any row, would
+        # print as -0.0
+        for state in (random_state(2, 3), from_fourier({0: 1.0, 1: 1.0}),
+                      cos_harmonic_state(2),
+                      from_fourier({-1: 2.0, 0: 1.0, 3: -0.5})):
+            rows = series_columns(state, 10)
+            assert all(math.copysign(1.0, zero) == 1.0 for row in rows
+                       for zero in (row.ex, row.ey) if zero == 0.0)
+            assert all(math.isinf(row.sigma_n)
+                       for row in rows[state.mode_span:])
 
     def test_nmax_validation(self):
         with pytest.raises(ValueError):
