@@ -14,12 +14,15 @@ on a ``DegenerateStateError``, 2 on any other ``ValueError`` or
 ``OverflowError``.
 
 The library works in units of hbar (hbar = 1); --hbar is only the unit of
-the printed values.  ``_in_hbar`` alone multiplies a value by hbar and
-names one that overflows or underflows there, and at hbar = 1 every
-value is printed as the library returns it.  ``main`` validates --hbar
-before --tol; ``report`` scales its bounds by n (X, Y, TOTAL), then
-sigma_Lz, then the window bound, before it reads its symmetry options,
-and ``mwp`` scales sigma_lz2, then lz.
+the printed values.  ``_in_hbar`` alone multiplies a measured or
+predicted value by hbar and names one that overflows or underflows
+there, and at hbar = 1 every value is printed as the library returns it.
+A printed slack or delta is no such value: it is the difference of the
+printed values it compares, a bound's lhs - rhs, or a measured value
+less its prediction.  ``main`` validates --hbar before --tol; ``report``
+scales its bounds by n (X, Y, TOTAL), then sigma_Lz, then the window
+bound, before it reads its symmetry options, and ``mwp`` scales
+sigma_lz2, then lz.
 
 ``examples`` is one table: each case gives its (quantity, expected,
 measured) rows at hbar = 1, and its product row measures the total bound's
@@ -209,41 +212,51 @@ def _write_table(names, columns, as_json: bool) -> None:
                      + row * len(columns[0]) % values)
 
 
-def _in_hbar(hbar: float, power: int, what, x, y=0.0, z=0.0) -> tuple:
-    """(x, y, z), floats at hbar = 1 of degree ``power`` in hbar, each
-    multiplied by hbar ``power`` times (hbar**power may overflow where the
-    product does not): the one place hbar enters a value.  At hbar = 1
-    they come back as they are, as the products would be.  The first
-    finite value that comes out infinite raises ``OverflowError``, and
-    the first normal one that comes out zero or subnormal ``ValueError``,
-    naming ``what``, a string or a ``str.format`` string and its
-    arguments in one tuple.  A zero, infinite (an isotropic sigma_n) or
-    subnormal value stays as it is."""
+def _in_hbar(hbar: float, power: int, what: str, *values) -> tuple:
+    """The values, measured or predicted floats at hbar = 1 of degree
+    ``power`` in hbar, each multiplied by hbar ``power`` times
+    (hbar**power may overflow where the product does not): the one place
+    hbar enters a value.  At hbar = 1 they come back as they are, as the
+    products would be.  The first finite value that comes out infinite
+    raises ``OverflowError``, and the first normal one that comes out zero
+    or subnormal ``ValueError``, naming ``what``.  A zero, infinite (an
+    isotropic sigma_n) or subnormal value stays as it is.  A slack or a
+    delta is not scaled here: the caller takes it as the difference of
+    the products."""
     if hbar == 1.0:  # v * 1.0 is v to the bit, and never overflows
-        return x, y, z
-    sx, sy, sz = x, y, z
+        return values
+    scaled = values
     while power:  # a while loop: range() would cost more than the product
-        sx, sy, sz = sx * hbar, sy * hbar, sz * hbar
+        scaled = [value * hbar for value in scaled]
         power -= 1
-    for value, out in ((x, sx), (y, sy), (z, sz)):
-        overflows = math.isinf(out) and math.isfinite(value)
-        if overflows or abs(out) < sys.float_info.min <= abs(value) < math.inf:
-            name = (what if isinstance(what, str)
-                    else what[0].format(*what[1:]))
-            if overflows:
-                raise OverflowError(f"{name} overflows float64 "
-                                    f"(hbar={hbar!r}); use a smaller hbar")
-            raise ValueError(f"{name} underflows float64 "
+    for value, out in zip(values, scaled):
+        if math.isinf(out) and math.isfinite(value):
+            raise OverflowError(f"{what} overflows float64 "
+                                f"(hbar={hbar!r}); use a smaller hbar")
+        if abs(out) < sys.float_info.min <= abs(value) < math.inf:
+            raise ValueError(f"{what} underflows float64 "
                              f"(hbar={hbar!r}); use a larger hbar")
-    return sx, sy, sz
+    return tuple(scaled)
 
 
 def _bound_in_hbar(hbar: float, verdict) -> tuple:
     """A bound verdict (kind, n, lhs, rhs, slack, holds, saturated) with its
-    sides and slack, of degree 1, in units of hbar."""
+    sides, of degree 1, in units of hbar, and as its slack their printed
+    difference.  That difference needs no underflow check, as one that
+    comes out subnormal is exact.  It can overflow where the sides do
+    not, on the window bound, whose right side is negative; the unit
+    slack then names the overflow."""
+    if hbar == 1.0:
+        return verdict
     kind, n, lhs, rhs, slack, holds, saturated = verdict
-    lhs, rhs, slack = _in_hbar(hbar, 1, ("{.value} bound at n={}", kind, n),
-                               lhs, rhs, slack)
+    what = f"{kind.value} bound at n={n}"
+    lhs, rhs = _in_hbar(hbar, 1, what, lhs, rhs)
+    if math.isinf(lhs - rhs) and math.isfinite(lhs):
+        # the unit slack overflows at hbar too, unless it lies within a
+        # last bit of float64's limit; then its finite product is printed
+        slack, = _in_hbar(hbar, 1, what, slack)
+    else:
+        slack = lhs - rhs
     return kind, n, lhs, rhs, slack, holds, saturated
 
 
@@ -256,9 +269,9 @@ def _check(name: str, quantity: str, expected: float, measured: float,
         ok = abs(measured - expected) <= args.tol * max(1.0, abs(expected))
     # sigma_lz and the products have degree 1 in hbar, the rest degree 0
     power = 1 if quantity.startswith(("sigma_lz", "total_product")) else 0
-    what = ("{} of the {} example", quantity, name)
-    expected, measured, _ = _in_hbar(args.hbar, power, what, expected,
-                                     measured)
+    expected, measured = _in_hbar(args.hbar, power,
+                                  f"{quantity} of the {name} example",
+                                  expected, measured)
     return {"quantity": quantity, "expected": expected,
             "measured": measured, "pass": bool(ok)}
 
@@ -352,8 +365,10 @@ def _row_range(start: float, stop: float, step: float) -> np.ndarray:
             and (stop - start) / step < MAX_SCAN_ROWS):
         raise ValueError(message)
     # one candidate past the last k, as (stop - start) / step may round
-    # either way
-    xs = start + np.arange(math.floor((stop - start) / step) + 2) * step
+    # either way; none at start == stop, where start + step may round onto
+    # start at large |x|
+    count = math.floor((stop - start) / step) + 2 if start < stop else 1
+    xs = start + np.arange(count) * step
     xs = xs[:np.count_nonzero(xs <= stop + 1e-12 * step)]
     # a step lost to rounding at large |x| repeats a point
     if xs.size > MAX_SCAN_ROWS or np.any(np.diff(xs) <= 0):
@@ -404,7 +419,7 @@ def run_report(args) -> int:
     slz, hbar = sigma_lz(state), args.hbar
     if hbar != 1.0:  # in the documented order of their range errors
         bounds = [_bound_in_hbar(hbar, bound) for bound in bounds]
-        slz = _in_hbar(hbar, 1, "sigma_Lz", slz)[0]
+        slz, = _in_hbar(hbar, 1, "sigma_Lz", slz)
     if state.is_periodic:
         bounds.append(_bound_in_hbar(hbar, check_fujikawa(state)))
     mean_phi = mean_angle(state)
@@ -465,12 +480,15 @@ def run_mwp(args) -> int:
     verification = verify_packet(packet, state, args.tol)
     predicted, measured, deltas = (verification.predicted,
                                    verification.measured, verification.deltas)
-    predicted["sigma_lz2"], measured["sigma_lz2"], deltas["sigma_lz2"] = (
-        _in_hbar(args.hbar, 2, ("sigma_Lz^2 prediction at n={}", packet.n),
-                 predicted["sigma_lz2"], measured["sigma_lz2"],
-                 deltas["sigma_lz2"]))
-    measured["lz"], deltas["lz"], _ = _in_hbar(args.hbar, 1, "<L_z>",
-                                               measured["lz"], deltas["lz"])
+    hbar = args.hbar
+    if hbar != 1.0:  # each delta is taken from the printed values
+        predicted["sigma_lz2"], measured["sigma_lz2"] = _in_hbar(
+            hbar, 2, f"sigma_Lz^2 prediction at n={packet.n}",
+            predicted["sigma_lz2"], measured["sigma_lz2"])
+        deltas["sigma_lz2"] = measured["sigma_lz2"] - predicted["sigma_lz2"]
+        measured["lz"], lz = _in_hbar(hbar, 1, "<L_z>", measured["lz"],
+                                      packet.m)
+        deltas["lz"] = measured["lz"] - lz
     payload = {
         "axis": packet.axis.value,
         "n": packet.n,

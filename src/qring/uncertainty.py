@@ -200,12 +200,15 @@ def detect_fold_symmetry(state: CircleState, tol: float = 1e-9) -> int:
     if is_fully_symmetric(state, tol):
         return MAX_MODE
     mags = state.resultants[1:]
-    k = np.arange(1, mags.size + 1)
     # a lag whose harmonic alone exceeds tol must sit on the lattice, so n
     # divides the gcd of those lags (gcd 0, none of them: any n may do)
-    g = math.gcd(*k[mags > tol].tolist())
+    g = math.gcd(*(np.flatnonzero(mags > tol) + 1).tolist())
+    if g == 1:
+        return 1
+    # the off-lattice weight of n: all of it, less lags n, 2n, ...
+    total = float(mags.sum())
     for n in range(g or mags.size, 1, -1):
-        if g % n == 0 and float(mags[(k % n) != 0].sum()) <= tol:
+        if g % n == 0 and total - float(mags[n - 1::n].sum()) <= tol:
             return n
     return 1
 

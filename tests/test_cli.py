@@ -405,8 +405,8 @@ class TestCurve:
         ("0", str(MAX_SCAN_ROWS), "1"),       # one row past the cap
         ("0", str(MAX_SCAN_ROWS + 0.4), "1"),  # a fraction of a row past
         ("0", "1", "1e-300"),                 # far past the cap
-        ("1e20", "1e20", "1"),                # x + step == x
-        ("1e16", "1e16", "1"),                # step lost on the first add
+        ("1e20", "1.0000000000000002e20", "1"),  # x + step == x
+        ("1e16", "1.0000000000000002e16", "1"),  # step lost on the first add
         ("nan", "1", "0.1"), ("0", "inf", "0.1"), ("0", "1", "0")])
     def test_bad_range_exit_2(self, capsys, start, stop, step):
         code, out, err = run_cli(capsys, "curve", "h", f"--from={start}",
@@ -414,6 +414,17 @@ class TestCurve:
         assert code == 2
         assert out == ""
         assert str(MAX_SCAN_ROWS) in err
+
+    @pytest.mark.parametrize("x", ["9007199254740992", "1e20", "1e300",
+                                   "-1e300", "9007199254740991"])
+    def test_one_row_range_at_large_x(self, capsys, x):
+        # --from == --to is one row k = 0, whatever x + step rounds to:
+        # at 2^53 - 1 it is exact, at 2^53 and past it x + 1 rounds onto x
+        code, out, err = run_cli(capsys, "curve", "ratio", "--from", x,
+                                 "--to", x, "--step", "1")
+        assert (code, err) == (0, "")
+        value = qring.bessel.ratio(float(x))
+        assert out == f"x,value\n{float(x):.17g},{value:.17g}\n"
 
     def test_row_cap_allows_the_cap(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "ratio", "--from", "0",
@@ -653,6 +664,58 @@ class TestReport:
         assert err == ("error: FUJIKAWA bound at n=1 overflows float64 "
                        "(hbar=3e+306); use a smaller hbar\n")
 
+    @pytest.mark.parametrize("hbar", ["2.5", "0.37", "1e-150", "1e305"])
+    @pytest.mark.parametrize("state", [
+        random_state(6, 11),
+        from_fourier({-2: 0.4 - 0.3j, 0: 1.0, 1: 0.6j, 5: -0.2}, theta=2.2),
+        mwp_y(2, 1, 3.0)[1],
+    ], ids=["periodic", "quasi-periodic", "2-fold"])
+    def test_slack_is_the_printed_difference(self, capsys, tmp_path, state,
+                                             hbar):
+        # --hbar scales the sides of a bound, and the slack is their
+        # difference as printed; an infinite TOTAL lhs (R_1 = 0 on the
+        # 2-fold density) gives an infinite slack
+        path = write_state(tmp_path, state)
+        code, out, err = run_cli(capsys, "--hbar", hbar, "report", path,
+                                 "--nmax", "8")
+        assert code == 0
+        checks = json.loads(out)["uncertainty"]
+        assert all(c["slack"] == c["lhs"] - c["rhs"] for c in checks)
+        table = [line.split() for line in err.splitlines()
+                 if line.startswith(("X_", "Y_", "TOTAL", "FUJI"))]
+        assert [row[4] for row in table] == [f"{c['slack']:.6g}"
+                                             for c in checks]
+
+    def test_tiny_hbar_refuses_no_slack(self, capsys, tmp_path):
+        # the Y packet saturates its own bound at n = 2: its slack, about
+        # 1e-16 in units of hbar, once read as an underflow at 1e-300,
+        # where both its sides print
+        path = write_state(tmp_path, mwp_y(2, 1, 3.0)[1])
+        code, out, err = run_cli(capsys, "--hbar", "1e-300", "report", path)
+        assert code == 0
+        own = [c for c in json.loads(out)["uncertainty"]
+               if (c["kind"], c["n"]) == ("Y_AXIS", 2)]
+        assert [c["saturated"] for c in own] == [True]
+        assert own[0]["slack"] == own[0]["lhs"] - own[0]["rhs"]
+
+    def test_window_slack_overflow_is_named(self, capsys, tmp_path):
+        # the seam density puts the window bound's right side near -512
+        # hbar: at 1.5e305 both of its sides are finite, and their
+        # difference is not; at 1e305 it is, and prints as the slack
+        path = write_state(tmp_path, from_fourier(
+            {m: (-1) ** m for m in range(-512, 513)}))
+        code, out, err = run_cli(capsys, "--hbar", "1.5e305", "report", path,
+                                 "--nmax", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: FUJIKAWA bound at n=1 overflows float64 "
+                       "(hbar=1.5e+305); use a smaller hbar\n")
+        code, out, _ = run_cli(capsys, "--hbar", "1e305", "report", path,
+                               "--nmax", "1")
+        assert code == 0
+        window = json.loads(out)["uncertainty"][-1]
+        assert window["kind"] == "FUJIKAWA" and window["rhs"] < -5e307
+        assert window["slack"] == window["lhs"] - window["rhs"] < math.inf
+
     @pytest.mark.parametrize("mode", ["9223372036854775808",
                                       "-9223372036854775808",
                                       "99999999999999999999", "513"])
@@ -783,14 +846,46 @@ class TestScanBeta:
 
     def test_step_lost_to_rounding_exit_2(self, capsys, tmp_path):
         # beta + step == beta at 1e20, so the scan would never advance
+        # to --to, the next float past --from
         path = write_state(tmp_path, uniform_state())
         code, out, _ = run_cli(capsys, "scan-beta", path, "--from", "1e20",
-                               "--to", "1e20", "--step", "1")
+                               "--to", "1.0000000000000002e20",
+                               "--step", "1")
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("start,stop,rows", [
+        ("9007199254740992", "9007199254740992", 1),
+        ("9007199254740992", "9007199254740994", None)])
+    def test_one_row_at_2_to_53(self, capsys, tmp_path, start, stop, rows):
+        # one window start is one row however beta + step rounds; two
+        # starts 2 apart at step 1 lose a step, and still exit 2
+        path = write_state(tmp_path, random_state(4, 2))
+        code, out, _ = run_cli(capsys, "scan-beta", path, "--from", start,
+                               "--to", stop, "--step", "1")
+        assert code == (2 if rows is None else 0)
+        assert len(out.splitlines()) == (0 if rows is None else rows + 1)
+
 
 class TestMwp:
+    @pytest.mark.parametrize("hbar", ["2.5", "0.37", "1e-150"])
+    @pytest.mark.parametrize("axis,n,m,kappa", [
+        ("X", 1, 0, 2.0), ("Y", 3, -2, 17.5), ("X", 2, 7, 0.5)])
+    def test_deltas_are_printed_differences(self, capsys, hbar, axis, n, m,
+                                            kappa):
+        # each delta is taken from the printed values: at 1e-150 the
+        # sigma_Lz^2 delta, about 1e-16 hbar^2, once read as an underflow
+        code, out, _ = run_cli(capsys, "--hbar", hbar, "mwp", "--axis", axis,
+                               "--n", str(n), "--m", str(m),
+                               "--kappa", repr(kappa))
+        assert code == 0
+        doc = json.loads(out)
+        predicted, measured = doc["predicted"], doc["measured"]
+        deltas = doc["verification"]["deltas"]
+        assert deltas["sigma_lz2"] == (measured["sigma_lz2"]
+                                       - predicted["sigma_lz2"])
+        assert deltas["lz"] == measured["lz"] - m * float(hbar)
+
     def test_default_reports_verification(self, capsys):
         code, out, _ = run_cli(capsys, "mwp", "--axis", "X", "--n", "2",
                                "--m", "1", "--kappa", "3")
@@ -1041,7 +1136,8 @@ def observable_row(state, n, hbar):
 
 def scalar_checks(state, nmax, hbar):
     """Oracle: the report's bound checks from the scalar library calls, at
-    the default tolerance, with each side and slack multiplied by hbar."""
+    the default tolerance, with each side multiplied by hbar and the
+    slack their difference."""
     checks = []
     for n in range(1, nmax + 1):
         checks += [check_ur_x(state, n), check_ur_y(state, n),
@@ -1049,7 +1145,8 @@ def scalar_checks(state, nmax, hbar):
     if state.is_periodic:
         checks.append(check_fujikawa(state))
     return [rep._replace(lhs=rep.lhs * hbar, rhs=rep.rhs * hbar,
-                         slack=rep.slack * hbar) for rep in checks]
+                         slack=rep.lhs * hbar - rep.rhs * hbar)
+            for rep in checks]
 
 
 def asdict_report(state, nmax, hbar=1.0):
@@ -1132,8 +1229,9 @@ class TestSerialization:
             assert err == stderr_table(state, nmax)
 
     def test_hbar_scaled_report_matches_oracles(self, capsys, tmp_path):
-        # the library works in units of hbar; report multiplies each value
-        # of degree 1 by --hbar once
+        # the library works in units of hbar; report multiplies each side
+        # and sigma_Lz by --hbar once, and prints as a slack the difference
+        # of the printed sides
         path = write_state(tmp_path, random_state(6, 11))
         state = load_state(dump_state(random_state(6, 11)))
         code, out, err = run_cli(capsys, "--hbar", "2.5", "report", path,

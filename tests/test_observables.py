@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import qring.cli
 import qring.state
 from qring.mwp import mwp_x
 from qring.observables import (
@@ -164,6 +165,18 @@ class TestMeanAngle:
     def test_range_is_half_open(self):
         val = mean_angle(sin_half_power_state(1))
         assert -math.pi < val <= math.pi
+
+    def test_minus_pi_reads_pi(self, capsys, tmp_path):
+        # <Y> = -5e-18 beside a negative <X>: atan2 gives -pi, outside the
+        # range, and the mean direction is pi, in report too
+        s = from_fourier({0: 1, 1: -1 + 1e-17j})
+        ex, ey = expect_xy(s, 1)
+        assert math.atan2(ey, ex) == -math.pi
+        assert mean_angle(s) == math.pi
+        path = tmp_path / "state.txt"
+        path.write_text(qring.state.dump_state(s))
+        assert qring.cli.main(["report", str(path), "--nmax", "1"]) == 0
+        assert '"mean_phi": 3.141592653589793,' in capsys.readouterr().out
 
     def test_threshold_at_r1_reads_the_resultant(self):
         # R_1 against its rounding bound sqrt(2) gamma_{L+2}, L = 2 here, by

@@ -22,6 +22,21 @@ MODULES = ["qring", "qring.bessel", "qring.state", "qring.observables",
 SOURCES = sorted((ROOT / "src" / "qring").glob("*.py"))
 
 
+@pytest.mark.parametrize("path", [
+    *SOURCES, *sorted((ROOT / "tests").glob("*.py"))],
+    ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_parses_at_the_python_floor(path):
+    # pyproject's requires-python floor: this interpreter would run syntax
+    # that the floor's cannot import, such as except*
+    floor = re.search(r'requires-python = ">=3\.(\d+)"',
+                      (ROOT / "pyproject.toml").read_text())
+    version = (3, int(floor.group(1)))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=version)
+    ast.parse(path.read_text(), feature_version=version)
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     # a stale __all__ entry would silently hide a function from anything

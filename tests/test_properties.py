@@ -379,42 +379,63 @@ def hexed(obj):
 
 def in_units_of(hbar, unit):
     """Oracle: the ``report`` or ``mwp`` document at --hbar, from the
-    document ``unit`` at hbar = 1, as (document, None): each value of
-    degree p in hbar multiplied by hbar p times, and every other value,
-    each verdict included, unchanged.  Or (None, error line), naming the
-    first value that is finite at hbar = 1 and infinite at hbar, or normal
-    at hbar = 1 and zero or subnormal at hbar, in the documented order:
+    document ``unit`` at hbar = 1, as (document, None): each measured or
+    predicted value of degree p in hbar multiplied by hbar p times, each
+    slack and delta the difference of the two values it compares at hbar,
+    and every other value, each verdict included, unchanged.  Or (None,
+    error line), naming the first value that is finite at hbar = 1 and
+    infinite at hbar, or normal at hbar = 1 and zero or subnormal at hbar,
+    or the first difference of finite values that is infinite at hbar, as
+    is its unit difference multiplied by hbar; in the documented order:
     for report the bounds by n (X, Y, TOTAL), sigma_Lz, then the window
     bound; for mwp sigma_lz2, then lz."""
     doc = copy.deepcopy(unit)
+    # (name, power, the values, where their difference goes)
     if "uncertainty" in doc:
         doc["hbar"] = hbar
         bounds = [(f"{b['kind']} bound at n={b['n']}", 1,
-                   [(b, "lhs"), (b, "rhs"), (b, "slack")])
+                   [(b, "lhs"), (b, "rhs")], (b, "slack"))
                   for b in doc["uncertainty"]]
         window = [bound for bound in bounds if bound[0].startswith("FUJI")]
         groups = [bound for bound in bounds if bound not in window]
         groups.append(("sigma_Lz", 1,
-                       [(row, "sigma_lz") for row in doc["observables"]]))
+                       [(row, "sigma_lz") for row in doc["observables"]],
+                       None))
         groups += window
     else:
+        measured = doc["measured"]
         deltas = doc["verification"]["deltas"]
+        lz = {"lz": float(doc["m"])}  # the predicted <L_z>, not printed
         groups = [(f"sigma_Lz^2 prediction at n={doc['n']}", 2,
-                   [(doc["predicted"], "sigma_lz2"),
-                    (doc["measured"], "sigma_lz2"), (deltas, "sigma_lz2")]),
-                  ("<L_z>", 1, [(doc["measured"], "lz"), (deltas, "lz")])]
-    for what, power, places in groups:
+                   [(measured, "sigma_lz2"), (doc["predicted"], "sigma_lz2")],
+                   (deltas, "sigma_lz2")),
+                  ("<L_z>", 1, [(measured, "lz"), (lz, "lz")],
+                   (deltas, "lz"))]
+
+    def error(what, flows, hint):
+        return None, (f"error: {what} {flows} float64 (hbar={hbar!r}); "
+                      f"use a {hint} hbar\n")
+
+    for what, power, places, delta in groups:
         for obj, key in places:
             value = obj[key]
             for _ in range(power):
                 obj[key] *= hbar
             if math.isfinite(value) and math.isinf(obj[key]):
-                return None, (f"error: {what} overflows float64 "
-                              f"(hbar={hbar!r}); use a smaller hbar\n")
+                return error(what, "overflows", "smaller")
             if (abs(obj[key]) < sys.float_info.min
                     <= abs(value) < math.inf):
-                return None, (f"error: {what} underflows float64 "
-                              f"(hbar={hbar!r}); use a larger hbar\n")
+                return error(what, "underflows", "larger")
+        if delta is not None:
+            (a, a_key), (b, b_key) = places
+            obj, key = delta
+            if math.isinf(a[a_key] - b[b_key]) and math.isfinite(a[a_key]):
+                for _ in range(power):
+                    obj[key] *= hbar
+                if math.isinf(obj[key]):
+                    return error(what, "overflows", "smaller")
+            else:
+                obj[key] = a[a_key] - b[b_key]
     return doc, None
 
 

@@ -465,8 +465,7 @@ class TestInHbar:
     @pytest.mark.parametrize("hbar", [1.0 + 2.0**-52, 2.0, 1e308])
     def test_other_hbar_names_an_overflow(self, hbar):
         with pytest.raises(OverflowError) as exc:
-            qring.cli._in_hbar(hbar, 1, ("{} at n={}", "X", 3),
-                               0.5, sys.float_info.max)
+            qring.cli._in_hbar(hbar, 1, "X at n=3", 0.5, sys.float_info.max)
         assert str(exc.value) == (f"X at n=3 overflows float64 "
                                   f"(hbar={hbar!r}); use a smaller hbar")
 
@@ -479,7 +478,7 @@ class TestInHbar:
         # the first normal value that comes out zero or subnormal, in
         # order: -0.275 at 5e-324 would print as -0.0
         with pytest.raises(ValueError) as exc:
-            qring.cli._in_hbar(hbar, power, ("{} at n={}", "X", 3), *values)
+            qring.cli._in_hbar(hbar, power, "X at n=3", *values)
         assert str(exc.value) == (f"X at n=3 underflows float64 "
                                   f"(hbar={hbar!r}); use a larger hbar")
 
@@ -490,6 +489,16 @@ class TestInHbar:
         assert all(map(same_bits, out, (-0.0, 0.0, 2.0**-1061)))
         out = qring.cli._in_hbar(1e-300, 2, "value", 0.0, 1e-310, math.inf)
         assert all(map(same_bits, out, (0.0, 0.0, math.inf)))
+
+    @pytest.mark.parametrize("values", [(0.37,), (0.37, -2.0, 1e-300, 5.0)])
+    def test_any_number_of_values(self, values):
+        # one name for all of them: report's four values of a verdict, or
+        # one alone
+        assert qring.cli._in_hbar(1.0, 1, "value", *values) == values
+        assert qring.cli._in_hbar(0.5, 2, "value", *values) == tuple(
+            v * 0.5 * 0.5 for v in values)
+        with pytest.raises(ValueError, match="^value underflows"):
+            qring.cli._in_hbar(1e-308, 1, "value", *values)
 
     def test_other_hbar_keeps_an_infinite_value(self):
         # an isotropic sigma_n: infinite before the unit, so no overflow

@@ -362,6 +362,49 @@ class TestFoldSymmetry:
                 r_quad = abs(np.mean(dens * np.exp(1j * k * phi))) * TWO_PI
                 assert r_quad <= 1e-9
 
+    @staticmethod
+    def masked_fold(state, tol):
+        """Oracle: the fold as each candidate n once found it, summing the
+        harmonics off its lattice through a mask over every lag."""
+        if is_fully_symmetric(state, tol):
+            return MAX_MODE
+        mags = state.resultants[1:]
+        k = np.arange(1, mags.size + 1)
+        g = math.gcd(*k[mags > tol].tolist())
+        for n in range(g or mags.size, 1, -1):
+            if g % n == 0 and float(mags[(k % n) != 0].sum()) <= tol:
+                return n
+        return 1
+
+    @staticmethod
+    def fold_states():
+        rng = np.random.default_rng(5)
+        states = [random_state(span, seed) for span, seed in
+                  [(1, 1), (4, 2), (16, 3), (200, 4), (512, 5)]]
+        for n in (2, 3, 5, 12, 64):
+            comb = {m: complex(*rng.standard_normal(2))
+                    for m in range(-(512 // n) * n, 513, n)}
+            states.append(from_fourier(comb))
+            # the comb, and noise off its lattice near each tolerance
+            for noise in (1e-13, 1e-10, 1e-7):
+                states.append(from_fourier(
+                    {**comb, 1: noise, 7: noise * 1j}))
+        # no harmonic above tol (gcd 0), and their sum above it, so every
+        # n from the span down is tried
+        for span, noise in ((1024, 1e-11), (300, 1e-11), (40, 1e-10)):
+            modes = range(-span // 2, span // 2 + 1)
+            states.append(from_fourier({m: 1.0 if m == 0 else noise
+                                        * complex(*rng.standard_normal(2))
+                                        for m in modes}))
+        states.append(mwp_y(3, 1, 4.0)[1])
+        return states
+
+    def test_strided_sums_match_masked_oracle(self):
+        for state in self.fold_states():
+            for tol in (1e-12, 1e-9, 1e-6, 1e-3):
+                assert (detect_fold_symmetry(state, tol)
+                        == self.masked_fold(state, tol)), (state.modes, tol)
+
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             detect_fold_symmetry(uniform_state(), tol=0.0)
@@ -471,7 +514,7 @@ class TestSeriesColumns:
                                            f"theta{s.theta:.3g}")
     def test_bit_identical_to_scalar_api(self, state, hbar):
         # in units of hbar, and as report prints them in units of --hbar:
-        # each side and slack multiplied by hbar once
+        # each side multiplied by hbar once, and the slack their difference
         nmax = 2 * state.mode_span + 3
         rows = series_columns(state, nmax)
         assert [row.n for row in rows] == list(range(1, nmax + 1))
@@ -492,10 +535,10 @@ class TestSeriesColumns:
                 bound = getattr(row, family)
                 assert type(bound) is tuple and bound == ref, (n, family)
                 printed = qring.cli._bound_in_hbar(hbar, bound)
+                lhs, rhs = ref.lhs * hbar, ref.rhs * hbar
                 for name, got in zip(URReport._fields[2:], printed[2:]):
-                    want = getattr(ref, name)
-                    if name in ("lhs", "rhs", "slack"):
-                        want *= hbar
+                    want = {"lhs": lhs, "rhs": rhs,
+                            "slack": lhs - rhs}.get(name, getattr(ref, name))
                     assert type(got) is type(want), (n, name)
                     assert same_float(got, want), (ref.kind, n, name)
 
