@@ -390,10 +390,11 @@ def run_curve(args) -> int:
 
 
 def _load_state_file(path: str):
-    """The state in the file at path.  A file it cannot read or parse raises
-    a ``ValueError`` that names it; a ``DegenerateStateError`` passes."""
+    """The state in the file at path, read as UTF-8 after at most one
+    leading byte-order mark.  A file it cannot read or parse raises a
+    ``ValueError`` that names it; a ``DegenerateStateError`` passes."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return load_state(fh.read())
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc

@@ -96,7 +96,7 @@ class CircleState:
     Attributes
     ----------
     modes : ndarray of int
-        Sorted mode indices m with nonzero amplitude.
+        Strictly increasing mode indices m with nonzero amplitude.
     amps : ndarray of complex
         Amplitudes c_m aligned with ``modes``; sum |c_m|^2 = 1.
     theta : float
@@ -238,7 +238,19 @@ def _cap_error(index: int) -> ResolutionError:
 
 
 def _build(modes, amps, theta) -> CircleState:
+    """The normalized state of the given modes and amplitudes, the one
+    constructor that every state passes through and the one check that
+    each mode appears once.  Refuses, in this order: a repeated mode (the
+    smallest), a non-integer mode, no nonzero amplitude, a mode past the
+    cap, a non-finite amplitude."""
     raw = np.asarray(modes)
+    order = raw.argsort(kind="stable")
+    raw = raw[order]
+    repeats = raw[1:] == raw[:-1]
+    if np.count_nonzero(repeats):
+        # named as given: of equal modes the first listed, as the sort is
+        # stable, and an int as an int where numpy holds it as a float
+        raise ValueError(f"duplicate mode {modes[order[repeats.argmax()]]}")
     if raw.dtype.kind not in "iu":
         # floats, or Python ints past int64 in an object array, which
         # np.round refuses; an infinite mode leaves a nan remainder
@@ -246,13 +258,11 @@ def _build(modes, amps, theta) -> CircleState:
             integral = (raw % 1 == 0).all()
         if not integral:
             raise ValueError("mode indices must be integers")
-    amps = np.array(amps, dtype=complex)
+    amps = np.array(amps, dtype=complex)[order]
     keep = amps != 0
     raw, amps = raw[keep], amps[keep]
     if raw.size == 0:
         raise DegenerateStateError("state has no nonzero coefficient")
-    order = raw.argsort()
-    raw, amps = raw[order], amps[order]
     # the cap is checked on the input values, which int64 could wrap
     low, high = raw[0], raw[-1]
     if low < -MAX_MODE or high > MAX_MODE:
@@ -283,19 +293,15 @@ def from_fourier(coeffs, theta: float = 0.0) -> CircleState:
     ----------
     coeffs : dict or iterable of (mode, amplitude)
         At least one amplitude must be nonzero; the result is normalized
-        to unit total weight.  A mode listed twice raises ValueError.
+        to unit total weight.  A mode listed twice raises ValueError, as
+        ``_build`` refuses it.
     theta : float
         Boundary phase, reduced mod 2pi.
     """
-    pairs = coeffs.items() if isinstance(coeffs, dict) else coeffs
-    items = sorted(pairs, key=lambda item: item[0])
-    if not items:
+    pairs = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
+    if not pairs:
         raise DegenerateStateError("empty coefficient map")
-    modes = [m for m, _ in items]
-    amps = [a for _, a in items]
-    for m, following in zip(modes, modes[1:]):
-        if m == following:
-            raise ValueError(f"duplicate mode {m}")
+    modes, amps = zip(*pairs)
     return _build(modes, amps, theta)
 
 
@@ -343,9 +349,10 @@ def sin_half_power_state(n: int) -> CircleState:
     else:
         theta = math.pi
         offset = (n + 1) // 2  # mode m has exponent m + 1/2 = j - n/2
+    c = 1  # C(n, j), each from the one before, exactly
     for j in range(n + 1):
-        amp = scale * math.comb(n, j) * (-1) ** (n - j)
-        coeffs[j - offset] = amp
+        coeffs[j - offset] = scale * c * (-1) ** (n - j)
+        c = c * (n - j) // (j + 1)
     return from_fourier(coeffs, theta)
 
 
@@ -370,30 +377,27 @@ def dump_state(state: CircleState) -> str:
             + "%d %.17g %.17g\n" * state.modes.size % values)
 
 
-def _parse_columns(fields) -> tuple | None:
+def _parse_columns(fields) -> tuple:
     """(modes, amps) of the split data lines, converted as columns by
     ``int`` and ``float``: the modes into a list, the (re, im) pairs into
-    one float64 array read as complex128.  None when any line is
-    malformed or repeats a mode."""
-    if set(map(len, fields)) != {3}:
-        return None
+    one float64 array read as complex128.  A line that is not three
+    fields, or a field that does not convert, raises ValueError."""
+    if list(map(len, fields)).count(3) != len(fields):
+        raise ValueError("expected 'm re im'")
     flat = list(chain.from_iterable(fields))  # m, re, im, m, re, im, ...
-    try:
-        modes = list(map(int, flat[::3]))
-        del flat[::3]
-        parts = np.fromiter(map(float, flat), float, len(flat))
-    except ValueError:
-        return None
-    if len(set(modes)) < len(modes):
-        return None
+    modes = list(map(int, flat[::3]))
+    del flat[::3]
+    parts = np.fromiter(map(float, flat), float, len(flat))
     return modes, parts.view(complex)
 
 
-def _first_fault(data, linenos) -> ValueError:
-    """The error naming the first malformed line among the split data
-    lines, walked in file order with their line numbers.  It repeats each
-    check of ``_parse_columns`` per line, so it finds a fault wherever that
-    returns None."""
+def _first_fault(data, linenos) -> ValueError | None:
+    """The error naming the first faulty line among the split data lines,
+    walked in file order with their line numbers, or None when no line is
+    at fault.  A line is at fault when it is not three fields, when a field
+    does not convert as in ``_parse_columns``, or when it repeats the mode
+    of an earlier line: so the first line that explains a refusal of
+    ``_parse_columns`` or a repeated mode of ``_build`` is named."""
     seen = set()
     for lineno, fields in zip(linenos, data):
         if len(fields) != 3:
@@ -406,6 +410,7 @@ def _first_fault(data, linenos) -> ValueError:
         if m in seen:
             return ValueError(f"line {lineno}: duplicate mode {m}")
         seen.add(m)
+    return None
 
 
 def _record_linenos(lines) -> list:
@@ -418,12 +423,16 @@ def _record_linenos(lines) -> list:
 def load_state(text: str) -> CircleState:
     """Parse the text record produced by :func:`dump_state`.
 
-    Raises ``ValueError`` naming the offending line on malformed input and
-    ``DegenerateStateError`` when the parsed state cannot be normalized.
     Blank lines and lines starting with ``#`` are skipped.  The text is
     split once, into the fields of each line; the data lines are converted
-    as columns.  Line numbers are counted only for a file that fails a
-    check, whose first bad line is then found line by line.
+    as columns and built by ``_build``.  A refusal of either is named by
+    the first faulty line of ``_first_fault``, when one explains it: a
+    line that is not ``m re im``, a field that does not convert, or a
+    repeated mode raises ``ValueError`` naming the line, before any fault
+    of the state.  Any other refusal passes as ``_build`` raised it:
+    ``DegenerateStateError`` when the state cannot be normalized,
+    ``ResolutionError`` past the mode cap.  Line numbers are counted only
+    for a file that is refused, whose lines are then walked one by one.
     """
     lines = list(map(str.split, text.splitlines()))
     records = [fields for fields in lines if fields and fields[0][0] != "#"]
@@ -441,8 +450,10 @@ def load_state(text: str) -> CircleState:
     data = records[1:]
     if not data:
         raise DegenerateStateError("state file lists no coefficients")
-    columns = _parse_columns(data)
-    if columns is None:
-        raise _first_fault(data, _record_linenos(lines)[1:])
-    modes, amps = columns
-    return _build(modes, amps, theta)
+    try:
+        return _build(*_parse_columns(data), theta)
+    except ValueError:
+        fault = _first_fault(data, _record_linenos(lines)[1:])
+        if fault is None:
+            raise
+        raise fault from None

@@ -533,6 +533,39 @@ class TestReport:
         assert out == ""
         assert err.startswith(f"error: cannot parse {path}: ")
 
+    @pytest.mark.parametrize("text", [
+        b"theta 0\n1 1 0\n",
+        dump_state(random_state(4, 2)).encode(),
+        dump_state(sin_half_power_state(3)).encode(),
+        b"# \xcf\x86 packet\ntheta 0.5\n0 1 0\n2 0 1\n",
+        b"theta 0\n0 0 0\n",  # exit 3
+        b"theta 0\n0 1 0\n0 0 1\n",  # exit 2, a named line
+        b"theta 0\n600 1 0\n",  # exit 2, past the cap
+        b"theta 0\n\xff 1 0\n",  # exit 2, not UTF-8 after the mark
+    ], ids=["one-mode", "random", "sin-power", "comment", "zero",
+            "duplicate", "cap", "undecodable"])
+    @pytest.mark.parametrize("argv", [["report"], ["scan-beta", *SCAN]])
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, text, argv):
+        # one leading UTF-8 byte-order mark, as Windows editors write it:
+        # the same outcome as the file without it, in a twin directory so
+        # that every error names the same path length
+        runs = []
+        for folder, data in (("a", text), ("b", b"\xef\xbb\xbf" + text)):
+            (tmp_path / folder).mkdir()
+            path = tmp_path / folder / "state.txt"
+            path.write_bytes(data)
+            runs.append(run_cli(capsys, argv[0], str(path), *argv[1:]))
+        plain, marked = runs
+        assert marked == (plain[0], plain[1],
+                          plain[2].replace(f"{tmp_path}/a/", f"{tmp_path}/b/"))
+
+    def test_second_byte_order_mark_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "twice.txt"
+        path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbftheta 0\n1 1 0\n")
+        assert run_cli(capsys, "report", str(path)) == (
+            2, "", f"error: cannot parse {path}: line 1: expected header "
+            "'theta <value>'\n")
+
     @pytest.mark.parametrize("amp", ["1e300", "1e-200"])
     def test_extreme_amplitudes_exit_0(self, capsys, tmp_path, amp):
         path = tmp_path / "extreme.txt"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import struct
 import sys
 
@@ -90,6 +91,23 @@ class TestFromFourier:
         modes = sin_half_power_state(1024).modes
         assert (modes[0], modes[-1]) == (-MAX_MODE, MAX_MODE)
 
+    @pytest.mark.parametrize("n", [*range(1, 65), 100, 127, 128, 255, 333,
+                                   511, 512, 513, 700, 1000, 1023, 1024])
+    def test_sin_power_coefficients_match_comb(self, n, monkeypatch):
+        # oracle: one math.comb per term; the row built from its
+        # neighbours gives every coefficient bit for bit, signed zeros
+        # included
+        monkeypatch.setattr(qring.state, "from_fourier",
+                            lambda coeffs, theta: coeffs)
+        got = sin_half_power_state(n)
+        scale = (1.0 / 2j) ** n
+        offset = (n + 1) // 2
+        want = {j - offset: scale * math.comb(n, j) * (-1) ** (n - j)
+                for j in range(n + 1)}
+        assert list(got) == list(want)
+        assert all(same_bits(got[m].real, want[m].real)
+                   and same_bits(got[m].imag, want[m].imag) for m in want)
+
     @pytest.mark.parametrize("mode,shown", [
         (2**63, 2**63), (-2**63, 2**63), (2**64, 2**64),
         (-2**64 - 1, 2**64 + 1), (1e30, int(1e30)), (-600.0, 600)])
@@ -160,6 +178,62 @@ class TestFromFourier:
             from_fourier([(1, 1), (1, 1), (2, 1)])
         with pytest.raises(ValueError, match="duplicate mode -3"):
             from_fourier([(-3, 1j), (0, 1.0), (-3, 2j)])
+
+    def test_build_refuses_a_repeated_mode(self):
+        # the one constructor of every state holds the check itself
+        with pytest.raises(ValueError) as exc:
+            qring.state._build(np.array([1, 1]), [1.0, 1.0], 0.0)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "duplicate mode 1"
+        # a copy of amplitude 0 repeats the mode too, and the smallest
+        # repeated mode is named
+        with pytest.raises(ValueError, match="^duplicate mode 2$"):
+            qring.state._build([5, 2, 7, 5, 2], [1, 0, 1, 1, 1], 0.0)
+        with pytest.raises(ValueError, match="^duplicate mode 1$"):
+            from_fourier([(1, 0), (1, 0.5)])
+
+    @pytest.mark.parametrize("coeffs, error, message", [
+        ({}, DegenerateStateError, "empty coefficient map"),
+        ([], DegenerateStateError, "empty coefficient map"),
+        ([(3, 1), (-2, 1), (3, 0)], ValueError, "duplicate mode 3"),
+        ({0.5: 1.0, 1: 1.0}, ValueError, "mode indices must be integers"),
+        ({1: 0.0, 2: -0.0}, DegenerateStateError,
+         "state has no nonzero coefficient"),
+        ({-600: 1.0, 1: 1.0}, ResolutionError,
+         "mode index 600 exceeds the cap 512"),
+        ({0: 1.0, 1: complex(0, math.nan)}, DegenerateStateError,
+         "state has a non-finite amplitude"),
+        # a repeated mode comes before every other fault
+        ([(700, 0), (0.5, math.inf), (700, 0)], ValueError,
+         "duplicate mode 700"),
+        # a non-integer mode before zero amplitudes, and a zero amplitude
+        # past the cap counts for nothing
+        ([(0.5, 0), (1, 0)], ValueError, "mode indices must be integers"),
+        ([(600, 0), (1, math.inf)], DegenerateStateError,
+         "state has a non-finite amplitude"),
+        # a repeated mode is named as given: of equal modes the first
+        # listed, and an int as an int where numpy holds it as a float
+        ([(2, 1), (2.0, 1), (-1, 1)], ValueError, "duplicate mode 2"),
+        ([(2.0, 1), (2, 1)], ValueError, "duplicate mode 2.0"),
+        ([(-3, 1), (2**63, 1), (-3, 1)], ValueError, "duplicate mode -3"),
+    ], ids=["empty-map", "empty-pairs", "repeated", "non-integer", "zero",
+            "cap", "non-finite", "repeated-first", "non-integer-first",
+            "zero-past-cap", "first-listed", "first-listed-float",
+            "int-as-float"])
+    def test_refusals_keep_their_order(self, coeffs, error, message):
+        with pytest.raises(ValueError) as exc:
+            from_fourier(coeffs)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_modes_beyond_float64_are_refused(self):
+        # with a negative mode numpy holds ints in [2**63, 2**64) as
+        # float64, where 2**63 and 2**63 + 1 are one value; refused either
+        # way, as a repeated mode or as past the cap
+        with pytest.raises(ValueError):
+            from_fourier([(-1, 1), (2**63, 1), (2**63 + 1, 1)])
+        with pytest.raises(ResolutionError):
+            from_fourier([(-1, 1), (2**63, 1)])
 
     def test_amplitudes_immutable(self):
         s = from_fourier({0: 1.0, 2: 1.0j})
@@ -627,6 +701,32 @@ class TestColumnIO:
                     == load_outcome(reference_load_state, file))
 
         check()
+
+    @pytest.mark.parametrize("other", ["cap", "zeros", "malformed"])
+    def test_repeated_mode_with_another_fault(self, other):
+        # a repeated mode together with a mode past the cap, with all-zero
+        # amplitudes, or with a malformed line before or after it: a line
+        # fault comes before every fault of the state, and the first
+        # faulty line is named
+        rng = random.Random(other)
+        for _ in range(200):
+            modes = [rng.randint(-3, 3) for _ in range(rng.randint(1, 6))]
+            modes.insert(rng.randint(0, len(modes)), rng.choice(modes))
+            if other == "cap":
+                modes.insert(rng.randint(0, len(modes)),
+                             rng.choice([513, -513, 600, 10**20]))
+            amps = (["0"] if other == "zeros" else ["0", "1", "-0.5"],
+                    ["0", "-0.0"] if other == "zeros" else ["0", "2"])
+            lines = [f"{m} {rng.choice(amps[0])} {rng.choice(amps[1])}"
+                     for m in modes]
+            if other == "malformed":
+                lines.insert(rng.randint(0, len(lines)),
+                             rng.choice(["1 1", "x 1 0", "1 y 0", "1 1 0 0"]))
+            text = "\n".join([f"theta {rng.choice(['0', '2', 'inf'])}",
+                              *lines]) + "\n"
+            outcome = load_outcome(reference_load_state, text)
+            assert outcome[0] is ValueError and outcome[1].startswith("line ")
+            assert load_outcome(load_state, text) == outcome
 
 
 def refuses_hbar(capsys, hbar) -> bool:
